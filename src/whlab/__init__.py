@@ -18,15 +18,15 @@ together with the doubling-constant scans the bounds rest on.
 from .errors import (DegenerateBallError, ModularOverflowError, NumericFailure,
                      ValidationError)
 from .grid import (Ball, DomainMask, Grid, GridFunction, ball_indicator,
-                   explicit_mask, extend_by_zero, full_space, gridfunction_csv,
-                   half_line, make_grid, restrict, sample, sector,
-                   write_gridfunction_csv)
+                   explicit_mask, extend_by_zero, full_space, half_line,
+                   make_grid, restrict, sample, sector)
 from .spaces import (AxiomResult, ExponentField, SpaceSpec, Weight,
                      associate_space, axiom_check, berezhnoi_ratio,
                      constant_exponent, constant_weight, exponent_from_values,
                      luxemburg_norm, modular, muckenhoupt_ratio, power_weight,
                      step_exponent, weight_from_values)
 from .doubling import (DoublingEntry, DoublingReport, doubling_ratio,
+                       plan_tau_scan, plan_weak_doubling,
                        separated_doubling_scan, separated_sequence, tau_scan,
                        weak_doubling_scan)
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
@@ -34,10 +34,10 @@ from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         inverse_fourier, nearest_freq_node, norm_probe,
                         smoothed_step_symbol, symbol_from_function,
                         symbol_from_values, wiener_hopf_apply)
-from .witness import (BumpSpec, ExperimentReport, LedgerLine, PairRecord,
-                      WitnessParams, WitnessRecord, build_bump,
-                      kuratowski_experiment, make_witness,
-                      mollification_residual, norm_lowerbound_experiment,
-                      place_witness_center)
+from .witness import (ExperimentReport, LedgerLine, PairRecord,
+                      WitnessParams, WitnessRecord, kuratowski_experiment,
+                      kuratowski_family, make_witness, mollification_residual,
+                      norm_lowerbound_experiment, place_witness_center,
+                      plan_kuratowski, plan_norm_lowerbound)
 
 __version__ = "0.1.0"

@@ -172,8 +172,24 @@ def _require(params: dict, keys, kind: str):
             raise ValidationError(f"experiment kind {kind!r} needs '{key}'")
 
 
+def _family_args(params: dict) -> tuple:
+    """(theta, lambda, m, y0) of the config's separated ball family."""
+    return (float(params["theta"]), float(params["lambda"]), int(params["m"]),
+            params.get("y0"))
+
+
+def _doubling_schedule(params: dict, omega: gridmod.DomainMask) -> list:
+    """The listed balls followed by the separated family, when configured."""
+    schedule = [(entry["y"], float(entry["r"])) for entry in params.get("balls", ())]
+    if all(k in params for k in ("theta", "lambda", "m")):
+        schedule.extend(dbl.separated_sequence(omega, float(params["tau"]),
+                                               *_family_args(params)))
+    return schedule
+
+
 def _preflight_experiment(cfg: "RunConfig") -> None:
-    """Check every precondition of the invoked operations before running."""
+    """Check the config-level requirements, then run the library's
+    validation step for the experiment kind; the run calls the same step."""
     params = cfg.params
     kind = cfg.kind
     omega = cfg.space.domain
@@ -181,80 +197,22 @@ def _preflight_experiment(cfg: "RunConfig") -> None:
         raise ValidationError(f"experiment kind {kind!r} needs a symbol block")
     if kind == "norm-lb":
         _require(params, ("rho", "delta_schedule"), kind)
-        rho = float(params["rho"])
-        if rho <= 1.0:
-            raise ValidationError("rho must exceed 1")
-        deltas = [float(d) for d in params["delta_schedule"]]
-        if not deltas or any(d <= 0 for d in deltas):
-            raise ValidationError("delta schedule must be positive")
-        if not all(b < a for a, b in zip(deltas, deltas[1:])):
-            raise ValidationError("delta schedule must be strictly decreasing")
-        placements = 0
-        for d in deltas:
-            try:
-                wit.place_witness_center(omega, d, rho, params.get("ray"))
-                placements += 1
-            except ValidationError:
-                pass
-        if placements == 0:
-            raise ValidationError(
-                "no delta in the schedule admits a witness placement on this grid")
+        wit.plan_norm_lowerbound(cfg.symbol, omega, float(params["rho"]),
+                                 params["delta_schedule"], params.get("eta"),
+                                 params.get("ray"))
     elif kind == "kappa-lb":
         _require(params, ("rho", "theta", "lambda", "m"), kind)
         rho = float(params["rho"])
-        if rho <= 1.0:
-            raise ValidationError("rho must exceed 1")
-        family = dbl.separated_sequence(omega, rho, float(params["theta"]),
-                                        float(params["lambda"]), int(params["m"]),
-                                        params.get("y0"))
-        eta = params.get("eta")
-        if eta is None:
-            _, eta_vec = ops.argmax_freq_node(cfg.symbol)
-        else:
-            _, eta_vec = ops.nearest_freq_node(cfg.grid, eta)
-        for y, radius in family:
-            wit.WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
-        params["_family"] = family
+        wit.plan_kuratowski(cfg.symbol, omega, rho,
+                            wit.kuratowski_family(omega, rho, *_family_args(params)),
+                            params.get("eta"))
     elif kind == "doubling-scan":
         _require(params, ("tau",), kind)
-        tau = float(params["tau"])
-        if tau <= 1.0:
-            raise ValidationError(
-                "tau must exceed 1 for a doubling ratio (weak doubling needs tau > 1)")
-        schedule = []
-        if "balls" in params:
-            for entry in params["balls"]:
-                schedule.append((entry["y"], float(entry["r"])))
-        if all(k in params for k in ("theta", "lambda", "m")):
-            schedule.extend(dbl.separated_sequence(
-                omega, tau, float(params["theta"]), float(params["lambda"]),
-                int(params["m"]), params.get("y0")))
-        if not schedule:
-            raise ValidationError(
-                "doubling-scan needs 'balls' and/or family parameters "
-                "(theta, lambda, m)")
-        for y, radius in schedule:
-            dbl_ball = gridmod.Ball(tuple(gridmod.as_point(y, cfg.grid.n)),
-                                    tau * float(radius))
-            if not dbl._contained(omega, dbl_ball):
-                raise ValidationError(
-                    f"inflated ball at y={y}, R={radius} leaves the box or the domain")
-        params["_schedule"] = schedule
+        dbl.plan_weak_doubling(omega, float(params["tau"]),
+                               _doubling_schedule(params, omega))
     elif kind == "tau-scan":
         _require(params, ("tau_list", "theta", "lambda", "m"), kind)
-        taus = [float(t) for t in params["tau_list"]]
-        if not taus or any(t <= 1.0 for t in taus):
-            raise ValidationError("every tau in the scan must exceed 1")
-        if not all(b < a for a, b in zip(taus, taus[1:])):
-            raise ValidationError("tau list must be strictly decreasing toward 1")
-        dbl.separated_sequence(omega, max(taus), float(params["theta"]),
-                               float(params["lambda"]), int(params["m"]),
-                               params.get("y0"))
-    elif kind == "space-check":
-        trials = int(params.get("trials", 100))
-        if trials < 1:
-            raise ValidationError("space-check needs at least one trial")
-        params["trials"] = trials
+        dbl.plan_tau_scan(omega, params["tau_list"], *_family_args(params))
 
 
 def preflight(raw: dict) -> RunConfig:
@@ -292,32 +250,32 @@ def run(cfg: RunConfig):
     if cfg.kind == "norm-lb":
         report = wit.norm_lowerbound_experiment(
             cfg.symbol, omega, cfg.space, float(params["rho"]),
-            [float(d) for d in params["delta_schedule"]],
-            params.get("eta"), params.get("ray"))
+            params["delta_schedule"], params.get("eta"), params.get("ray"))
         artifacts["report.txt"] = reports.experiment_text(report, echo)
         artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.grid.n)
         ok = report.chains_passed
     elif cfg.kind == "kappa-lb":
+        rho = float(params["rho"])
         report = wit.kuratowski_experiment(
-            cfg.symbol, omega, cfg.space, float(params["rho"]),
-            params["_family"], params.get("eta"))
+            cfg.symbol, omega, cfg.space, rho,
+            wit.kuratowski_family(omega, rho, *_family_args(params)),
+            params.get("eta"))
         artifacts["report.txt"] = reports.experiment_text(report, echo)
         artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.grid.n)
         artifacts["pairwise.csv"] = reports.pairwise_csv(report)
         ok = report.chains_passed
     elif cfg.kind == "doubling-scan":
         report = dbl.weak_doubling_scan(cfg.space, float(params["tau"]),
-                                        params["_schedule"])
+                                        _doubling_schedule(params, omega))
         artifacts["report.txt"] = reports.doubling_text(report, echo)
         artifacts["doubling.csv"] = reports.doubling_csv(report, cfg.grid.n)
     elif cfg.kind == "tau-scan":
-        rows = dbl.tau_scan(cfg.space, [float(t) for t in params["tau_list"]],
-                            float(params["theta"]), float(params["lambda"]),
-                            int(params["m"]), params.get("y0"))
+        rows = dbl.tau_scan(cfg.space, params["tau_list"], *_family_args(params))
         artifacts["report.txt"] = reports.tau_scan_text(rows, echo)
         artifacts["tau_scan.csv"] = reports.tau_scan_csv(rows)
     elif cfg.kind == "space-check":
-        results = spaces.axiom_check(cfg.space, params.get("trials", 100), cfg.seed)
+        results = spaces.axiom_check(cfg.space, int(params.get("trials", 100)),
+                                     cfg.seed)
         artifacts["report.txt"] = reports.space_check_text(results, echo)
         artifacts["checks.csv"] = reports.space_check_csv(results)
         ok = all(r.passed for r in results)

@@ -26,6 +26,8 @@ __all__ = [
     "DoublingReport",
     "doubling_ratio",
     "separated_sequence",
+    "plan_weak_doubling",
+    "plan_tau_scan",
     "weak_doubling_scan",
     "separated_doubling_scan",
     "tau_scan",
@@ -78,6 +80,20 @@ def _contained(omega: DomainMask, ball: Ball) -> bool:
     return omega.contains_ball_nodes(ball)
 
 
+def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
+    """B(y, tau R), checked against the preconditions of :func:`doubling_ratio`."""
+    if not (tau > 1.0):
+        raise ValidationError("tau must exceed 1 for a doubling ratio")
+    if not (radius > 0.0):
+        raise ValidationError("ball radius must be positive")
+    outer = Ball(tuple(as_point(y, omega.grid.n)), tau * radius)
+    if not _contained(omega, outer):
+        raise ValidationError(
+            f"inflated ball B({outer.center}, {outer.radius}) is not contained "
+            "in the grid box and the domain")
+    return outer
+
+
 def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
     """||chi_{B(y, tau R)}||_X(Omega) / ||chi_{B(y, R)}||_X(Omega).
 
@@ -85,15 +101,7 @@ def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
     and in Omega (checked at node level and, for cone domains, against the
     continuum sector-distance formula).
     """
-    if not (tau > 1.0):
-        raise ValidationError("tau must exceed 1 for a doubling ratio")
-    if not (radius > 0.0):
-        raise ValidationError("ball radius must be positive")
-    outer = Ball(tuple(as_point(y, space.grid.n)), tau * radius)
-    if not _contained(space.domain, outer):
-        raise ValidationError(
-            f"inflated ball B({outer.center}, {outer.radius}) is not contained "
-            "in the grid box and the domain")
+    outer = _inflated_ball(y, radius, tau, space.domain)
     inner = Ball(outer.center, radius)
     denom = luxemburg_norm(ball_indicator(inner, space.grid), space)
     if denom < 1e-14:
@@ -199,6 +207,22 @@ def _scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
     return report
 
 
+def _separated_scan(space: SpaceSpec, tau: float, family) -> DoublingReport:
+    report = _scan(space, tau, family)
+    if not report.disjointness_verified:
+        raise NumericFailure("constructed family failed the disjointness recheck")
+    return report
+
+
+def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> None:
+    """Validate a weak-doubling scan: a non-empty schedule whose every ball
+    meets the preconditions of :func:`doubling_ratio` at this tau."""
+    if not schedule:
+        raise ValidationError("weak doubling scan needs a non-empty schedule")
+    for y, radius in schedule:
+        _inflated_ball(y, radius, tau, omega)
+
+
 def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
     """Minimum ratio over a finite ball schedule (weak-doubling estimate).
 
@@ -206,35 +230,44 @@ def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport
     radii only; the report records every ratio so the sampling is audit-
     able.
     """
-    if not schedule:
-        raise ValidationError("weak doubling scan needs a non-empty schedule")
+    plan_weak_doubling(space.domain, tau, schedule)
     return _scan(space, tau, schedule)
 
 
 def separated_doubling_scan(space: SpaceSpec, tau: float, theta: float,
                             lam: float, m: int, y0: float | None = None) -> DoublingReport:
     """Maximum ratio over the verified disjoint geometric family."""
-    family = separated_sequence(space.domain, tau, theta, lam, m, y0)
-    report = _scan(space, tau, family)
-    if not report.disjointness_verified:
-        raise NumericFailure("constructed family failed the disjointness recheck")
-    return report
+    return _separated_scan(
+        space, tau, separated_sequence(space.domain, tau, theta, lam, m, y0))
 
 
-def tau_scan(space: SpaceSpec, tau_list, theta: float, lam: float,
-             m: int, y0: float | None = None) -> list:
-    """(tau, D_est, S_est) rows over a tau list decreasing toward 1.
+def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
+                  m: int, y0: float | None = None):
+    """Validate a tau scan: returns ``(taus, family)``.
 
-    The same geometric family serves every tau (its geometry does not
-    depend on tau); only the containment margin and the ratios do.
+    The taus must exceed 1 and decrease strictly.  The family is built once,
+    at the largest tau (``y0 = None`` is resolved there), and serves every
+    tau of the scan: its geometry does not depend on tau, and each
+    precondition it meets at the largest tau holds at every smaller one.
     """
     taus = [float(t) for t in tau_list]
     if not taus or any(t <= 1.0 for t in taus):
         raise ValidationError("every tau in the scan must exceed 1")
     if not all(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("tau list must be strictly decreasing toward 1")
+    return taus, separated_sequence(omega, taus[0], theta, lam, m, y0)
+
+
+def tau_scan(space: SpaceSpec, tau_list, theta: float, lam: float,
+             m: int, y0: float | None = None) -> list:
+    """(tau, D_est, S_est) rows over a tau list decreasing toward 1.
+
+    The same geometric family serves every tau; only the containment
+    margin and the ratios change.
+    """
+    taus, family = plan_tau_scan(space.domain, tau_list, theta, lam, m, y0)
     rows = []
     for tau in taus:
-        report = separated_doubling_scan(space, tau, theta, lam, m, y0)
+        report = _separated_scan(space, tau, family)
         rows.append((tau, report.d_est, report.s_est))
     return rows

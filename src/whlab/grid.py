@@ -13,8 +13,6 @@ unambiguous rule.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -36,7 +34,6 @@ __all__ = [
     "half_line",
     "sector",
     "explicit_mask",
-    "write_gridfunction_csv",
 ]
 
 
@@ -325,47 +322,3 @@ def sector(grid: Grid, alpha1: float, alpha2: float) -> DomainMask:
 
 def explicit_mask(grid: Grid, inside) -> DomainMask:
     return DomainMask(grid, np.asarray(inside, dtype=bool), "explicit")
-
-
-def write_gridfunction_csv(u: GridFunction, path_or_buf) -> None:
-    """Serialize samples as CSV: index, x (or x1, x2), re, im.
-
-    Rows follow node index order (C order for n = 2, so
-    index = i1 * N + i2).
-    """
-    close = False
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        buf = open(path_or_buf, "w", newline="")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
-        writer = csv.writer(buf, lineterminator="\n")
-        if u.grid.n == 1:
-            writer.writerow(["index", "x", "re", "im"])
-            for idx, (x, v) in enumerate(zip(u.grid.x_axis, u.values)):
-                writer.writerow([idx, f"{x:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
-        else:
-            writer.writerow(["index", "x1", "x2", "re", "im"])
-            x1, x2 = u.grid.coords()
-            flat_v = u.values.ravel()
-            flat_x1 = x1.ravel()
-            flat_x2 = x2.ravel()
-            for idx in range(flat_v.size):
-                writer.writerow([
-                    idx,
-                    f"{flat_x1[idx]:.17g}",
-                    f"{flat_x2[idx]:.17g}",
-                    f"{flat_v[idx].real:.17g}",
-                    f"{flat_v[idx].imag:.17g}",
-                ])
-    finally:
-        if close:
-            buf.close()
-
-
-def gridfunction_csv(u: GridFunction) -> str:
-    """CSV serialization as a string (same schema as the file writer)."""
-    buf = io.StringIO()
-    write_gridfunction_csv(u, buf)
-    return buf.getvalue()

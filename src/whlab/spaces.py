@@ -255,21 +255,11 @@ def muckenhoupt_ratio(ball: Ball, exponent: ExponentField, weight: Weight) -> fl
     """(1/|B|) ||w chi_B||_{p(.)} ||chi_B / w||_{p'(.)}.
 
     For constant p this is the classical bracket up to the |B|
-    normalization split; it coincides with :func:`berezhnoi_ratio` of the
-    weighted space because ||chi_B||_{X(w)} = ||w chi_B||_{L^{p(.)}}.
+    normalization split; it is :func:`berezhnoi_ratio` of the weighted
+    full space because ||chi_B||_{X(w)} = ||w chi_B||_{L^{p(.)}}.
     """
-    grid = exponent.grid
-    if not same_grid(grid, weight.grid):
-        raise ValidationError("exponent and weight must share one grid")
-    omega = full_space(grid)
-    one = constant_weight(grid)
-    chi = ball_indicator(ball, grid)
-    wf = GridFunction(grid, chi.values * weight.values)
-    winv = GridFunction(grid, chi.values / weight.values)
-    primal = SpaceSpec(grid, exponent, one, omega)
-    dual = SpaceSpec(grid, exponent.conjugate(), one, omega)
-    return (luxemburg_norm(wf, primal) * luxemburg_norm(winv, dual)
-            / _ball_volume(ball, grid.n))
+    return berezhnoi_ratio(ball, SpaceSpec(exponent.grid, exponent, weight,
+                                           full_space(exponent.grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,25 +30,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doubling import separated_sequence
 from .errors import NumericFailure, ValidationError
 from .grid import (Ball, DomainMask, Grid, GridFunction, as_point,
-                   ball_indicator, same_grid)
+                   ball_indicator, restrict)
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
-                        nearest_freq_node, wiener_hopf_apply)
+                        nearest_freq_node)
 from .profiles import bump_profile
 from .spaces import SpaceSpec, luxemburg_norm
 
 __all__ = [
-    "BumpSpec",
     "WitnessParams",
     "WitnessRecord",
     "PairRecord",
     "LedgerLine",
     "ExperimentReport",
-    "build_bump",
     "make_witness",
     "mollification_residual",
     "place_witness_center",
+    "kuratowski_family",
+    "plan_norm_lowerbound",
+    "plan_kuratowski",
     "norm_lowerbound_experiment",
     "kuratowski_experiment",
 ]
@@ -61,22 +63,9 @@ SANDWICH_SLACK = 1e-9
 S_EST_SLACK = 0.05
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Even radial plateau bump: 1 on [0, 1], 0 beyond rho, glued between."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not (self.rho > 1.0):
-            raise ValidationError("bump needs rho > 1")
-
-    def profile(self, r):
-        return bump_profile(r, self.rho)
-
-
-def build_bump(rho: float) -> BumpSpec:
-    return BumpSpec(float(rho))
+def _check_rho(rho: float) -> None:
+    if not (rho > 1.0):
+        raise ValidationError("rho must exceed 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +87,7 @@ class WitnessParams:
     def __post_init__(self):
         if not (self.delta > 0):
             raise ValidationError("delta must be positive")
-        if not (self.rho > 1.0):
-            raise ValidationError("rho must exceed 1")
+        _check_rho(self.rho)
         grid = self.domain.grid
         eta = tuple(float(v) for v in np.atleast_1d(self.eta))
         y = tuple(float(v) for v in np.atleast_1d(self.y))
@@ -127,35 +115,32 @@ class WitnessParams:
         return self.rho / self.delta
 
 
-def make_witness(params: WitnessParams, bump: BumpSpec, grid: Grid) -> GridFunction:
-    """e^{i eta.x} phi(delta |x - y|) sampled on the nodes.
+def make_witness(params: WitnessParams) -> GridFunction:
+    """e^{i eta.x} phi(delta |x - y|) sampled on the nodes of the domain grid.
 
     The modulus equals the bump profile exactly, so |f| = 1 on every node
     of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
     """
-    if not same_grid(grid, params.domain.grid):
-        raise ValidationError("witness grid differs from the domain grid")
-    if bump.rho != params.rho:
-        raise ValidationError("bump rho differs from the witness rho")
-    amp = bump.profile(params.delta * grid.distances(params.y))
+    grid = params.domain.grid
+    amp = bump_profile(params.delta * grid.distances(params.y), params.rho)
     mesh = grid.coords()
     phase_arg = sum(e * m for e, m in zip(params.eta, mesh))
     return GridFunction(grid, np.exp(1j * phase_arg) * amp)
 
 
-def mollification_residual(a: Symbol, params: WitnessParams, bump: BumpSpec) -> float:
-    """Measured sup-node residual |F^{-1} a F f - a(eta) f|.
+def mollification_residual(a: Symbol, params: WitnessParams,
+                           f: GridFunction) -> tuple[GridFunction, float]:
+    """Image g = F^{-1} a F f of the witness f = make_witness(params) and
+    the measured sup-node residual max |g - a(eta) f|.
 
     ``eta`` is snapped to the nearest frequency node; the residual is the
     observed epsilon of the lower-bound chains and shrinks as delta does
-    whenever the symbol is continuous at eta.
+    whenever the symbol is continuous at eta.  The witness is supported in
+    Omega, so e_Omega f = f and ``restrict(g, omega)`` is W_Omega(a) f.
     """
-    grid = params.domain.grid
-    f = make_witness(params, bump, grid)
-    idx, _ = nearest_freq_node(grid, params.eta)
-    a_eta = a.at(idx)
+    idx, _ = nearest_freq_node(f.grid, params.eta)
     g = apply_multiplier(a, f)
-    return float(np.max(np.abs(g.values - a_eta * f.values)))
+    return g, float(np.max(np.abs(g.values - a.at(idx) * f.values)))
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -295,6 +280,74 @@ def _ball_norms(space: SpaceSpec, y, delta: float, rho: float):
     return small, big
 
 
+def _check_space(omega: DomainMask, space: SpaceSpec) -> None:
+    if not np.array_equal(space.domain.inside, omega.inside):
+        raise ValidationError("space domain must agree with the operator domain")
+
+
+def kuratowski_family(omega: DomainMask, rho: float, theta: float, lam: float,
+                      m: int, y0: float | None = None) -> list:
+    """The separated family whose rho-inflations are the witness supports:
+    :func:`whlab.doubling.separated_sequence` with tau = rho."""
+    _check_rho(rho)
+    return separated_sequence(omega, rho, theta, lam, m, y0)
+
+
+def plan_norm_lowerbound(a: Symbol, omega: DomainMask, rho: float,
+                         delta_schedule, eta=None, ray=None):
+    """Validate a norm-lb run and place its witnesses.
+
+    Returns ``(idx, eta_vec, plan)``: the probing frequency node and, per
+    delta, either its :class:`WitnessParams` or the message explaining why
+    no witness fits.  Raises unless rho > 1, the schedule is positive and
+    strictly decreasing, and at least one delta admits a witness.
+    """
+    _check_rho(rho)
+    deltas = [float(d) for d in delta_schedule]
+    if not deltas or any(d <= 0 for d in deltas):
+        raise ValidationError("delta schedule must be positive")
+    if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
+        raise ValidationError("delta schedule must be strictly decreasing")
+    idx, eta_vec = _resolve_eta(a, omega.grid, eta)
+    plan = []
+    for delta in deltas:
+        try:
+            y = place_witness_center(omega, delta, rho, ray)
+            plan.append((delta, WitnessParams(delta, tuple(eta_vec), tuple(y),
+                                              rho, omega)))
+        except ValidationError as exc:
+            plan.append((delta, str(exc)))
+    if all(isinstance(params, str) for _, params in plan):
+        raise ValidationError(
+            "no delta in the schedule admits a witness placement on this grid")
+    return idx, eta_vec, plan
+
+
+def plan_kuratowski(a: Symbol, omega: DomainMask, rho: float, family, eta=None):
+    """Validate a kappa-lb run: returns ``(idx, eta_vec, params)`` with one
+    :class:`WitnessParams` per family ball (delta_j = 1/R_j).
+
+    Raises unless rho > 1, the family has at least two balls, their
+    rho-inflations are pairwise disjoint, and every witness fits in Omega.
+    """
+    _check_rho(rho)
+    grid = omega.grid
+    fam = [(tuple(as_point(y, grid.n)), float(r)) for y, r in family]
+    m = len(fam)
+    if m < 2:
+        raise ValidationError("the pairwise experiment needs at least 2 balls")
+    for j in range(m):
+        for k in range(j + 1, m):
+            gap = float(np.linalg.norm(np.subtract(fam[j][0], fam[k][0])))
+            if gap < rho * (fam[j][1] + fam[k][1]):
+                raise ValidationError(
+                    f"family balls {j} and {k} have intersecting inflations")
+    idx, eta_vec = _resolve_eta(a, grid, eta)
+    params = [WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
+              for y, radius in fam]
+    return idx, eta_vec, params
+
+
 def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
                                rho: float, delta_schedule, eta=None,
                                ray=None) -> ExperimentReport:
@@ -310,38 +363,27 @@ def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
     individual deltas are recorded and non-fatal as long as one witness
     succeeds.
     """
-    grid = space.grid
-    if not np.array_equal(space.domain.inside, omega.inside):
-        raise ValidationError("space domain must agree with the operator domain")
-    deltas = [float(d) for d in delta_schedule]
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValidationError("delta schedule must be positive")
-    if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
-        raise ValidationError("delta schedule must be strictly decreasing")
-    bump = build_bump(rho)
-    idx, eta_vec = _resolve_eta(a, grid, eta)
+    _check_space(omega, space)
+    idx, eta_vec, plan = plan_norm_lowerbound(a, omega, rho, delta_schedule,
+                                              eta, ray)
     a_abs = abs(a.at(idx))
 
     records = []
     ledger = []
     residuals = []
     quotients = []
-    for delta in deltas:
-        tag = f"delta={delta:g}"
-        try:
-            y = place_witness_center(omega, delta, rho, ray)
-            params = WitnessParams(delta, tuple(eta_vec), tuple(y), rho, omega)
-        except ValidationError as exc:
+    for delta, params in plan:
+        if isinstance(params, str):
             records.append(WitnessRecord(delta, (), math.nan, math.nan,
                                          math.nan, math.nan, math.nan,
-                                         math.nan, error=str(exc)))
+                                         math.nan, error=params))
             continue
-        f = make_witness(params, bump, grid)
+        tag = f"delta={delta:g}"
+        f = make_witness(params)
         norm_f = luxemburg_norm(f, space)
         ns, nb = _ball_norms(space, params.y, delta, rho)
-        residual = mollification_residual(a, params, bump)
-        w_f = wiener_hopf_apply(a, omega, f)
-        wnorm = luxemburg_norm(w_f, space)
+        g, residual = mollification_residual(a, params, f)
+        wnorm = luxemburg_norm(restrict(g, omega), space)
         ratio = wnorm / norm_f
         quotient = nb / ns
         residuals.append(residual)
@@ -354,9 +396,6 @@ def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
                             wnorm + residual * ns, CHAIN_SLACK))
         records.append(WitnessRecord(delta, params.y, ratio, ns, norm_f,
                                      nb, quotient, residual))
-    achieved = [r.ratio for r in records if r.error is None]
-    if not achieved:
-        raise ValidationError("no admissible witness placement for any delta")
     return ExperimentReport(
         kind="norm-lb",
         sup_norm=a.sup_norm,
@@ -366,7 +405,7 @@ def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
         ledger=tuple(ledger),
         eps_obs=max(residuals),
         doubling_estimate=min(quotients),
-        achieved_lower_bound=max(achieved),
+        achieved_lower_bound=max(r.ratio for r in records if r.error is None),
     )
 
 
@@ -382,22 +421,10 @@ def kuratowski_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
     pair against |a(eta)| / (S_est + slack) minus the normalized residual
     terms (the raw-residual variant is recorded alongside).
     """
-    grid = space.grid
-    if not np.array_equal(space.domain.inside, omega.inside):
-        raise ValidationError("space domain must agree with the operator domain")
-    fam = [(tuple(as_point(y, grid.n)), float(r)) for y, r in family]
-    m = len(fam)
-    if m < 2:
-        raise ValidationError("the pairwise experiment needs at least 2 balls")
-    for j in range(m):
-        for k in range(j + 1, m):
-            gap = float(np.linalg.norm(np.subtract(fam[j][0], fam[k][0])))
-            if gap < rho * (fam[j][1] + fam[k][1]):
-                raise ValidationError(
-                    f"family balls {j} and {k} have intersecting inflations")
-    bump = build_bump(rho)
-    idx, eta_vec = _resolve_eta(a, grid, eta)
+    _check_space(omega, space)
+    idx, eta_vec, plan = plan_kuratowski(a, omega, rho, family, eta)
     a_abs = abs(a.at(idx))
+    m = len(plan)
 
     records = []
     ledger = []
@@ -405,17 +432,15 @@ def kuratowski_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
     small_norms = []
     residuals = []
     quotients = []
-    for j, (y, radius) in enumerate(fam):
-        delta = 1.0 / radius
-        params = WitnessParams(delta, tuple(eta_vec), y, rho, omega)
-        f = make_witness(params, bump, grid)
+    for j, params in enumerate(plan):
+        delta = params.delta
+        f = make_witness(params)
         norm_f = luxemburg_norm(f, space)
         if norm_f == 0.0:
             raise NumericFailure("witness vanishes on Omega")
-        ns, nb = _ball_norms(space, y, delta, rho)
-        residual = mollification_residual(a, params, bump)
-        phi = f * (1.0 / norm_f)
-        images.append(wiener_hopf_apply(a, omega, phi))
+        ns, nb = _ball_norms(space, params.y, delta, rho)
+        g, residual = mollification_residual(a, params, f)
+        images.append(restrict(g, omega) * (1.0 / norm_f))
         small_norms.append(ns)
         residuals.append(residual)
         quotients.append(nb / ns)
@@ -424,7 +449,7 @@ def kuratowski_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
                             SANDWICH_SLACK * norm_f))
         ledger.append(_line(f"sandwich-upper[{tag}]", norm_f, nb,
                             SANDWICH_SLACK * nb))
-        records.append(WitnessRecord(delta, y, math.nan, ns, norm_f, nb,
+        records.append(WitnessRecord(delta, params.y, math.nan, ns, norm_f, nb,
                                      nb / ns, residual))
 
     s_est = max(quotients)

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from whlab import (Ball, SpaceSpec, axiom_check,
-                   berezhnoi_ratio, build_bump, constant_exponent,
+                   berezhnoi_ratio, constant_exponent,
                    constant_symbol, constant_weight, doubling_ratio,
                    full_space, gaussian_symbol, half_line,
                    kuratowski_experiment, luxemburg_norm, make_grid,
@@ -80,9 +80,8 @@ def test_criterion_3_plancherel_chain():
         S = l2(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
         rep = norm_lowerbound_experiment(a, om, S, 2.0, [0.25, 0.125])
-        bump = build_bump(2.0)
         witness_probes = [
-            make_witness(WitnessParams(w.delta, rep.eta, w.y, 2.0, om), bump, g)
+            make_witness(WitnessParams(w.delta, rep.eta, w.y, 2.0, om))
             for w in rep.witnesses if w.error is None
         ]
         rng = np.random.default_rng(12)

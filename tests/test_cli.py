@@ -82,6 +82,36 @@ def test_tau_must_exceed_one(tmp_path, capsys):
     assert "tau must exceed 1" in err
 
 
+REJECTED = """
+grid: {n: 1, half_width: 64.0, points: 1024}
+space:
+  exponent: {kind: constant, value: 2.0}
+  weight: {kind: constant, value: 1.0}
+  domain: {kind: halfline}
+symbol: {kind: gaussian, center: 0.0, sigma: 2.0, peak: 1.0}
+experiment: EXPERIMENT
+"""
+
+
+@pytest.mark.parametrize("experiment,message", [
+    ("{kind: norm-lb, rho: 1.0, delta_schedule: [0.5]}", "rho must exceed 1"),
+    ("{kind: kappa-lb, rho: 1.0, theta: 0.25, lambda: 4.0, m: 2, y0: 2.0}",
+     "rho must exceed 1"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.25, 0.5]}",
+     "delta schedule must be strictly decreasing"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.01]}",
+     "no delta in the schedule admits a witness placement"),
+    ("{kind: tau-scan, tau_list: [1.5, 2.0], theta: 0.125, lambda: 2.0, m: 2, "
+     "y0: 4.0}", "tau list must be strictly decreasing"),
+    ("{kind: doubling-scan, tau: 2.0, balls: [{y: 1.0, r: 1.0}]}",
+     "is not contained in the grid box and the domain"),
+])
+def test_validate_rejections(tmp_path, capsys, experiment, message):
+    cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_schema_rejects_unknown_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, """
     grid: {n: 1, half_width: 16.0, points: 1024}

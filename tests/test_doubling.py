@@ -156,3 +156,13 @@ def test_tau_scan_trend_and_validation():
         tau_scan(S, [1.0], theta=0.125, lam=4.0, m=3, y0=0.25)
     with pytest.raises(ValidationError):
         tau_scan(S, [1.1, 2.0], theta=0.125, lam=4.0, m=3, y0=0.25)
+
+
+def test_tau_scan_resolves_y0_once_at_the_largest_tau():
+    g = make_grid(1, 128, 8192)
+    S = l2_space(g, domain=half_line(g))
+    taus, theta, lam, m = [4.0, 2.0, 1.5], 0.125, 4.0, 3
+    # separated_sequence's y0 = None rule, evaluated at the largest tau
+    y0 = g.half_width / (1.0 + taus[0] * theta) / lam ** m
+    assert (tau_scan(S, taus, theta, lam, m)
+            == tau_scan(S, taus, theta, lam, m, y0=y0))

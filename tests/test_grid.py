@@ -3,8 +3,7 @@ import pytest
 
 from whlab import (Ball, DegenerateBallError, GridFunction, ValidationError,
                    ball_indicator, explicit_mask, extend_by_zero, full_space,
-                   gridfunction_csv, half_line, make_grid, restrict, sample,
-                   sector)
+                   half_line, make_grid, restrict, sample, sector)
 
 
 def test_make_grid_arithmetic():
@@ -148,17 +147,3 @@ def test_explicit_mask_requires_a_node():
     with pytest.raises(ValidationError):
         explicit_mask(g, np.zeros(16, dtype=bool))
 
-
-def test_gridfunction_csv_schema():
-    g = make_grid(1, 8, 16)
-    u = sample(lambda x: x + 0j, g)
-    text = gridfunction_csv(u)
-    lines = text.strip().split("\n")
-    assert lines[0] == "index,x,re,im"
-    assert lines[1] == "0,-8,-8,0"
-    assert len(lines) == 17
-    g2 = make_grid(2, 4, 8)
-    u2 = sample(lambda x1, x2: x1 + 1j * x2, g2)
-    lines2 = gridfunction_csv(u2).strip().split("\n")
-    assert lines2[0] == "index,x1,x2,re,im"
-    assert len(lines2) == 65

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from whlab import (Ball, SpaceSpec, ValidationError, WitnessParams,
-                   ball_indicator, build_bump, constant_exponent,
+                   apply_multiplier, ball_indicator, constant_exponent,
                    constant_symbol, constant_weight, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
                    luxemburg_norm, make_grid, make_witness,
                    mollification_residual, norm_lowerbound_experiment,
-                   place_witness_center, power_weight, sector,
-                   separated_sequence, step_exponent, symbol_from_function)
+                   place_witness_center, power_weight, restrict, sector,
+                   separated_sequence, step_exponent, symbol_from_function,
+                   wiener_hopf_apply)
+from whlab.profiles import bump_profile
 
 
 def l2(grid, domain=None):
@@ -19,30 +21,27 @@ def l2(grid, domain=None):
 # -- bump -------------------------------------------------------------------
 
 def test_bump_plateau_and_support():
-    b = build_bump(2.0)
-    assert b.profile(0.5) == 1.0
-    assert b.profile(1.0) == 1.0
-    assert b.profile(3.0) == 0.0
-    assert b.profile(2.0) == 0.0
-    mid = b.profile(1.5)
+    assert bump_profile(0.5, 2.0) == 1.0
+    assert bump_profile(1.0, 2.0) == 1.0
+    assert bump_profile(3.0, 2.0) == 0.0
+    assert bump_profile(2.0, 2.0) == 0.0
+    mid = bump_profile(1.5, 2.0)
     assert 0.0 < mid < 1.0
     assert mid == pytest.approx(0.5, abs=1e-12)  # glue symmetry at t = 1/2
 
 
 def test_bump_monotone_on_transition():
-    b = build_bump(2.0)
     r = np.linspace(1.0, 2.0, 1000)
-    vals = b.profile(r)
+    vals = bump_profile(r, 2.0)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.all((vals >= 0) & (vals <= 1))
 
 
 def test_bump_even_and_rejects_bad_rho():
-    b = build_bump(1.5)
     r = np.linspace(-2, 2, 401)
-    assert np.array_equal(b.profile(r), b.profile(-r))
+    assert np.array_equal(bump_profile(r, 1.5), bump_profile(-r, 1.5))
     with pytest.raises(ValidationError):
-        build_bump(1.0)
+        WitnessParams(0.25, (0.0,), (0.0,), 1.0, full_space(make_grid(1, 64, 1024)))
 
 
 # -- witness ----------------------------------------------------------------
@@ -50,10 +49,9 @@ def test_bump_even_and_rejects_bad_rho():
 def test_witness_modulus_and_plateau():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    bump = build_bump(2.0)
     P = WitnessParams(0.25, (g.xi_axis[600],), (24.0,), 2.0, om)
-    f = make_witness(P, bump, g)
-    amp = bump.profile(0.25 * np.abs(g.x_axis - 24.0))
+    f = make_witness(P)
+    amp = bump_profile(0.25 * np.abs(g.x_axis - 24.0), 2.0)
     assert np.max(np.abs(np.abs(f.values) - amp)) <= 1e-14
     plateau = ball_indicator(Ball((24.0,), 4.0), g).values.real == 1
     # amplitude factor is exactly 1 there; |e^{i theta}| costs one ulp
@@ -65,8 +63,7 @@ def test_witness_modulus_and_plateau():
 def test_witness_real_bump_when_eta_zero():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    f = make_witness(WitnessParams(0.25, (0.0,), (0.0,), 2.0, om),
-                     build_bump(2.0), g)
+    f = make_witness(WitnessParams(0.25, (0.0,), (0.0,), 2.0, om))
     assert np.max(np.abs(f.values.imag)) == 0.0
     assert np.min(f.values.real) >= 0.0
     assert np.max(f.values.real) == 1.0
@@ -77,7 +74,7 @@ def test_witness_sandwich_norms():
     om = full_space(g)
     S = SpaceSpec(g, step_exponent(g, 2.0, 2.5), power_weight(g, 0.1), om)
     P = WitnessParams(0.25, (1.5,), (24.0,), 2.0, om)
-    f = make_witness(P, build_bump(2.0), g)
+    f = make_witness(P)
     ns = luxemburg_norm(ball_indicator(Ball((24.0,), 4.0), g), S)
     nb = luxemburg_norm(ball_indicator(Ball((24.0,), 8.0), g), S)
     nf = luxemburg_norm(f, S)
@@ -89,10 +86,8 @@ def test_witness_phase_invariance():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     S = l2(g)
-    f1 = make_witness(WitnessParams(0.25, (1.5,), (24.0,), 2.0, om),
-                      build_bump(2.0), g)
-    f2 = make_witness(WitnessParams(0.25, (-1.5,), (24.0,), 2.0, om),
-                      build_bump(2.0), g)
+    f1 = make_witness(WitnessParams(0.25, (1.5,), (24.0,), 2.0, om))
+    f2 = make_witness(WitnessParams(0.25, (-1.5,), (24.0,), 2.0, om))
     assert luxemburg_norm(f1, S) == pytest.approx(luxemburg_norm(f2, S), rel=1e-12)
 
 
@@ -130,33 +125,57 @@ def test_place_witness_center_sector():
 
 # -- residual ---------------------------------------------------------------
 
+def residual(a, params):
+    return mollification_residual(a, params, make_witness(params))[1]
+
+
 def test_residual_constant_symbol_vanishes():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, om)
-    res = mollification_residual(constant_symbol(g, 0.7 + 0.2j), P, build_bump(2.0))
+    res = residual(constant_symbol(g, 0.7 + 0.2j), P)
     assert res <= 1e-8
 
 
 def test_residual_gaussian_monotone_in_delta():
     g = make_grid(1, 64, 4096)
     om = full_space(g)
-    bump = build_bump(2.0)
     a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-    res = [mollification_residual(a, WitnessParams(d, (0.0,), (24.0,), 2.0, om), bump)
+    res = [residual(a, WitnessParams(d, (0.0,), (24.0,), 2.0, om))
            for d in (0.5, 0.25, 0.125)]
     assert res[0] > res[1] > res[2]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_witness_image_restricts_to_wiener_hopf(n):
+    # The experiments read W f off the residual's image g = F^{-1} a F f as
+    # r_Omega g; that needs e_Omega f = f, so it must hold bit for bit.
+    if n == 1:
+        g = make_grid(1, 64, 1024)
+        om = half_line(g)
+        P = WitnessParams(0.25, (1.5,), (24.0,), 2.0, om)
+        a = gaussian_symbol(g, 0.0, 2.0, 1.0)
+    else:
+        g = make_grid(2, 32, 256)
+        om = sector(g, 0.0, np.pi / 2)
+        P = WitnessParams(0.5, (1.0, -0.5), (12.0, 12.0), 2.0, om)
+        a = gaussian_symbol(g, [0.5, 0.0], 2.0, 1.0)
+    f = make_witness(P)
+    image, _ = mollification_residual(a, P, f)
+    w_f = wiener_hopf_apply(a, om, f).values
+    assert np.array_equal(restrict(apply_multiplier(a, f), om).values, w_f)
+    assert np.array_equal(restrict(image, om).values, w_f)
+    assert np.any(image.values[~om.inside] != 0)  # the restriction matters
 
 
 def test_residual_lipschitz_symbol_scales_linearly():
     # linear ramp near eta: residual ~ delta, so halving delta halves it
     g = make_grid(1, 128, 8192)
     om = full_space(g)
-    bump = build_bump(2.0)
     a = symbol_from_function(g, lambda xi: 0.5 + 0.02 * xi)
     prev = None
     for d in (0.5, 0.25, 0.125):
-        r = mollification_residual(a, WitnessParams(d, (0.0,), (48.0,), 2.0, om), bump)
+        r = residual(a, WitnessParams(d, (0.0,), (48.0,), 2.0, om))
         if prev is not None:
             assert 0.375 <= r / prev <= 0.625
         prev = r
