@@ -6,13 +6,15 @@ inside Omega.  The weak-doubling estimate D_est is the minimum ratio over a
 finite schedule of sampled balls -- an upper bound for the infimum
 restricted to the sampled radii, never a certified limit.  The separated
 estimate S_est is the maximum ratio over a family whose tau-inflated balls
-are pairwise disjoint inside Omega; both geometry flags are recomputed
-from continuum data, never trusted from the construction.
+are pairwise disjoint inside Omega.  Containment is decided once, by
+:meth:`whlab.grid.DomainMask.contains_ball` as a precondition of
+:func:`doubling_ratio`, so every scanned ball is contained; disjointness is
+still recomputed from the centers and radii, never trusted from the
+construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +72,6 @@ def _check_box(ball: Ball, grid) -> bool:
                 and np.all(c + ball.radius <= grid.half_width))
 
 
-def _contained(omega: DomainMask, ball: Ball) -> bool:
-    """Ball inside the grid box and inside Omega (continuum and nodes)."""
-    if not _check_box(ball, omega.grid):
-        return False
-    clear = omega.clearance(ball.center)
-    if clear is not None and clear < ball.radius:
-        return False
-    return omega.contains_ball_nodes(ball)
-
-
 def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
     """B(y, tau R), checked against the preconditions of :func:`doubling_ratio`."""
     if not (tau > 1.0):
@@ -87,7 +79,7 @@ def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
     if not (radius > 0.0):
         raise ValidationError("ball radius must be positive")
     outer = Ball(tuple(as_point(y, omega.grid.n)), tau * radius)
-    if not _contained(omega, outer):
+    if not (_check_box(outer, omega.grid) and omega.contains_ball(outer)):
         raise ValidationError(
             f"inflated ball B({outer.center}, {outer.radius}) is not contained "
             "in the grid box and the domain")
@@ -98,8 +90,7 @@ def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
     """||chi_{B(y, tau R)}||_X(Omega) / ||chi_{B(y, R)}||_X(Omega).
 
     Preconditions: tau > 1 and the inflated ball contained in the grid box
-    and in Omega (checked at node level and, for cone domains, against the
-    continuum sector-distance formula).
+    and in Omega (:meth:`whlab.grid.DomainMask.contains_ball`).
     """
     outer = _inflated_ball(y, radius, tau, space.domain)
     inner = Ball(outer.center, radius)
@@ -115,11 +106,11 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
     """Geometric ball family (y_j, R_j) along the central ray of a cone.
 
     Centers are y_j = y0 * lam^j for j = 1..m with radii R_j = theta |y_j|,
-    so the tau-inflated balls stay inside Omega (tau * theta below the sine
-    of the aperture half-angle; below 1 on the half-line) and are pairwise
-    disjoint (lam > (1 + tau*theta)/(1 - tau*theta)).  Both properties are
-    re-verified post hoc by the scans.  ``y0 = None`` picks the largest
-    value keeping the outermost inflated ball inside the grid box.
+    so the tau-inflated balls stay inside Omega (tau * theta below the
+    clearance of the unit central ray, capped at 1) and are pairwise
+    disjoint (lam > (1 + tau*theta)/(1 - tau*theta)).  The scans check both
+    again, containment through :func:`doubling_ratio`.  ``y0 = None`` picks
+    the largest value keeping the outermost inflated ball inside the box.
     """
     grid = omega.grid
     if m < 2:
@@ -129,26 +120,18 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
     if not (0.0 < theta):
         raise ValidationError("theta must be positive")
     tt = tau * theta
-    if omega.kind == "cone":
-        alpha1, alpha2 = omega.params
-        beta = 0.5 * (alpha2 - alpha1)
-        limit = math.sin(min(beta, 0.5 * math.pi))
-        if not (tt < limit):
-            raise ValidationError(
-                f"tau*theta = {tt:g} must be below sin of the aperture "
-                f"half-angle ({limit:g})")
-    elif omega.kind in ("halfline", "full"):
-        if not (tt < 1.0):
-            raise ValidationError(f"tau*theta = {tt:g} must be below 1")
-    else:
-        raise ValidationError("separated sequences need a cone-like domain")
+    ray = omega.central_ray()
+    limit = min(omega.clearance(ray), 1.0)
+    if not (tt < limit):
+        raise ValidationError(
+            f"tau*theta = {tt:g} must be below {limit:g}, the clearance of "
+            "the unit central ray capped at 1")
     lam_min = (1.0 + tt) / (1.0 - tt)
     if not (lam > lam_min):
         raise ValidationError(
             f"lambda = {lam:g} must exceed (1 + tau*theta)/(1 - tau*theta) "
             f"= {lam_min:g} for disjoint inflated balls")
 
-    ray = omega.central_ray()
     box_limit = grid.half_width / (1.0 + tt) / float(np.max(np.abs(ray)))
     if y0 is None:
         y0 = box_limit / lam ** m
@@ -190,21 +173,18 @@ def _scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
         ratio = doubling_ratio(y, radius, tau, space)
         entries.append((tuple(as_point(y, space.grid.n)), float(radius), ratio))
     disjoint = _pairwise_disjoint([(e[0], e[1]) for e in entries], tau)
-    contained = [
-        _contained(space.domain, Ball(e[0], tau * e[1])) for e in entries
-    ]
     ratios = [e[2] for e in entries]
     all_disjoint = all(disjoint)
-    report = DoublingReport(
+    # doubling_ratio raises on any inflated ball that is not contained.
+    return DoublingReport(
         tau=tau,
-        entries=tuple(DoublingEntry(e[0], e[1], e[2], c, d)
-                      for e, c, d in zip(entries, contained, disjoint)),
+        entries=tuple(DoublingEntry(e[0], e[1], e[2], True, d)
+                      for e, d in zip(entries, disjoint)),
         d_est=min(ratios),
         s_est=max(ratios) if all_disjoint else None,
-        containment_verified=all(contained),
+        containment_verified=True,
         disjointness_verified=all_disjoint,
     )
-    return report
 
 
 def _separated_scan(space: SpaceSpec, tau: float, family) -> DoublingReport:

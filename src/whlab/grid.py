@@ -194,7 +194,9 @@ class DomainMask:
 
         Returns ``inf`` for the full space, ``None`` for explicit masks
         (no continuum formula available), and a nonpositive number when y
-        lies outside Omega.
+        lies outside Omega.  Every domain with a formula is a cone with its
+        vertex at the origin, so ``clearance(t * y) == t * clearance(y)``
+        for t > 0.
         """
         y = as_point(y, self.grid.n)
         if self.kind == "full":
@@ -216,8 +218,13 @@ class DomainMask:
             return r * math.sin(phi)
         return None
 
-    def contains_ball_nodes(self, ball: Ball) -> bool:
-        """True iff every node of the ball lies inside the mask."""
+    def contains_ball(self, ball: Ball) -> bool:
+        """True iff the ball lies inside Omega: its radius is at most the
+        continuum clearance of its center (where one exists) and every node
+        of the ball lies inside the mask."""
+        clear = self.clearance(ball.center)
+        if clear is not None and clear < ball.radius:
+            return False
         member = self.grid.distances(ball.center) < ball.radius
         if not member.any():
             raise DegenerateBallError(

@@ -89,11 +89,17 @@ def _ledger_lines(report) -> list[str]:
     return out
 
 
-def experiment_text(report: ExperimentReport, config_echo: str = "") -> str:
-    out = [f"experiment report: {report.kind}"]
-    if config_echo:
+def _header(title: str, echo: str) -> list[str]:
+    """Report title line, then the indented config echo when there is one."""
+    out = [f"experiment report: {title}"]
+    if echo:
         out.append("config:")
-        out.extend("  " + ln for ln in config_echo.rstrip("\n").split("\n"))
+        out.extend("  " + ln for ln in echo.rstrip("\n").split("\n"))
+    return out
+
+
+def experiment_text(report: ExperimentReport, config_echo: str = "") -> str:
+    out = _header(report.kind, config_echo)
     out.append(f"symbol sup norm: {fmt(report.sup_norm)}")
     eta = ",".join(fmt(v) for v in report.eta)
     out.append(f"probed eta: ({eta})  |a(eta)| = {fmt(report.a_eta_abs)}")
@@ -126,10 +132,7 @@ def experiment_text(report: ExperimentReport, config_echo: str = "") -> str:
 
 
 def doubling_text(report: DoublingReport, config_echo: str = "") -> str:
-    out = ["experiment report: doubling-scan"]
-    if config_echo:
-        out.append("config:")
-        out.extend("  " + ln for ln in config_echo.rstrip("\n").split("\n"))
+    out = _header("doubling-scan", config_echo)
     out.append(f"tau: {fmt(report.tau)}")
     out.append("balls:")
     for j, e in enumerate(report.entries):
@@ -146,10 +149,7 @@ def doubling_text(report: DoublingReport, config_echo: str = "") -> str:
 
 
 def tau_scan_text(rows, config_echo: str = "") -> str:
-    out = ["experiment report: tau-scan"]
-    if config_echo:
-        out.append("config:")
-        out.extend("  " + ln for ln in config_echo.rstrip("\n").split("\n"))
+    out = _header("tau-scan", config_echo)
     out.append("tau trend (decreasing toward 1):")
     for tau, d_est, s_est in rows:
         out.append(f"  tau={fmt(tau)} D_est={fmt(d_est)} S_est={fmt(s_est)}")
@@ -158,10 +158,7 @@ def tau_scan_text(rows, config_echo: str = "") -> str:
 
 
 def space_check_text(results: list[AxiomResult], config_echo: str = "") -> str:
-    out = ["experiment report: space-check"]
-    if config_echo:
-        out.append("config:")
-        out.extend("  " + ln for ln in config_echo.rstrip("\n").split("\n"))
+    out = _header("space-check", config_echo)
     ok = True
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doubling import separated_sequence
+from .doubling import _pairwise_disjoint, separated_sequence
 from .errors import NumericFailure, ValidationError
 from .grid import (Ball, DomainMask, Grid, GridFunction, as_point,
                    ball_indicator, restrict)
@@ -68,6 +68,11 @@ def _check_rho(rho: float) -> None:
         raise ValidationError("rho must exceed 1")
 
 
+def _within_margin(y, s: float, L: float) -> bool:
+    """Box margin rule: each center coordinate plus s is at most 3L/4."""
+    return all(abs(c) + s <= 0.75 * L for c in y)
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessParams:
     """Concentration scale delta, modulation frequency eta, center y.
@@ -100,15 +105,12 @@ class WitnessParams:
         if s > L / 4.0:
             raise ValidationError(
                 f"support radius {s:g} violates the margin rule (> L/4 = {L / 4.0:g})")
-        if any(abs(c) + s > 0.75 * L for c in y):
+        if not _within_margin(y, s, L):
             raise ValidationError(
                 "witness support comes closer than L/4 to the box boundary")
-        clear = self.domain.clearance(y)
-        if clear is not None and clear < s:
+        if not self.domain.contains_ball(Ball(y, s)):
             raise ValidationError(
                 f"support ball B({y}, {s:g}) is not contained in the domain")
-        if not self.domain.contains_ball_nodes(Ball(y, s)):
-            raise ValidationError("support ball contains nodes outside the domain")
 
     @property
     def support_radius(self) -> float:
@@ -149,7 +151,10 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
 
     Admissible means the support ball B(y, rho/delta) obeys the box margin
     rule and fits inside Omega.  ``ray`` defaults to the domain's central
-    ray.  Raises when no placement exists for this delta (grid too small).
+    ray.  Omega is a cone, so the support fits inside it from
+    t = s / clearance(ray) on.  Raises for an explicit mask, for a ray that
+    does not point into Omega, and when no placement exists for this delta
+    (grid too small).
     """
     grid = omega.grid
     s = rho / delta
@@ -162,29 +167,16 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
     if norm == 0.0:
         raise ValidationError("ray must be a nonzero direction")
     ray = ray / norm
-    scale = float(np.max(np.abs(ray)))
-    t_box = (0.75 * L - s) / scale
-    if omega.kind == "halfline":
-        t_min = s
-    elif omega.kind == "cone":
-        alpha1, alpha2 = omega.params
-        # Clearance along an interior ray grows like sin of the angular
-        # distance to the nearest edge (capped at pi/2).
-        theta = math.atan2(ray[1], ray[0])
-        d1 = (theta - alpha1) % (2.0 * math.pi)
-        d2 = (alpha2 - theta) % (2.0 * math.pi)
-        aperture = alpha2 - alpha1
-        if d1 > aperture or d2 > aperture:
-            raise ValidationError("ray points outside the cone")
-        sin_m = math.sin(min(d1, d2, 0.5 * math.pi))
-        if sin_m <= 0.0:
-            raise ValidationError("ray lies on the cone boundary")
-        t_min = s / sin_m
-    elif omega.kind == "full":
-        t_min = 0.0
-    else:
+    clear = omega.clearance(ray)
+    if clear is None:
         raise ValidationError("explicit masks need an explicit center")
-    if t_box < t_min or t_box <= 0.0:
+    if clear <= 0.0:
+        raise ValidationError("ray does not point into the domain")
+    t_min = s / clear
+    t_box = (0.75 * L - s) / float(np.max(np.abs(ray)))
+    while not _within_margin(t_box * ray, s, L):
+        t_box = math.nextafter(t_box, 0.0)
+    if t_box < t_min:
         raise ValidationError(
             f"no admissible placement for delta = {delta:g}: the support "
             "cannot satisfy both the domain clearance and the box margin")
@@ -336,12 +328,8 @@ def plan_kuratowski(a: Symbol, omega: DomainMask, rho: float, family, eta=None):
     m = len(fam)
     if m < 2:
         raise ValidationError("the pairwise experiment needs at least 2 balls")
-    for j in range(m):
-        for k in range(j + 1, m):
-            gap = float(np.linalg.norm(np.subtract(fam[j][0], fam[k][0])))
-            if gap < rho * (fam[j][1] + fam[k][1]):
-                raise ValidationError(
-                    f"family balls {j} and {k} have intersecting inflations")
+    if not all(_pairwise_disjoint(fam, rho)):
+        raise ValidationError("family balls have intersecting inflations")
     idx, eta_vec = _resolve_eta(a, grid, eta)
     params = [WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
               for y, radius in fam]

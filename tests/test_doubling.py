@@ -3,7 +3,8 @@ import pytest
 
 from whlab import (SpaceSpec, ValidationError,
                    constant_exponent, constant_weight, doubling_ratio,
-                   full_space, half_line, make_grid, power_weight, sector,
+                   explicit_mask, full_space, half_line, make_grid,
+                   power_weight, sector,
                    separated_doubling_scan, separated_sequence, tau_scan,
                    weak_doubling_scan)
 
@@ -76,6 +77,13 @@ def test_separated_sequence_sector_preconditions():
     # tau*theta above the aperture sine: rejected
     with pytest.raises(ValidationError):
         separated_sequence(cone, 2.0, 0.4, 16.0, 2, y0=2.5)
+
+
+def test_separated_sequence_needs_a_central_ray():
+    g = make_grid(1, 256, 8192)
+    with pytest.raises(ValidationError):
+        separated_sequence(explicit_mask(g, g.x_axis > 0.0), 2.0, 0.25, 4.0,
+                           2, y0=8.0)
 
 
 def test_separated_sequence_needs_two_balls():

@@ -142,6 +142,24 @@ def test_sector_wide_aperture_and_origin():
     assert wide.clearance((1.0, -1.0)) < 0
 
 
+def test_contains_ball_rejects_through_the_clearance():
+    g = make_grid(1, 8, 16)  # nodes at the integers
+    om = half_line(g)
+    # nodes 0, 1, 2 all lie in Omega, but the continuum ball reaches -0.5
+    assert om.contains_ball(Ball((1.0,), 1.5)) is False
+    assert om.contains_ball(Ball((2.0,), 1.5)) is True
+
+
+def test_contains_ball_rejects_through_a_node():
+    g = make_grid(1, 8, 16)
+    inside = np.ones(16, dtype=bool)
+    inside[10] = False  # the node x = 2
+    om = explicit_mask(g, inside)
+    assert om.clearance((0.0,)) is None
+    assert om.contains_ball(Ball((1.0,), 1.5)) is False
+    assert om.contains_ball(Ball((-1.0,), 1.5)) is True
+
+
 def test_explicit_mask_requires_a_node():
     g = make_grid(1, 8, 16)
     with pytest.raises(ValidationError):

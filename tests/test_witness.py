@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from whlab import (Ball, SpaceSpec, ValidationError, WitnessParams,
-                   apply_multiplier, ball_indicator, constant_exponent,
-                   constant_symbol, constant_weight, full_space,
+from whlab import (Ball, DegenerateBallError, SpaceSpec, ValidationError,
+                   WitnessParams, apply_multiplier, ball_indicator,
+                   constant_exponent, constant_symbol, constant_weight,
+                   explicit_mask, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
                    luxemburg_norm, make_grid, make_witness,
                    mollification_residual, norm_lowerbound_experiment,
@@ -121,6 +126,53 @@ def test_place_witness_center_sector():
     # on the bisector, with clearance at least the support radius
     assert y[0] == pytest.approx(y[1])
     assert cone.clearance(y) >= 4.0 - 1e-12
+
+
+def test_place_witness_center_needs_a_continuum_clearance():
+    g = make_grid(1, 64, 256)
+    om = explicit_mask(g, g.x_axis > 1.0)
+    with pytest.raises(ValidationError):
+        place_witness_center(om, 0.5, 2.0)
+    with pytest.raises(ValidationError):
+        place_witness_center(om, 0.5, 2.0, ray=(1.0,))
+
+
+def test_place_witness_center_rejects_a_ray_leaving_the_domain():
+    om = half_line(make_grid(1, 64, 256))
+    with pytest.raises(ValidationError):
+        place_witness_center(om, 0.5, 2.0, ray=(-1.0,))
+
+
+@st.composite
+def domains(draw):
+    L = draw(st.floats(4.0, 64.0))
+    N = 2 ** draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["halfline", "full1", "full2", "sector"]))
+    if kind == "halfline":
+        return half_line(make_grid(1, L, N))
+    if kind.startswith("full"):
+        return full_space(make_grid(int(kind[-1]), L, N))
+    alpha1 = draw(st.floats(-math.pi, math.pi))
+    aperture = draw(st.floats(1e-3, 2 * math.pi))
+    try:
+        return sector(make_grid(2, L, N), alpha1, alpha1 + aperture)
+    except ValidationError:  # a thin cone that misses every node
+        reject()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(omega=domains(), delta=st.floats(0.05, 2.0), rho=st.floats(1.01, 3.0))
+# the exact margin position rounds one ulp past 3L/4 here
+@example(sector(make_grid(2, 24.0, 256), 0.0, 2 * np.pi / 3), 0.45, 1.5)
+def test_placed_center_is_admissible(omega, delta, rho):
+    try:
+        y = place_witness_center(omega, delta, rho)
+    except ValidationError:
+        return
+    try:
+        WitnessParams(delta, (0.0,) * omega.grid.n, tuple(y), rho, omega)
+    except DegenerateBallError:
+        pass  # support smaller than a cell
 
 
 # -- residual ---------------------------------------------------------------
