@@ -32,8 +32,10 @@ __all__ = ["RunConfig", "load_config", "run", "emit", "main"]
 
 EXPERIMENT_KINDS = ("norm-lb", "kappa-lb", "doubling-scan", "tau-scan", "space-check")
 
-#: Config-level floor on the variable exponent (protects the bisection and
-#: the conjugate field from blow-up; stricter than the type's p > 1).
+#: Config-level floor on the variable exponent, stricter than the type's
+#: p > 1: it bounds the conjugate exponent p/(p-1) by 21, and with it how
+#: steep the associate space's modular is for the Newton bracket and the
+#: bisection of the Luxemburg norm.
 CONFIG_P_MIN = 1.05
 
 

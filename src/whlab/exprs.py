@@ -1,11 +1,16 @@
 """Restricted numpy expression evaluation for config files.
 
-Config expressions run with no builtins and a fixed whitelist of numpy
-functions plus the coordinate arrays, which is the usual arrangement for
-trusted local run configs.
+An expression is parsed and checked against an AST whitelist before it
+runs: names, numeric constants, unary and binary arithmetic (``&`` and
+``|`` included, to combine masks), comparisons, and calls of the
+whitelisted numpy functions with positional arguments.  Names resolve to
+those functions, ``pi``, ``e`` and the coordinate arrays; nothing else is
+reachable, attribute access and lambdas included.
 """
 
 from __future__ import annotations
+
+import ast
 
 import numpy as np
 
@@ -13,7 +18,7 @@ from .errors import ValidationError
 
 __all__ = ["evaluate_expression"]
 
-_NAMESPACE = {
+_FUNCTIONS = {
     "abs": np.abs,
     "exp": np.exp,
     "log": np.log,
@@ -30,21 +35,44 @@ _NAMESPACE = {
     "clip": np.clip,
     "where": np.where,
     "power": np.power,
-    "pi": np.pi,
-    "e": np.e,
 }
+_CONSTANTS = {"pi": np.pi, "e": np.e}
+
+_OPERATORS = (ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div,
+              ast.FloorDiv, ast.Mod, ast.Pow, ast.BitAnd, ast.BitOr,
+              ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.UnaryOp,
+          ast.BinOp, ast.Compare, ast.Call) + _OPERATORS
+
+
+def _check(tree: ast.Expression, names) -> None:
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if not isinstance(node, _NODES):
+            raise ValidationError(f"{type(node).__name__} is not allowed")
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id not in names:
+            raise ValidationError(f"unknown name {node.id!r}")
+        if (isinstance(node, ast.Constant)
+                and (isinstance(node.value, bool)
+                     or not isinstance(node.value, (int, float, complex)))):
+            raise ValidationError(f"constant {node.value!r} is not a number")
+        if isinstance(node, ast.Call) and (
+                not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS
+                or node.keywords):
+            raise ValidationError(
+                "only whitelisted functions may be called, with positional arguments")
 
 
 def evaluate_expression(expr: str, **coords):
-    """Evaluate ``expr`` with the whitelist namespace and ``coords``."""
+    """Evaluate ``expr`` over the whitelist and ``coords``."""
     if not isinstance(expr, str) or not expr.strip():
         raise ValidationError("expression must be a non-empty string")
-    if "__" in expr:
-        raise ValidationError("expression may not contain double underscores")
+    namespace = {**_FUNCTIONS, **_CONSTANTS, **coords}
     try:
-        code = compile(expr, "<config expression>", "eval")
-        return eval(code, {"__builtins__": {}}, {**_NAMESPACE, **coords})
-    except ValidationError:
-        raise
+        tree = ast.parse(expr, "<config expression>", "eval")
+        _check(tree, namespace)
+        code = compile(tree, "<config expression>", "eval")
+        return eval(code, {"__builtins__": {}}, namespace)
     except Exception as exc:
-        raise ValidationError(f"expression {expr!r} failed to evaluate: {exc}") from exc
+        raise ValidationError(f"expression {expr!r} rejected: {exc}") from exc

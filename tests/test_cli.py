@@ -241,6 +241,23 @@ def test_expression_blocks(tmp_path):
     assert float(achieved[0].split(":")[1]) == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("x.view('i8')", "Attribute is not allowed"),
+    ("(lambda t: t)(x)", "Lambda is not allowed"),
+])
+def test_expression_whitelist_rejections(tmp_path, capsys, expr, message):
+    cfg = write_config(tmp_path, f"""
+    grid: {{n: 1, half_width: 16.0, points: 512}}
+    space:
+      exponent: {{kind: expression, expr: "2.0 + 0.0*{expr}"}}
+      weight: {{kind: constant, value: 1.0}}
+      domain: {{kind: full}}
+    experiment: {{kind: space-check, trials: 5}}
+    """)
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_chain_failure_exit_code(tmp_path, monkeypatch):
     from whlab import witness as wit
 

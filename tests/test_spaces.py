@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from whlab import (Ball, GridFunction, ModularOverflowError, SpaceSpec,
-                   ValidationError, associate_space, axiom_check,
+from whlab import (Ball, GridFunction, ModularOverflowError, NumericFailure,
+                   SpaceSpec, ValidationError, associate_space, axiom_check,
                    berezhnoi_ratio, constant_exponent, constant_weight,
-                   full_space, half_line, luxemburg_norm, make_grid, modular,
-                   muckenhoupt_ratio, power_weight, sample, step_exponent,
-                   weight_from_values)
+                   exponent_from_values, full_space, half_line, luxemburg_norm,
+                   make_grid, modular, muckenhoupt_ratio, power_weight, sample,
+                   sector, step_exponent, weight_from_values)
+from whlab.spaces import NORM_RTOL
 
 
 def test_modular_indicator():
@@ -66,6 +71,148 @@ def test_luxemburg_huge_values_handled():
     S = SpaceSpec(g, constant_exponent(g, 3), constant_weight(g), full_space(g))
     f = sample(lambda x: 1e200 * ((x >= 0) & (x < 1)), g)
     assert luxemburg_norm(f, S) == pytest.approx(1e200, rel=1e-9)
+
+
+def test_luxemburg_tiny_and_huge_norms():
+    # Norms down to 1e-305 are not clamped; outside the normal float range
+    # the kernel raises instead of returning a wrong value.
+    g = make_grid(1, 16, 1024)
+    S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), full_space(g))
+    f = sample(lambda x: (x >= 0) & (x < 1), g)
+    nf = luxemburg_norm(f, S)
+    for c in (1e-305, 1e-300, 1e-200, 1e200, 1e300):
+        assert luxemburg_norm(c * f, S) == pytest.approx(c * nf, rel=NORM_RTOL)
+    for c in (1e-310, 1e308):
+        with pytest.raises(NumericFailure):
+            luxemburg_norm(c * f, S)
+
+
+def bisection_norm(f, space):
+    """The Luxemburg kernel as it was before the Newton bracket: doubling or
+    halving from 1, then bisection, with a modular sum over all of Omega
+    for every test."""
+    absf = np.abs(f.values)
+    mask = space.domain.inside
+    if not np.any(absf[mask] != 0.0):
+        return 0.0
+    z = absf[mask] * space.weight.values[mask]
+    p = space.exponent.values[mask]
+
+    def leq_one(lam):
+        with np.errstate(over="ignore"):
+            val = float(((z / lam) ** p).sum() * space.grid.cell_volume)
+        return math.isfinite(val) and val <= 1.0
+
+    hi = 1.0
+    if leq_one(hi):
+        while hi > 1e-300 and leq_one(hi / 2.0):
+            hi /= 2.0
+    else:
+        while not leq_one(hi):
+            hi *= 2.0
+            assert hi <= 1e300
+    lo = hi / 2.0
+    for _ in range(200):
+        if hi - lo <= NORM_RTOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if leq_one(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def random_case(seed, n=1, points=256, p_lo=2.0, p_hi=None, w_spread=0.0,
+                frac=1.0, cone=False, scale=1.0):
+    """A function and a space: p uniform between p_lo and p_hi (constant
+    when p_hi is None), log w uniform in [-w_spread, w_spread], f nonzero on
+    about ``frac`` of the nodes and on at least one node of Omega."""
+    rng = np.random.default_rng(seed)
+    g = make_grid(n, 16.0, points)
+    p = (constant_exponent(g, p_lo) if p_hi is None
+         else exponent_from_values(g, rng.uniform(*sorted((p_lo, p_hi)), g.shape)))
+    w = weight_from_values(g, np.exp(rng.uniform(-w_spread, w_spread, g.shape)))
+    if not cone:
+        omega = full_space(g)
+    else:
+        omega = half_line(g) if n == 1 else sector(g, 0.0, 2 * np.pi / 3)
+    support = rng.random(g.shape) < frac
+    nodes = np.flatnonzero(omega.inside)
+    support.flat[nodes[rng.integers(nodes.size)]] = True
+    vals = scale * (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    return GridFunction(g, vals * support), SpaceSpec(g, p, w, omega)
+
+
+def test_luxemburg_matches_the_bisection_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for case in range(500):
+        n = 1 if case % 5 else 2
+        p_lo = float(rng.uniform(1.05, 4.0))
+        f, S = random_case(
+            seed=case, n=n, points=int(rng.choice([64, 256, 1024] if n == 1 else [16, 32])),
+            p_lo=p_lo, p_hi=float(rng.uniform(p_lo, 4.0)) if rng.random() < 0.5 else None,
+            w_spread=3.0, frac=float(10.0 ** rng.uniform(-2.0, 0.0)),
+            cone=bool(rng.random() < 0.5), scale=float(10.0 ** rng.uniform(-150.0, 150.0)))
+        assert luxemburg_norm(f, S) == bisection_norm(f, S), case
+
+
+CASE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def cases(constant_p=False):
+    return st.builds(
+        random_case, seed=st.integers(0, 2 ** 32 - 1),
+        points=st.sampled_from([64, 256, 1024]), p_lo=st.floats(1.05, 4.0),
+        p_hi=st.none() if constant_p else st.floats(1.05, 4.0),
+        w_spread=st.floats(0.0, 3.0), frac=st.floats(0.01, 1.0),
+        cone=st.booleans())
+
+
+@CASE
+@given(case=cases(), k=st.floats(-280.0, 280.0))
+def test_property_homogeneity(case, k):
+    f, S = case
+    c = 10.0 ** k
+    assert luxemburg_norm(c * f, S) == pytest.approx(c * luxemburg_norm(f, S),
+                                                     rel=NORM_RTOL)
+
+
+@CASE
+@given(case=cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_lattice(case, seed):
+    f, S = case
+    damp = np.random.default_rng(seed).uniform(0.0, 1.0, f.grid.shape)
+    smaller = GridFunction(f.grid, f.values * damp)
+    assert luxemburg_norm(smaller, S) <= luxemburg_norm(f, S) * (1.0 + 1e-12)
+
+
+@CASE
+@given(case=cases(constant_p=True))
+def test_property_constant_p_closed_form(case):
+    f, S = case
+    p = S.exponent.p_min
+    inside = S.domain.inside
+    closed = float(np.sum((np.abs(f.values) * S.weight.values)[inside] ** p)
+                   * f.grid.cell_volume) ** (1.0 / p)
+    v = luxemburg_norm(f, S)
+    assert -1e-14 <= (v - closed) / v <= NORM_RTOL + 1e-14
+
+
+@CASE
+@given(case=cases())
+def test_property_norm_is_the_upper_end(case):
+    # v is a bisection upper end: the modular of f/v is <= 1 and v lies
+    # within NORM_RTOL above the root of the discrete modular.
+    f, S = case
+    v = luxemburg_norm(f, S)
+
+    def excess(lam):
+        return modular(GridFunction(f.grid, f.values / lam), S) - 1.0
+
+    assert excess(v) <= 0.0
+    root = brentq(excess, v / 2.0, v, xtol=1e-15 * v)
+    assert -1e-14 <= (v - root) / v <= NORM_RTOL + 1e-14
 
 
 def test_associate_space_involution_and_conjugates():
