@@ -24,7 +24,7 @@ print("separated family (inflations pairwise disjoint in R_+):")
 for j, (y, R) in enumerate(family):
     print(f"  ball {j}: center {y[0]:>6g}, radius {R:>5g}")
 
-report = kuratowski_experiment(symbol, omega, space, rho=2.0, family=family)
+report = kuratowski_experiment(symbol, space, rho=2.0, family=family)
 
 print(f"\nmeasured family doubling constant S_est = {report.doubling_estimate:.4f}")
 print(f"worst residual eps = {report.eps_obs:.2e}")

@@ -22,7 +22,7 @@ symbol = gaussian_symbol(grid, center=0.0, sigma=2.0, peak=1.0)
 print("X = L^{p(.)}(R_+, |x|^0.1) with p stepping 2 -> 2.5 across 0")
 print(f"symbol: gaussian, sup|a| = {symbol.sup_norm:g}\n")
 
-report = norm_lowerbound_experiment(symbol, omega, space, rho=2.0,
+report = norm_lowerbound_experiment(symbol, space, rho=2.0,
                                     delta_schedule=[0.25, 0.125, 0.0625])
 
 print(f"probed eta = {report.eta[0]:g}, |a(eta)| = {report.a_eta_abs:g}")

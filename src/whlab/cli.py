@@ -46,7 +46,6 @@ class RunConfig:
 
     raw: dict
     kind: str
-    grid: gridmod.Grid
     space: spaces.SpaceSpec
     symbol: ops.Symbol | None
     params: dict
@@ -84,25 +83,18 @@ def load_config(path) -> dict:
     return raw
 
 
-def _build_grid(block: dict) -> gridmod.Grid:
-    return gridmod.make_grid(block["n"], block["half_width"], block["points"])
-
-
 def _build_exponent(block: dict, grid: gridmod.Grid) -> spaces.ExponentField:
     kind = block["kind"]
     if kind == "constant":
-        if "value" not in block:
-            raise ValidationError("constant exponent needs 'value'")
+        _require(block, ("value",), "constant exponent")
         field = spaces.constant_exponent(grid, block["value"])
     elif kind == "piecewise":
-        for key in ("left", "right"):
-            if key not in block:
-                raise ValidationError(f"piecewise exponent needs '{key}'")
+        _require(block, ("left", "right"), "piecewise exponent")
         field = spaces.step_exponent(grid, block["left"], block["right"],
                                      block.get("edge", 0.0), block.get("width"))
     else:
-        names = _coord_names(grid)
-        vals = evaluate_expression(block["expr"], **names)
+        _require(block, ("expr",), "expression exponent")
+        vals = evaluate_expression(block["expr"], **_coord_names(grid))
         field = spaces.exponent_from_values(grid, np.real(vals))
     if field.p_min < CONFIG_P_MIN:
         raise ValidationError(
@@ -130,9 +122,9 @@ def _build_weight(block: dict, grid: gridmod.Grid) -> spaces.Weight:
     if kind == "constant":
         return spaces.constant_weight(grid, block.get("value", 1.0))
     if kind == "power":
-        if "gamma" not in block:
-            raise ValidationError("power weight needs 'gamma'")
+        _require(block, ("gamma",), "power weight")
         return spaces.power_weight(grid, block["gamma"])
+    _require(block, ("expr",), "expression weight")
     vals = evaluate_expression(block["expr"], **_coord_names(grid))
     return spaces.weight_from_values(grid, np.real(np.broadcast_to(vals, grid.shape)))
 
@@ -143,17 +135,14 @@ def _build_domain(block: dict, grid: gridmod.Grid) -> gridmod.DomainMask:
         return gridmod.full_space(grid)
     if kind == "halfline":
         return gridmod.half_line(grid)
-    for key in ("alpha1", "alpha2"):
-        if key not in block:
-            raise ValidationError(f"cone domain needs '{key}'")
+    _require(block, ("alpha1", "alpha2"), "cone domain")
     return gridmod.sector(grid, block["alpha1"], block["alpha2"])
 
 
 def _build_symbol(block: dict, grid: gridmod.Grid) -> ops.Symbol:
     kind = block["kind"]
     if kind == "constant":
-        if "value" not in block:
-            raise ValidationError("constant symbol needs 'value'")
+        _require(block, ("value",), "constant symbol")
         return ops.constant_symbol(grid, block["value"])
     if kind == "gaussian":
         center = block.get("center", 0.0 if grid.n == 1 else [0.0, 0.0])
@@ -164,14 +153,16 @@ def _build_symbol(block: dict, grid: gridmod.Grid) -> ops.Symbol:
                                         block.get("width"),
                                         block.get("low", 0.0),
                                         block.get("high", 1.0))
+    _require(block, ("expr",), "expression symbol")
     vals = evaluate_expression(block["expr"], **_freq_names(grid))
     return ops.symbol_from_values(grid, vals)
 
 
-def _require(params: dict, keys, kind: str):
+def _require(block: dict, keys, what: str):
+    """Raise unless the config block has every key; ``what`` names the block."""
     for key in keys:
-        if key not in params:
-            raise ValidationError(f"experiment kind {kind!r} needs '{key}'")
+        if key not in block:
+            raise ValidationError(f"{what} needs '{key}'")
 
 
 def _family_args(params: dict) -> tuple:
@@ -195,31 +186,32 @@ def _preflight_experiment(cfg: "RunConfig") -> None:
     params = cfg.params
     kind = cfg.kind
     omega = cfg.space.domain
+    what = f"experiment kind {kind!r}"
     if kind in ("norm-lb", "kappa-lb") and cfg.symbol is None:
-        raise ValidationError(f"experiment kind {kind!r} needs a symbol block")
+        raise ValidationError(f"{what} needs a symbol block")
     if kind == "norm-lb":
-        _require(params, ("rho", "delta_schedule"), kind)
+        _require(params, ("rho", "delta_schedule"), what)
         wit.plan_norm_lowerbound(cfg.symbol, omega, float(params["rho"]),
                                  params["delta_schedule"], params.get("eta"),
                                  params.get("ray"))
     elif kind == "kappa-lb":
-        _require(params, ("rho", "theta", "lambda", "m"), kind)
+        _require(params, ("rho", "theta", "lambda", "m"), what)
         rho = float(params["rho"])
         wit.plan_kuratowski(cfg.symbol, omega, rho,
                             wit.kuratowski_family(omega, rho, *_family_args(params)),
                             params.get("eta"))
     elif kind == "doubling-scan":
-        _require(params, ("tau",), kind)
+        _require(params, ("tau",), what)
         dbl.plan_weak_doubling(omega, float(params["tau"]),
                                _doubling_schedule(params, omega))
     elif kind == "tau-scan":
-        _require(params, ("tau_list", "theta", "lambda", "m"), kind)
+        _require(params, ("tau_list", "theta", "lambda", "m"), what)
         dbl.plan_tau_scan(omega, params["tau_list"], *_family_args(params))
 
 
 def preflight(raw: dict) -> RunConfig:
     """Build every referenced object and validate all preconditions."""
-    grid = _build_grid(raw["grid"])
+    grid = gridmod.make_grid(**raw["grid"])
     space_block = raw["space"]
     exponent = _build_exponent(space_block["exponent"], grid)
     weight = _build_weight(space_block["weight"], grid)
@@ -230,7 +222,6 @@ def preflight(raw: dict) -> RunConfig:
     cfg = RunConfig(
         raw=raw,
         kind=raw["experiment"]["kind"],
-        grid=grid,
         space=space,
         symbol=symbol,
         params={k: v for k, v in raw["experiment"].items() if k != "kind"},
@@ -249,28 +240,26 @@ def run(cfg: RunConfig):
     echo = cfg.echo
     artifacts = {}
     ok = True
-    if cfg.kind == "norm-lb":
-        report = wit.norm_lowerbound_experiment(
-            cfg.symbol, omega, cfg.space, float(params["rho"]),
-            params["delta_schedule"], params.get("eta"), params.get("ray"))
-        artifacts["report.txt"] = reports.experiment_text(report, echo)
-        artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.grid.n)
-        ok = report.chains_passed
-    elif cfg.kind == "kappa-lb":
+    if cfg.kind in ("norm-lb", "kappa-lb"):
         rho = float(params["rho"])
-        report = wit.kuratowski_experiment(
-            cfg.symbol, omega, cfg.space, rho,
-            wit.kuratowski_family(omega, rho, *_family_args(params)),
-            params.get("eta"))
+        if cfg.kind == "norm-lb":
+            report = wit.norm_lowerbound_experiment(
+                cfg.symbol, cfg.space, rho, params["delta_schedule"],
+                params.get("eta"), params.get("ray"))
+        else:
+            report = wit.kuratowski_experiment(
+                cfg.symbol, cfg.space, rho,
+                wit.kuratowski_family(omega, rho, *_family_args(params)),
+                params.get("eta"))
+            artifacts["pairwise.csv"] = reports.pairwise_csv(report)
         artifacts["report.txt"] = reports.experiment_text(report, echo)
-        artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.grid.n)
-        artifacts["pairwise.csv"] = reports.pairwise_csv(report)
+        artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.space.grid.n)
         ok = report.chains_passed
     elif cfg.kind == "doubling-scan":
         report = dbl.weak_doubling_scan(cfg.space, float(params["tau"]),
                                         _doubling_schedule(params, omega))
         artifacts["report.txt"] = reports.doubling_text(report, echo)
-        artifacts["doubling.csv"] = reports.doubling_csv(report, cfg.grid.n)
+        artifacts["doubling.csv"] = reports.doubling_csv(report, cfg.space.grid.n)
     elif cfg.kind == "tau-scan":
         rows = dbl.tau_scan(cfg.space, params["tau_list"], *_family_args(params))
         artifacts["report.txt"] = reports.tau_scan_text(rows, echo)

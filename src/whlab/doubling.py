@@ -132,9 +132,14 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
             f"lambda = {lam:g} must exceed (1 + tau*theta)/(1 - tau*theta) "
             f"= {lam_min:g} for disjoint inflated balls")
 
+    try:
+        lam_m = lam ** m
+    except OverflowError:
+        raise ValidationError(
+            f"lambda ** m overflows (lambda = {lam:g}, m = {m})") from None
     box_limit = grid.half_width / (1.0 + tt) / float(np.max(np.abs(ray)))
     if y0 is None:
-        y0 = box_limit / lam ** m
+        y0 = box_limit / lam_m
     if not (abs(y0) >= 4.0 * grid.h / theta):
         raise ValidationError(
             f"|y0| = {abs(y0):g} must be at least 4h/theta = "

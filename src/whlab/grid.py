@@ -58,13 +58,15 @@ class Grid:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValidationError(f"dimension must be 1 or 2, got {self.n}")
-        if not (self.half_width > 0):
-            raise ValidationError("half_width must be positive")
         N = self.points
         if N < 8 or (N & (N - 1)) != 0:
             raise ValidationError(
                 f"points must be a power of two >= 8, got {N}")
         h = 2.0 * self.half_width / N
+        if not (0.0 < h < math.inf):
+            raise ValidationError(
+                "half_width must be positive, with a finite grid spacing "
+                f"2 half_width / points (got {h:g})")
         x_axis = -self.half_width + h * np.arange(N)
         xi_axis = (math.pi / self.half_width) * np.arange(-(N // 2), N // 2)
         x_axis.flags.writeable = False
@@ -111,10 +113,12 @@ def same_grid(a: Grid, b: Grid) -> bool:
 
 
 def as_point(y, n: int) -> np.ndarray:
-    """Normalize a scalar / sequence to a length-n float point."""
+    """Normalize a scalar / sequence to a finite length-n float point."""
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     if arr.shape != (n,):
         raise ValidationError(f"expected a point in R^{n}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"expected a finite point, got {arr.tolist()}")
     return arr
 
 
@@ -225,11 +229,7 @@ class DomainMask:
         clear = self.clearance(ball.center)
         if clear is not None and clear < ball.radius:
             return False
-        member = self.grid.distances(ball.center) < ball.radius
-        if not member.any():
-            raise DegenerateBallError(
-                f"ball B({ball.center}, {ball.radius}) contains no grid node")
-        return bool(np.all(self.inside[member]))
+        return bool(np.all(self.inside[_ball_nodes(ball, self.grid)]))
 
     def central_ray(self) -> np.ndarray:
         """Unit vector along the canonical ray of the domain."""
@@ -278,14 +278,18 @@ def extend_by_zero(u: GridFunction, omega: DomainMask) -> GridFunction:
     return restrict(u, omega)
 
 
-def ball_indicator(ball: Ball, grid: Grid) -> GridFunction:
-    """0/1 samples of the open ball; errors when no node is inside."""
-    c = as_point(ball.center, grid.n)
-    member = grid.distances(c) < ball.radius
+def _ball_nodes(ball: Ball, grid: Grid) -> np.ndarray:
+    """Node membership |x - y| < R of the open ball; raises when it is empty."""
+    member = grid.distances(ball.center) < ball.radius
     if not member.any():
         raise DegenerateBallError(
-            f"ball B({tuple(c)}, {ball.radius}) contains no grid node")
-    return GridFunction(grid, member.astype(complex))
+            f"ball B({ball.center}, {ball.radius}) contains no grid node")
+    return member
+
+
+def ball_indicator(ball: Ball, grid: Grid) -> GridFunction:
+    """0/1 samples of the open ball; errors when no node is inside."""
+    return GridFunction(grid, _ball_nodes(ball, grid).astype(complex))
 
 
 def full_space(grid: Grid) -> DomainMask:

@@ -204,7 +204,7 @@ def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,
     """
     t = p * (logz - s)
     top = float(t.max())
-    e = np.exp(t - top)
+    e = np.exp(np.subtract(t, top, out=t), out=t)
     total = float(e.sum())
     return log_cell + top + math.log(total), float((p * e).sum()) / total
 
@@ -373,6 +373,7 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     }
     L = grid.half_width
     radii = [L / 8.0, L / 4.0, L / 2.0, L]
+    dist0 = grid.distances(np.zeros(grid.n))
 
     for _ in range(trials):
         f = _random_function(rng, grid)
@@ -395,7 +396,6 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
         worst["lattice"] = max(worst["lattice"], nsmall - nf * (1.0 + 1e-12))
 
         prev = 0.0
-        dist0 = grid.distances(np.zeros(grid.n))
         for k in radii:
             fk = GridFunction(grid, np.where(dist0 <= k, f.values, 0.0))
             nk = luxemburg_norm(fk, space)
@@ -406,7 +406,7 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
 
         # Bounded box E and the local-integral bound int_E |f| <= C_E ||f||.
         half = float(rng.uniform(grid.h, L / 2.0))
-        box = grid.distances(np.zeros(grid.n)) <= half
+        box = dist0 <= half
         chi = GridFunction(grid, box.astype(complex))
         nchi = luxemburg_norm(chi, space)
         if not math.isfinite(nchi):

@@ -25,8 +25,9 @@ family size next to the bound.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,13 +160,13 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
     grid = omega.grid
     s = rho / delta
     L = grid.half_width
-    if s > L / 4.0:
+    if not (s <= L / 4.0):
         raise ValidationError(
             f"support radius {s:g} exceeds L/4 = {L / 4.0:g}; no admissible placement")
     ray = omega.central_ray() if ray is None else as_point(ray, grid.n)
     norm = float(np.linalg.norm(ray))
-    if norm == 0.0:
-        raise ValidationError("ray must be a nonzero direction")
+    if not (0.0 < norm < math.inf):
+        raise ValidationError("ray must be a nonzero direction of finite length")
     ray = ray / norm
     clear = omega.clearance(ray)
     if clear is None:
@@ -266,15 +267,26 @@ def _resolve_eta(a: Symbol, grid: Grid, eta):
     return nearest_freq_node(grid, eta)
 
 
-def _ball_norms(space: SpaceSpec, y, delta: float, rho: float):
-    small = luxemburg_norm(ball_indicator(Ball(y, 1.0 / delta), space.grid), space)
-    big = luxemburg_norm(ball_indicator(Ball(y, rho / delta), space.grid), space)
-    return small, big
+def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
+                     f: GridFunction, tag: str, ledger: list):
+    """Norms, image and residual of the witness f = make_witness(params).
 
-
-def _check_space(omega: DomainMask, space: SpaceSpec) -> None:
-    if not np.array_equal(space.domain.inside, omega.inside):
-        raise ValidationError("space domain must agree with the operator domain")
+    Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
+    to ``ledger`` and returns ``(g, record)`` with g = F^{-1} a F f and a
+    record whose ratio is left nan for the caller.
+    """
+    norm_f = luxemburg_norm(f, space)
+    if norm_f == 0.0:
+        raise NumericFailure("witness vanishes on Omega")
+    ns, nb = (luxemburg_norm(ball_indicator(Ball(params.y, r), space.grid), space)
+              for r in (1.0 / params.delta, params.support_radius))
+    g, residual = mollification_residual(a, params, f)
+    ledger.append(_line(f"sandwich-lower[{tag}]", ns, norm_f,
+                        SANDWICH_SLACK * norm_f))
+    ledger.append(_line(f"sandwich-upper[{tag}]", norm_f, nb,
+                        SANDWICH_SLACK * nb))
+    return g, WitnessRecord(params.delta, params.y, math.nan, ns, norm_f, nb,
+                            nb / ns, residual)
 
 
 def kuratowski_family(omega: DomainMask, rho: float, theta: float, lam: float,
@@ -296,7 +308,7 @@ def plan_norm_lowerbound(a: Symbol, omega: DomainMask, rho: float,
     """
     _check_rho(rho)
     deltas = [float(d) for d in delta_schedule]
-    if not deltas or any(d <= 0 for d in deltas):
+    if not deltas or not all(d > 0 for d in deltas):
         raise ValidationError("delta schedule must be positive")
     if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta schedule must be strictly decreasing")
@@ -336,13 +348,13 @@ def plan_kuratowski(a: Symbol, omega: DomainMask, rho: float, family, eta=None):
     return idx, eta_vec, params
 
 
-def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
-                               rho: float, delta_schedule, eta=None,
+def norm_lowerbound_experiment(a: Symbol, space: SpaceSpec, rho: float,
+                               delta_schedule, eta=None,
                                ray=None) -> ExperimentReport:
     """Witness ratios ||W f|| / ||f|| over a shrinking-delta schedule.
 
-    For each delta the center is placed deterministically on the ray, the
-    plateau chain
+    Omega is the domain of ``space``.  For each delta the center is placed
+    deterministically on the ray, the plateau chain
 
         |a(eta)| ||chi_{B(y,1/delta)}|| <= ||W f|| + eps ||chi_{B(y,1/delta)}||
 
@@ -351,15 +363,13 @@ def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
     individual deltas are recorded and non-fatal as long as one witness
     succeeds.
     """
-    _check_space(omega, space)
+    omega = space.domain
     idx, eta_vec, plan = plan_norm_lowerbound(a, omega, rho, delta_schedule,
                                               eta, ray)
     a_abs = abs(a.at(idx))
 
     records = []
     ledger = []
-    residuals = []
-    quotients = []
     for delta, params in plan:
         if isinstance(params, str):
             records.append(WitnessRecord(delta, (), math.nan, math.nan,
@@ -368,22 +378,12 @@ def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
             continue
         tag = f"delta={delta:g}"
         f = make_witness(params)
-        norm_f = luxemburg_norm(f, space)
-        ns, nb = _ball_norms(space, params.y, delta, rho)
-        g, residual = mollification_residual(a, params, f)
+        g, rec = _measure_witness(a, space, params, f, tag, ledger)
         wnorm = luxemburg_norm(restrict(g, omega), space)
-        ratio = wnorm / norm_f
-        quotient = nb / ns
-        residuals.append(residual)
-        quotients.append(quotient)
-        ledger.append(_line(f"sandwich-lower[{tag}]", ns, norm_f,
-                            SANDWICH_SLACK * norm_f))
-        ledger.append(_line(f"sandwich-upper[{tag}]", norm_f, nb,
-                            SANDWICH_SLACK * nb))
-        ledger.append(_line(f"plateau-chain[{tag}]", a_abs * ns,
-                            wnorm + residual * ns, CHAIN_SLACK))
-        records.append(WitnessRecord(delta, params.y, ratio, ns, norm_f,
-                                     nb, quotient, residual))
+        ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
+                            wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
+        records.append(replace(rec, ratio=wnorm / rec.norm_witness))
+    measured = [r for r in records if r.error is None]
     return ExperimentReport(
         kind="norm-lb",
         sup_norm=a.sup_norm,
@@ -391,70 +391,52 @@ def norm_lowerbound_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
         a_eta_abs=a_abs,
         witnesses=tuple(records),
         ledger=tuple(ledger),
-        eps_obs=max(residuals),
-        doubling_estimate=min(quotients),
-        achieved_lower_bound=max(r.ratio for r in records if r.error is None),
+        eps_obs=max(r.residual for r in measured),
+        doubling_estimate=min(r.quotient for r in measured),
+        achieved_lower_bound=max(r.ratio for r in measured),
     )
 
 
-def kuratowski_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
-                          rho: float, family, eta=None) -> ExperimentReport:
+def kuratowski_experiment(a: Symbol, space: SpaceSpec, rho: float, family,
+                          eta=None) -> ExperimentReport:
     """Pairwise image distances of normalized witnesses over a separated family.
 
-    The family is a list of (center, R) with pairwise disjoint
-    rho-inflations; witness scales are tied to the radii by
-    delta_j = 1/R_j, so the support balls are exactly the inflated family
-    balls.  The minimum of d_jk = ||W(phi_j - phi_k)|| is the reported
-    separation; half of it is the noncompactness lower bound, checked per
-    pair against |a(eta)| / (S_est + slack) minus the normalized residual
-    terms (the raw-residual variant is recorded alongside).
+    Omega is the domain of ``space``.  The family is a list of (center, R)
+    with pairwise disjoint rho-inflations; witness scales are tied to the
+    radii by delta_j = 1/R_j, so the support balls are exactly the
+    inflated family balls.  The minimum of d_jk = ||W(phi_j - phi_k)|| is
+    the reported separation; half of it is the noncompactness lower bound,
+    checked per pair against |a(eta)| / (S_est + slack) minus the
+    normalized residual terms (the raw-residual variant is recorded
+    alongside).
     """
-    _check_space(omega, space)
+    omega = space.domain
     idx, eta_vec, plan = plan_kuratowski(a, omega, rho, family, eta)
     a_abs = abs(a.at(idx))
-    m = len(plan)
 
     records = []
     ledger = []
     images = []
-    small_norms = []
-    residuals = []
-    quotients = []
     for j, params in enumerate(plan):
-        delta = params.delta
         f = make_witness(params)
-        norm_f = luxemburg_norm(f, space)
-        if norm_f == 0.0:
-            raise NumericFailure("witness vanishes on Omega")
-        ns, nb = _ball_norms(space, params.y, delta, rho)
-        g, residual = mollification_residual(a, params, f)
-        images.append(restrict(g, omega) * (1.0 / norm_f))
-        small_norms.append(ns)
-        residuals.append(residual)
-        quotients.append(nb / ns)
-        tag = f"j={j}"
-        ledger.append(_line(f"sandwich-lower[{tag}]", ns, norm_f,
-                            SANDWICH_SLACK * norm_f))
-        ledger.append(_line(f"sandwich-upper[{tag}]", norm_f, nb,
-                            SANDWICH_SLACK * nb))
-        records.append(WitnessRecord(delta, params.y, math.nan, ns, norm_f, nb,
-                                     nb / ns, residual))
+        g, rec = _measure_witness(a, space, params, f, f"j={j}", ledger)
+        images.append(restrict(g, omega) * (1.0 / rec.norm_witness))
+        records.append(rec)
 
-    s_est = max(quotients)
-    eps_obs = max(residuals)
+    s_est = max(r.quotient for r in records)
+    eps_obs = max(r.residual for r in records)
     pairs = []
     worst_eps_norm = 0.0
-    for j in range(m):
-        for k in range(j + 1, m):
-            d = luxemburg_norm(images[j] - images[k], space)
-            ns_min = min(small_norms[j], small_norms[k])
-            eps_norm = eps_obs / ns_min
-            worst_eps_norm = max(worst_eps_norm, eps_norm)
-            bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm
-            bound_raw = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_obs
-            line = _line(f"pairwise-chain[{j},{k}]", bound, d, CHAIN_SLACK)
-            ledger.append(line)
-            pairs.append(PairRecord(j, k, d, bound, bound_raw, line.passed))
+    for j, k in itertools.combinations(range(len(records)), 2):
+        d = luxemburg_norm(images[j] - images[k], space)
+        ns_min = min(records[j].norm_small, records[k].norm_small)
+        eps_norm = eps_obs / ns_min
+        worst_eps_norm = max(worst_eps_norm, eps_norm)
+        bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm
+        bound_raw = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_obs
+        line = _line(f"pairwise-chain[{j},{k}]", bound, d, CHAIN_SLACK)
+        ledger.append(line)
+        pairs.append(PairRecord(j, k, d, bound, bound_raw, line.passed))
     kappa_lb = min(p.distance for p in pairs)
     kappa_half = 0.5 * kappa_lb
     target = 0.5 * (a_abs / (s_est + S_EST_SLACK) - 2.0 * worst_eps_norm)
@@ -471,5 +453,5 @@ def kuratowski_experiment(a: Symbol, omega: DomainMask, space: SpaceSpec,
         pairs=tuple(pairs),
         kappa_lower_bound=kappa_lb,
         kappa_half=kappa_half,
-        family_size=m,
+        family_size=len(records),
     )

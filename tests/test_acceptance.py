@@ -79,7 +79,7 @@ def test_criterion_3_plancherel_chain():
         om = full_space(g)
         S = l2(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-        rep = norm_lowerbound_experiment(a, om, S, 2.0, [0.25, 0.125])
+        rep = norm_lowerbound_experiment(a, S, 2.0, [0.25, 0.125])
         witness_probes = [
             make_witness(WitnessParams(w.delta, rep.eta, w.y, 2.0, om))
             for w in rep.witnesses if w.error is None
@@ -90,8 +90,8 @@ def test_criterion_3_plancherel_chain():
                    * np.exp(1j * 0.1 * s * x), g)
             for s in rng.uniform(-20, 20, 10)
         ]
-        ratios = [norm_probe(a, om, S, [u]) for u in witness_probes + random_probes]
-        best_witness = norm_probe(a, om, S, witness_probes)
+        ratios = [norm_probe(a, S, [u]) for u in witness_probes + random_probes]
+        best_witness = norm_probe(a, S, witness_probes)
         assert best_witness >= 0.95
         assert all(r <= 1.0 + 1e-6 for r in ratios)
     assert t.elapsed < 5.0
@@ -105,7 +105,7 @@ def test_criterion_4_norm_lower_bound_weighted_variable():
         om = half_line(g)
         S = criterion4_space(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-        rep = norm_lowerbound_experiment(a, om, S, 2.0, [0.25, 0.125, 0.0625])
+        rep = norm_lowerbound_experiment(a, S, 2.0, [0.25, 0.125, 0.0625])
         assert all(w.error is None for w in rep.witnesses)
         assert rep.achieved_lower_bound >= 0.90 * a.sup_norm
         chains = [ln for ln in rep.ledger if ln.name.startswith("plateau-chain")]
@@ -123,7 +123,7 @@ def test_criterion_5_kappa_lower_bound():
         S = criterion4_space(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
         fam = separated_sequence(om, 2.0, 0.25, 8.0, 4, y0=4.0)
-        rep = kuratowski_experiment(a, om, S, 2.0, fam)
+        rep = kuratowski_experiment(a, S, 2.0, fam)
         assert rep.family_size == 4
         assert rep.kappa_lower_bound >= 0.85 * rep.a_eta_abs
         pairwise = [ln for ln in rep.ledger if ln.name.startswith("pairwise-chain")]
@@ -237,11 +237,11 @@ def test_criterion_10_corollary_probe():
     }
     for name, a in symbols.items():
         assert a.sup_norm >= 0.5
-        rep = kuratowski_experiment(a, om, S, 2.0, fam)
+        rep = kuratowski_experiment(a, S, 2.0, fam)
         assert rep.kappa_lower_bound >= 0.4, name
     zero = constant_symbol(g, 0.0)
-    repk = kuratowski_experiment(zero, om, S, 2.0, fam)
-    repn = norm_lowerbound_experiment(zero, om, S, 2.0, [0.25, 0.125])
+    repk = kuratowski_experiment(zero, S, 2.0, fam)
+    repn = norm_lowerbound_experiment(zero, S, 2.0, [0.25, 0.125])
     outputs = [repk.kappa_lower_bound, repk.eps_obs, repn.eps_obs,
                repn.achieved_lower_bound]
     outputs += [p.distance for p in repk.pairs]

@@ -1,3 +1,4 @@
+import string
 import textwrap
 
 import pytest
@@ -105,11 +106,63 @@ experiment: EXPERIMENT
      "y0: 4.0}", "tau list must be strictly decreasing"),
     ("{kind: doubling-scan, tau: 2.0, balls: [{y: 1.0, r: 1.0}]}",
      "is not contained in the grid box and the domain"),
+    ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 1.0e+300, m: 3}",
+     "lambda ** m overflows"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [.nan]}",
+     "delta schedule must be positive"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: .nan}",
+     "expected a finite point"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
     assert cli.main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+BLOCKS = {
+    "grid": "{n: 2, half_width: 16.0, points: 64}",
+    "exponent": "{kind: constant, value: 2.0}",
+    "weight": "{kind: constant, value: 1.0}",
+    "domain": "{kind: cone, alpha1: 0.0, alpha2: 1.5}",
+    "symbol": "{kind: constant, value: 0.5}",
+    "seed": "0",
+}
+
+BLOCKS_CONFIG = """
+grid: $grid
+space:
+  exponent: $exponent
+  weight: $weight
+  domain: $domain
+symbol: $symbol
+experiment: {kind: space-check, trials: 1}
+seed: $seed
+"""
+
+
+@pytest.mark.parametrize("block,text,message", [
+    ("exponent", "{kind: constant}", "constant exponent needs 'value'"),
+    ("exponent", "{kind: piecewise, left: 2.0}", "piecewise exponent needs 'right'"),
+    ("exponent", "{kind: expression}", "expression exponent needs 'expr'"),
+    ("weight", "{kind: power}", "power weight needs 'gamma'"),
+    ("weight", "{kind: expression}", "expression weight needs 'expr'"),
+    ("domain", "{kind: cone, alpha1: 0.0}", "cone domain needs 'alpha2'"),
+    ("symbol", "{kind: constant}", "constant symbol needs 'value'"),
+    ("symbol", "{kind: expression}", "expression symbol needs 'expr'"),
+    ("seed", "-1", "schema violation at seed"),
+    ("grid", "{n: 2, half_width: .inf, points: 64}", "grid spacing"),
+    ("grid", "{n: 2, half_width: 1.0e+308, points: 64}", "grid spacing"),
+])
+def test_config_block_rejections(tmp_path, capsys, block, text, message):
+    blocks = dict(BLOCKS, **{block: text})
+    cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(blocks))
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_blocks_are_valid(tmp_path):
+    cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(BLOCKS))
+    assert cli.main(["validate", "--config", cfg]) == 0
 
 
 def test_schema_rejects_unknown_kind(tmp_path, capsys):

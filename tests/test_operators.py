@@ -167,7 +167,7 @@ def test_norm_probe_constant_symbol():
     om = full_space(g)
     S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), om)
     probe = sample(lambda x: np.exp(-x ** 2), g)
-    val = norm_probe(constant_symbol(g, 0.7), om, S, [probe])
+    val = norm_probe(constant_symbol(g, 0.7), S, [probe])
     assert val == pytest.approx(0.7, abs=1e-8)
 
 
@@ -177,7 +177,7 @@ def test_norm_probe_l2_upper_bound():
     S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), om)
     a = gaussian_symbol(g, 0.0, 1.5, 1.0)
     probes = [rand_fn(g, s) for s in range(8)]
-    assert norm_probe(a, om, S, probes) <= a.sup_norm * (1 + 1e-6)
+    assert norm_probe(a, S, probes) <= a.sup_norm * (1 + 1e-6)
 
 
 def test_norm_probe_rejects_vanishing_probes():
@@ -186,7 +186,7 @@ def test_norm_probe_rejects_vanishing_probes():
     S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), om)
     dead = sample(lambda x: np.where(x < -1, 1.0, 0.0), g)
     with pytest.raises(ValidationError):
-        norm_probe(constant_symbol(g, 1.0), om, S, [dead])
+        norm_probe(constant_symbol(g, 1.0), S, [dead])
 
 
 def test_argmax_freq_node_prefers_zero():
