@@ -10,6 +10,7 @@ inequality chain failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -58,9 +59,13 @@ class RunConfig:
         return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=False)
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """Validator of the shipped config schema, built once per process."""
+    import jsonschema
     with resources.files("whlab.schema").joinpath("runconfig.schema.json").open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def load_config(path) -> dict:
@@ -74,10 +79,9 @@ def load_config(path) -> dict:
         raise ValidationError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a mapping")
-    import jsonschema
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
+    from jsonschema.exceptions import best_match
+    exc = best_match(_validator().iter_errors(raw))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<top level>"
         raise ValidationError(f"config schema violation at {where}: {exc.message}") from exc
     return raw

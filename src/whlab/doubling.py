@@ -8,13 +8,14 @@ restricted to the sampled radii, never a certified limit.  The separated
 estimate S_est is the maximum ratio over a family whose tau-inflated balls
 are pairwise disjoint inside Omega.  Containment is decided once, by
 :meth:`whlab.grid.DomainMask.contains_ball` as a precondition of
-:func:`doubling_ratio`, so every scanned ball is contained; disjointness is
-still recomputed from the centers and radii, never trusted from the
-construction.
+:func:`doubling_ratio`, so every scanned ball lies inside Omega;
+disjointness is still recomputed from the centers and radii, never
+trusted from the construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ class DoublingEntry:
     y: tuple
     radius: float
     ratio: float
-    contained: bool
     disjoint: bool
 
 
@@ -56,7 +56,6 @@ class DoublingReport:
     entries: tuple
     d_est: float
     s_est: float | None
-    containment_verified: bool
     disjointness_verified: bool
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
     """B(y, tau R), checked against the preconditions of :func:`doubling_ratio`."""
     if not (tau > 1.0):
         raise ValidationError("tau must exceed 1 for a doubling ratio")
-    if not (radius > 0.0):
-        raise ValidationError("ball radius must be positive")
     outer = Ball(tuple(as_point(y, omega.grid.n)), tau * radius)
     if not (_check_box(outer, omega.grid) and omega.contains_ball(outer)):
         raise ValidationError(
@@ -89,7 +86,7 @@ def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
 def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
     """||chi_{B(y, tau R)}||_X(Omega) / ||chi_{B(y, R)}||_X(Omega).
 
-    Preconditions: tau > 1 and the inflated ball contained in the grid box
+    Preconditions: tau > 1 and the inflated ball inside the grid box
     and in Omega (:meth:`whlab.grid.DomainMask.contains_ball`).
     """
     outer = _inflated_ball(y, radius, tau, space.domain)
@@ -137,9 +134,19 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
     except OverflowError:
         raise ValidationError(
             f"lambda ** m overflows (lambda = {lam:g}, m = {m})") from None
-    box_limit = grid.half_width / (1.0 + tt) / float(np.max(np.abs(ray)))
-    if y0 is None:
-        y0 = box_limit / lam_m
+
+    def ball(j: int) -> tuple:
+        dist = y0 * lam ** j
+        return tuple(dist * ray), theta * abs(dist)
+
+    def in_box(j: int) -> bool:
+        center, radius = ball(j)
+        return _check_box(Ball(center, tau * radius), grid)
+
+    if y0 is None:  # y0 lam^m (max|ray| + tau theta) = L, stepped past rounding
+        y0 = grid.half_width / (float(np.max(np.abs(ray))) + tt) / lam_m
+        while y0 > 0.0 and not in_box(m):
+            y0 = math.nextafter(y0, 0.0)
     if not (abs(y0) >= 4.0 * grid.h / theta):
         raise ValidationError(
             f"|y0| = {abs(y0):g} must be at least 4h/theta = "
@@ -147,14 +154,11 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
 
     family = []
     for j in range(1, m + 1):
-        dist = y0 * lam ** j
-        center = tuple(dist * ray)
-        radius = theta * abs(dist)
-        if not _check_box(Ball(center, tau * radius), grid):
+        if not in_box(j):
             raise ValidationError(
                 f"grid box too small: inflated ball {j} of {m} "
-                f"(center distance {dist:g}) leaves the box")
-        family.append((center, radius))
+                f"(center distance {y0 * lam ** j:g}) leaves the box")
+        family.append(ball(j))
     return family
 
 
@@ -173,21 +177,17 @@ def _pairwise_disjoint(family, tau: float) -> list[bool]:
 
 
 def _scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
-    entries = []
-    for y, radius in schedule:
-        ratio = doubling_ratio(y, radius, tau, space)
-        entries.append((tuple(as_point(y, space.grid.n)), float(radius), ratio))
-    disjoint = _pairwise_disjoint([(e[0], e[1]) for e in entries], tau)
-    ratios = [e[2] for e in entries]
+    balls = [(tuple(as_point(y, space.grid.n)), float(radius))
+             for y, radius in schedule]
+    ratios = [doubling_ratio(y, radius, tau, space) for y, radius in balls]
+    disjoint = _pairwise_disjoint(balls, tau)
     all_disjoint = all(disjoint)
-    # doubling_ratio raises on any inflated ball that is not contained.
     return DoublingReport(
         tau=tau,
-        entries=tuple(DoublingEntry(e[0], e[1], e[2], True, d)
-                      for e, d in zip(entries, disjoint)),
+        entries=tuple(DoublingEntry(*ball, ratio, d)
+                      for ball, ratio, d in zip(balls, ratios, disjoint)),
         d_est=min(ratios),
         s_est=max(ratios) if all_disjoint else None,
-        containment_verified=True,
         disjointness_verified=all_disjoint,
     )
 

@@ -87,17 +87,19 @@ class Grid:
     def cell_volume(self):
         return self.h ** self.n
 
+    def _mesh(self, axis: np.ndarray) -> tuple:
+        """One array per axis of the product grid of ``axis``, of ``shape``."""
+        if self.n == 1:
+            return (axis,)
+        return tuple(np.meshgrid(axis, axis, indexing="ij"))
+
     def coords(self):
         """Node coordinate arrays, one per axis, broadcast to ``shape``."""
-        if self.n == 1:
-            return (self.x_axis,)
-        return tuple(np.meshgrid(self.x_axis, self.x_axis, indexing="ij"))
+        return self._mesh(self.x_axis)
 
     def freq_coords(self):
         """Frequency node arrays in ascending order, broadcast to ``shape``."""
-        if self.n == 1:
-            return (self.xi_axis,)
-        return tuple(np.meshgrid(self.xi_axis, self.xi_axis, indexing="ij"))
+        return self._mesh(self.xi_axis)
 
     def distances(self, center):
         """Euclidean node distances to ``center`` (array of ``shape``)."""
@@ -106,10 +108,6 @@ class Grid:
             return np.abs(self.x_axis - c[0])
         x1, x2 = self.coords()
         return np.hypot(x1 - c[0], x2 - c[1])
-
-
-def same_grid(a: Grid, b: Grid) -> bool:
-    return (a.n, a.half_width, a.points) == (b.n, b.half_width, b.points)
 
 
 def as_point(y, n: int) -> np.ndarray:
@@ -138,16 +136,16 @@ class GridFunction:
             raise ValidationError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def _check_same_grid(self, other: "GridFunction"):
-        if not same_grid(self.grid, other.grid):
+    def _check_grid(self, other: "GridFunction"):
+        if self.grid != other.grid:
             raise ValidationError("grid mismatch between grid functions")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
+        self._check_grid(other)
         return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
+        self._check_grid(other)
         return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar) -> "GridFunction":
@@ -264,7 +262,7 @@ def sample(expr, grid: Grid) -> GridFunction:
 
 def restrict(u: GridFunction, omega: DomainMask) -> GridFunction:
     """r_Omega embedded in the full grid: zero the values outside Omega."""
-    if not same_grid(u.grid, omega.grid):
+    if u.grid != omega.grid:
         raise ValidationError("grid mismatch between function and mask")
     return GridFunction(u.grid, np.where(omega.inside, u.values, 0.0))
 

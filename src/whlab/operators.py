@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import (DomainMask, Grid, GridFunction, as_point, extend_by_zero,
-                   restrict, same_grid)
+                   restrict)
 from .profiles import smoothstep
 from .spaces import SpaceSpec, luxemburg_norm
 
@@ -137,7 +137,7 @@ def inverse_fourier(v: GridFunction) -> GridFunction:
 
 def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
     """F^{-1}(a . F u) with the node-wise frequency product."""
-    if not same_grid(a.grid, u.grid):
+    if a.grid != u.grid:
         raise ValidationError("symbol and function live on different grids")
     hat = fourier(u)
     return inverse_fourier(GridFunction(u.grid, a.values * hat.values))

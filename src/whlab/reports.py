@@ -39,13 +39,12 @@ def _point_columns(n: int, base: str = "y"):
 
 
 def doubling_csv(report: DoublingReport, n: int) -> str:
-    header = ["tau", "j"] + _point_columns(n) + ["R", "ratio", "contained", "disjoint"]
+    header = ["tau", "j"] + _point_columns(n) + ["R", "ratio", "disjoint"]
     rows = [",".join(header)]
     for j, e in enumerate(report.entries):
         cells = [fmt(report.tau), str(j)]
         cells += [fmt(c) for c in e.y]
-        cells += [fmt(e.radius), fmt(e.ratio),
-                  str(e.contained).lower(), str(e.disjoint).lower()]
+        cells += [fmt(e.radius), fmt(e.ratio), str(e.disjoint).lower()]
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
 
@@ -138,11 +137,9 @@ def doubling_text(report: DoublingReport, config_echo: str = "") -> str:
     for j, e in enumerate(report.entries):
         y = ",".join(fmt(c) for c in e.y)
         out.append(f"  j={j} y=({y}) R={fmt(e.radius)} ratio={fmt(e.ratio)} "
-                   f"contained={str(e.contained).lower()} "
                    f"disjoint={str(e.disjoint).lower()}")
     out.append(f"D_est (min ratio over sampled balls): {fmt(report.d_est)}")
     out.append(f"S_est (max ratio over verified disjoint family): {fmt(report.s_est)}")
-    out.append(f"containment_verified: {str(report.containment_verified).lower()}")
     out.append(f"disjointness_verified: {str(report.disjointness_verified).lower()}")
     out.append("status: OK")
     return "\n".join(out) + "\n"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModularOverflowError, NumericFailure, ValidationError
-from .grid import Ball, DomainMask, Grid, GridFunction, ball_indicator, full_space, same_grid
+from .grid import Ball, DomainMask, Grid, GridFunction, ball_indicator, full_space
 from .profiles import smoothstep
 
 __all__ = [
@@ -108,7 +108,7 @@ class SpaceSpec:
 
     def __post_init__(self):
         for part in (self.exponent, self.weight, self.domain):
-            if not same_grid(part.grid, self.grid):
+            if part.grid != self.grid:
                 raise ValidationError("space components must share one grid")
 
 
@@ -143,29 +143,19 @@ def constant_weight(grid: Grid, c: float = 1.0) -> Weight:
 def power_weight(grid: Grid, gamma: float) -> Weight:
     """w(x) = |x|^gamma sampled at node centers.
 
-    The origin node (where the raw value is 0 or infinite for gamma != 0)
-    is assigned the average of its axis-neighbor values; deterministic and
-    irrelevant in the h -> 0 limit for the exponent ranges used here.
+    The origin node (index ``points // 2`` on every axis, where the raw
+    value is 0 or infinite for gamma != 0) is assigned the average of its
+    axis-neighbor values; deterministic and irrelevant in the h -> 0 limit
+    for the exponent ranges used here.  Any other value that is not finite
+    and positive is an overflow or underflow of |x|^gamma, which
+    :class:`Weight` rejects.
     """
-    r = grid.distances(np.zeros(grid.n))
-    with np.errstate(divide="ignore"):
-        vals = r ** float(gamma)
-    bad = ~np.isfinite(vals) | (vals <= 0.0)
-    if bad.any():
-        idxs = np.argwhere(bad)
-        for idx in idxs:
-            neighbors = []
-            for axis in range(grid.n):
-                for step in (-1, 1):
-                    j = list(idx)
-                    j[axis] += step
-                    if 0 <= j[axis] < grid.points:
-                        v = vals[tuple(j)]
-                        if np.isfinite(v) and v > 0:
-                            neighbors.append(v)
-            if not neighbors:
-                raise NumericFailure("cannot repair singular weight node")
-            vals[tuple(idx)] = float(np.mean(neighbors))
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = grid.distances(np.zeros(grid.n)) ** float(gamma)
+    origin = (grid.points // 2,) * grid.n
+    neighbors = [origin[:axis] + (origin[axis] + step,) + origin[axis + 1:]
+                 for axis in range(grid.n) for step in (-1, 1)]
+    vals[origin] = np.mean([vals[j] for j in neighbors])
     return Weight(grid, vals)
 
 
@@ -175,7 +165,7 @@ def weight_from_values(grid: Grid, values) -> Weight:
 
 def _support(f: GridFunction, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """``(|f| w, p)`` over ``Omega ∩ supp f``, the only nodes the modular sees."""
-    if not same_grid(f.grid, space.grid):
+    if f.grid != space.grid:
         raise ValidationError("grid mismatch between function and space")
     absf = np.abs(f.values)
     keep = space.domain.inside & (absf != 0.0)
@@ -366,11 +356,13 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     hvol = grid.cell_volume
     mask = space.domain.inside
 
-    worst = {
-        "homogeneity": 0.0, "triangle": 0.0, "lattice": 0.0,
-        "fatou-monotone": 0.0, "fatou-limit": 0.0,
-        "bounded-indicator": 0.0, "local-integral": 0.0, "hoelder": 0.0,
+    # Tolerance of each axiom's worst violation, in report order.
+    tols = {
+        "homogeneity": 1e-8, "triangle": 1e-8, "lattice": 1e-9,
+        "fatou-monotone": 1e-9, "fatou-limit": 1e-8,
+        "bounded-indicator": 1e-12, "local-integral": 1e-9, "hoelder": 1e-9,
     }
+    worst = dict.fromkeys(tols, 0.0)
     L = grid.half_width
     radii = [L / 8.0, L / 4.0, L / 2.0, L]
     dist0 = grid.distances(np.zeros(grid.n))
@@ -421,11 +413,5 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
         worst["hoelder"] = max(worst["hoelder"],
                                pairing - 2.0 * nf * ngd * (1.0 + 1e-12))
 
-    tols = {
-        "homogeneity": 1e-8, "triangle": 1e-8, "lattice": 1e-9,
-        "fatou-monotone": 1e-9, "fatou-limit": 1e-8,
-        "bounded-indicator": 1e-12, "local-integral": 1e-9, "hoelder": 1e-9,
-    }
-    return [AxiomResult(name, worst[name], tols[name],
-                        worst[name] <= tols[name], trials)
-            for name in worst]
+    return [AxiomResult(name, worst[name], tol, worst[name] <= tol, trials)
+            for name, tol in tols.items()]

@@ -95,10 +95,8 @@ class WitnessParams:
             raise ValidationError("delta must be positive")
         _check_rho(self.rho)
         grid = self.domain.grid
-        eta = tuple(float(v) for v in np.atleast_1d(self.eta))
-        y = tuple(float(v) for v in np.atleast_1d(self.y))
-        if len(eta) != grid.n or len(y) != grid.n:
-            raise ValidationError("eta and y must be points of the grid dimension")
+        eta = tuple(as_point(self.eta, grid.n).tolist())
+        y = tuple(as_point(self.y, grid.n).tolist())
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "y", y)
         s = self.support_radius

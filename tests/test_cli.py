@@ -1,3 +1,4 @@
+import csv
 import string
 import textwrap
 
@@ -146,6 +147,7 @@ seed: $seed
     ("exponent", "{kind: expression}", "expression exponent needs 'expr'"),
     ("weight", "{kind: power}", "power weight needs 'gamma'"),
     ("weight", "{kind: expression}", "expression weight needs 'expr'"),
+    ("weight", "{kind: power, gamma: 400}", "weights must be finite and positive"),
     ("domain", "{kind: cone, alpha1: 0.0}", "cone domain needs 'alpha2'"),
     ("symbol", "{kind: constant}", "constant symbol needs 'value'"),
     ("symbol", "{kind: expression}", "expression symbol needs 'expr'"),
@@ -207,6 +209,26 @@ def test_missing_symbol_for_witness_kind(tmp_path, capsys):
     assert "symbol" in capsys.readouterr().err
 
 
+def test_shipped_schema_is_valid():
+    validator = cli._validator()
+    type(validator).check_schema(validator.schema)
+
+
+def test_norm_lb_reports_a_skipped_delta(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, REJECTED.replace(
+        "EXPERIMENT", "{kind: norm-lb, rho: 2.0, delta_schedule: [0.5, 0.05]}"))
+    assert cli.main(["norm-lb", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text()
+    assert ("  delta=0.05: SKIPPED (support radius 40 exceeds L/4 = 16; "
+            "no admissible placement)") in report.splitlines()
+    with open(out / "witnesses.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert rows[2][:3] == ["0.05", "nan", "nan"]
+
+
 def test_doubling_scan_csv_schema(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""
@@ -223,7 +245,7 @@ def test_doubling_scan_csv_schema(tmp_path):
     """)
     assert cli.main(["doubling-scan", "--config", cfg]) == 0
     lines = (out / "doubling.csv").read_text().splitlines()
-    assert lines[0] == "tau,j,y,R,ratio,contained,disjoint"
+    assert lines[0] == "tau,j,y,R,ratio,disjoint"
     assert len(lines) == 3
     assert not (out / "report.txt").exists()  # csv-only format
 

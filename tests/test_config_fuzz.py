@@ -105,7 +105,7 @@ def mutated_configs(draw):
     return cfg
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(cfg=mutated_configs())
 def test_validate_never_raises(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("fuzz") / "config.yaml"

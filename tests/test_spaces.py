@@ -241,6 +241,23 @@ def test_exponent_field_rejects_bad_values():
         weight_from_values(g, np.zeros(64))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_weight_repairs_the_origin_only(n):
+    g = make_grid(n, 8.0, 64)
+    r = g.distances(np.zeros(n))
+    o = (32,) * n
+    assert r[o] == 0.0
+    for gamma in (0.3, -0.5):
+        w = power_weight(g, gamma).values
+        off = r != 0.0
+        assert np.array_equal(w[off], r[off] ** gamma)
+        ring = [w[o[:a] + (32 + s,) + o[a + 1:]] for a in range(n) for s in (-1, 1)]
+        assert w[o] == np.mean(ring)
+    # |x|^400 overflows away from the origin; the weight rejects it.
+    with pytest.raises(ValidationError, match="finite and positive"):
+        power_weight(g, 400.0)
+
+
 def test_berezhnoi_constant_p_is_one():
     g = make_grid(1, 16, 1024)
     for p in (1.5, 2.0, 3.0):
