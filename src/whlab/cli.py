@@ -108,10 +108,8 @@ def _build_exponent(block: dict, grid: gridmod.Grid) -> spaces.ExponentField:
 
 
 def _coord_names(grid: gridmod.Grid) -> dict:
-    mesh = grid.coords()
-    if grid.n == 1:
-        return {"x": mesh[0], "r": np.abs(mesh[0])}
-    return {"x1": mesh[0], "x2": mesh[1], "r": np.hypot(mesh[0], mesh[1])}
+    names = ("x",) if grid.n == 1 else ("x1", "x2")
+    return dict(zip(names, grid.coords()), r=grid.distances(np.zeros(grid.n)))
 
 
 def _freq_names(grid: gridmod.Grid) -> dict:

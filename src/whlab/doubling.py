@@ -98,18 +98,9 @@ def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
     return numer / denom
 
 
-def separated_sequence(omega: DomainMask, tau: float, theta: float,
-                       lam: float, m: int, y0: float | None = None) -> list:
-    """Geometric ball family (y_j, R_j) along the central ray of a cone.
-
-    Centers are y_j = y0 * lam^j for j = 1..m with radii R_j = theta |y_j|,
-    so the tau-inflated balls stay inside Omega (tau * theta below the
-    clearance of the unit central ray, capped at 1) and are pairwise
-    disjoint (lam > (1 + tau*theta)/(1 - tau*theta)).  The scans check both
-    again, containment through :func:`doubling_ratio`.  ``y0 = None`` picks
-    the largest value keeping the outermost inflated ball inside the box.
-    """
-    grid = omega.grid
+def _check_family(omega: DomainMask, tau: float, theta: float, lam: float,
+                  m: int) -> tuple:
+    """Validate the shape of a separated family; returns (ray, lam ** m)."""
     if m < 2:
         raise ValidationError("a separated family needs at least 2 balls")
     if not (tau > 1.0):
@@ -134,6 +125,23 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
     except OverflowError:
         raise ValidationError(
             f"lambda ** m overflows (lambda = {lam:g}, m = {m})") from None
+    return ray, lam_m
+
+
+def separated_sequence(omega: DomainMask, tau: float, theta: float,
+                       lam: float, m: int, y0: float | None = None) -> list:
+    """Geometric ball family (y_j, R_j) along the central ray of a cone.
+
+    Centers are y_j = y0 * lam^j for j = 1..m with radii R_j = theta |y_j|,
+    so the tau-inflated balls stay inside Omega (tau * theta below the
+    clearance of the unit central ray, capped at 1) and are pairwise
+    disjoint (lam > (1 + tau*theta)/(1 - tau*theta)).  The scans check both
+    again, containment through :func:`doubling_ratio`.  ``y0 = None`` picks
+    the largest value keeping the outermost inflated ball inside the box.
+    """
+    grid = omega.grid
+    ray, lam_m = _check_family(omega, tau, theta, lam, m)
+    tt = tau * theta
 
     def ball(j: int) -> tuple:
         dist = y0 * lam ** j

@@ -101,13 +101,22 @@ class Grid:
         """Frequency node arrays in ascending order, broadcast to ``shape``."""
         return self._mesh(self.xi_axis)
 
+    def window(self, center, radius: float = math.inf):
+        """``(slices, dist)``: the bounding box of B(center, radius), one
+        slice per axis over the nodes with |x_i - c_i| < radius, and the
+        node distances to ``center`` on it.  The box is exact: a node outside
+        it lies at distance >= |x_i - c_i| >= radius."""
+        c = as_point(center, self.n)
+        hits = [np.flatnonzero(np.abs(self.x_axis - ci) < radius) for ci in c]
+        slices = tuple(slice(h[0], h[-1] + 1) if h.size else slice(0, 0)
+                       for h in hits)
+        axes = np.ix_(*(self.x_axis[s] for s in slices))  # open mesh, no copy
+        offsets = [x - ci for x, ci in zip(axes, c)]
+        return slices, (np.abs(offsets[0]) if self.n == 1 else np.hypot(*offsets))
+
     def distances(self, center):
         """Euclidean node distances to ``center`` (array of ``shape``)."""
-        c = as_point(center, self.n)
-        if self.n == 1:
-            return np.abs(self.x_axis - c[0])
-        x1, x2 = self.coords()
-        return np.hypot(x1 - c[0], x2 - c[1])
+        return self.window(center)[1]
 
 
 def as_point(y, n: int) -> np.ndarray:
@@ -227,7 +236,8 @@ class DomainMask:
         clear = self.clearance(ball.center)
         if clear is not None and clear < ball.radius:
             return False
-        return bool(np.all(self.inside[_ball_nodes(ball, self.grid)]))
+        window, member = _ball_nodes(ball, self.grid)
+        return bool(np.all(self.inside[window][member]))
 
     def central_ray(self) -> np.ndarray:
         """Unit vector along the canonical ray of the domain."""
@@ -276,18 +286,23 @@ def extend_by_zero(u: GridFunction, omega: DomainMask) -> GridFunction:
     return restrict(u, omega)
 
 
-def _ball_nodes(ball: Ball, grid: Grid) -> np.ndarray:
-    """Node membership |x - y| < R of the open ball; raises when it is empty."""
-    member = grid.distances(ball.center) < ball.radius
+def _ball_nodes(ball: Ball, grid: Grid) -> tuple:
+    """The ball's window (:meth:`Grid.window`) and the node membership
+    |x - y| < R on it; raises when the ball holds no node."""
+    window, dist = grid.window(ball.center, ball.radius)
+    member = dist < ball.radius
     if not member.any():
         raise DegenerateBallError(
             f"ball B({ball.center}, {ball.radius}) contains no grid node")
-    return member
+    return window, member
 
 
 def ball_indicator(ball: Ball, grid: Grid) -> GridFunction:
     """0/1 samples of the open ball; errors when no node is inside."""
-    return GridFunction(grid, _ball_nodes(ball, grid).astype(complex))
+    window, member = _ball_nodes(ball, grid)
+    vals = np.zeros(grid.shape, dtype=complex)
+    vals[window] = member
+    return GridFunction(grid, vals)
 
 
 def full_space(grid: Grid) -> DomainMask:

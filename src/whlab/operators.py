@@ -113,25 +113,28 @@ def _alternating(points: int) -> np.ndarray:
     return out
 
 
-def _phase(grid: Grid) -> np.ndarray:
-    ph = _alternating(grid.points)
-    if grid.n == 1:
+@lru_cache(maxsize=None)
+def _phase(n: int, points: int) -> np.ndarray:
+    ph = _alternating(points)
+    if n == 1:
         return ph
-    return np.outer(ph, ph)
+    out = np.outer(ph, ph)
+    out.flags.writeable = False
+    return out
 
 
 def fourier(u: GridFunction) -> GridFunction:
     """Riemann-sum Fourier transform, values on ascending frequency nodes."""
     g = u.grid
     hat = np.fft.fftshift(np.fft.fftn(u.values))
-    return GridFunction(g, (g.h ** g.n) * _phase(g) * hat)
+    return GridFunction(g, (g.h ** g.n) * _phase(g.n, g.points) * hat)
 
 
 def inverse_fourier(v: GridFunction) -> GridFunction:
     """Discrete inverse with the (2 pi)^{-n} normalization; exact inverse
     of :func:`fourier` up to round-off."""
     g = v.grid
-    spec = np.fft.ifftshift(_phase(g) * v.values)
+    spec = np.fft.ifftshift(_phase(g.n, g.points) * v.values)
     return GridFunction(g, np.fft.ifftn(spec) / (g.h ** g.n))
 
 

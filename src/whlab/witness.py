@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doubling import _pairwise_disjoint, separated_sequence
+from .doubling import _check_family, _pairwise_disjoint, separated_sequence
 from .errors import NumericFailure, ValidationError
 from .grid import (Ball, DomainMask, Grid, GridFunction, as_point,
                    ball_indicator, restrict)
@@ -123,10 +123,17 @@ def make_witness(params: WitnessParams) -> GridFunction:
     of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
     """
     grid = params.domain.grid
-    amp = bump_profile(params.delta * grid.distances(params.y), params.rho)
-    mesh = grid.coords()
-    phase_arg = sum(e * m for e, m in zip(params.eta, mesh))
-    return GridFunction(grid, np.exp(1j * phase_arg) * amp)
+    # delta * radius >= rho after rounding, so the bump is 0 off the window
+    radius = params.support_radius
+    while params.delta * radius < params.rho:
+        radius = math.nextafter(radius, math.inf)
+    window, dist = grid.window(params.y, radius)
+    amp = bump_profile(params.delta * dist, params.rho)
+    axes = np.ix_(*(grid.x_axis[s] for s in window))
+    phase_arg = sum(e * x for e, x in zip(params.eta, axes))
+    vals = np.zeros(grid.shape, dtype=complex)
+    vals[window] = np.exp(1j * phase_arg) * amp
+    return GridFunction(grid, vals)
 
 
 def mollification_residual(a: Symbol, params: WitnessParams,
@@ -290,8 +297,27 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
 def kuratowski_family(omega: DomainMask, rho: float, theta: float, lam: float,
                       m: int, y0: float | None = None) -> list:
     """The separated family whose rho-inflations are the witness supports:
-    :func:`whlab.doubling.separated_sequence` with tau = rho."""
+    :func:`whlab.doubling.separated_sequence` with tau = rho.  ``y0 = None``
+    picks the largest value, stepped past rounding, whose outermost support
+    B(y_m, rho R_m) keeps the margin rule of :class:`WitnessParams`."""
     _check_rho(rho)
+    if y0 is None:
+        ray, lam_m = _check_family(omega, rho, theta, lam, m)
+        L, tt = omega.grid.half_width, rho * theta
+
+        def fits(y0: float) -> bool:  # ball m's support, as WitnessParams sees it
+            dist = y0 * lam ** m
+            s = rho / (1.0 / (theta * dist))
+            return s <= L / 4.0 and _within_margin(dist * ray, s, L)
+
+        y0 = min(0.25 * L / tt, 0.75 * L / (float(np.max(np.abs(ray))) + tt)) / lam_m
+        while y0 > 0.0 and not fits(y0):
+            y0 = math.nextafter(y0, 0.0)
+        if not (y0 >= 4.0 * omega.grid.h / theta):
+            raise ValidationError(
+                f"no y0 meets both the witness margin rule and 4h/theta: the "
+                f"margin rule needs y0 <= {y0:g}, resolving the innermost "
+                f"ball needs y0 >= {4.0 * omega.grid.h / theta:g}")
     return separated_sequence(omega, rho, theta, lam, m, y0)
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whlab import (Ball, DegenerateBallError, GridFunction, ValidationError,
                    ball_indicator, explicit_mask, extend_by_zero, full_space,
                    half_line, make_grid, restrict, sample, sector)
+from whlab.grid import _ball_nodes
 
 
 def test_make_grid_arithmetic():
@@ -110,6 +113,64 @@ def test_ball_indicator_monotone_in_radius():
     small = ball_indicator(Ball((0.5, -0.25), 1.0), g).values.real
     big = ball_indicator(Ball((0.5, -0.25), 2.0), g).values.real
     assert np.all(small <= big)
+
+
+def whole_grid_distances(grid, c):
+    """The former Grid.distances: one whole-grid pass per center."""
+    if grid.n == 1:
+        return np.abs(grid.x_axis - c[0])
+    x1, x2 = np.meshgrid(grid.x_axis, grid.x_axis, indexing="ij")
+    return np.hypot(x1 - c[0], x2 - c[1])
+
+
+def whole_grid_ball_nodes(ball, grid):
+    """The former _ball_nodes, on the whole grid."""
+    member = whole_grid_distances(grid, ball.center) < ball.radius
+    if not member.any():
+        raise DegenerateBallError(
+            f"ball B({ball.center}, {ball.radius}) contains no grid node")
+    return member
+
+
+@st.composite
+def grid_balls(draw):
+    g = make_grid(draw(st.sampled_from([1, 2])), draw(st.floats(1.0, 64.0)),
+                  2 ** draw(st.integers(3, 7)))
+    L, h = g.half_width, g.h
+    # centers inside, on the edge of and outside the box, on and off nodes
+    coord = st.one_of(st.floats(-L, L), st.floats(-3 * L, 3 * L),
+                      st.sampled_from([-L, L - h, L, -L - h / 2, L + h / 2]),
+                      st.sampled_from(g.x_axis.tolist()))
+    center = tuple(draw(coord) for _ in range(g.n))
+    # radii from below h to beyond L, and exactly a node distance
+    nearest = np.unique(whole_grid_distances(g, center))[:8]
+    radius = draw(st.one_of(st.floats(h / 8, 3 * L),
+                            st.sampled_from(nearest[nearest > 0].tolist() or [h])))
+    return g, Ball(center, radius)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=grid_balls(), seed=st.integers(0, 2 ** 16))
+def test_ball_window_matches_the_whole_grid_rule(case, seed):
+    g, ball = case
+    assert np.array_equal(g.distances(ball.center),
+                          whole_grid_distances(g, ball.center))
+    try:
+        ref = whole_grid_ball_nodes(ball, g)
+    except DegenerateBallError as exc:
+        with pytest.raises(DegenerateBallError) as got:
+            _ball_nodes(ball, g)
+        assert str(got.value) == str(exc)
+        return
+    window, member = _ball_nodes(ball, g)
+    full = np.zeros(g.shape, dtype=bool)
+    full[window] = member
+    assert np.array_equal(full, ref)
+    assert np.array_equal(ball_indicator(ball, g).values, ref.astype(complex))
+    inside = np.random.default_rng(seed).random(g.shape) < 0.97
+    inside.flat[0] = True
+    om = explicit_mask(g, inside)
+    assert om.contains_ball(ball) == bool(np.all(inside[ref]))
 
 
 def test_sector_scaling_invariance_on_node_pairs():

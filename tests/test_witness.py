@@ -10,9 +10,10 @@ from whlab import (Ball, DegenerateBallError, SpaceSpec, ValidationError,
                    constant_exponent, constant_symbol, constant_weight,
                    explicit_mask, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
-                   luxemburg_norm, make_grid, make_witness,
+                   kuratowski_family, luxemburg_norm, make_grid, make_witness,
                    mollification_residual, norm_lowerbound_experiment,
-                   place_witness_center, power_weight, restrict, sector,
+                   place_witness_center, plan_kuratowski, power_weight,
+                   restrict, sector,
                    separated_sequence, step_exponent, symbol_from_function,
                    wiener_hopf_apply)
 from whlab.profiles import bump_profile
@@ -173,6 +174,38 @@ def test_placed_center_is_admissible(omega, delta, rho):
         WitnessParams(delta, (0.0,) * omega.grid.n, tuple(y), rho, omega)
     except DegenerateBallError:
         pass  # support smaller than a cell
+
+
+def whole_grid_witness(params):
+    """The former make_witness: profile and phase over the whole grid."""
+    grid = params.domain.grid
+    mesh = grid.coords()
+    offsets = [m - c for m, c in zip(mesh, params.y)]
+    dist = np.abs(offsets[0]) if grid.n == 1 else np.hypot(*offsets)
+    amp = bump_profile(params.delta * dist, params.rho)
+    return np.exp(1j * sum(e * m for e, m in zip(params.eta, mesh))) * amp
+
+
+WITNESS_CASES = [
+    (half_line(make_grid(1, 64, 1024)), 0.5, 1.3, None, 2.0),
+    (full_space(make_grid(1, 32, 512)), 0.37, -2.1, (-5.3,), 1.7),
+    (sector(make_grid(2, 32, 256), 0.0, 2 * np.pi / 3), 0.6, (0.7, -1.2),
+     None, 1.5),
+    (full_space(make_grid(2, 16, 128)), 1.3, (3.0, 0.5), (1.1, -2.35), 2.5),
+]
+
+
+@pytest.mark.parametrize("omega,delta,eta,y,rho", WITNESS_CASES)
+def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho):
+    if y is None:
+        y = tuple(place_witness_center(omega, delta, rho))
+    params = WitnessParams(delta, eta, y, rho, omega)
+    f = make_witness(params).values
+    assert np.array_equal(f, whole_grid_witness(params))
+    window, _ = omega.grid.window(params.y, params.support_radius)
+    outside = np.ones(omega.grid.shape, dtype=bool)
+    outside[window] = False
+    assert outside.any() and np.all(f[outside] == 0)
 
 
 # -- residual ---------------------------------------------------------------
@@ -346,6 +379,30 @@ def test_kappa_sector_2d():
     rep = kuratowski_experiment(constant_symbol(g, 0.7), S, 2.0, fam)
     assert rep.kappa_lower_bound >= 0.7 * (1 - 1e-6)
     assert rep.chains_passed
+
+
+@pytest.mark.parametrize("omega,rho,theta,lam,m", [
+    (sector(make_grid(2, 64.0, 512), 0.0, 2 * np.pi / 3), 1.5, 0.1, 1.6, 3),
+    (half_line(make_grid(1, 64.0, 1024)), 2.0, 0.25, 4.0, 2),
+])
+def test_kuratowski_family_default_y0_keeps_the_margin_rule(omega, rho, theta,
+                                                            lam, m):
+    family = kuratowski_family(omega, rho, theta, lam, m)
+    _, _, params = plan_kuratowski(constant_symbol(omega.grid, 1.0), omega,
+                                   rho, family)
+    # the largest admissible y0: the outermost support reaches the margin
+    L, outer = omega.grid.half_width, params[-1]
+    s = outer.support_radius
+    slack = min(L / 4 - s, 0.75 * L - max(abs(c) for c in outer.y) - s)
+    assert 0.0 <= slack <= 1e-12 * L
+
+
+def test_kuratowski_family_explicit_y0_and_unresolvable_default():
+    om = half_line(make_grid(1, 64.0, 1024))
+    assert (kuratowski_family(om, 2.0, 0.25, 4.0, 2, y0=2.0)
+            == separated_sequence(om, 2.0, 0.25, 4.0, 2, y0=2.0))
+    with pytest.raises(ValidationError, match="margin rule and 4h/theta"):
+        kuratowski_family(om, 2.0, 0.01, 1.1, 4)
 
 
 def test_kappa_rejects_overlapping_family():
