@@ -10,7 +10,7 @@ Run: python3 demos/demo_doubling.py
 
 from whlab import (SpaceSpec, constant_exponent, constant_weight, full_space,
                    doubling_ratio, half_line, make_grid, power_weight,
-                   separated_doubling_scan, separated_sequence, tau_scan)
+                   separated_sequence, tau_scan)
 
 grid = make_grid(1, 16, 4096)
 omega = full_space(grid)
@@ -36,7 +36,7 @@ for j, (y, R) in enumerate(family):
 print("  inflations are pairwise disjoint and stay inside the half-line.")
 
 hspace = SpaceSpec(big, constant_exponent(big, 2), constant_weight(big), homega)
-report = separated_doubling_scan(hspace, 2.0, 0.25, 4.0, 3, y0=1.0)
+report = tau_scan(hspace, [2.0], 0.25, 4.0, 3, y0=1.0)[0]
 print(f"  S_est = {report.s_est:.4f} over the family "
       f"(analytic 2^0.5 = {2 ** 0.5:.4f}); "
       f"disjointness recheck: {report.disjointness_verified}")
@@ -45,8 +45,8 @@ print("\n== both estimates sink toward 1 as tau does ==")
 scan_grid = make_grid(1, 32, 16384)
 scan_space = SpaceSpec(scan_grid, constant_exponent(scan_grid, 2),
                        constant_weight(scan_grid), half_line(scan_grid))
-rows = tau_scan(scan_space, [4.0, 2.0, 1.5, 1.1],
+scan = tau_scan(scan_space, [4.0, 2.0, 1.5, 1.1],
                 theta=0.125, lam=4.0, m=3, y0=0.25)
 print(f"  {'tau':>5s} {'D_est':>8s} {'S_est':>8s}")
-for tau, d_est, s_est in rows:
-    print(f"  {tau:5.2f} {d_est:8.4f} {s_est:8.4f}")
+for r in scan:
+    print(f"  {r.tau:5.2f} {r.d_est:8.4f} {r.s_est:8.4f}")

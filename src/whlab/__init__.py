@@ -15,20 +15,18 @@ certify, at desk scale,
 together with the doubling-constant scans the bounds rest on.
 """
 
-from .errors import (DegenerateBallError, ModularOverflowError, NumericFailure,
-                     ValidationError)
+from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import (Ball, DomainMask, Grid, GridFunction, ball_indicator,
                    explicit_mask, extend_by_zero, full_space, half_line,
                    make_grid, restrict, sample, sector)
 from .spaces import (AxiomResult, ExponentField, SpaceSpec, Weight,
                      associate_space, axiom_check, berezhnoi_ratio,
                      constant_exponent, constant_weight, exponent_from_values,
-                     luxemburg_norm, modular, muckenhoupt_ratio, power_weight,
+                     luxemburg_norm, muckenhoupt_ratio, power_weight,
                      step_exponent, weight_from_values)
 from .doubling import (DoublingEntry, DoublingReport, doubling_ratio,
-                       plan_tau_scan, plan_weak_doubling,
-                       separated_doubling_scan, separated_sequence, tau_scan,
-                       weak_doubling_scan)
+                       plan_tau_scan, plan_weak_doubling, separated_sequence,
+                       tau_scan, weak_doubling_scan)
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         constant_symbol, fourier, gaussian_symbol,
                         inverse_fourier, nearest_freq_node, norm_probe,

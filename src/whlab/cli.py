@@ -3,8 +3,8 @@
 One run = one YAML config = one experiment; identical configs produce
 byte-identical outputs.  Subcommands mirror the experiment kinds plus
 ``validate`` (parse and pre-flight only).  Exit codes: 0 success, 2
-validation error, 3 numeric failure, 4 completed run whose certified
-inequality chain failed.
+validation error or unwritable outputs, 3 numeric failure, 4 completed run
+whose certified inequality chain failed.
 """
 
 from __future__ import annotations
@@ -113,10 +113,8 @@ def _coord_names(grid: gridmod.Grid) -> dict:
 
 
 def _freq_names(grid: gridmod.Grid) -> dict:
-    mesh = grid.freq_coords()
-    if grid.n == 1:
-        return {"xi": mesh[0]}
-    return {"xi1": mesh[0], "xi2": mesh[1]}
+    names = ("xi",) if grid.n == 1 else ("xi1", "xi2")
+    return dict(zip(names, grid.freq_coords()))
 
 
 def _build_weight(block: dict, grid: gridmod.Grid) -> spaces.Weight:
@@ -263,9 +261,9 @@ def run(cfg: RunConfig):
         artifacts["report.txt"] = reports.doubling_text(report, echo)
         artifacts["doubling.csv"] = reports.doubling_csv(report, cfg.space.grid.n)
     elif cfg.kind == "tau-scan":
-        rows = dbl.tau_scan(cfg.space, params["tau_list"], *_family_args(params))
-        artifacts["report.txt"] = reports.tau_scan_text(rows, echo)
-        artifacts["tau_scan.csv"] = reports.tau_scan_csv(rows)
+        scan = dbl.tau_scan(cfg.space, params["tau_list"], *_family_args(params))
+        artifacts["report.txt"] = reports.tau_scan_text(scan, echo)
+        artifacts["tau_scan.csv"] = reports.tau_scan_csv(scan)
     elif cfg.kind == "space-check":
         results = spaces.axiom_check(cfg.space, int(params.get("trials", 100)),
                                      cfg.seed)
@@ -309,30 +307,25 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        raw = load_config(args.config)
-        cfg = preflight(raw)
-        if args.command != "validate" and cfg.kind != args.command:
+        cfg = preflight(load_config(args.config))
+        if args.command == "validate":
+            print(f"config OK: {cfg.kind}")
+            return 0
+        if cfg.kind != args.command:
             raise ValidationError(
                 f"subcommand {args.command!r} does not match config "
                 f"experiment kind {cfg.kind!r}")
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except NumericFailure as exc:
-        print(f"numeric failure during validation: {exc}", file=sys.stderr)
-        return 3
-    if args.command == "validate":
-        print(f"config OK: {cfg.kind}")
-        return 0
-    try:
         artifacts, ok = run(cfg)
+        written = emit(artifacts, args.format or cfg.formats, args.out or cfg.out_dir)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    written = emit(artifacts, args.format or cfg.formats, args.out or cfg.out_dir)
+    except OSError as exc:
+        print(f"cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(f"wrote {path}")
     if not ok:

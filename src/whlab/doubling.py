@@ -32,7 +32,6 @@ __all__ = [
     "plan_weak_doubling",
     "plan_tau_scan",
     "weak_doubling_scan",
-    "separated_doubling_scan",
     "tau_scan",
 ]
 
@@ -200,13 +199,6 @@ def _scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
     )
 
 
-def _separated_scan(space: SpaceSpec, tau: float, family) -> DoublingReport:
-    report = _scan(space, tau, family)
-    if not report.disjointness_verified:
-        raise NumericFailure("constructed family failed the disjointness recheck")
-    return report
-
-
 def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> None:
     """Validate a weak-doubling scan: a non-empty schedule whose every ball
     meets the preconditions of :func:`doubling_ratio` at this tau."""
@@ -227,13 +219,6 @@ def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport
     return _scan(space, tau, schedule)
 
 
-def separated_doubling_scan(space: SpaceSpec, tau: float, theta: float,
-                            lam: float, m: int, y0: float | None = None) -> DoublingReport:
-    """Maximum ratio over the verified disjoint geometric family."""
-    return _separated_scan(
-        space, tau, separated_sequence(space.domain, tau, theta, lam, m, y0))
-
-
 def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
                   m: int, y0: float | None = None):
     """Validate a tau scan: returns ``(taus, family)``.
@@ -252,15 +237,18 @@ def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
 
 
 def tau_scan(space: SpaceSpec, tau_list, theta: float, lam: float,
-             m: int, y0: float | None = None) -> list:
-    """(tau, D_est, S_est) rows over a tau list decreasing toward 1.
+             m: int, y0: float | None = None) -> list[DoublingReport]:
+    """One report per tau of a list decreasing toward 1; S_est is the
+    maximum ratio over the verified disjoint geometric family.
 
-    The same geometric family serves every tau; only the containment
-    margin and the ratios change.
+    The same family serves every tau; only the containment margin and the
+    ratios change.  A one-tau scan is ``tau_scan(space, [tau], ...)[0]``.
     """
     taus, family = plan_tau_scan(space.domain, tau_list, theta, lam, m, y0)
-    rows = []
+    reports = []
     for tau in taus:
-        report = _separated_scan(space, tau, family)
-        rows.append((tau, report.d_est, report.s_est))
-    return rows
+        report = _scan(space, tau, family)
+        if not report.disjointness_verified:
+            raise NumericFailure("constructed family failed the disjointness recheck")
+        reports.append(report)
+    return reports

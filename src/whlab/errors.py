@@ -14,9 +14,5 @@ class NumericFailure(ArithmeticError):
     """A computation degenerated: overflow, vanishing denominator, empty set."""
 
 
-class ModularOverflowError(NumericFailure):
-    """The modular sum overflowed; the caller must rescale."""
-
-
 class DegenerateBallError(NumericFailure):
     """A ball contains no grid node."""

@@ -88,17 +88,16 @@ class Grid:
         return self.h ** self.n
 
     def _mesh(self, axis: np.ndarray) -> tuple:
-        """One array per axis of the product grid of ``axis``, of ``shape``."""
-        if self.n == 1:
-            return (axis,)
-        return tuple(np.meshgrid(axis, axis, indexing="ij"))
+        """The open mesh of the product grid of ``axis``: one array per
+        axis, broadcastable to ``shape``."""
+        return np.ix_(*[axis] * self.n)
 
     def coords(self):
-        """Node coordinate arrays, one per axis, broadcast to ``shape``."""
+        """Node coordinate arrays, one per axis, broadcastable to ``shape``."""
         return self._mesh(self.x_axis)
 
     def freq_coords(self):
-        """Frequency node arrays in ascending order, broadcast to ``shape``."""
+        """Frequency node arrays in ascending order, broadcastable to ``shape``."""
         return self._mesh(self.xi_axis)
 
     def window(self, center, radius: float = math.inf):
@@ -260,14 +259,12 @@ def make_grid(n: int, half_width: float, points: int) -> Grid:
 def sample(expr, grid: Grid) -> GridFunction:
     """Evaluate a pointwise rule on the nodes.
 
-    ``expr`` receives one coordinate array per axis and must return finite
-    values broadcastable to the grid shape.
+    ``expr`` receives one coordinate array per axis (an open mesh) and must
+    return finite values broadcastable to the grid shape.
     """
     raw = expr(*grid.coords())
-    vals = np.broadcast_to(np.asarray(raw, dtype=complex), grid.shape).copy()
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("expression evaluated to a non-finite value")
-    return GridFunction(grid, vals)
+    return GridFunction(grid, np.broadcast_to(np.asarray(raw, dtype=complex),
+                                              grid.shape).copy())
 
 
 def restrict(u: GridFunction, omega: DomainMask) -> GridFunction:

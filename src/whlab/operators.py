@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .grid import (DomainMask, Grid, GridFunction, as_point, extend_by_zero,
                    restrict)
-from .profiles import smoothstep
+from .profiles import ramp
 from .spaces import SpaceSpec, luxemburg_norm
 
 __all__ = [
@@ -70,9 +70,7 @@ def symbol_from_values(grid: Grid, values) -> Symbol:
 
 def symbol_from_function(grid: Grid, fn) -> Symbol:
     """Sample a callable of the frequency coordinates."""
-    vals = np.broadcast_to(np.asarray(fn(*grid.freq_coords()), dtype=complex),
-                           grid.shape).copy()
-    return Symbol(grid, vals)
+    return symbol_from_values(grid, fn(*grid.freq_coords()))
 
 
 def constant_symbol(grid: Grid, c) -> Symbol:
@@ -84,11 +82,9 @@ def gaussian_symbol(grid: Grid, center=0.0, sigma: float = 1.0,
     """peak * exp(-|xi - center|^2 / (2 sigma^2)) on the frequency nodes."""
     if sigma <= 0:
         raise ValidationError("gaussian symbol needs sigma > 0")
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    if c.shape != (grid.n,):
-        raise ValidationError("gaussian center dimension mismatch")
-    mesh = grid.freq_coords()
-    r2 = sum((m - ci) ** 2 for m, ci in zip(mesh, c))
+    c = as_point(center, grid.n)
+    with np.errstate(over="ignore"):  # a far center underflows the Gaussian to 0
+        r2 = sum((m - ci) ** 2 for m, ci in zip(grid.freq_coords(), c))
     return Symbol(grid, peak * np.exp(-r2 / (2.0 * sigma ** 2)))
 
 
@@ -98,27 +94,16 @@ def smoothed_step_symbol(grid: Grid, edge: float = 0.0, width: float | None = No
     axis, smoothed over ``width`` (default: four frequency cells)."""
     if width is None:
         width = 4.0 * np.pi / grid.half_width
-    if width <= 0:
-        raise ValidationError("transition width must be positive")
-    xi = grid.freq_coords()[0]
-    vals = low + (high - low) * smoothstep((xi - edge) / width + 0.5)
-    return Symbol(grid, np.broadcast_to(vals, grid.shape).astype(complex).copy())
-
-
-@lru_cache(maxsize=None)
-def _alternating(points: int) -> np.ndarray:
-    k = np.arange(-(points // 2), points // 2)
-    out = (1 - 2 * (np.abs(k) % 2)).astype(float)
-    out.flags.writeable = False
-    return out
+    return symbol_from_values(grid, ramp(grid.freq_coords()[0], edge, width, low, high))
 
 
 @lru_cache(maxsize=None)
 def _phase(n: int, points: int) -> np.ndarray:
-    ph = _alternating(points)
-    if n == 1:
-        return ph
-    out = np.outer(ph, ph)
+    """The sign (-1)^(k_1 + ... + k_n) on the frequency nodes, read-only."""
+    k = np.arange(-(points // 2), points // 2)
+    out = (1 - 2 * (np.abs(k) % 2)).astype(float)
+    if n == 2:
+        out = np.outer(out, out)
     out.flags.writeable = False
     return out
 
@@ -193,9 +178,8 @@ def argmax_freq_node(a: Symbol):
     the config families used here."""
     mag = np.abs(a.values)
     tie = mag >= mag.max() * (1.0 - 1e-12)
-    mesh = a.grid.freq_coords()
-    dist2 = sum(np.asarray(m, dtype=float) ** 2 for m in mesh)
+    dist2 = sum(m ** 2 for m in a.grid.freq_coords())
     dist2 = np.where(tie, dist2, np.inf)
     best = np.unravel_index(int(np.argmin(dist2)), a.grid.shape)
-    eta = np.array([float(m[best]) for m in mesh])
+    eta = np.array([float(a.grid.xi_axis[i]) for i in best])
     return best, eta

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glue", "smoothstep", "bump_profile"]
+from .errors import ValidationError
+
+__all__ = ["glue", "smoothstep", "ramp", "bump_profile"]
 
 
 def glue(t):
@@ -33,6 +35,14 @@ def smoothstep(t):
     with np.errstate(invalid="ignore"):
         out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / (a + b)))
     return out
+
+
+def ramp(x, edge: float, width: float, low: float, high: float):
+    """Smoothed step from ``low`` to ``high`` centered at ``edge``; the
+    transition zone has full length ``width``."""
+    if width <= 0:
+        raise ValidationError("transition width must be positive")
+    return low + (high - low) * smoothstep((x - edge) / width + 0.5)
 
 
 def bump_profile(r, rho):

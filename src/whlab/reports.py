@@ -49,10 +49,10 @@ def doubling_csv(report: DoublingReport, n: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-def tau_scan_csv(rows) -> str:
+def tau_scan_csv(scan: list[DoublingReport]) -> str:
     out = ["tau,d_est,s_est"]
-    for tau, d_est, s_est in rows:
-        out.append(f"{fmt(tau)},{fmt(d_est)},{fmt(s_est)}")
+    for r in scan:
+        out.append(f"{fmt(r.tau)},{fmt(r.d_est)},{fmt(r.s_est)}")
     return "\n".join(out) + "\n"
 
 
@@ -145,11 +145,11 @@ def doubling_text(report: DoublingReport, config_echo: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def tau_scan_text(rows, config_echo: str = "") -> str:
+def tau_scan_text(scan: list[DoublingReport], config_echo: str = "") -> str:
     out = _header("tau-scan", config_echo)
     out.append("tau trend (decreasing toward 1):")
-    for tau, d_est, s_est in rows:
-        out.append(f"  tau={fmt(tau)} D_est={fmt(d_est)} S_est={fmt(s_est)}")
+    for r in scan:
+        out.append(f"  tau={fmt(r.tau)} D_est={fmt(r.d_est)} S_est={fmt(r.s_est)}")
     out.append("status: OK")
     return "\n".join(out) + "\n"
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModularOverflowError, NumericFailure, ValidationError
+from .errors import NumericFailure, ValidationError
 from .grid import Ball, DomainMask, Grid, GridFunction, ball_indicator, full_space
-from .profiles import smoothstep
+from .profiles import ramp
 
 __all__ = [
     "ExponentField",
@@ -37,7 +37,6 @@ __all__ = [
     "constant_weight",
     "power_weight",
     "weight_from_values",
-    "modular",
     "luxemburg_norm",
     "associate_space",
     "berezhnoi_ratio",
@@ -125,10 +124,7 @@ def step_exponent(grid: Grid, left: float, right: float,
     """
     if width is None:
         width = 2.0 * grid.h
-    if width <= 0:
-        raise ValidationError("transition width must be positive")
-    x = grid.coords()[0]
-    vals = left + (right - left) * smoothstep((x - edge) / width + 0.5)
+    vals = ramp(grid.coords()[0], edge, width, left, right)
     return ExponentField(grid, np.broadcast_to(vals, grid.shape).copy())
 
 
@@ -176,14 +172,6 @@ def _modular_sum(z: np.ndarray, p: np.ndarray, lam: float, cell_volume: float) -
     """sum (z/lam)^p h^n over the gathered support; may overflow to inf."""
     with np.errstate(over="ignore"):
         return float(((z / lam) ** p).sum() * cell_volume)
-
-
-def modular(f: GridFunction, space: SpaceSpec) -> float:
-    """sum over Omega of |f w|^p h^n; raises on overflow."""
-    out = _modular_sum(*_support(f, space), 1.0, space.grid.cell_volume)
-    if not math.isfinite(out):
-        raise ModularOverflowError("modular overflow; rescale the input")
-    return out
 
 
 def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,

@@ -164,9 +164,9 @@ def test_criterion_7_tau_trend():
                                domain=half_line(g)),
     }
     for name, S in configs.items():
-        rows = tau_scan(S, taus, theta=0.125, lam=4.0, m=3, y0=0.25)
-        d_ests = [r[1] for r in rows]
-        s_ests = [r[2] for r in rows]
+        reps = tau_scan(S, taus, theta=0.125, lam=4.0, m=3, y0=0.25)
+        d_ests = [r.d_est for r in reps]
+        s_ests = [r.s_est for r in reps]
         assert all(b < a for a, b in zip(d_ests, d_ests[1:])), name
         assert all(b < a for a, b in zip(s_ests, s_ests[1:])), name
         assert d_ests[-1] <= 1.06, name

@@ -371,3 +371,11 @@ def test_config_echo_round_trips(tmp_path):
     raw = cli.load_config(cfg)
     parsed = cli.preflight(raw)
     assert yaml.safe_load(parsed.echo) == raw
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unwritable_output_path_exit_code(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("not a directory\n")
+    cfg = write_config(tmp_path, NORM_LB.replace("OUT", str(tmp_path / "o")))
+    assert cli.main(["norm-lb", "--config", cfg, "--out", str(tmp_path / target)]) == 2
+    assert "cannot write the outputs" in capsys.readouterr().err

@@ -4,8 +4,7 @@ import pytest
 from whlab import (SpaceSpec, ValidationError,
                    constant_exponent, constant_weight, doubling_ratio,
                    explicit_mask, full_space, half_line, make_grid,
-                   power_weight, sector,
-                   separated_doubling_scan, separated_sequence, tau_scan,
+                   power_weight, sector, separated_sequence, tau_scan,
                    weak_doubling_scan)
 
 
@@ -149,7 +148,7 @@ def test_weak_scan_rejects_empty_schedule():
 def test_separated_scan_constant_p_halfline():
     g = make_grid(1, 256, 8192)
     S = l2_space(g, domain=half_line(g))
-    rep = separated_doubling_scan(S, 2.0, 0.25, 4.0, 3, y0=1.0)
+    rep = tau_scan(S, [2.0], 0.25, 4.0, 3, y0=1.0)[0]
     assert rep.s_est == pytest.approx(np.sqrt(2.0), rel=0.03)
     assert rep.disjointness_verified
 
@@ -157,24 +156,24 @@ def test_separated_scan_constant_p_halfline():
 def test_separated_scan_power_weight():
     g = make_grid(1, 256, 16384)
     S = l2_space(g, weight=power_weight(g, 0.2), domain=half_line(g))
-    rep = separated_doubling_scan(S, 2.0, 0.25, 4.0, 3, y0=1.0)
+    rep = tau_scan(S, [2.0], 0.25, 4.0, 3, y0=1.0)[0]
     assert rep.s_est <= 2.0 ** 0.7 * 1.05
 
 
 def test_scan_ratios_never_below_lattice_floor():
     g = make_grid(1, 256, 8192)
     S = l2_space(g, domain=half_line(g))
-    rep = separated_doubling_scan(S, 1.1, 0.25, 4.0, 3, y0=1.0)
+    rep = tau_scan(S, [1.1], 0.25, 4.0, 3, y0=1.0)[0]
     assert all(e.ratio >= 1.0 - 0.05 for e in rep.entries)
 
 
 def test_tau_scan_trend_and_validation():
     g = make_grid(1, 32, 16384)
     S = l2_space(g, domain=half_line(g))
-    rows = tau_scan(S, [4.0, 2.0, 1.5, 1.1], theta=0.125, lam=4.0, m=3, y0=0.25)
-    taus = [r[0] for r in rows]
-    d_ests = [r[1] for r in rows]
-    s_ests = [r[2] for r in rows]
+    reps = tau_scan(S, [4.0, 2.0, 1.5, 1.1], theta=0.125, lam=4.0, m=3, y0=0.25)
+    taus = [r.tau for r in reps]
+    d_ests = [r.d_est for r in reps]
+    s_ests = [r.s_est for r in reps]
     for tau, d in zip(taus, d_ests):
         assert d == pytest.approx(tau ** 0.5, rel=0.02)
     assert all(b < a for a, b in zip(d_ests, d_ests[1:]))

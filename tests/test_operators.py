@@ -195,3 +195,13 @@ def test_argmax_freq_node_prefers_zero():
     assert eta[0] == 0.0
     idx2, eta2 = argmax_freq_node(smoothed_step_symbol(g, edge=-5.0, width=2.0))
     assert eta2[0] == 0.0
+
+
+def test_gaussian_symbol_center_checks():
+    g = make_grid(2, 16, 64)
+    with pytest.raises(ValidationError, match="expected a finite point"):
+        gaussian_symbol(g, [np.nan, 0.0])
+    with pytest.raises(ValidationError, match="expected a point in R"):
+        gaussian_symbol(g, 0.0)
+    # a far center underflows the Gaussian to 0 without a floating-point warning
+    assert np.all(gaussian_symbol(make_grid(1, 16, 64), 1e200).values == 0.0)

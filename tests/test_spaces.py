@@ -6,37 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from whlab import (Ball, GridFunction, ModularOverflowError, NumericFailure,
-                   SpaceSpec, ValidationError, associate_space, axiom_check,
+from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
+                   ValidationError, associate_space, axiom_check,
                    berezhnoi_ratio, constant_exponent, constant_weight,
                    exponent_from_values, full_space, half_line, luxemburg_norm,
-                   make_grid, modular, muckenhoupt_ratio, power_weight, sample,
-                   sector, step_exponent, weight_from_values)
+                   make_grid, muckenhoupt_ratio, power_weight, sample, sector,
+                   step_exponent, weight_from_values)
+from whlab import spaces
 from whlab.spaces import NORM_RTOL
-
-
-def test_modular_indicator():
-    g = make_grid(1, 16, 1024)
-    S = SpaceSpec(g, constant_exponent(g, 3), constant_weight(g), full_space(g))
-    f = sample(lambda x: (x >= 0) & (x < 2), g)
-    assert abs(modular(f, S) - 2.0) <= g.h
-
-
-def test_modular_zero_and_split_exponent():
-    g = make_grid(1, 16, 1024)
-    S = SpaceSpec(g, step_exponent(g, 2.0, 3.0, width=1e-9), constant_weight(g),
-                  full_space(g))
-    assert modular(sample(lambda x: 0 * x, g), S) == 0.0
-    f = sample(lambda x: (x >= -1) & (x < 1), g)
-    assert abs(modular(f, S) - 2.0) <= 2 * g.h
-
-
-def test_modular_overflow_signals():
-    g = make_grid(1, 16, 64)
-    S = SpaceSpec(g, constant_exponent(g, 3), constant_weight(g), full_space(g))
-    f = sample(lambda x: 1e300 + 0 * x, g)
-    with pytest.raises(ModularOverflowError):
-        modular(f, S)
 
 
 def test_luxemburg_indicator_lp():
@@ -144,9 +121,10 @@ def random_case(seed, n=1, points=256, p_lo=2.0, p_hi=None, w_spread=0.0,
     return GridFunction(g, vals * support), SpaceSpec(g, p, w, omega)
 
 
-def test_luxemburg_matches_the_bisection_bit_for_bit():
+def bisection_cases(count):
+    """``(case, f, S)`` for the first ``count`` seeded comparison inputs."""
     rng = np.random.default_rng(2024)
-    for case in range(500):
+    for case in range(count):
         n = 1 if case % 5 else 2
         p_lo = float(rng.uniform(1.05, 4.0))
         f, S = random_case(
@@ -154,6 +132,24 @@ def test_luxemburg_matches_the_bisection_bit_for_bit():
             p_lo=p_lo, p_hi=float(rng.uniform(p_lo, 4.0)) if rng.random() < 0.5 else None,
             w_spread=3.0, frac=float(10.0 ** rng.uniform(-2.0, 0.0)),
             cone=bool(rng.random() < 0.5), scale=float(10.0 ** rng.uniform(-150.0, 150.0)))
+        yield case, f, S
+
+
+def test_luxemburg_matches_the_bisection_bit_for_bit():
+    for case, f, S in bisection_cases(500):
+        assert luxemburg_norm(f, S) == bisection_norm(f, S), case
+
+
+@pytest.mark.parametrize("bad_root", [lambda root: math.nan,
+                                      lambda root: root * (1.0 + 1e-6)],
+                         ids=["nan", "off-by-1e-6"])
+def test_luxemburg_fallback_without_a_newton_bracket(monkeypatch, bad_root):
+    # A failed or wrong Newton root must leave the bisection testing every
+    # lam by a modular sum, with the same bits as the plain bisection.
+    newton_root = spaces._newton_root
+    monkeypatch.setattr(spaces, "_newton_root",
+                        lambda *args: bad_root(newton_root(*args)))
+    for case, f, S in bisection_cases(100):
         assert luxemburg_norm(f, S) == bisection_norm(f, S), case
 
 
@@ -207,8 +203,11 @@ def test_property_norm_is_the_upper_end(case):
     f, S = case
     v = luxemburg_norm(f, S)
 
-    def excess(lam):
-        return modular(GridFunction(f.grid, f.values / lam), S) - 1.0
+    def excess(lam):  # the modular of f/lam, minus 1
+        absf = np.abs(f.values / lam)
+        keep = S.domain.inside & (absf != 0.0)
+        z, p = absf[keep] * S.weight.values[keep], S.exponent.values[keep]
+        return float((z ** p).sum() * f.grid.cell_volume) - 1.0
 
     assert excess(v) <= 0.0
     root = brentq(excess, v / 2.0, v, xtol=1e-15 * v)
