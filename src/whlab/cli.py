@@ -145,8 +145,7 @@ def _build_symbol(block: dict, grid: gridmod.Grid) -> ops.Symbol:
         _require(block, ("value",), "constant symbol")
         return ops.constant_symbol(grid, block["value"])
     if kind == "gaussian":
-        center = block.get("center", 0.0 if grid.n == 1 else [0.0, 0.0])
-        return ops.gaussian_symbol(grid, center, block.get("sigma", 1.0),
+        return ops.gaussian_symbol(grid, block.get("center"), block.get("sigma", 1.0),
                                    block.get("peak", 1.0))
     if kind == "smoothed-step":
         return ops.smoothed_step_symbol(grid, block.get("edge", 0.0),

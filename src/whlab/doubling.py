@@ -64,18 +64,12 @@ class DoublingReport:
                     f"doubling ratio {e.ratio} below 1 beyond quadrature slack")
 
 
-def _check_box(ball: Ball, grid) -> bool:
-    c = as_point(ball.center, grid.n)
-    return bool(np.all(c - ball.radius >= -grid.half_width)
-                and np.all(c + ball.radius <= grid.half_width))
-
-
 def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
     """B(y, tau R), checked against the preconditions of :func:`doubling_ratio`."""
     if not (tau > 1.0):
         raise ValidationError("tau must exceed 1 for a doubling ratio")
     outer = Ball(tuple(as_point(y, omega.grid.n)), tau * radius)
-    if not (_check_box(outer, omega.grid) and omega.contains_ball(outer)):
+    if not (outer.in_box(omega.grid.half_width) and omega.contains_ball(outer)):
         raise ValidationError(
             f"inflated ball B({outer.center}, {outer.radius}) is not contained "
             "in the grid box and the domain")
@@ -148,7 +142,7 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
 
     def in_box(j: int) -> bool:
         center, radius = ball(j)
-        return _check_box(Ball(center, tau * radius), grid)
+        return Ball(center, tau * radius).in_box(grid.half_width)
 
     if y0 is None:  # y0 lam^m (max|ray| + tau theta) = L, stepped past rounding
         y0 = grid.half_width / (float(np.max(np.abs(ray))) + tt) / lam_m

@@ -63,15 +63,21 @@ class Grid:
             raise ValidationError(
                 f"points must be a power of two >= 8, got {N}")
         h = 2.0 * self.half_width / N
-        if not (0.0 < h < math.inf):
+        try:
+            cell_volume = h ** self.n
+        except OverflowError:
+            cell_volume = math.inf
+        if not (h > 0.0 and np.finfo(float).tiny <= cell_volume < math.inf):
             raise ValidationError(
-                "half_width must be positive, with a finite grid spacing "
-                f"2 half_width / points (got {h:g})")
+                "half_width must be positive, with a grid spacing h = 2 half_width "
+                "/ points whose cell volume h^n is a positive normal float "
+                f"(got h = {h:g}, h^n = {cell_volume:g})")
         x_axis = -self.half_width + h * np.arange(N)
         xi_axis = (math.pi / self.half_width) * np.arange(-(N // 2), N // 2)
         x_axis.flags.writeable = False
         xi_axis.flags.writeable = False
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "cell_volume", cell_volume)
         object.__setattr__(self, "x_axis", x_axis)
         object.__setattr__(self, "xi_axis", xi_axis)
 
@@ -82,10 +88,6 @@ class Grid:
     @property
     def node_count(self):
         return self.points ** self.n
-
-    @property
-    def cell_volume(self):
-        return self.h ** self.n
 
     def _mesh(self, axis: np.ndarray) -> tuple:
         """The open mesh of the product grid of ``axis``: one array per
@@ -174,6 +176,10 @@ class Ball:
         object.__setattr__(self, "center", c)
         if not (self.radius > 0):
             raise ValidationError("ball radius must be positive")
+
+    def in_box(self, half: float) -> bool:
+        """The box rule: the ball lies in [-half, half]^n, |c| + R <= half."""
+        return all(abs(c) + self.radius <= half for c in self.center)
 
 
 @dataclass(frozen=True, eq=False)

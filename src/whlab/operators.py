@@ -77,12 +77,13 @@ def constant_symbol(grid: Grid, c) -> Symbol:
     return Symbol(grid, np.full(grid.shape, complex(c)))
 
 
-def gaussian_symbol(grid: Grid, center=0.0, sigma: float = 1.0,
+def gaussian_symbol(grid: Grid, center=None, sigma: float = 1.0,
                     peak: float = 1.0) -> Symbol:
-    """peak * exp(-|xi - center|^2 / (2 sigma^2)) on the frequency nodes."""
+    """peak * exp(-|xi - center|^2 / (2 sigma^2)) on the frequency nodes;
+    ``center=None`` is the origin."""
     if sigma <= 0:
         raise ValidationError("gaussian symbol needs sigma > 0")
-    c = as_point(center, grid.n)
+    c = np.zeros(grid.n) if center is None else as_point(center, grid.n)
     with np.errstate(over="ignore"):  # a far center underflows the Gaussian to 0
         r2 = sum((m - ci) ** 2 for m, ci in zip(grid.freq_coords(), c))
     return Symbol(grid, peak * np.exp(-r2 / (2.0 * sigma ** 2)))

@@ -31,10 +31,10 @@ def smoothstep(t):
     """Normalized C-infinity ramp: 0 for t <= 0, 1 for t >= 1, g(t) between."""
     t = np.asarray(t, dtype=float)
     a = glue(t)
-    b = glue(1.0 - t)
+    # t <= 0 gives a = 0 < G(1 - t), t >= 1 gives G(1 - t) = 0 < a: the
+    # quotient is exactly 0 or 1 there.  A nan t gives 0/0.
     with np.errstate(invalid="ignore"):
-        out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / (a + b)))
-    return out
+        return a / (a + glue(1.0 - t))
 
 
 def ramp(x, edge: float, width: float, low: float, high: float):
@@ -50,13 +50,9 @@ def bump_profile(r, rho):
 
     The transition uses the normalized glue at t = (rho - r) / (rho - 1), so
     the profile is even in the underlying coordinate, takes values in [0, 1],
-    and the plateau/support conditions hold exactly at every evaluation point.
+    and the plateau/support conditions hold exactly at every evaluation point:
+    rounding is monotone, so r <= 1 gives t >= 1 and r >= rho gives t <= 0
+    for every finite rho > 1.
     """
     r = np.abs(np.asarray(r, dtype=float))
-    t = (rho - r) / (rho - 1.0)
-    out = smoothstep(t)
-    # Pin the plateau and the support exactly; smoothstep already clamps,
-    # but r == 1 and r == rho must not depend on rounding of t.
-    out = np.where(r <= 1.0, 1.0, out)
-    out = np.where(r >= rho, 0.0, out)
-    return out
+    return smoothstep((rho - r) / (rho - 1.0))

@@ -22,6 +22,7 @@ __all__ = [
     "doubling_text",
     "tau_scan_text",
     "space_check_text",
+    "space_check_csv",
 ]
 
 

@@ -93,7 +93,8 @@ class Weight:
         object.__setattr__(self, "values", vals)
 
     def reciprocal(self) -> "Weight":
-        return Weight(self.grid, 1.0 / self.values)
+        with np.errstate(over="ignore"):  # an infinite 1/w is rejected
+            return Weight(self.grid, 1.0 / self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +335,10 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     """Run the lattice-norm axioms on seeded random functions.
 
     Checks, per trial: absolute homogeneity and the triangle inequality;
-    the lattice property; Fatou via truncation to |x| <= k; finiteness of
-    indicator norms on bounded boxes; and the local-integral bound through
-    the factor-2 Hoelder inequality against the associate space.
+    the lattice property; Fatou via truncation to |x| <= k, up to the
+    farthest node; finiteness of indicator norms on bounded boxes; and the
+    local-integral bound through the factor-2 Hoelder inequality against
+    the associate space.
     """
     rng = np.random.default_rng(seed)
     grid = space.grid
@@ -352,8 +354,8 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     }
     worst = dict.fromkeys(tols, 0.0)
     L = grid.half_width
-    radii = [L / 8.0, L / 4.0, L / 2.0, L]
     dist0 = grid.distances(np.zeros(grid.n))
+    radii = [L / 8.0, L / 4.0, L / 2.0, float(dist0.max())]
 
     for _ in range(trials):
         f = _random_function(rng, grid)

@@ -154,6 +154,8 @@ seed: $seed
     ("seed", "-1", "schema violation at seed"),
     ("grid", "{n: 2, half_width: .inf, points: 64}", "grid spacing"),
     ("grid", "{n: 2, half_width: 1.0e+308, points: 64}", "grid spacing"),
+    ("grid", "{n: 2, half_width: 1.0e-200, points: 64}", "cell volume"),
+    ("grid", "{n: 2, half_width: 1.0e+160, points: 64}", "cell volume"),
 ])
 def test_config_block_rejections(tmp_path, capsys, block, text, message):
     blocks = dict(BLOCKS, **{block: text})
@@ -379,3 +381,38 @@ def test_unwritable_output_path_exit_code(tmp_path, capsys, target):
     cfg = write_config(tmp_path, NORM_LB.replace("OUT", str(tmp_path / "o")))
     assert cli.main(["norm-lb", "--config", cfg, "--out", str(tmp_path / target)]) == 2
     assert "cannot write the outputs" in capsys.readouterr().err
+
+
+OVERFLOW_CONFIG = """
+grid: {n: 2, half_width: 16.0, points: 64}
+space:
+  exponent: {kind: constant, value: 2.0}
+  weight: {kind: constant, value: $weight}
+  domain: {kind: cone, alpha1: 0.0, alpha2: 1.5}
+symbol: {kind: constant, value: 0.5}
+experiment: $experiment
+"""
+
+
+@pytest.mark.parametrize("weight,experiment,message", [
+    ("1.0", "{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], "
+     "ray: [1.0e+308, 1.0e+308]}",
+     "no delta in the schedule admits a witness placement"),
+    ("1.0e-320", "{kind: space-check, trials: 1}",
+     "weights must be finite and positive"),
+], ids=["ray-length", "reciprocal-weight"])
+def test_overflowing_inputs_exit_without_a_warning(tmp_path, capsys, weight,
+                                                   experiment, message):
+    # a numpy RuntimeWarning is an error under the pytest configuration
+    cfg = write_config(tmp_path, string.Template(OVERFLOW_CONFIG).substitute(
+        weight=weight, experiment=experiment))
+    kind = yaml.safe_load(experiment)["kind"]
+    assert cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sandwich_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.wit, "SANDWICH_SLACK", -1.0)
+    cfg = write_config(tmp_path, NORM_LB.replace("OUT", str(tmp_path / "out")))
+    assert cli.main(["norm-lb", "--config", cfg]) == 3
+    assert "sandwich inequality violated beyond slack" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,27 @@ def test_explicit_mask_requires_a_node():
     with pytest.raises(ValidationError):
         explicit_mask(g, np.zeros(16, dtype=bool))
 
+
+def two_sided_box_rule(ball, half):
+    """The former doubling._check_box: c - R >= -half and c + R <= half."""
+    c = np.asarray(ball.center)
+    return bool(np.all(c - ball.radius >= -half) and np.all(c + ball.radius <= half))
+
+
+@st.composite
+def boxed_balls(draw):
+    half = draw(st.floats(1e-3, 1e6))
+    radius = draw(st.one_of(st.floats(1e-6, 2.0 * half), st.just(half)))
+    # centers on both edges |c| = half - R and at 0, and their float neighbours
+    edges = [s * v for v in (half - radius, 0.0) for s in (1.0, -1.0)]
+    edges += [math.nextafter(v, d) for v in edges for d in (-math.inf, math.inf)]
+    coord = st.one_of(st.floats(-2.0 * half, 2.0 * half), st.sampled_from(edges))
+    n = draw(st.sampled_from([1, 2]))
+    return Ball(tuple(draw(coord) for _ in range(n)), radius), half
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(case=boxed_balls())
+def test_in_box_matches_the_two_sided_rule(case):
+    ball, half = case
+    assert ball.in_box(half) == two_sided_box_rule(ball, half)

@@ -203,5 +203,8 @@ def test_gaussian_symbol_center_checks():
         gaussian_symbol(g, [np.nan, 0.0])
     with pytest.raises(ValidationError, match="expected a point in R"):
         gaussian_symbol(g, 0.0)
+    # the default center is the origin in any dimension
+    assert (gaussian_symbol(g).values.tobytes()
+            == gaussian_symbol(g, [0.0, 0.0]).values.tobytes())
     # a far center underflows the Gaussian to 0 without a floating-point warning
     assert np.all(gaussian_symbol(make_grid(1, 16, 64), 1e200).values == 0.0)

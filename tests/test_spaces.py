@@ -10,7 +10,8 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ValidationError, associate_space, axiom_check,
                    berezhnoi_ratio, constant_exponent, constant_weight,
                    exponent_from_values, full_space, half_line, luxemburg_norm,
-                   make_grid, muckenhoupt_ratio, power_weight, sample, sector,
+                   make_grid, muckenhoupt_ratio, power_weight, restrict,
+                   sample, sector,
                    step_exponent, weight_from_values)
 from whlab import spaces
 from whlab.spaces import NORM_RTOL
@@ -354,6 +355,19 @@ def test_norm_restricted_to_domain():
     assert luxemburg_norm(f, S) == pytest.approx(np.sqrt(16.0), rel=0.01)
 
 
+@pytest.mark.parametrize("n,domain", [(1, half_line),
+                                      (2, lambda g: sector(g, 0.3, 2.5))],
+                         ids=["halfline", "sector"])
+def test_norm_applies_the_restriction_itself(n, domain):
+    # r_Omega before the norm changes no bit: the norm reads Omega only
+    g = make_grid(n, 16, 256 if n == 1 else 64)
+    om = domain(g)
+    S = SpaceSpec(g, step_exponent(g, 2.0, 3.0), power_weight(g, 0.2), om)
+    rng = np.random.default_rng(n)
+    u = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    assert luxemburg_norm(restrict(u, om), S) == luxemburg_norm(u, S)
+
+
 def test_lattice_and_triangle_random():
     g = make_grid(1, 16, 512)
     S = SpaceSpec(g, step_exponent(g, 2.0, 2.5), power_weight(g, 0.1),
@@ -375,3 +389,13 @@ def test_axiom_battery_passes():
                   full_space(g))
     results = axiom_check(S, trials=30, seed=5)
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("domain", [lambda g: sector(g, 0.0, 2.0943951023931953),
+                                    full_space], ids=["cone", "full"])
+def test_axiom_battery_passes_on_2d_grids(domain):
+    # the last Fatou truncation keeps the box corners, at distance L sqrt(2)
+    g = make_grid(2, 16.0, 64)
+    S = SpaceSpec(g, constant_exponent(g, 2.0), power_weight(g, 0.2), domain(g))
+    failed = [r for r in axiom_check(S, trials=5, seed=0) if not r.passed]
+    assert failed == []

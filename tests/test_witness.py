@@ -16,7 +16,7 @@ from whlab import (Ball, DegenerateBallError, SpaceSpec, ValidationError,
                    restrict, sector,
                    separated_sequence, step_exponent, symbol_from_function,
                    wiener_hopf_apply)
-from whlab.profiles import bump_profile
+from whlab.profiles import bump_profile, glue, smoothstep
 
 
 def l2(grid, domain=None):
@@ -41,6 +41,54 @@ def test_bump_monotone_on_transition():
     vals = bump_profile(r, 2.0)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.all((vals >= 0) & (vals <= 1))
+
+
+def clamped_smoothstep(t):
+    """The former smoothstep, clamped to 0 for t <= 0 and 1 for t >= 1."""
+    t = np.asarray(t, dtype=float)
+    a, b = glue(t), glue(1.0 - t)
+    with np.errstate(invalid="ignore"):
+        return np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, a / (a + b)))
+
+
+def pinned_bump_profile(r, rho):
+    """The former bump_profile, pinned to 1 for r <= 1 and 0 for r >= rho."""
+    r = np.abs(np.asarray(r, dtype=float))
+    out = clamped_smoothstep((rho - r) / (rho - 1.0))
+    return np.where(r >= rho, 0.0, np.where(r <= 1.0, 1.0, out))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def edge_values(*points):
+    """Each point, its negation and their float neighbours, with ±inf and nan."""
+    vals = [s * p for p in points for s in (1.0, -1.0)]
+    vals += [math.nextafter(v, d) for v in vals for d in (-math.inf, math.inf)]
+    return np.array(vals + [math.inf, -math.inf, math.nan, 5e-324, 1e-300])
+
+
+def test_smoothstep_matches_the_clamped_formula():
+    rng = np.random.default_rng(3)
+    edges = edge_values(0.0, 0.5, 1.0, 2.0)
+    t = np.concatenate([edges, np.linspace(-2.0, 3.0, 100001),
+                        rng.uniform(-1e-3, 1e-3, 20000),
+                        1.0 + rng.uniform(-1e-3, 1e-3, 20000)])
+    assert same_bits(smoothstep(t), clamped_smoothstep(t))
+    for v in edges:  # scalars too
+        assert same_bits(smoothstep(v), clamped_smoothstep(v))
+
+
+@pytest.mark.parametrize("rho", [math.nextafter(1.0, 2.0), 1.0 + 1e-12,
+                                 1.0 + 1e-7, 1.5, 2.0, 8.0, 1e6])
+def test_bump_profile_matches_the_pinned_formula(rho):
+    rng = np.random.default_rng(4)
+    r = np.concatenate([edge_values(0.0, 1.0, rho, 0.5 * (1.0 + rho)),
+                        np.linspace(-3.0 * rho, 3.0 * rho, 20001),
+                        1.0 + (rho - 1.0) * rng.uniform(-0.1, 1.1, 20000)])
+    assert same_bits(bump_profile(r, rho), pinned_bump_profile(r, rho))
 
 
 def test_bump_even_and_rejects_bad_rho():
