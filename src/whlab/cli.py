@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,8 +32,6 @@ from .exprs import evaluate_expression
 
 __all__ = ["RunConfig", "load_config", "run", "emit", "main"]
 
-EXPERIMENT_KINDS = ("norm-lb", "kappa-lb", "doubling-scan", "tau-scan", "space-check")
-
 #: Config-level floor on the variable exponent, stricter than the type's
 #: p > 1: it bounds the conjugate exponent p/(p-1) by 21, and with it how
 #: steep the associate space's modular is for the Newton bracket and the
@@ -42,17 +41,16 @@ CONFIG_P_MIN = 1.05
 
 @dataclass
 class RunConfig:
-    """A parsed and pre-flighted run: every referenced object is built and
-    every precondition of the invoked operations has been checked."""
+    """A parsed and pre-flighted run: every referenced object is built,
+    every precondition of the invoked operations has been checked, and
+    ``execute`` runs the experiment on exactly the checked inputs."""
 
     raw: dict
     kind: str
     space: spaces.SpaceSpec
-    symbol: ops.Symbol | None
-    params: dict
+    execute: Callable[[], object]
     out_dir: str
     formats: str
-    seed: int
 
     @property
     def echo(self) -> str:
@@ -170,42 +168,50 @@ def _family_args(params: dict) -> tuple:
             params.get("y0"))
 
 
-def _doubling_schedule(params: dict, omega: gridmod.DomainMask) -> list:
-    """The listed balls followed by the separated family, when configured."""
+def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+    _require(params, ("rho", "delta_schedule"), "experiment kind 'norm-lb'")
+    args = (float(params["rho"]), params["delta_schedule"], params.get("eta"),
+            params.get("ray"))
+    wit.plan_norm_lowerbound(symbol, space.domain, *args)
+    return lambda: wit.norm_lowerbound_experiment(symbol, space, *args)
+
+
+def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+    _require(params, ("rho", "theta", "lambda", "m"), "experiment kind 'kappa-lb'")
+    rho, eta = float(params["rho"]), params.get("eta")
+    family = wit.kuratowski_family(space.domain, rho, *_family_args(params))
+    wit.plan_kuratowski(symbol, space.domain, rho, family, eta)
+    return lambda: wit.kuratowski_experiment(symbol, space, rho, family, eta)
+
+
+def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+    _require(params, ("tau",), "experiment kind 'doubling-scan'")
+    tau = float(params["tau"])
     schedule = [(entry["y"], float(entry["r"])) for entry in params.get("balls", ())]
-    if all(k in params for k in ("theta", "lambda", "m")):
-        schedule.extend(dbl.separated_sequence(omega, float(params["tau"]),
-                                               *_family_args(params)))
-    return schedule
+    if any(k in params for k in ("theta", "lambda", "m", "y0")):
+        _require(params, ("theta", "lambda", "m"), "doubling-scan family")
+        schedule.extend(dbl.separated_sequence(space.domain, tau, *_family_args(params)))
+    dbl.plan_weak_doubling(space.domain, tau, schedule)
+    return lambda: dbl.weak_doubling_scan(space, tau, schedule)
 
 
-def _preflight_experiment(cfg: "RunConfig") -> None:
-    """Check the config-level requirements, then run the library's
-    validation step for the experiment kind; the run calls the same step."""
-    params = cfg.params
-    kind = cfg.kind
-    omega = cfg.space.domain
-    what = f"experiment kind {kind!r}"
-    if kind in ("norm-lb", "kappa-lb") and cfg.symbol is None:
-        raise ValidationError(f"{what} needs a symbol block")
-    if kind == "norm-lb":
-        _require(params, ("rho", "delta_schedule"), what)
-        wit.plan_norm_lowerbound(cfg.symbol, omega, float(params["rho"]),
-                                 params["delta_schedule"], params.get("eta"),
-                                 params.get("ray"))
-    elif kind == "kappa-lb":
-        _require(params, ("rho", "theta", "lambda", "m"), what)
-        rho = float(params["rho"])
-        wit.plan_kuratowski(cfg.symbol, omega, rho,
-                            wit.kuratowski_family(omega, rho, *_family_args(params)),
-                            params.get("eta"))
-    elif kind == "doubling-scan":
-        _require(params, ("tau",), what)
-        dbl.plan_weak_doubling(omega, float(params["tau"]),
-                               _doubling_schedule(params, omega))
-    elif kind == "tau-scan":
-        _require(params, ("tau_list", "theta", "lambda", "m"), what)
-        dbl.plan_tau_scan(omega, params["tau_list"], *_family_args(params))
+def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+    _require(params, ("tau_list", "theta", "lambda", "m"), "experiment kind 'tau-scan'")
+    args = (params["tau_list"], *_family_args(params))
+    dbl.plan_tau_scan(space.domain, *args)
+    return lambda: dbl.tau_scan(space, *args)
+
+
+def _space_check(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+    trials = int(params.get("trials", 100))
+    return lambda: spaces.axiom_check(space, trials, seed)
+
+
+#: Per experiment kind: check the kind's keys, build its library arguments
+#: once and run the plan step on them.  The returned run reuses them and looks
+#: the library functions up when called, so wrappers installed later see it.
+_EXPERIMENTS = {"norm-lb": _norm_lb, "kappa-lb": _kappa_lb, "doubling-scan": _doubling_scan,
+                "tau-scan": _tau_scan, "space-check": _space_check}
 
 
 def preflight(raw: dict) -> RunConfig:
@@ -218,57 +224,38 @@ def preflight(raw: dict) -> RunConfig:
     space = spaces.SpaceSpec(grid, exponent, weight, domain)
     symbol = _build_symbol(raw["symbol"], grid) if "symbol" in raw else None
     output = raw.get("output", {})
-    cfg = RunConfig(
-        raw=raw,
-        kind=raw["experiment"]["kind"],
-        space=space,
-        symbol=symbol,
-        params={k: v for k, v in raw["experiment"].items() if k != "kind"},
-        out_dir=output.get("directory", "out"),
-        formats=output.get("formats", "both"),
-        seed=int(raw.get("seed", 0)),
-    )
-    _preflight_experiment(cfg)
-    return cfg
+    seed = int(raw.get("seed", 0))
+    kind = raw["experiment"]["kind"]
+    if kind in ("norm-lb", "kappa-lb") and symbol is None:
+        raise ValidationError(f"experiment kind {kind!r} needs a symbol block")
+    return RunConfig(raw=raw, kind=kind, space=space,
+                     execute=_EXPERIMENTS[kind](raw["experiment"], space, symbol, seed),
+                     out_dir=output.get("directory", "out"),
+                     formats=output.get("formats", "both"))
 
 
 def run(cfg: RunConfig):
     """Execute the experiment; returns (artifacts, chains_passed)."""
-    omega = cfg.space.domain
-    params = cfg.params
+    report = cfg.execute()
     echo = cfg.echo
     artifacts = {}
     ok = True
     if cfg.kind in ("norm-lb", "kappa-lb"):
-        rho = float(params["rho"])
-        if cfg.kind == "norm-lb":
-            report = wit.norm_lowerbound_experiment(
-                cfg.symbol, cfg.space, rho, params["delta_schedule"],
-                params.get("eta"), params.get("ray"))
-        else:
-            report = wit.kuratowski_experiment(
-                cfg.symbol, cfg.space, rho,
-                wit.kuratowski_family(omega, rho, *_family_args(params)),
-                params.get("eta"))
+        if cfg.kind == "kappa-lb":
             artifacts["pairwise.csv"] = reports.pairwise_csv(report)
         artifacts["report.txt"] = reports.experiment_text(report, echo)
         artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.space.grid.n)
         ok = report.chains_passed
     elif cfg.kind == "doubling-scan":
-        report = dbl.weak_doubling_scan(cfg.space, float(params["tau"]),
-                                        _doubling_schedule(params, omega))
         artifacts["report.txt"] = reports.doubling_text(report, echo)
         artifacts["doubling.csv"] = reports.doubling_csv(report, cfg.space.grid.n)
     elif cfg.kind == "tau-scan":
-        scan = dbl.tau_scan(cfg.space, params["tau_list"], *_family_args(params))
-        artifacts["report.txt"] = reports.tau_scan_text(scan, echo)
-        artifacts["tau_scan.csv"] = reports.tau_scan_csv(scan)
+        artifacts["report.txt"] = reports.tau_scan_text(report, echo)
+        artifacts["tau_scan.csv"] = reports.tau_scan_csv(report)
     elif cfg.kind == "space-check":
-        results = spaces.axiom_check(cfg.space, int(params.get("trials", 100)),
-                                     cfg.seed)
-        artifacts["report.txt"] = reports.space_check_text(results, echo)
-        artifacts["checks.csv"] = reports.space_check_csv(results)
-        ok = all(r.passed for r in results)
+        artifacts["report.txt"] = reports.space_check_text(report, echo)
+        artifacts["checks.csv"] = reports.space_check_csv(report)
+        ok = all(r.passed for r in report)
     return artifacts, ok
 
 
@@ -295,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Config-driven lower-bound experiments for Wiener-Hopf "
                     "type operators on weighted variable Lebesgue spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENT_KINDS + ("validate",):
+    for name in (*_EXPERIMENTS, "validate"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory")

@@ -87,14 +87,16 @@ class Weight:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValidationError("weight shape does not match grid")
-        if not np.all(np.isfinite(vals)) or not np.all(vals > 0.0):
-            raise ValidationError("weights must be finite and positive everywhere")
+        with np.errstate(divide="ignore", over="ignore"):  # 1/w of a subnormal w overflows
+            finite = np.isfinite(vals).all() and np.isfinite(1.0 / vals).all()
+        if not finite or not np.all(vals > 0.0):
+            raise ValidationError("weights must be finite and positive everywhere, "
+                                  "with a finite 1/w")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def reciprocal(self) -> "Weight":
-        with np.errstate(over="ignore"):  # an infinite 1/w is rejected
-            return Weight(self.grid, 1.0 / self.values)
+        return Weight(self.grid, 1.0 / self.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -163,8 +163,8 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
         raise ValidationError(
             f"support radius {s:g} exceeds L/4 = {L / 4.0:g}; no admissible placement")
     ray = omega.central_ray() if ray is None else as_point(ray, grid.n)
-    with np.errstate(over="ignore"):  # an overflowing length is rejected below
-        norm = float(np.linalg.norm(ray))
+    ray = np.ldexp(ray, -math.frexp(float(np.max(np.abs(ray))))[1])  # exact; max in [1/2, 1)
+    norm = float(np.linalg.norm(ray))
     if not (0.0 < norm < math.inf):
         raise ValidationError("ray must be a nonzero direction of finite length")
     ray = ray / norm
@@ -336,7 +336,8 @@ def plan_norm_lowerbound(a: Symbol, omega: DomainMask, rho: float,
             plan.append((delta, str(exc)))
     if all(isinstance(params, str) for _, params in plan):
         raise ValidationError(
-            "no delta in the schedule admits a witness placement on this grid")
+            "no delta in the schedule admits a witness placement on this grid: "
+            + " ".join(f"(delta={delta:g}: {why})" for delta, why in plan))
     return idx, eta_vec, plan
 
 

@@ -113,11 +113,52 @@ experiment: EXPERIMENT
      "delta schedule must be positive"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: .nan}",
      "expected a finite point"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.02, 0.01]}",
+     "(delta=0.01: support radius 200 exceeds L/4 = 16"),
+    ("{kind: doubling-scan, tau: 2.0, balls: [{y: 8.0, r: 1.0}], theta: 0.25, "
+     "lambda: 4.0}", "doubling-scan family needs 'm'"),
+    ("{kind: doubling-scan, tau: 2.0, balls: [{y: 8.0, r: 1.0}], y0: 2.0}",
+     "doubling-scan family needs 'theta'"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
     assert cli.main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+FAMILY = """
+grid: {n: 1, half_width: 256.0, points: 8192}
+space:
+  exponent: {kind: constant, value: 2.0}
+  weight: {kind: constant, value: 1.0}
+  domain: {kind: halfline}
+symbol: {kind: constant, value: 0.7}
+experiment: EXPERIMENT
+"""
+
+
+@pytest.mark.parametrize("experiment,module,name", [
+    ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 4.0, m: 3, y0: 1.0}",
+     "wit", "kuratowski_family"),
+    ("{kind: doubling-scan, tau: 2.0, theta: 0.25, lambda: 4.0, m: 3, y0: 1.0}",
+     "dbl", "separated_sequence"),
+], ids=["kappa-lb", "doubling-scan"])
+def test_runs_reuse_the_preflighted_family(tmp_path, monkeypatch, experiment,
+                                           module, name):
+    calls = []
+    real = getattr(getattr(cli, module), name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(getattr(cli, module), name, counted)
+    cfg = cli.preflight(cli.load_config(write_config(
+        tmp_path, FAMILY.replace("EXPERIMENT", experiment))))
+    assert len(calls) == 1
+    cli.run(cfg)
+    cli.run(cfg)
+    assert len(calls) == 1
 
 
 BLOCKS = {
@@ -148,6 +189,7 @@ seed: $seed
     ("weight", "{kind: power}", "power weight needs 'gamma'"),
     ("weight", "{kind: expression}", "expression weight needs 'expr'"),
     ("weight", "{kind: power, gamma: 400}", "weights must be finite and positive"),
+    ("weight", "{kind: constant, value: 1.0e-320}", "with a finite 1/w"),
     ("domain", "{kind: cone, alpha1: 0.0}", "cone domain needs 'alpha2'"),
     ("symbol", "{kind: constant}", "constant symbol needs 'value'"),
     ("symbol", "{kind: expression}", "expression symbol needs 'expr'"),
@@ -394,21 +436,27 @@ experiment: $experiment
 """
 
 
-@pytest.mark.parametrize("weight,experiment,message", [
+@pytest.mark.parametrize("weight,experiment,code,message", [
     ("1.0", "{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], "
-     "ray: [1.0e+308, 1.0e+308]}",
-     "no delta in the schedule admits a witness placement"),
-    ("1.0e-320", "{kind: space-check, trials: 1}",
+     "ray: [1.0e+308, 1.0e+308]}", 0, ""),
+    ("1.0e-320", "{kind: space-check, trials: 1}", 2,
      "weights must be finite and positive"),
 ], ids=["ray-length", "reciprocal-weight"])
 def test_overflowing_inputs_exit_without_a_warning(tmp_path, capsys, weight,
-                                                   experiment, message):
+                                                   experiment, code, message):
     # a numpy RuntimeWarning is an error under the pytest configuration
-    cfg = write_config(tmp_path, string.Template(OVERFLOW_CONFIG).substitute(
-        weight=weight, experiment=experiment))
-    kind = yaml.safe_load(experiment)["kind"]
-    assert cli.main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    def main(experiment, out):
+        cfg = write_config(tmp_path, string.Template(OVERFLOW_CONFIG).substitute(
+            weight=weight, experiment=experiment), name=f"{out}.yaml")
+        kind = yaml.safe_load(experiment)["kind"]
+        return cli.main([kind, "--config", cfg, "--out", str(tmp_path / out)])
+
+    assert main(experiment, "out") == code
     assert message in capsys.readouterr().err
+    if code == 0:  # the long ray places the witness of its unit-scale direction
+        assert main(experiment.replace("1.0e+308", "1.0"), "unit") == 0
+        assert ((tmp_path / "out" / "witnesses.csv").read_bytes()
+                == (tmp_path / "unit" / "witnesses.csv").read_bytes())
 
 
 def test_sandwich_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -33,6 +33,13 @@ def test_demo_config_matches_golden(tmp_path, config):
     assert_config_matches(config, ROOT / "golden" / config.stem, tmp_path)
 
 
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_runs_of_one_preflighted_config_agree(config):
+    # the runs share the pre-flighted arguments, so neither may mutate them
+    cfg = cli.preflight(cli.load_config(config))
+    assert cli.run(cfg) == cli.run(cfg)
+
+
 @pytest.mark.parametrize("config", BENCH_CONFIGS, ids=lambda p: p.stem)
 def test_benchmark_config_matches_golden(tmp_path, config):
     assert_config_matches(config, ROOT / "golden" / "perfbench" / config.stem,

@@ -192,6 +192,17 @@ def test_place_witness_center_rejects_a_ray_leaving_the_domain():
         place_witness_center(om, 0.5, 2.0, ray=(-1.0,))
 
 
+@pytest.mark.parametrize("k", [-1000, -200, 200, 1000])
+@pytest.mark.parametrize("n,ray", [(1, (1.0,)), (1, (0.3,)), (2, (1.0, 1.0)),
+                                   (2, (0.3, 0.7)), (2, (1.0, 0.5))])
+def test_place_witness_center_ignores_the_ray_scale(n, ray, k):
+    g = make_grid(n, 64, 256)
+    om = half_line(g) if n == 1 else sector(g, 0.0, np.pi / 2)
+    ray = np.asarray(ray)
+    scaled = place_witness_center(om, 0.5, 2.0, ray=2.0 ** k * ray)
+    assert scaled.tobytes() == place_witness_center(om, 0.5, 2.0, ray=ray).tobytes()
+
+
 @st.composite
 def domains(draw):
     L = draw(st.floats(4.0, 64.0))
