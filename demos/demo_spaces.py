@@ -12,8 +12,8 @@ import numpy as np
 
 from whlab import (Ball, SpaceSpec, axiom_check, berezhnoi_ratio,
                    constant_exponent, constant_weight, full_space,
-                   luxemburg_norm, make_grid, muckenhoupt_ratio, power_weight,
-                   sample, step_exponent, weight_from_values)
+                   luxemburg_norm, make_grid, power_weight, sample,
+                   step_exponent, weight_from_values)
 
 grid = make_grid(1, 16, 2048)
 omega = full_space(grid)
@@ -49,8 +49,8 @@ for name, w in weights.items():
 print("  flat rows stay admissible; the exponential weight blows up.")
 
 print("\n== the weighted bracket agrees with the classical one ==")
-val = muckenhoupt_ratio(Ball((0.0,), 1.0), constant_exponent(grid, 2),
-                        power_weight(grid, 0.2))
+val = berezhnoi_ratio(Ball((0.0,), 1.0), SpaceSpec(
+    grid, constant_exponent(grid, 2), power_weight(grid, 0.2), full_space(grid)))
 exact = 0.5 * np.sqrt(2 / 1.4) * np.sqrt(2 / 0.6)
 print(f"  gamma = 0.2, p = 2, B(0,1): {val:.6f}  (closed form {exact:.6f})")
 

@@ -22,16 +22,14 @@ from .grid import (Ball, DomainMask, Grid, GridFunction, ball_indicator,
 from .spaces import (AxiomResult, ExponentField, SpaceSpec, Weight,
                      associate_space, axiom_check, berezhnoi_ratio,
                      constant_exponent, constant_weight, exponent_from_values,
-                     luxemburg_norm, muckenhoupt_ratio, power_weight,
-                     step_exponent, weight_from_values)
+                     luxemburg_norm, power_weight, step_exponent, weight_from_values)
 from .doubling import (DoublingEntry, DoublingReport, doubling_ratio,
                        plan_tau_scan, plan_weak_doubling, separated_sequence,
                        tau_scan, weak_doubling_scan)
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         constant_symbol, fourier, gaussian_symbol,
-                        inverse_fourier, nearest_freq_node, norm_probe,
-                        smoothed_step_symbol, symbol_from_function,
-                        symbol_from_values, wiener_hopf_apply)
+                        inverse_fourier, nearest_freq_node, smoothed_step_symbol,
+                        symbol_from_function, symbol_from_values, wiener_hopf_apply)
 from .witness import (ExperimentReport, LedgerLine, PairRecord,
                       WitnessParams, WitnessRecord, kuratowski_experiment,
                       kuratowski_family, make_witness, mollification_residual,

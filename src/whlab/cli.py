@@ -93,11 +93,11 @@ def _build_exponent(block: dict, grid: gridmod.Grid) -> spaces.ExponentField:
     elif kind == "piecewise":
         _require(block, ("left", "right"), "piecewise exponent")
         field = spaces.step_exponent(grid, block["left"], block["right"],
-                                     block.get("edge", 0.0), block.get("width"))
+                                     **_given(block, "edge", "width"))
     else:
         _require(block, ("expr",), "expression exponent")
         vals = evaluate_expression(block["expr"], **_coord_names(grid))
-        field = spaces.exponent_from_values(grid, np.real(vals))
+        field = spaces.exponent_from_values(grid, vals)
     if field.p_min < CONFIG_P_MIN:
         raise ValidationError(
             f"config exponents must satisfy p_min >= {CONFIG_P_MIN} "
@@ -118,13 +118,13 @@ def _freq_names(grid: gridmod.Grid) -> dict:
 def _build_weight(block: dict, grid: gridmod.Grid) -> spaces.Weight:
     kind = block["kind"]
     if kind == "constant":
-        return spaces.constant_weight(grid, block.get("value", 1.0))
+        return spaces.constant_weight(grid, **_given(block, "value"))
     if kind == "power":
         _require(block, ("gamma",), "power weight")
         return spaces.power_weight(grid, block["gamma"])
     _require(block, ("expr",), "expression weight")
     vals = evaluate_expression(block["expr"], **_coord_names(grid))
-    return spaces.weight_from_values(grid, np.real(np.broadcast_to(vals, grid.shape)))
+    return spaces.weight_from_values(grid, vals)
 
 
 def _build_domain(block: dict, grid: gridmod.Grid) -> gridmod.DomainMask:
@@ -143,13 +143,9 @@ def _build_symbol(block: dict, grid: gridmod.Grid) -> ops.Symbol:
         _require(block, ("value",), "constant symbol")
         return ops.constant_symbol(grid, block["value"])
     if kind == "gaussian":
-        return ops.gaussian_symbol(grid, block.get("center"), block.get("sigma", 1.0),
-                                   block.get("peak", 1.0))
+        return ops.gaussian_symbol(grid, **_given(block, "center", "sigma", "peak"))
     if kind == "smoothed-step":
-        return ops.smoothed_step_symbol(grid, block.get("edge", 0.0),
-                                        block.get("width"),
-                                        block.get("low", 0.0),
-                                        block.get("high", 1.0))
+        return ops.smoothed_step_symbol(grid, **_given(block, "edge", "width", "low", "high"))
     _require(block, ("expr",), "expression symbol")
     vals = evaluate_expression(block["expr"], **_freq_names(grid))
     return ops.symbol_from_values(grid, vals)
@@ -162,13 +158,18 @@ def _require(block: dict, keys, what: str):
             raise ValidationError(f"{what} needs '{key}'")
 
 
+def _given(block: dict, *keys) -> dict:
+    """Keyword arguments of the keys the block sets; the library has the defaults."""
+    return {key: block[key] for key in keys if key in block}
+
+
 def _family_args(params: dict) -> tuple:
     """(theta, lambda, m, y0) of the config's separated ball family."""
     return (float(params["theta"]), float(params["lambda"]), int(params["m"]),
             params.get("y0"))
 
 
-def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("rho", "delta_schedule"), "experiment kind 'norm-lb'")
     args = (float(params["rho"]), params["delta_schedule"], params.get("eta"),
             params.get("ray"))
@@ -176,7 +177,7 @@ def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
     return lambda: wit.norm_lowerbound_experiment(symbol, space, *args)
 
 
-def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("rho", "theta", "lambda", "m"), "experiment kind 'kappa-lb'")
     rho, eta = float(params["rho"]), params.get("eta")
     family = wit.kuratowski_family(space.domain, rho, *_family_args(params))
@@ -184,7 +185,7 @@ def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
     return lambda: wit.kuratowski_experiment(symbol, space, rho, family, eta)
 
 
-def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("tau",), "experiment kind 'doubling-scan'")
     tau = float(params["tau"])
     schedule = [(entry["y"], float(entry["r"])) for entry in params.get("balls", ())]
@@ -195,16 +196,17 @@ def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
     return lambda: dbl.weak_doubling_scan(space, tau, schedule)
 
 
-def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
+def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("tau_list", "theta", "lambda", "m"), "experiment kind 'tau-scan'")
     args = (params["tau_list"], *_family_args(params))
     dbl.plan_tau_scan(space.domain, *args)
     return lambda: dbl.tau_scan(space, *args)
 
 
-def _space_check(params: dict, space: spaces.SpaceSpec, symbol, seed: int):
-    trials = int(params.get("trials", 100))
-    return lambda: spaces.axiom_check(space, trials, seed)
+def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
+    # the schema's integers include integral floats such as 5.0
+    kwargs = {key: int(value) for key, value in _given(params, "trials", "seed").items()}
+    return lambda: spaces.axiom_check(space, **kwargs)
 
 
 #: Per experiment kind: check the kind's keys, build its library arguments
@@ -224,12 +226,12 @@ def preflight(raw: dict) -> RunConfig:
     space = spaces.SpaceSpec(grid, exponent, weight, domain)
     symbol = _build_symbol(raw["symbol"], grid) if "symbol" in raw else None
     output = raw.get("output", {})
-    seed = int(raw.get("seed", 0))
-    kind = raw["experiment"]["kind"]
+    params = {**raw["experiment"], **_given(raw, "seed")}
+    kind = params["kind"]
     if kind in ("norm-lb", "kappa-lb") and symbol is None:
         raise ValidationError(f"experiment kind {kind!r} needs a symbol block")
     return RunConfig(raw=raw, kind=kind, space=space,
-                     execute=_EXPERIMENTS[kind](raw["experiment"], space, symbol, seed),
+                     execute=_EXPERIMENTS[kind](params, space, symbol),
                      out_dir=output.get("directory", "out"),
                      formats=output.get("formats", "both"))
 

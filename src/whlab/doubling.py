@@ -217,17 +217,19 @@ def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
                   m: int, y0: float | None = None):
     """Validate a tau scan: returns ``(taus, family)``.
 
-    The taus must exceed 1 and decrease strictly.  The family is built once,
-    at the largest tau (``y0 = None`` is resolved there), and serves every
-    tau of the scan: its geometry does not depend on tau, and each
-    precondition it meets at the largest tau holds at every smaller one.
+    The taus must exceed 1 and decrease strictly.  The family is built and
+    checked once, at the largest tau (where ``y0 = None`` is resolved): its
+    geometry does not depend on tau, and each precondition it meets there,
+    containment in Omega included, holds at every smaller tau.
     """
     taus = [float(t) for t in tau_list]
     if not taus or any(t <= 1.0 for t in taus):
         raise ValidationError("every tau in the scan must exceed 1")
     if not all(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("tau list must be strictly decreasing toward 1")
-    return taus, separated_sequence(omega, taus[0], theta, lam, m, y0)
+    family = separated_sequence(omega, taus[0], theta, lam, m, y0)
+    plan_weak_doubling(omega, taus[0], family)
+    return taus, family
 
 
 def tau_scan(space: SpaceSpec, tau_list, theta: float, lam: float,

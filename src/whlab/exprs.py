@@ -73,6 +73,7 @@ def evaluate_expression(expr: str, **coords):
         tree = ast.parse(expr, "<config expression>", "eval")
         _check(tree, namespace)
         code = compile(tree, "<config expression>", "eval")
-        return eval(code, {"__builtins__": {}}, namespace)
+        with np.errstate(all="ignore"):  # fields and symbols reject non-finite values
+            return eval(code, {"__builtins__": {}}, namespace)
     except Exception as exc:
         raise ValidationError(f"expression {expr!r} rejected: {exc}") from exc

@@ -1,5 +1,5 @@
 """Continuum-normalized FFT, Fourier multipliers, and the compression
-W_Omega(a) = r_Omega F^{-1} a F e_Omega, plus norm probing from below.
+W_Omega(a) = r_Omega F^{-1} a F e_Omega.
 
 With node coordinates x_m = -L + m h and frequency nodes xi_k = pi k / L,
 the pairing e^{-i x xi} turns a DFT into the Riemann sum of the continuum
@@ -24,7 +24,6 @@ from .errors import ValidationError
 from .grid import (DomainMask, Grid, GridFunction, as_point, extend_by_zero,
                    restrict)
 from .profiles import ramp
-from .spaces import SpaceSpec, luxemburg_norm
 
 __all__ = [
     "Symbol",
@@ -37,7 +36,6 @@ __all__ = [
     "inverse_fourier",
     "apply_multiplier",
     "wiener_hopf_apply",
-    "norm_probe",
     "nearest_freq_node",
     "argmax_freq_node",
 ]
@@ -135,27 +133,6 @@ def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
 def wiener_hopf_apply(a: Symbol, omega: DomainMask, u: GridFunction) -> GridFunction:
     """restrict(F^{-1} a F (extend-by-zero u), Omega)."""
     return restrict(apply_multiplier(a, extend_by_zero(u, omega)), omega)
-
-
-def norm_probe(a: Symbol, space: SpaceSpec, probes) -> float:
-    """max over probes of ||W_Omega(a) u||_X(Omega) / ||u||_X(Omega), with
-    Omega the domain of ``space``.
-
-    A certified lower bound for the operator norm on the closure of
-    L^2 n X in X(Omega); never an upper bound.  Probes that vanish on
-    Omega are skipped; if all vanish, that is an error.
-    """
-    omega = space.domain
-    best = None
-    for u in probes:
-        denom = luxemburg_norm(u, space)
-        if denom == 0.0:
-            continue
-        ratio = luxemburg_norm(wiener_hopf_apply(a, omega, u), space) / denom
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise ValidationError("all probes vanish on Omega")
-    return best
 
 
 def nearest_freq_node(grid: Grid, eta):

@@ -90,15 +90,13 @@ def _ledger_lines(report) -> list[str]:
 
 
 def _header(title: str, echo: str) -> list[str]:
-    """Report title line, then the indented config echo when there is one."""
-    out = [f"experiment report: {title}"]
-    if echo:
-        out.append("config:")
-        out.extend("  " + ln for ln in echo.rstrip("\n").split("\n"))
+    """Report title line, then the indented config echo."""
+    out = [f"experiment report: {title}", "config:"]
+    out.extend("  " + ln for ln in echo.rstrip("\n").split("\n"))
     return out
 
 
-def experiment_text(report: ExperimentReport, config_echo: str = "") -> str:
+def experiment_text(report: ExperimentReport, config_echo: str) -> str:
     out = _header(report.kind, config_echo)
     out.append(f"symbol sup norm: {fmt(report.sup_norm)}")
     eta = ",".join(fmt(v) for v in report.eta)
@@ -131,7 +129,7 @@ def experiment_text(report: ExperimentReport, config_echo: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def doubling_text(report: DoublingReport, config_echo: str = "") -> str:
+def doubling_text(report: DoublingReport, config_echo: str) -> str:
     out = _header("doubling-scan", config_echo)
     out.append(f"tau: {fmt(report.tau)}")
     out.append("balls:")
@@ -146,7 +144,7 @@ def doubling_text(report: DoublingReport, config_echo: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def tau_scan_text(scan: list[DoublingReport], config_echo: str = "") -> str:
+def tau_scan_text(scan: list[DoublingReport], config_echo: str) -> str:
     out = _header("tau-scan", config_echo)
     out.append("tau trend (decreasing toward 1):")
     for r in scan:
@@ -155,7 +153,7 @@ def tau_scan_text(scan: list[DoublingReport], config_echo: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def space_check_text(results: list[AxiomResult], config_echo: str = "") -> str:
+def space_check_text(results: list[AxiomResult], config_echo: str) -> str:
     out = _header("space-check", config_echo)
     ok = True
     for r in results:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, Grid, GridFunction, ball_indicator, full_space
+from .grid import Ball, DomainMask, Grid, GridFunction, ball_indicator
 from .profiles import ramp
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "luxemburg_norm",
     "associate_space",
     "berezhnoi_ratio",
-    "muckenhoupt_ratio",
     "axiom_check",
     "AxiomResult",
 ]
@@ -53,6 +52,14 @@ NORM_RTOL = 1e-10
 NORM_MAX_ITER = 200
 
 
+def _real_field(values, what: str) -> np.ndarray:
+    """``values`` as a float array; a nonzero imaginary part is rejected."""
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
+        raise ValidationError(f"{what} must be real")
+    return np.asarray(vals.real, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class ExponentField:
     """Per-node exponent p(x) with 1 < p_min <= p(x) <= p_max < inf."""
@@ -61,7 +68,7 @@ class ExponentField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _real_field(self.values, "exponents")
         if vals.shape != self.grid.shape:
             raise ValidationError("exponent shape does not match grid")
         if not np.all(np.isfinite(vals)) or not np.all(vals > 1.0):
@@ -84,7 +91,7 @@ class Weight:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = _real_field(self.values, "weights")
         if vals.shape != self.grid.shape:
             raise ValidationError("weight shape does not match grid")
         with np.errstate(divide="ignore", over="ignore"):  # 1/w of a subnormal w overflows
@@ -132,11 +139,11 @@ def step_exponent(grid: Grid, left: float, right: float,
 
 
 def exponent_from_values(grid: Grid, values) -> ExponentField:
-    return ExponentField(grid, np.broadcast_to(np.asarray(values, float), grid.shape).copy())
+    return ExponentField(grid, np.broadcast_to(values, grid.shape).copy())
 
 
-def constant_weight(grid: Grid, c: float = 1.0) -> Weight:
-    return Weight(grid, np.full(grid.shape, float(c)))
+def constant_weight(grid: Grid, value: float = 1.0) -> Weight:
+    return Weight(grid, np.full(grid.shape, float(value)))
 
 
 def power_weight(grid: Grid, gamma: float) -> Weight:
@@ -159,7 +166,7 @@ def power_weight(grid: Grid, gamma: float) -> Weight:
 
 
 def weight_from_values(grid: Grid, values) -> Weight:
-    return Weight(grid, np.broadcast_to(np.asarray(values, float), grid.shape).copy())
+    return Weight(grid, np.broadcast_to(values, grid.shape).copy())
 
 
 def _support(f: GridFunction, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -302,17 +309,6 @@ def berezhnoi_ratio(ball: Ball, space: SpaceSpec) -> float:
     nx = luxemburg_norm(chi, space)
     nxp = luxemburg_norm(chi, associate_space(space))
     return nx * nxp / _ball_volume(ball, space.grid.n)
-
-
-def muckenhoupt_ratio(ball: Ball, exponent: ExponentField, weight: Weight) -> float:
-    """(1/|B|) ||w chi_B||_{p(.)} ||chi_B / w||_{p'(.)}.
-
-    For constant p this is the classical bracket up to the |B|
-    normalization split; it is :func:`berezhnoi_ratio` of the weighted
-    full space because ||chi_B||_{X(w)} = ||w chi_B||_{L^{p(.)}}.
-    """
-    return berezhnoi_ratio(ball, SpaceSpec(exponent.grid, exponent, weight,
-                                           full_space(exponent.grid)))
 
 
 # ---------------------------------------------------------------------------

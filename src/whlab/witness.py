@@ -68,6 +68,16 @@ def _check_rho(rho: float) -> None:
         raise ValidationError("rho must exceed 1")
 
 
+def _margin_violation(y, s: float, L: float) -> str | None:
+    """Why the support B(y, s) breaks the periodic-box margin rule of a grid
+    of half-width L (s <= L/4 and B(y, s) inside [-3L/4, 3L/4]^n), or None."""
+    if not (s <= L / 4.0):
+        return f"support radius {s:g} exceeds L/4 = {L / 4.0:g}"
+    if not Ball(y, s).in_box(0.75 * L):
+        return "witness support comes closer than L/4 to the box boundary"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class WitnessParams:
     """Concentration scale delta, modulation frequency eta, center y.
@@ -94,13 +104,9 @@ class WitnessParams:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "y", y)
         s = self.support_radius
-        L = grid.half_width
-        if s > L / 4.0:
-            raise ValidationError(
-                f"support radius {s:g} violates the margin rule (> L/4 = {L / 4.0:g})")
-        if not Ball(y, s).in_box(0.75 * L):
-            raise ValidationError(
-                "witness support comes closer than L/4 to the box boundary")
+        why = _margin_violation(y, s, grid.half_width)
+        if why is not None:
+            raise ValidationError(why)
         if not self.domain.contains_ball(Ball(y, s)):
             raise ValidationError(
                 f"support ball B({y}, {s:g}) is not contained in the domain")
@@ -159,9 +165,9 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
     grid = omega.grid
     s = rho / delta
     L = grid.half_width
-    if not (s <= L / 4.0):
-        raise ValidationError(
-            f"support radius {s:g} exceeds L/4 = {L / 4.0:g}; no admissible placement")
+    why = _margin_violation(np.zeros(grid.n), s, L)  # at the origin: s <= L/4
+    if why is not None:
+        raise ValidationError(f"{why}; no admissible placement")
     ray = omega.central_ray() if ray is None else as_point(ray, grid.n)
     ray = np.ldexp(ray, -math.frexp(float(np.max(np.abs(ray))))[1])  # exact; max in [1/2, 1)
     norm = float(np.linalg.norm(ray))
@@ -175,7 +181,7 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
         raise ValidationError("ray does not point into the domain")
     t_min = s / clear
     t_box = (0.75 * L - s) / float(np.max(np.abs(ray)))
-    while not Ball(t_box * ray, s).in_box(0.75 * L):
+    while _margin_violation(t_box * ray, s, L) is not None:
         t_box = math.nextafter(t_box, 0.0)
     if t_box < t_min:
         raise ValidationError(
@@ -296,8 +302,7 @@ def kuratowski_family(omega: DomainMask, rho: float, theta: float, lam: float,
 
         def fits(y0: float) -> bool:  # ball m's support, as WitnessParams sees it
             dist = y0 * lam ** m
-            s = rho / (1.0 / (theta * dist))
-            return s <= L / 4.0 and Ball(dist * ray, s).in_box(0.75 * L)
+            return _margin_violation(dist * ray, rho / (1.0 / (theta * dist)), L) is None
 
         y0 = min(0.25 * L / tt, 0.75 * L / (float(np.max(np.abs(ray))) + tt)) / lam_m
         while y0 > 0.0 and not fits(y0):

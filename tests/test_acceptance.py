@@ -15,7 +15,7 @@ from whlab import (Ball, SpaceSpec, axiom_check,
                    constant_symbol, constant_weight, doubling_ratio,
                    full_space, gaussian_symbol, half_line,
                    kuratowski_experiment, luxemburg_norm, make_grid,
-                   make_witness, norm_lowerbound_experiment, norm_probe,
+                   make_witness, norm_lowerbound_experiment,
                    power_weight, sample, separated_sequence,
                    smoothed_step_symbol, step_exponent, tau_scan,
                    weight_from_values, WitnessParams)
@@ -73,7 +73,7 @@ def test_criterion_2_variable_exponent_golden_value():
               f"of lam^3-lam-1 within 1% ({t.elapsed:.2f}s)")
 
 
-def test_criterion_3_plancherel_chain():
+def test_criterion_3_plancherel_chain(norm_probe):
     with Timer() as t:
         g = make_grid(1, 64, 4096)
         om = full_space(g)

@@ -119,6 +119,8 @@ experiment: EXPERIMENT
      "lambda: 4.0}", "doubling-scan family needs 'm'"),
     ("{kind: doubling-scan, tau: 2.0, balls: [{y: 8.0, r: 1.0}], y0: 2.0}",
      "doubling-scan family needs 'theta'"),
+    ("{kind: tau-scan, tau_list: [2.0, 1.5], theta: 0.25, lambda: 4.0, m: 2, "
+     "y0: -2.0}", "inflated ball B((-8.0,), 4.0) is not contained"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
@@ -198,6 +200,14 @@ seed: $seed
     ("grid", "{n: 2, half_width: 1.0e+308, points: 64}", "grid spacing"),
     ("grid", "{n: 2, half_width: 1.0e-200, points: 64}", "cell volume"),
     ("grid", "{n: 2, half_width: 1.0e+160, points: 64}", "cell volume"),
+    # overflowing expressions end with the field's own message, not a warning
+    ("exponent", "{kind: expression, expr: '2.0 + exp(1000*x1)'}",
+     "exponents must be finite and > 1 everywhere"),
+    ("weight", "{kind: expression, expr: 'log(x1)'}",
+     "weights must be finite and positive everywhere"),
+    ("symbol", "{kind: expression, expr: '1/xi1'}", "symbol values must be finite"),
+    ("exponent", "{kind: expression, expr: '2.0 + 0*x1 + 1j'}", "exponents must be real"),
+    ("weight", "{kind: expression, expr: '1.0 + 0*x1 + 1j'}", "weights must be real"),
 ])
 def test_config_block_rejections(tmp_path, capsys, block, text, message):
     blocks = dict(BLOCKS, **{block: text})
@@ -336,6 +346,26 @@ def test_space_check_seeded_determinism(tmp_path):
     assert cli.main(["space-check", "--config", cfg, "--out", str(out2)]) == 0
     assert ((out1 / "checks.csv").read_bytes() == (out2 / "checks.csv").read_bytes())
     assert "status: OK" in (out1 / "report.txt").read_text()
+
+
+def test_space_check_reads_integral_floats_as_counts(tmp_path):
+    # the schema's integers admit 3.0; trials and seed must still be counts
+    checks = []
+    for trials, seed in (("3", "9"), ("3.0", "9.0")):
+        out = tmp_path / f"out{len(checks)}"
+        cfg = write_config(tmp_path, f"""
+        grid: {{n: 1, half_width: 16.0, points: 256}}
+        space:
+          exponent: {{kind: constant, value: 2.0}}
+          weight: {{kind: constant}}
+          domain: {{kind: full}}
+        experiment: {{kind: space-check, trials: {trials}}}
+        seed: {seed}
+        """)
+        assert cli.main(["space-check", "--config", cfg, "--out", str(out)]) == 0
+        checks.append((out / "checks.csv").read_bytes())
+    assert checks[0] == checks[1]
+    assert b",3,true" in checks[0]
 
 
 def test_expression_blocks(tmp_path):

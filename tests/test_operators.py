@@ -4,7 +4,7 @@ import pytest
 from whlab import (GridFunction, SpaceSpec, ValidationError, apply_multiplier,
                    argmax_freq_node, constant_exponent, constant_symbol,
                    constant_weight, fourier, full_space, gaussian_symbol,
-                   half_line, inverse_fourier, make_grid, norm_probe, restrict,
+                   half_line, inverse_fourier, make_grid, restrict,
                    sample, smoothed_step_symbol, symbol_from_function,
                    wiener_hopf_apply)
 
@@ -162,7 +162,7 @@ def test_wiener_hopf_halfline_l2_contraction():
             <= np.sqrt(np.sum(np.abs(u.values) ** 2)) * (1 + 1e-6))
 
 
-def test_norm_probe_constant_symbol():
+def test_norm_probe_constant_symbol(norm_probe):
     g = make_grid(1, 16, 512)
     om = full_space(g)
     S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), om)
@@ -171,7 +171,7 @@ def test_norm_probe_constant_symbol():
     assert val == pytest.approx(0.7, abs=1e-8)
 
 
-def test_norm_probe_l2_upper_bound():
+def test_norm_probe_l2_upper_bound(norm_probe):
     g = make_grid(1, 16, 512)
     om = full_space(g)
     S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), om)
@@ -180,7 +180,7 @@ def test_norm_probe_l2_upper_bound():
     assert norm_probe(a, S, probes) <= a.sup_norm * (1 + 1e-6)
 
 
-def test_norm_probe_rejects_vanishing_probes():
+def test_norm_probe_rejects_vanishing_probes(norm_probe):
     g = make_grid(1, 16, 512)
     om = half_line(g)
     S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), om)

@@ -1,0 +1,48 @@
+"""Every public name of a ``whlab`` module has a user besides its own tests.
+
+A name in a module's ``__all__`` counts as used when code in ``src/whlab``
+(outside ``__init__.py``), ``demos/`` or ``perfbench/`` reads it: a
+loaded name, an attribute, or a dotted ``"layer.name"`` key such as the
+ones ``perfbench/tracer.py`` reads the traced functions by.  The name's
+own definition and its ``__all__`` entry are not uses.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "whlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+USERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")),
+         *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def _public_names(path):
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references():
+    """Every name read by the code of the user files."""
+    found = set()
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.count(".") == 1 and " " not in node.value):
+                found.add(node.value.split(".")[1])
+    return found
+
+
+def test_every_public_name_has_a_user():
+    public = [(path.stem, name) for path in MODULES for name in _public_names(path)]
+    assert {module for module, _ in public} >= {"grid", "spaces", "operators",
+                                                 "witness", "doubling", "cli"}
+    used = _references()
+    assert [f"whlab.{module}.{name}" for module, name in public if name not in used] == []

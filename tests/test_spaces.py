@@ -10,7 +10,7 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ValidationError, associate_space, axiom_check,
                    berezhnoi_ratio, constant_exponent, constant_weight,
                    exponent_from_values, full_space, half_line, luxemburg_norm,
-                   make_grid, muckenhoupt_ratio, power_weight, restrict,
+                   make_grid, power_weight, restrict,
                    sample, sector,
                    step_exponent, weight_from_values)
 from whlab import spaces
@@ -289,6 +289,13 @@ def test_berezhnoi_requires_full_space():
         berezhnoi_ratio(Ball((1.0,), 0.5), S)
 
 
+def muckenhoupt_ratio(ball, exponent, weight):
+    """(1/|B|) ||w chi_B||_{p(.)} ||chi_B / w||_{p'(.)}: the Berezhnoi ratio
+    of the weighted full space, since ||chi_B||_{X(w)} = ||w chi_B||_{p(.)}."""
+    grid = exponent.grid
+    return berezhnoi_ratio(ball, SpaceSpec(grid, exponent, weight, full_space(grid)))
+
+
 def test_muckenhoupt_reduces_to_berezhnoi():
     g = make_grid(1, 16, 1024)
     p = constant_exponent(g, 2)
@@ -334,6 +341,19 @@ def test_muckenhoupt_divergence_outside_ap_range():
                                       power_weight(g, 0.6)))
     assert vals[1] >= 1.05 * vals[0]
     assert vals[2] >= 1.05 * vals[1]
+
+
+def test_fields_reject_a_nonzero_imaginary_part():
+    g = make_grid(1, 16, 64)
+    with pytest.raises(ValidationError, match="exponents must be real"):
+        exponent_from_values(g, 2.0 + 1e-3j * np.ones(g.shape))
+    with pytest.raises(ValidationError, match="weights must be real"):
+        weight_from_values(g, 1.0 + 1j)
+    # a zero imaginary part is a real field
+    assert np.array_equal(exponent_from_values(g, np.full(g.shape, 2.5 + 0j)).values,
+                          constant_exponent(g, 2.5).values)
+    assert np.array_equal(weight_from_values(g, 2.0 + 0j).values,
+                          constant_weight(g, 2.0).values)
 
 
 def test_power_weight_origin_repair():
