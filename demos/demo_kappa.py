@@ -11,7 +11,8 @@ Run: python3 demos/demo_kappa.py
 """
 
 from whlab import (SpaceSpec, gaussian_symbol, half_line, kuratowski_experiment,
-                   make_grid, power_weight, separated_sequence, step_exponent)
+                   make_grid, plan_kuratowski, power_weight, separated_sequence,
+                   step_exponent)
 
 grid = make_grid(1, 32768, 2 ** 18)
 omega = half_line(grid)
@@ -24,7 +25,8 @@ print("separated family (inflations pairwise disjoint in R_+):")
 for j, (y, R) in enumerate(family):
     print(f"  ball {j}: center {y[0]:>6g}, radius {R:>5g}")
 
-report = kuratowski_experiment(symbol, space, rho=2.0, family=family)
+plan = plan_kuratowski(symbol, space, rho=2.0, family=family)
+report = kuratowski_experiment(plan)
 
 print(f"\nmeasured family doubling constant S_est = {report.doubling_estimate:.4f}")
 print(f"worst residual eps = {report.eps_obs:.2e}")

@@ -11,7 +11,8 @@ Run: python3 demos/demo_norm_lowerbound.py
 """
 
 from whlab import (SpaceSpec, gaussian_symbol, half_line, make_grid,
-                   norm_lowerbound_experiment, power_weight, step_exponent)
+                   norm_lowerbound_experiment, plan_norm_lowerbound,
+                   power_weight, step_exponent)
 
 grid = make_grid(1, 256, 8192)
 omega = half_line(grid)
@@ -22,8 +23,9 @@ symbol = gaussian_symbol(grid, center=0.0, sigma=2.0, peak=1.0)
 print("X = L^{p(.)}(R_+, |x|^0.1) with p stepping 2 -> 2.5 across 0")
 print(f"symbol: gaussian, sup|a| = {symbol.sup_norm:g}\n")
 
-report = norm_lowerbound_experiment(symbol, space, rho=2.0,
-                                    delta_schedule=[0.25, 0.125, 0.0625])
+plan = plan_norm_lowerbound(symbol, space, rho=2.0,
+                            delta_schedule=[0.25, 0.125, 0.0625])
+report = norm_lowerbound_experiment(plan)
 
 print(f"probed eta = {report.eta[0]:g}, |a(eta)| = {report.a_eta_abs:g}")
 print(f"{'delta':>8s} {'center':>8s} {'ratio':>10s} {'residual':>10s}")

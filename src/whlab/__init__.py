@@ -30,7 +30,7 @@ from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         constant_symbol, fourier, gaussian_symbol,
                         inverse_fourier, nearest_freq_node, smoothed_step_symbol,
                         symbol_from_function, symbol_from_values, wiener_hopf_apply)
-from .witness import (ExperimentReport, LedgerLine, PairRecord,
+from .witness import (ExperimentReport, LedgerLine, PairRecord, WitnessPlan,
                       WitnessParams, WitnessRecord, kuratowski_experiment,
                       kuratowski_family, make_witness, mollification_residual,
                       norm_lowerbound_experiment, place_witness_center,

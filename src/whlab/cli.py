@@ -47,7 +47,6 @@ class RunConfig:
 
     raw: dict
     kind: str
-    space: spaces.SpaceSpec
     execute: Callable[[], object]
     out_dir: str
     formats: str
@@ -171,18 +170,18 @@ def _family_args(params: dict) -> tuple:
 
 def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("rho", "delta_schedule"), "experiment kind 'norm-lb'")
-    args = (float(params["rho"]), params["delta_schedule"], params.get("eta"),
-            params.get("ray"))
-    wit.plan_norm_lowerbound(symbol, space.domain, *args)
-    return lambda: wit.norm_lowerbound_experiment(symbol, space, *args)
+    plan = wit.plan_norm_lowerbound(symbol, space, float(params["rho"]),
+                                    params["delta_schedule"], params.get("eta"),
+                                    params.get("ray"))
+    return lambda: wit.norm_lowerbound_experiment(plan)
 
 
 def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("rho", "theta", "lambda", "m"), "experiment kind 'kappa-lb'")
-    rho, eta = float(params["rho"]), params.get("eta")
+    rho = float(params["rho"])
     family = wit.kuratowski_family(space.domain, rho, *_family_args(params))
-    wit.plan_kuratowski(symbol, space.domain, rho, family, eta)
-    return lambda: wit.kuratowski_experiment(symbol, space, rho, family, eta)
+    plan = wit.plan_kuratowski(symbol, space, rho, family, params.get("eta"))
+    return lambda: wit.kuratowski_experiment(plan)
 
 
 def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
@@ -198,9 +197,8 @@ def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
 
 def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("tau_list", "theta", "lambda", "m"), "experiment kind 'tau-scan'")
-    args = (params["tau_list"], *_family_args(params))
-    dbl.plan_tau_scan(space.domain, *args)
-    return lambda: dbl.tau_scan(space, *args)
+    plan = dbl.plan_tau_scan(space.domain, params["tau_list"], *_family_args(params))
+    return lambda: dbl.tau_scan(space, *plan)
 
 
 def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
@@ -209,9 +207,9 @@ def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
     return lambda: spaces.axiom_check(space, **kwargs)
 
 
-#: Per experiment kind: check the kind's keys, build its library arguments
-#: once and run the plan step on them.  The returned run reuses them and looks
-#: the library functions up when called, so wrappers installed later see it.
+#: Per experiment kind: check the kind's keys and run the plan step once.  The
+#: returned run executes that plan and looks the library function up when
+#: called, so wrappers installed later see it.
 _EXPERIMENTS = {"norm-lb": _norm_lb, "kappa-lb": _kappa_lb, "doubling-scan": _doubling_scan,
                 "tau-scan": _tau_scan, "space-check": _space_check}
 
@@ -230,7 +228,7 @@ def preflight(raw: dict) -> RunConfig:
     kind = params["kind"]
     if kind in ("norm-lb", "kappa-lb") and symbol is None:
         raise ValidationError(f"experiment kind {kind!r} needs a symbol block")
-    return RunConfig(raw=raw, kind=kind, space=space,
+    return RunConfig(raw=raw, kind=kind,
                      execute=_EXPERIMENTS[kind](params, space, symbol),
                      out_dir=output.get("directory", "out"),
                      formats=output.get("formats", "both"))
@@ -246,11 +244,11 @@ def run(cfg: RunConfig):
         if cfg.kind == "kappa-lb":
             artifacts["pairwise.csv"] = reports.pairwise_csv(report)
         artifacts["report.txt"] = reports.experiment_text(report, echo)
-        artifacts["witnesses.csv"] = reports.witness_csv(report, cfg.space.grid.n)
+        artifacts["witnesses.csv"] = reports.witness_csv(report)
         ok = report.chains_passed
     elif cfg.kind == "doubling-scan":
         artifacts["report.txt"] = reports.doubling_text(report, echo)
-        artifacts["doubling.csv"] = reports.doubling_csv(report, cfg.space.grid.n)
+        artifacts["doubling.csv"] = reports.doubling_csv(report)
     elif cfg.kind == "tau-scan":
         artifacts["report.txt"] = reports.tau_scan_text(report, echo)
         artifacts["tau_scan.csv"] = reports.tau_scan_csv(report)

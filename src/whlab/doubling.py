@@ -177,7 +177,22 @@ def _pairwise_disjoint(family, tau: float) -> list[bool]:
     return ok
 
 
-def _scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
+def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> None:
+    """Validate a weak-doubling scan: a non-empty schedule whose every ball
+    meets the preconditions of :func:`doubling_ratio` at this tau."""
+    if not schedule:
+        raise ValidationError("weak doubling scan needs a non-empty schedule")
+    for y, radius in schedule:
+        _inflated_ball(y, radius, tau, omega)
+
+
+def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
+    """Minimum ratio over a non-empty ball schedule (weak-doubling estimate).
+
+    D_est is an upper bound for the lim-inf restricted to the sampled
+    radii only; the report records every ratio so the sampling is audit-
+    able.  Each ball is checked by :func:`doubling_ratio` itself.
+    """
     balls = [(tuple(as_point(y, space.grid.n)), float(radius))
              for y, radius in schedule]
     ratios = [doubling_ratio(y, radius, tau, space) for y, radius in balls]
@@ -191,26 +206,6 @@ def _scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
         s_est=max(ratios) if all_disjoint else None,
         disjointness_verified=all_disjoint,
     )
-
-
-def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> None:
-    """Validate a weak-doubling scan: a non-empty schedule whose every ball
-    meets the preconditions of :func:`doubling_ratio` at this tau."""
-    if not schedule:
-        raise ValidationError("weak doubling scan needs a non-empty schedule")
-    for y, radius in schedule:
-        _inflated_ball(y, radius, tau, omega)
-
-
-def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
-    """Minimum ratio over a finite ball schedule (weak-doubling estimate).
-
-    D_est is an upper bound for the lim-inf restricted to the sampled
-    radii only; the report records every ratio so the sampling is audit-
-    able.
-    """
-    plan_weak_doubling(space.domain, tau, schedule)
-    return _scan(space, tau, schedule)
 
 
 def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
@@ -232,18 +227,17 @@ def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
     return taus, family
 
 
-def tau_scan(space: SpaceSpec, tau_list, theta: float, lam: float,
-             m: int, y0: float | None = None) -> list[DoublingReport]:
-    """One report per tau of a list decreasing toward 1; S_est is the
-    maximum ratio over the verified disjoint geometric family.
+def tau_scan(space: SpaceSpec, taus, family) -> list[DoublingReport]:
+    """One report per tau of the ``(taus, family)`` that :func:`plan_tau_scan`
+    returns; S_est is the maximum ratio over the verified disjoint family.
 
     The same family serves every tau; only the containment margin and the
-    ratios change.  A one-tau scan is ``tau_scan(space, [tau], ...)[0]``.
+    ratios change.  A one-tau scan is
+    ``tau_scan(space, *plan_tau_scan(omega, [tau], ...))[0]``.
     """
-    taus, family = plan_tau_scan(space.domain, tau_list, theta, lam, m, y0)
     reports = []
     for tau in taus:
-        report = _scan(space, tau, family)
+        report = weak_doubling_scan(space, tau, family)
         if not report.disjointness_verified:
             raise NumericFailure("constructed family failed the disjointness recheck")
         reports.append(report)

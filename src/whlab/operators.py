@@ -79,12 +79,15 @@ def gaussian_symbol(grid: Grid, center=None, sigma: float = 1.0,
                     peak: float = 1.0) -> Symbol:
     """peak * exp(-|xi - center|^2 / (2 sigma^2)) on the frequency nodes;
     ``center=None`` is the origin."""
-    if sigma <= 0:
-        raise ValidationError("gaussian symbol needs sigma > 0")
+    # sigma ** 2 raises OverflowError from about 1.34e154 on
+    var2 = 2.0 * sigma ** 2 if 0 < sigma < 1e154 else 0.0
+    if not (np.finfo(float).tiny <= var2 < np.inf):
+        raise ValidationError("gaussian symbol needs sigma > 0 with 2 sigma^2 a positive "
+                              f"normal float (got sigma = {sigma:g})")
     c = np.zeros(grid.n) if center is None else as_point(center, grid.n)
-    with np.errstate(over="ignore"):  # a far center underflows the Gaussian to 0
+    with np.errstate(over="ignore"):  # a far center or small sigma underflows it to 0
         r2 = sum((m - ci) ** 2 for m, ci in zip(grid.freq_coords(), c))
-    return Symbol(grid, peak * np.exp(-r2 / (2.0 * sigma ** 2)))
+        return Symbol(grid, peak * np.exp(-r2 / var2))
 
 
 def smoothed_step_symbol(grid: Grid, edge: float = 0.0, width: float | None = None,
@@ -136,17 +139,16 @@ def wiener_hopf_apply(a: Symbol, omega: DomainMask, u: GridFunction) -> GridFunc
 
 
 def nearest_freq_node(grid: Grid, eta):
-    """Index tuple and exact frequency of the node closest to ``eta``."""
+    """Index tuple and exact frequency of the node closest to ``eta``, which
+    must lie in the frequency range of the grid."""
     e = as_point(eta, grid.n)
+    lo, hi = grid.xi_axis[0], grid.xi_axis[-1]
+    if not all(lo <= c <= hi for c in e):
+        raise ValidationError(f"eta = {tuple(e.tolist())} lies outside the frequency "
+                              f"range [{lo:g}, {hi:g}] of the grid")
     spacing = np.pi / grid.half_width
-    idx = []
-    for coord in e:
-        k = int(round(coord / spacing)) + grid.points // 2
-        k = min(max(k, 0), grid.points - 1)
-        idx.append(k)
-    idx = tuple(idx)
-    exact = tuple(grid.xi_axis[i] for i in idx)
-    return idx, np.array(exact)
+    idx = tuple(int(round(c / spacing)) + grid.points // 2 for c in e)
+    return idx, np.array([grid.xi_axis[i] for i in idx])
 
 
 def argmax_freq_node(a: Symbol):

@@ -35,12 +35,13 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _point_columns(n: int, base: str = "y"):
-    return [base] if n == 1 else [f"{base}1", f"{base}2"]
+def _point_columns(point, base: str = "y"):
+    return [base] if len(point) == 1 else [f"{base}1", f"{base}2"]
 
 
-def doubling_csv(report: DoublingReport, n: int) -> str:
-    header = ["tau", "j"] + _point_columns(n) + ["R", "ratio", "disjoint"]
+def doubling_csv(report: DoublingReport) -> str:
+    header = (["tau", "j"] + _point_columns(report.entries[0].y)
+              + ["R", "ratio", "disjoint"])
     rows = [",".join(header)]
     for j, e in enumerate(report.entries):
         cells = [fmt(report.tau), str(j)]
@@ -57,13 +58,13 @@ def tau_scan_csv(scan: list[DoublingReport]) -> str:
     return "\n".join(out) + "\n"
 
 
-def witness_csv(report: ExperimentReport, n: int) -> str:
-    header = (["delta"] + _point_columns(n)
+def witness_csv(report: ExperimentReport) -> str:
+    header = (["delta"] + _point_columns(report.eta)
               + ["ratio", "norm_small", "norm_witness", "norm_big",
                  "quotient", "residual", "error"])
     rows = [",".join(header)]
     for w in report.witnesses:
-        y = list(w.y) if w.y else [math.nan] * n
+        y = list(w.y) if w.y else [math.nan] * len(report.eta)
         cells = [fmt(w.delta)] + [fmt(c) for c in y]
         cells += [fmt(w.ratio), fmt(w.norm_small), fmt(w.norm_witness),
                   fmt(w.norm_big), fmt(w.quotient), fmt(w.residual),

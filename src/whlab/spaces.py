@@ -338,6 +338,8 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     local-integral bound through the factor-2 Hoelder inequality against
     the associate space.
     """
+    if trials < 1:
+        raise ValidationError(f"the axiom battery needs trials >= 1 (got {trials})")
     rng = np.random.default_rng(seed)
     grid = space.grid
     dual = associate_space(space)

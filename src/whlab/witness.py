@@ -33,7 +33,7 @@ import numpy as np
 
 from .doubling import _check_family, _pairwise_disjoint, separated_sequence
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, Grid, GridFunction, as_point, ball_indicator
+from .grid import Ball, DomainMask, GridFunction, as_point, ball_indicator
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         nearest_freq_node)
 from .profiles import bump_profile
@@ -45,6 +45,7 @@ __all__ = [
     "PairRecord",
     "LedgerLine",
     "ExperimentReport",
+    "WitnessPlan",
     "make_witness",
     "mollification_residual",
     "place_witness_center",
@@ -259,10 +260,21 @@ class ExperimentReport:
         return all(line.passed for line in self.ledger)
 
 
-def _resolve_eta(a: Symbol, grid: Grid, eta):
-    if eta is None:
-        return argmax_freq_node(a)
-    return nearest_freq_node(grid, eta)
+@dataclass(frozen=True, eq=False)
+class WitnessPlan:
+    """A witness run checked by :func:`plan_norm_lowerbound` or
+    :func:`plan_kuratowski`: the symbol, the space, the probing frequency
+    node at frequency ``eta``, and the witnesses; the experiments run it."""
+
+    symbol: Symbol
+    space: SpaceSpec
+    node: tuple
+    eta: tuple
+    witnesses: tuple
+
+
+def _resolve_eta(a: Symbol, eta):
+    return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
 def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
@@ -315,13 +327,13 @@ def kuratowski_family(omega: DomainMask, rho: float, theta: float, lam: float,
     return separated_sequence(omega, rho, theta, lam, m, y0)
 
 
-def plan_norm_lowerbound(a: Symbol, omega: DomainMask, rho: float,
+def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
                          delta_schedule, eta=None, ray=None):
-    """Validate a norm-lb run and place its witnesses.
+    """Validate a norm-lb run and place its witnesses in the domain of ``space``.
 
-    Returns ``(idx, eta_vec, plan)``: the probing frequency node and, per
-    delta, either its :class:`WitnessParams` or the message explaining why
-    no witness fits.  Raises unless rho > 1, the schedule is positive and
+    The plan's witnesses are, per delta, ``(delta, params)`` with params
+    either its :class:`WitnessParams` or the message explaining why no
+    witness fits.  Raises unless rho > 1, the schedule is positive and
     strictly decreasing, and at least one delta admits a witness.
     """
     _check_rho(rho)
@@ -330,50 +342,47 @@ def plan_norm_lowerbound(a: Symbol, omega: DomainMask, rho: float,
         raise ValidationError("delta schedule must be positive")
     if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta schedule must be strictly decreasing")
-    idx, eta_vec = _resolve_eta(a, omega.grid, eta)
+    node, eta_vec = _resolve_eta(a, eta)
     plan = []
     for delta in deltas:
         try:
-            y = place_witness_center(omega, delta, rho, ray)
+            y = place_witness_center(space.domain, delta, rho, ray)
             plan.append((delta, WitnessParams(delta, tuple(eta_vec), tuple(y),
-                                              rho, omega)))
+                                              rho, space.domain)))
         except ValidationError as exc:
             plan.append((delta, str(exc)))
     if all(isinstance(params, str) for _, params in plan):
         raise ValidationError(
             "no delta in the schedule admits a witness placement on this grid: "
             + " ".join(f"(delta={delta:g}: {why})" for delta, why in plan))
-    return idx, eta_vec, plan
+    return WitnessPlan(a, space, node, tuple(eta_vec), tuple(plan))
 
 
-def plan_kuratowski(a: Symbol, omega: DomainMask, rho: float, family, eta=None):
-    """Validate a kappa-lb run: returns ``(idx, eta_vec, params)`` with one
+def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, family, eta=None):
+    """Validate a kappa-lb run: the plan's witnesses are one
     :class:`WitnessParams` per family ball (delta_j = 1/R_j).
 
     Raises unless rho > 1, the family has at least two balls, their
     rho-inflations are pairwise disjoint, and every witness fits in Omega.
     """
     _check_rho(rho)
-    grid = omega.grid
+    grid = space.grid
     fam = [(tuple(as_point(y, grid.n)), float(r)) for y, r in family]
     m = len(fam)
     if m < 2:
         raise ValidationError("the pairwise experiment needs at least 2 balls")
     if not all(_pairwise_disjoint(fam, rho)):
         raise ValidationError("family balls have intersecting inflations")
-    idx, eta_vec = _resolve_eta(a, grid, eta)
-    params = [WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
-              for y, radius in fam]
-    return idx, eta_vec, params
+    node, eta_vec = _resolve_eta(a, eta)
+    params = tuple(WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, space.domain)
+                   for y, radius in fam)
+    return WitnessPlan(a, space, node, tuple(eta_vec), params)
 
 
-def norm_lowerbound_experiment(a: Symbol, space: SpaceSpec, rho: float,
-                               delta_schedule, eta=None,
-                               ray=None) -> ExperimentReport:
-    """Witness ratios ||W f|| / ||f|| over a shrinking-delta schedule.
-
-    Omega is the domain of ``space``.  For each delta the center is placed
-    deterministically on the ray, the plateau chain
+def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
+    """Witness ratios ||W f|| / ||f|| over the shrinking-delta schedule of a
+    :func:`plan_norm_lowerbound` plan, whose centers lie on the ray.  The
+    plateau chain
 
         |a(eta)| ||chi_{B(y,1/delta)}|| <= ||W f|| + eps ||chi_{B(y,1/delta)}||
 
@@ -382,13 +391,12 @@ def norm_lowerbound_experiment(a: Symbol, space: SpaceSpec, rho: float,
     individual deltas are recorded and non-fatal as long as one witness
     succeeds.
     """
-    idx, eta_vec, plan = plan_norm_lowerbound(a, space.domain, rho,
-                                              delta_schedule, eta, ray)
-    a_abs = abs(a.at(idx))
+    a, space = plan.symbol, plan.space
+    a_abs = abs(a.at(plan.node))
 
     records = []
     ledger = []
-    for delta, params in plan:
+    for delta, params in plan.witnesses:
         if isinstance(params, str):
             records.append(WitnessRecord(delta, (), math.nan, math.nan,
                                          math.nan, math.nan, math.nan,
@@ -404,7 +412,7 @@ def norm_lowerbound_experiment(a: Symbol, space: SpaceSpec, rho: float,
     return ExperimentReport(
         kind="norm-lb",
         sup_norm=a.sup_norm,
-        eta=tuple(eta_vec),
+        eta=plan.eta,
         a_eta_abs=a_abs,
         witnesses=tuple(records),
         ledger=tuple(ledger),
@@ -414,26 +422,25 @@ def norm_lowerbound_experiment(a: Symbol, space: SpaceSpec, rho: float,
     )
 
 
-def kuratowski_experiment(a: Symbol, space: SpaceSpec, rho: float, family,
-                          eta=None) -> ExperimentReport:
-    """Pairwise image distances of normalized witnesses over a separated family.
+def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
+    """Pairwise image distances of normalized witnesses over the separated
+    family of a :func:`plan_kuratowski` plan.
 
-    Omega is the domain of ``space``.  The family is a list of (center, R)
-    with pairwise disjoint rho-inflations; witness scales are tied to the
-    radii by delta_j = 1/R_j, so the support balls are exactly the
-    inflated family balls.  The minimum of d_jk = ||W(phi_j - phi_k)|| is
-    the reported separation; half of it is the noncompactness lower bound,
-    checked per pair against |a(eta)| / (S_est + slack) minus the
-    normalized residual terms (the raw-residual variant is recorded
-    alongside).
+    The family balls (center, R) have pairwise disjoint rho-inflations;
+    witness scales are tied to the radii by delta_j = 1/R_j, so the support
+    balls are exactly the inflated family balls.  The minimum of
+    d_jk = ||W(phi_j - phi_k)|| is the reported separation; half of it is
+    the noncompactness lower bound, checked per pair against
+    |a(eta)| / (S_est + slack) minus the normalized residual terms (the
+    raw-residual variant is recorded alongside).
     """
-    idx, eta_vec, plan = plan_kuratowski(a, space.domain, rho, family, eta)
-    a_abs = abs(a.at(idx))
+    a, space = plan.symbol, plan.space
+    a_abs = abs(a.at(plan.node))
 
     records = []
     ledger = []
     images = []
-    for j, params in enumerate(plan):
+    for j, params in enumerate(plan.witnesses):
         g, rec = _measure_witness(a, space, params, f"j={j}", ledger)
         images.append(g * (1.0 / rec.norm_witness))
         records.append(rec)
@@ -459,7 +466,7 @@ def kuratowski_experiment(a: Symbol, space: SpaceSpec, rho: float, family,
     return ExperimentReport(
         kind="kappa-lb",
         sup_norm=a.sup_norm,
-        eta=tuple(eta_vec),
+        eta=plan.eta,
         a_eta_abs=a_abs,
         witnesses=tuple(records),
         ledger=tuple(ledger),

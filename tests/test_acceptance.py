@@ -16,6 +16,7 @@ from whlab import (Ball, SpaceSpec, axiom_check,
                    full_space, gaussian_symbol, half_line,
                    kuratowski_experiment, luxemburg_norm, make_grid,
                    make_witness, norm_lowerbound_experiment,
+                   plan_kuratowski, plan_norm_lowerbound, plan_tau_scan,
                    power_weight, sample, separated_sequence,
                    smoothed_step_symbol, step_exponent, tau_scan,
                    weight_from_values, WitnessParams)
@@ -79,7 +80,7 @@ def test_criterion_3_plancherel_chain(norm_probe):
         om = full_space(g)
         S = l2(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-        rep = norm_lowerbound_experiment(a, S, 2.0, [0.25, 0.125])
+        rep = norm_lowerbound_experiment(plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125]))
         witness_probes = [
             make_witness(WitnessParams(w.delta, rep.eta, w.y, 2.0, om))
             for w in rep.witnesses if w.error is None
@@ -105,7 +106,8 @@ def test_criterion_4_norm_lower_bound_weighted_variable():
         om = half_line(g)
         S = criterion4_space(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-        rep = norm_lowerbound_experiment(a, S, 2.0, [0.25, 0.125, 0.0625])
+        rep = norm_lowerbound_experiment(
+            plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125, 0.0625]))
         assert all(w.error is None for w in rep.witnesses)
         assert rep.achieved_lower_bound >= 0.90 * a.sup_norm
         chains = [ln for ln in rep.ledger if ln.name.startswith("plateau-chain")]
@@ -123,7 +125,7 @@ def test_criterion_5_kappa_lower_bound():
         S = criterion4_space(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
         fam = separated_sequence(om, 2.0, 0.25, 8.0, 4, y0=4.0)
-        rep = kuratowski_experiment(a, S, 2.0, fam)
+        rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, fam))
         assert rep.family_size == 4
         assert rep.kappa_lower_bound >= 0.85 * rep.a_eta_abs
         pairwise = [ln for ln in rep.ledger if ln.name.startswith("pairwise-chain")]
@@ -164,7 +166,8 @@ def test_criterion_7_tau_trend():
                                domain=half_line(g)),
     }
     for name, S in configs.items():
-        reps = tau_scan(S, taus, theta=0.125, lam=4.0, m=3, y0=0.25)
+        reps = tau_scan(S, *plan_tau_scan(S.domain, taus, theta=0.125, lam=4.0,
+                                          m=3, y0=0.25))
         d_ests = [r.d_est for r in reps]
         s_ests = [r.s_est for r in reps]
         assert all(b < a for a, b in zip(d_ests, d_ests[1:])), name
@@ -237,11 +240,12 @@ def test_criterion_10_corollary_probe():
     }
     for name, a in symbols.items():
         assert a.sup_norm >= 0.5
-        rep = kuratowski_experiment(a, S, 2.0, fam)
+        rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, fam))
         assert rep.kappa_lower_bound >= 0.4, name
     zero = constant_symbol(g, 0.0)
-    repk = kuratowski_experiment(zero, S, 2.0, fam)
-    repn = norm_lowerbound_experiment(zero, S, 2.0, [0.25, 0.125])
+    repk = kuratowski_experiment(plan_kuratowski(zero, S, 2.0, fam))
+    repn = norm_lowerbound_experiment(
+        plan_norm_lowerbound(zero, S, 2.0, [0.25, 0.125]))
     outputs = [repk.kappa_lower_bound, repk.eps_obs, repn.eps_obs,
                repn.achieved_lower_bound]
     outputs += [p.distance for p in repk.pairs]

@@ -1,3 +1,4 @@
+import collections
 import csv
 import string
 import textwrap
@@ -121,6 +122,10 @@ experiment: EXPERIMENT
      "doubling-scan family needs 'theta'"),
     ("{kind: tau-scan, tau_list: [2.0, 1.5], theta: 0.25, lambda: 4.0, m: 2, "
      "y0: -2.0}", "inflated ball B((-8.0,), 4.0) is not contained"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: 1.0e+308}",
+     "lies outside the frequency range [-25.1327, 25.0837]"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: 1.0e+6}",
+     "lies outside the frequency range [-25.1327, 25.0837]"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
@@ -139,28 +144,42 @@ experiment: EXPERIMENT
 """
 
 
-@pytest.mark.parametrize("experiment,module,name", [
+#: The plan steps and the family and placement builders they use, by the
+#: module binding ``cli`` and the library call them through.
+PLANNING = {"wit": ("plan_norm_lowerbound", "plan_kuratowski", "place_witness_center",
+                    "kuratowski_family", "separated_sequence"),
+            "dbl": ("plan_weak_doubling", "plan_tau_scan", "separated_sequence")}
+
+
+@pytest.mark.parametrize("experiment,plan", [
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5, 0.25]}", "plan_norm_lowerbound"),
     ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 4.0, m: 3, y0: 1.0}",
-     "wit", "kuratowski_family"),
+     "plan_kuratowski"),
     ("{kind: doubling-scan, tau: 2.0, theta: 0.25, lambda: 4.0, m: 3, y0: 1.0}",
-     "dbl", "separated_sequence"),
-], ids=["kappa-lb", "doubling-scan"])
-def test_runs_reuse_the_preflighted_family(tmp_path, monkeypatch, experiment,
-                                           module, name):
-    calls = []
-    real = getattr(getattr(cli, module), name)
+     "plan_weak_doubling"),
+    ("{kind: tau-scan, tau_list: [2.0, 1.5], theta: 0.25, lambda: 4.0, m: 3, y0: 1.0}",
+     "plan_tau_scan"),
+], ids=["norm-lb", "kappa-lb", "doubling-scan", "tau-scan"])
+def test_runs_reuse_the_preflighted_family(tmp_path, monkeypatch, experiment, plan):
+    calls = collections.Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(getattr(cli, module), name, counted)
+    for module, names in PLANNING.items():
+        for name in names:
+            real = getattr(getattr(cli, module), name)
+            monkeypatch.setattr(getattr(cli, module), name, counted(name, real))
     cfg = cli.preflight(cli.load_config(write_config(
         tmp_path, FAMILY.replace("EXPERIMENT", experiment))))
-    assert len(calls) == 1
+    assert calls[plan] == 1
+    preflighted = dict(calls)
     cli.run(cfg)
     cli.run(cfg)
-    assert len(calls) == 1
+    assert dict(calls) == preflighted
 
 
 BLOCKS = {
@@ -206,6 +225,8 @@ seed: $seed
     ("weight", "{kind: expression, expr: 'log(x1)'}",
      "weights must be finite and positive everywhere"),
     ("symbol", "{kind: expression, expr: '1/xi1'}", "symbol values must be finite"),
+    ("symbol", "{kind: gaussian, sigma: 1.0e+200}", "2 sigma^2 a positive normal float"),
+    ("symbol", "{kind: gaussian, sigma: 1.0e-200}", "2 sigma^2 a positive normal float"),
     ("exponent", "{kind: expression, expr: '2.0 + 0*x1 + 1j'}", "exponents must be real"),
     ("weight", "{kind: expression, expr: '1.0 + 0*x1 + 1j'}", "weights must be real"),
 ])

@@ -4,8 +4,8 @@ import pytest
 from whlab import (SpaceSpec, ValidationError,
                    constant_exponent, constant_weight, doubling_ratio,
                    explicit_mask, full_space, half_line, make_grid,
-                   power_weight, sector, separated_sequence, tau_scan,
-                   weak_doubling_scan)
+                   plan_tau_scan, plan_weak_doubling, power_weight, sector,
+                   separated_sequence, tau_scan, weak_doubling_scan)
 
 
 def l2_space(grid, weight=None, domain=None):
@@ -142,13 +142,13 @@ def test_weak_scan_power_weight_far_field():
 def test_weak_scan_rejects_empty_schedule():
     g = make_grid(1, 64, 1024)
     with pytest.raises(ValidationError):
-        weak_doubling_scan(l2_space(g), 2.0, [])
+        plan_weak_doubling(full_space(g), 2.0, [])
 
 
 def test_separated_scan_constant_p_halfline():
     g = make_grid(1, 256, 8192)
     S = l2_space(g, domain=half_line(g))
-    rep = tau_scan(S, [2.0], 0.25, 4.0, 3, y0=1.0)[0]
+    rep = tau_scan(S, *plan_tau_scan(S.domain, [2.0], 0.25, 4.0, 3, y0=1.0))[0]
     assert rep.s_est == pytest.approx(np.sqrt(2.0), rel=0.03)
     assert rep.disjointness_verified
 
@@ -156,21 +156,22 @@ def test_separated_scan_constant_p_halfline():
 def test_separated_scan_power_weight():
     g = make_grid(1, 256, 16384)
     S = l2_space(g, weight=power_weight(g, 0.2), domain=half_line(g))
-    rep = tau_scan(S, [2.0], 0.25, 4.0, 3, y0=1.0)[0]
+    rep = tau_scan(S, *plan_tau_scan(S.domain, [2.0], 0.25, 4.0, 3, y0=1.0))[0]
     assert rep.s_est <= 2.0 ** 0.7 * 1.05
 
 
 def test_scan_ratios_never_below_lattice_floor():
     g = make_grid(1, 256, 8192)
     S = l2_space(g, domain=half_line(g))
-    rep = tau_scan(S, [1.1], 0.25, 4.0, 3, y0=1.0)[0]
+    rep = tau_scan(S, *plan_tau_scan(S.domain, [1.1], 0.25, 4.0, 3, y0=1.0))[0]
     assert all(e.ratio >= 1.0 - 0.05 for e in rep.entries)
 
 
 def test_tau_scan_trend_and_validation():
     g = make_grid(1, 32, 16384)
     S = l2_space(g, domain=half_line(g))
-    reps = tau_scan(S, [4.0, 2.0, 1.5, 1.1], theta=0.125, lam=4.0, m=3, y0=0.25)
+    reps = tau_scan(S, *plan_tau_scan(S.domain, [4.0, 2.0, 1.5, 1.1], theta=0.125,
+                                      lam=4.0, m=3, y0=0.25))
     taus = [r.tau for r in reps]
     d_ests = [r.d_est for r in reps]
     s_ests = [r.s_est for r in reps]
@@ -179,9 +180,9 @@ def test_tau_scan_trend_and_validation():
     assert all(b < a for a, b in zip(d_ests, d_ests[1:]))
     assert all(b < a for a, b in zip(s_ests, s_ests[1:]))
     with pytest.raises(ValidationError):
-        tau_scan(S, [1.0], theta=0.125, lam=4.0, m=3, y0=0.25)
+        plan_tau_scan(S.domain, [1.0], theta=0.125, lam=4.0, m=3, y0=0.25)
     with pytest.raises(ValidationError):
-        tau_scan(S, [1.1, 2.0], theta=0.125, lam=4.0, m=3, y0=0.25)
+        plan_tau_scan(S.domain, [1.1, 2.0], theta=0.125, lam=4.0, m=3, y0=0.25)
 
 
 def test_tau_scan_resolves_y0_once_at_the_largest_tau():
@@ -190,5 +191,5 @@ def test_tau_scan_resolves_y0_once_at_the_largest_tau():
     taus, theta, lam, m = [4.0, 2.0, 1.5], 0.125, 4.0, 3
     # separated_sequence's y0 = None rule, evaluated at the largest tau
     y0 = g.half_width / (1.0 + taus[0] * theta) / lam ** m
-    assert (tau_scan(S, taus, theta, lam, m)
-            == tau_scan(S, taus, theta, lam, m, y0=y0))
+    assert (tau_scan(S, *plan_tau_scan(S.domain, taus, theta, lam, m))
+            == tau_scan(S, *plan_tau_scan(S.domain, taus, theta, lam, m, y0=y0)))

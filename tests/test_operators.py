@@ -208,3 +208,13 @@ def test_gaussian_symbol_center_checks():
             == gaussian_symbol(g, [0.0, 0.0]).values.tobytes())
     # a far center underflows the Gaussian to 0 without a floating-point warning
     assert np.all(gaussian_symbol(make_grid(1, 16, 64), 1e200).values == 0.0)
+
+
+def test_gaussian_symbol_sigma_at_the_float_limits():
+    g = make_grid(1, 16, 64)
+    # 2 sigma^2 just above the smallest normal float: a spike, with no warning
+    spike = gaussian_symbol(g, 0.0, 1.1e-154).values
+    assert spike[32] == 1.0 and np.count_nonzero(spike) == 1
+    for sigma in (1.34e154, -1.0):  # 2 sigma^2 = inf; sigma <= 0
+        with pytest.raises(ValidationError, match="2 sigma\\^2 a positive normal float"):
+            gaussian_symbol(g, 0.0, sigma)

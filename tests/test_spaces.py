@@ -411,6 +411,14 @@ def test_axiom_battery_passes():
     assert all(r.passed for r in results)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_axiom_battery_needs_a_trial(trials):
+    g = make_grid(1, 16, 64)
+    S = SpaceSpec(g, constant_exponent(g, 2.0), constant_weight(g), full_space(g))
+    with pytest.raises(ValidationError, match="needs trials >= 1"):
+        axiom_check(S, trials=trials)
+
+
 @pytest.mark.parametrize("domain", [lambda g: sector(g, 0.0, 2.0943951023931953),
                                     full_space], ids=["cone", "full"])
 def test_axiom_battery_passes_on_2d_grids(domain):

@@ -12,7 +12,8 @@ from whlab import (Ball, DegenerateBallError, SpaceSpec, ValidationError,
                    gaussian_symbol, half_line, kuratowski_experiment,
                    kuratowski_family, luxemburg_norm, make_grid, make_witness,
                    mollification_residual, norm_lowerbound_experiment,
-                   place_witness_center, plan_kuratowski, power_weight,
+                   place_witness_center, plan_kuratowski, plan_norm_lowerbound,
+                   power_weight,
                    restrict, sector,
                    separated_sequence, step_exponent, symbol_from_function,
                    wiener_hopf_apply)
@@ -331,8 +332,8 @@ def test_norm_experiment_constant_symbol():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     S = l2(g)
-    rep = norm_lowerbound_experiment(constant_symbol(g, 0.7), S, 2.0,
-                                     [0.5, 0.25])
+    rep = norm_lowerbound_experiment(
+        plan_norm_lowerbound(constant_symbol(g, 0.7), S, 2.0, [0.5, 0.25]))
     assert rep.achieved_lower_bound == pytest.approx(0.7, abs=1e-6)
     assert rep.chains_passed
     assert rep.eps_obs <= 1e-8
@@ -343,7 +344,7 @@ def test_norm_experiment_gaussian_l2():
     om = full_space(g)
     S = l2(g)
     a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-    rep = norm_lowerbound_experiment(a, S, 2.0, [0.25, 0.125])
+    rep = norm_lowerbound_experiment(plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125]))
     assert rep.achieved_lower_bound >= 0.95
     assert rep.chains_passed
     ratios = [w.ratio for w in rep.witnesses if w.error is None]
@@ -355,7 +356,8 @@ def test_norm_experiment_weighted_variable_halfline():
     om = half_line(g)
     S = SpaceSpec(g, step_exponent(g, 2.0, 2.5), power_weight(g, 0.1), om)
     a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-    rep = norm_lowerbound_experiment(a, S, 2.0, [0.25, 0.125, 0.0625])
+    rep = norm_lowerbound_experiment(
+        plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125, 0.0625]))
     assert rep.achieved_lower_bound >= 0.9
     assert rep.chains_passed
     # cross-check against |a(eta)| - eps (1 + doubling quotient) direction:
@@ -368,8 +370,8 @@ def test_norm_experiment_per_delta_placement_failure_nonfatal():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     S = l2(g)
-    rep = norm_lowerbound_experiment(constant_symbol(g, 1.0), S, 2.0,
-                                     [0.5, 0.05])
+    rep = norm_lowerbound_experiment(
+        plan_norm_lowerbound(constant_symbol(g, 1.0), S, 2.0, [0.5, 0.05]))
     errors = [w for w in rep.witnesses if w.error is not None]
     assert len(errors) == 1
     assert rep.achieved_lower_bound == pytest.approx(1.0, abs=1e-6)
@@ -380,15 +382,14 @@ def test_norm_experiment_all_deltas_inadmissible():
     om = full_space(g)
     S = l2(g)
     with pytest.raises(ValidationError):
-        norm_lowerbound_experiment(constant_symbol(g, 1.0), S, 2.0, [0.01])
+        plan_norm_lowerbound(constant_symbol(g, 1.0), S, 2.0, [0.01])
 
 
 def test_norm_experiment_rejects_increasing_schedule():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     with pytest.raises(ValidationError):
-        norm_lowerbound_experiment(constant_symbol(g, 1.0), l2(g), 2.0,
-                                   [0.25, 0.5])
+        plan_norm_lowerbound(constant_symbol(g, 1.0), l2(g), 2.0, [0.25, 0.5])
 
 
 # -- pairwise (noncompactness) experiment -----------------------------------
@@ -398,7 +399,7 @@ def test_kappa_constant_symbol_disjoint_supports():
     om = half_line(g)
     S = l2(g, om)
     fam = separated_sequence(om, 2.0, 0.25, 4.0, 3, y0=1.0)
-    rep = kuratowski_experiment(constant_symbol(g, 0.7), S, 2.0, fam)
+    rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, fam))
     # disjoint supports + lattice property give d_jk >= |c|
     assert rep.kappa_lower_bound >= 0.7 * (1 - 1e-6)
     assert rep.kappa_half == pytest.approx(rep.kappa_lower_bound / 2)
@@ -411,7 +412,7 @@ def test_kappa_zero_symbol():
     om = half_line(g)
     S = l2(g, om)
     fam = separated_sequence(om, 2.0, 0.25, 4.0, 3, y0=1.0)
-    rep = kuratowski_experiment(constant_symbol(g, 0.0), S, 2.0, fam)
+    rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.0), S, 2.0, fam))
     assert all(p.distance <= 1e-8 for p in rep.pairs)
     assert rep.kappa_lower_bound <= 1e-8
 
@@ -422,7 +423,7 @@ def test_kappa_gaussian_weighted_variable():
     S = SpaceSpec(g, constant_exponent(g, 2.5), power_weight(g, 0.1), om)
     a = gaussian_symbol(g, 0.0, 2.0, 1.0)
     fam = separated_sequence(om, 2.0, 0.25, 4.0, 4, y0=8.0)
-    rep = kuratowski_experiment(a, S, 2.0, fam)
+    rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, fam))
     assert rep.kappa_lower_bound >= 0.85 * rep.a_eta_abs
     assert rep.chains_passed
     # measured chain: every pair beats |a(eta)|/(S_est + slack) - residuals
@@ -435,7 +436,7 @@ def test_kappa_sector_2d():
     cone = sector(g, 0.0, np.pi / 2)
     S = l2(g, cone)
     fam = separated_sequence(cone, 2.0, 0.25, 3.5, 2, y0=1.3)
-    rep = kuratowski_experiment(constant_symbol(g, 0.7), S, 2.0, fam)
+    rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, fam))
     assert rep.kappa_lower_bound >= 0.7 * (1 - 1e-6)
     assert rep.chains_passed
 
@@ -447,8 +448,8 @@ def test_kappa_sector_2d():
 def test_kuratowski_family_default_y0_keeps_the_margin_rule(omega, rho, theta,
                                                             lam, m):
     family = kuratowski_family(omega, rho, theta, lam, m)
-    _, _, params = plan_kuratowski(constant_symbol(omega.grid, 1.0), omega,
-                                   rho, family)
+    params = plan_kuratowski(constant_symbol(omega.grid, 1.0),
+                             l2(omega.grid, omega), rho, family).witnesses
     # the largest admissible y0: the outermost support reaches the margin
     L, outer = omega.grid.half_width, params[-1]
     s = outer.support_radius
@@ -470,12 +471,11 @@ def test_kappa_rejects_overlapping_family():
     S = l2(g, om)
     fam = [((8.0,), 2.0), ((12.0,), 2.0)]  # inflations overlap
     with pytest.raises(ValidationError):
-        kuratowski_experiment(constant_symbol(g, 1.0), S, 2.0, fam)
+        plan_kuratowski(constant_symbol(g, 1.0), S, 2.0, fam)
 
 
 def test_kappa_needs_two_balls():
     g = make_grid(1, 256, 8192)
     om = half_line(g)
     with pytest.raises(ValidationError):
-        kuratowski_experiment(constant_symbol(g, 1.0), l2(g, om), 2.0,
-                              [((8.0,), 2.0)])
+        plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, [((8.0,), 2.0)])
