@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,6 @@ import yaml
 
 from . import doubling as dbl
 from . import grid as gridmod
-from . import operators as ops
-from . import reports
 from . import spaces
 from . import witness as wit
 from .errors import NumericFailure, ValidationError
@@ -43,11 +43,11 @@ CONFIG_P_MIN = 1.05
 class RunConfig:
     """A parsed and pre-flighted run: every referenced object is built,
     every precondition of the invoked operations has been checked, and
-    ``execute`` runs the experiment on exactly the checked inputs."""
+    ``execute(echo)`` runs the checked plan and renders its files and verdict."""
 
     raw: dict
     kind: str
-    execute: Callable[[], object]
+    execute: Callable[[str], tuple]
     out_dir: str
     formats: str
 
@@ -84,26 +84,6 @@ def load_config(path) -> dict:
     return raw
 
 
-def _build_exponent(block: dict, grid: gridmod.Grid) -> spaces.ExponentField:
-    kind = block["kind"]
-    if kind == "constant":
-        _require(block, ("value",), "constant exponent")
-        field = spaces.constant_exponent(grid, block["value"])
-    elif kind == "piecewise":
-        _require(block, ("left", "right"), "piecewise exponent")
-        field = spaces.step_exponent(grid, block["left"], block["right"],
-                                     **_given(block, "edge", "width"))
-    else:
-        _require(block, ("expr",), "expression exponent")
-        vals = evaluate_expression(block["expr"], **_coord_names(grid))
-        field = spaces.exponent_from_values(grid, vals)
-    if field.p_min < CONFIG_P_MIN:
-        raise ValidationError(
-            f"config exponents must satisfy p_min >= {CONFIG_P_MIN} "
-            f"(got {field.p_min:g})")
-    return field
-
-
 def _coord_names(grid: gridmod.Grid) -> dict:
     names = ("x",) if grid.n == 1 else ("x1", "x2")
     return dict(zip(names, grid.coords()), r=grid.distances(np.zeros(grid.n)))
@@ -114,40 +94,42 @@ def _freq_names(grid: gridmod.Grid) -> dict:
     return dict(zip(names, grid.freq_coords()))
 
 
-def _build_weight(block: dict, grid: gridmod.Grid) -> spaces.Weight:
-    kind = block["kind"]
-    if kind == "constant":
-        return spaces.constant_weight(grid, **_given(block, "value"))
-    if kind == "power":
-        _require(block, ("gamma",), "power weight")
-        return spaces.power_weight(grid, block["gamma"])
-    _require(block, ("expr",), "expression weight")
-    vals = evaluate_expression(block["expr"], **_coord_names(grid))
-    return spaces.weight_from_values(grid, vals)
+#: One row per config block and kind: the library builder, the keys it needs (passed
+#: in order after the grid), the keys it may take (passed only when set, so the
+#: library keeps its defaults) and the coordinates an expression is evaluated on.
+_BUILDERS = {
+    ("exponent", "constant"): ("spaces.constant_exponent", "value", "", None),
+    ("exponent", "piecewise"): ("spaces.step_exponent", "left right", "edge width", None),
+    ("exponent", "expression"): ("spaces.exponent_from_values", "expr", "", _coord_names),
+    ("weight", "constant"): ("spaces.constant_weight", "", "value", None),
+    ("weight", "power"): ("spaces.power_weight", "gamma", "", None),
+    ("weight", "expression"): ("spaces.weight_from_values", "expr", "", _coord_names),
+    ("domain", "full"): ("grid.full_space", "", "", None),
+    ("domain", "halfline"): ("grid.half_line", "", "", None),
+    ("domain", "cone"): ("grid.sector", "alpha1 alpha2", "", None),
+    ("symbol", "constant"): ("operators.constant_symbol", "value", "", None),
+    ("symbol", "gaussian"): ("operators.gaussian_symbol", "", "center sigma peak", None),
+    ("symbol", "smoothed-step"): ("operators.smoothed_step_symbol", "",
+                                  "edge width low high", None),
+    ("symbol", "expression"): ("operators.symbol_from_values", "expr", "", _freq_names),
+}
 
 
-def _build_domain(block: dict, grid: gridmod.Grid) -> gridmod.DomainMask:
-    kind = block["kind"]
-    if kind == "full":
-        return gridmod.full_space(grid)
-    if kind == "halfline":
-        return gridmod.half_line(grid)
-    _require(block, ("alpha1", "alpha2"), "cone domain")
-    return gridmod.sector(grid, block["alpha1"], block["alpha2"])
+def _library(key: str):
+    """Library function ``"module.name"``, looked up now: wrappers installed later see it."""
+    module, name = key.split(".")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
-def _build_symbol(block: dict, grid: gridmod.Grid) -> ops.Symbol:
-    kind = block["kind"]
-    if kind == "constant":
-        _require(block, ("value",), "constant symbol")
-        return ops.constant_symbol(grid, block["value"])
-    if kind == "gaussian":
-        return ops.gaussian_symbol(grid, **_given(block, "center", "sigma", "peak"))
-    if kind == "smoothed-step":
-        return ops.smoothed_step_symbol(grid, **_given(block, "edge", "width", "low", "high"))
-    _require(block, ("expr",), "expression symbol")
-    vals = evaluate_expression(block["expr"], **_freq_names(grid))
-    return ops.symbol_from_values(grid, vals)
+def _build(block: str, spec: dict, grid: gridmod.Grid):
+    """Build config block ``block`` with the builder of its kind's row."""
+    kind = spec["kind"]
+    builder, needs, optional, coords = _BUILDERS[block, kind]
+    _require(spec, needs.split(), f"{kind} {block}")
+    args = [spec[key] for key in needs.split()]
+    if coords is not None:
+        args = [evaluate_expression(spec["expr"], **coords(grid))]
+    return _library(builder)(grid, *args, **_given(spec, *optional.split()))
 
 
 def _require(block: dict, keys, what: str):
@@ -168,12 +150,23 @@ def _family_args(params: dict) -> tuple:
             params.get("y0"))
 
 
+def _rendered(experiment, text: str, tables: dict, verdict=lambda report: True):
+    """A kind's run: ``report.txt`` and the csv ``tables`` of the report of
+    ``experiment()``, each from its renderer, and the report's verdict."""
+    def execute(echo):
+        report = experiment()
+        files = {name: _library(csv)(report) for name, csv in tables.items()}
+        return {"report.txt": _library(text)(report, echo), **files}, verdict(report)
+    return execute
+
+
 def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("rho", "delta_schedule"), "experiment kind 'norm-lb'")
     plan = wit.plan_norm_lowerbound(symbol, space, float(params["rho"]),
                                     params["delta_schedule"], params.get("eta"),
                                     params.get("ray"))
-    return lambda: wit.norm_lowerbound_experiment(plan)
+    return _rendered(lambda: wit.norm_lowerbound_experiment(plan), "reports.experiment_text",
+                     {"witnesses.csv": "reports.witness_csv"}, attrgetter("chains_passed"))
 
 
 def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
@@ -181,7 +174,10 @@ def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
     rho = float(params["rho"])
     family = wit.kuratowski_family(space.domain, rho, *_family_args(params))
     plan = wit.plan_kuratowski(symbol, space, rho, family, params.get("eta"))
-    return lambda: wit.kuratowski_experiment(plan)
+    return _rendered(lambda: wit.kuratowski_experiment(plan), "reports.experiment_text",
+                     {"pairwise.csv": "reports.pairwise_csv",
+                      "witnesses.csv": "reports.witness_csv"},
+                     attrgetter("chains_passed"))
 
 
 def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
@@ -192,24 +188,27 @@ def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
         _require(params, ("theta", "lambda", "m"), "doubling-scan family")
         schedule.extend(dbl.separated_sequence(space.domain, tau, *_family_args(params)))
     dbl.plan_weak_doubling(space.domain, tau, schedule)
-    return lambda: dbl.weak_doubling_scan(space, tau, schedule)
+    return _rendered(lambda: dbl.weak_doubling_scan(space, tau, schedule),
+                     "reports.doubling_text", {"doubling.csv": "reports.doubling_csv"})
 
 
 def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol):
     _require(params, ("tau_list", "theta", "lambda", "m"), "experiment kind 'tau-scan'")
     plan = dbl.plan_tau_scan(space.domain, params["tau_list"], *_family_args(params))
-    return lambda: dbl.tau_scan(space, *plan)
+    return _rendered(lambda: dbl.tau_scan(space, *plan), "reports.tau_scan_text",
+                     {"tau_scan.csv": "reports.tau_scan_csv"})
 
 
 def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
     # the schema's integers include integral floats such as 5.0
     kwargs = {key: int(value) for key, value in _given(params, "trials", "seed").items()}
-    return lambda: spaces.axiom_check(space, **kwargs)
+    return _rendered(lambda: spaces.axiom_check(space, **kwargs), "reports.space_check_text",
+                     {"checks.csv": "reports.space_check_csv"},
+                     lambda report: all(r.passed for r in report))
 
 
 #: Per experiment kind: check the kind's keys and run the plan step once.  The
-#: returned run executes that plan and looks the library function up when
-#: called, so wrappers installed later see it.
+#: returned run executes that plan and renders the kind's files and verdict.
 _EXPERIMENTS = {"norm-lb": _norm_lb, "kappa-lb": _kappa_lb, "doubling-scan": _doubling_scan,
                 "tau-scan": _tau_scan, "space-check": _space_check}
 
@@ -218,11 +217,14 @@ def preflight(raw: dict) -> RunConfig:
     """Build every referenced object and validate all preconditions."""
     grid = gridmod.make_grid(**raw["grid"])
     space_block = raw["space"]
-    exponent = _build_exponent(space_block["exponent"], grid)
-    weight = _build_weight(space_block["weight"], grid)
-    domain = _build_domain(space_block["domain"], grid)
+    exponent = _build("exponent", space_block["exponent"], grid)
+    if exponent.p_min < CONFIG_P_MIN:
+        raise ValidationError(f"config exponents must satisfy p_min >= {CONFIG_P_MIN} "
+                              f"(got {exponent.p_min:g})")
+    weight = _build("weight", space_block["weight"], grid)
+    domain = _build("domain", space_block["domain"], grid)
     space = spaces.SpaceSpec(grid, exponent, weight, domain)
-    symbol = _build_symbol(raw["symbol"], grid) if "symbol" in raw else None
+    symbol = _build("symbol", raw["symbol"], grid) if "symbol" in raw else None
     output = raw.get("output", {})
     params = {**raw["experiment"], **_given(raw, "seed")}
     kind = params["kind"]
@@ -236,27 +238,7 @@ def preflight(raw: dict) -> RunConfig:
 
 def run(cfg: RunConfig):
     """Execute the experiment; returns (artifacts, chains_passed)."""
-    report = cfg.execute()
-    echo = cfg.echo
-    artifacts = {}
-    ok = True
-    if cfg.kind in ("norm-lb", "kappa-lb"):
-        if cfg.kind == "kappa-lb":
-            artifacts["pairwise.csv"] = reports.pairwise_csv(report)
-        artifacts["report.txt"] = reports.experiment_text(report, echo)
-        artifacts["witnesses.csv"] = reports.witness_csv(report)
-        ok = report.chains_passed
-    elif cfg.kind == "doubling-scan":
-        artifacts["report.txt"] = reports.doubling_text(report, echo)
-        artifacts["doubling.csv"] = reports.doubling_csv(report)
-    elif cfg.kind == "tau-scan":
-        artifacts["report.txt"] = reports.tau_scan_text(report, echo)
-        artifacts["tau_scan.csv"] = reports.tau_scan_csv(report)
-    elif cfg.kind == "space-check":
-        artifacts["report.txt"] = reports.space_check_text(report, echo)
-        artifacts["checks.csv"] = reports.space_check_csv(report)
-        ok = all(r.passed for r in report)
-    return artifacts, ok
+    return cfg.execute(cfg.echo)
 
 
 def emit(artifacts: dict, formats: str, out_dir) -> list:

@@ -177,11 +177,15 @@ def _pairwise_disjoint(family, tau: float) -> list[bool]:
     return ok
 
 
+def _require_balls(schedule) -> None:
+    if not schedule:
+        raise ValidationError("weak doubling scan needs a non-empty schedule")
+
+
 def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> None:
     """Validate a weak-doubling scan: a non-empty schedule whose every ball
     meets the preconditions of :func:`doubling_ratio` at this tau."""
-    if not schedule:
-        raise ValidationError("weak doubling scan needs a non-empty schedule")
+    _require_balls(schedule)
     for y, radius in schedule:
         _inflated_ball(y, radius, tau, omega)
 
@@ -195,6 +199,7 @@ def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport
     """
     balls = [(tuple(as_point(y, space.grid.n)), float(radius))
              for y, radius in schedule]
+    _require_balls(balls)
     ratios = [doubling_ratio(y, radius, tau, space) for y, radius in balls]
     disjoint = _pairwise_disjoint(balls, tau)
     all_disjoint = all(disjoint)

@@ -62,6 +62,11 @@ class Grid:
         if N < 8 or (N & (N - 1)) != 0:
             raise ValidationError(
                 f"points must be a power of two >= 8, got {N}")
+        limit = np.iinfo(np.intp).max // 16  # bytes per complex sample
+        if int(N) ** self.n > limit:
+            raise ValidationError(
+                f"points ** n = 2**{self.n * (int(N).bit_length() - 1)} exceeds "
+                f"{limit}, the most complex samples numpy can index")
         h = 2.0 * self.half_width / N
         try:
             cell_volume = h ** self.n

@@ -42,7 +42,10 @@ def ramp(x, edge: float, width: float, low: float, high: float):
     transition zone has full length ``width``."""
     if width <= 0:
         raise ValidationError("transition width must be positive")
-    return low + (high - low) * smoothstep((x - edge) / width + 0.5)
+    # a tiny width overflows the quotient to +-inf, the exact limit (a sharp step)
+    with np.errstate(over="ignore"):
+        t = (x - edge) / width + 0.5
+    return low + (high - low) * smoothstep(t)
 
 
 def bump_profile(r, rho):

@@ -219,6 +219,9 @@ seed: $seed
     ("grid", "{n: 2, half_width: 1.0e+308, points: 64}", "grid spacing"),
     ("grid", "{n: 2, half_width: 1.0e-200, points: 64}", "cell volume"),
     ("grid", "{n: 2, half_width: 1.0e+160, points: 64}", "cell volume"),
+    # 2**1000 nodes: an integral float the schema accepts as an integer
+    ("grid", "{n: 1, half_width: 1.0, points: 1.0715086071862673e+301}",
+     "the most complex samples numpy can index"),
     # overflowing expressions end with the field's own message, not a warning
     ("exponent", "{kind: expression, expr: '2.0 + exp(1000*x1)'}",
      "exponents must be finite and > 1 everywhere"),
@@ -235,6 +238,18 @@ def test_config_block_rejections(tmp_path, capsys, block, text, message):
     cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(blocks))
     assert cli.main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_builder_table_matches_the_schema():
+    properties = cli._validator().schema["properties"]
+    schemas = {**properties["space"]["properties"], "symbol": properties["symbol"]}
+    assert {block for block, _ in cli._BUILDERS} == set(schemas)
+    for block, schema in schemas.items():
+        rows = {kind: row for (b, kind), row in cli._BUILDERS.items() if b == block}
+        assert set(rows) == set(schema["properties"]["kind"]["enum"])
+        keys = {key for _, needs, optional, _ in rows.values()
+                for key in f"{needs} {optional}".split()}
+        assert keys == set(schema["properties"]) - {"kind"}
 
 
 def test_config_blocks_are_valid(tmp_path):

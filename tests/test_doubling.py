@@ -141,8 +141,11 @@ def test_weak_scan_power_weight_far_field():
 
 def test_weak_scan_rejects_empty_schedule():
     g = make_grid(1, 64, 1024)
-    with pytest.raises(ValidationError):
+    message = "weak doubling scan needs a non-empty schedule"
+    with pytest.raises(ValidationError, match=message):
         plan_weak_doubling(full_space(g), 2.0, [])
+    with pytest.raises(ValidationError, match=message):
+        weak_doubling_scan(l2_space(g), 2.0, [])
 
 
 def test_separated_scan_constant_p_halfline():

@@ -31,6 +31,13 @@ def test_make_grid_rejects(n, L, N):
         make_grid(n, L, N)
 
 
+@pytest.mark.parametrize("n,N", [(1, 2 ** 1000), (2, 2 ** 600)], ids=["1d", "2d"])
+def test_make_grid_rejects_more_nodes_than_numpy_can_index(n, N):
+    # counts numpy itself refuses before allocating: safe even without the check
+    with pytest.raises(ValidationError, match="the most complex samples numpy can index"):
+        make_grid(n, 1.0, N)
+
+
 def test_sample_zero_one_unimodular():
     g = make_grid(1, 8, 64)
     assert np.all(sample(lambda x: 0.0 * x, g).values == 0)

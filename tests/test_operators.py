@@ -197,6 +197,14 @@ def test_argmax_freq_node_prefers_zero():
     assert eta2[0] == 0.0
 
 
+@pytest.mark.parametrize("edge,width,values", [(0.0, 1e-320, {0.0, 0.5, 1.0}),
+                                               (1e10, 1e-300, {0.0})])
+def test_smoothed_step_symbol_sharpens_at_a_tiny_width(edge, width, values):
+    # the quotient overflows to +-inf without a warning (an error under pytest)
+    a = smoothed_step_symbol(make_grid(1, 16.0, 64), edge=edge, width=width)
+    assert set(a.values.ravel().tolist()) == values
+
+
 def test_gaussian_symbol_center_checks():
     g = make_grid(2, 16, 64)
     with pytest.raises(ValidationError, match="expected a finite point"):

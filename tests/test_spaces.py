@@ -233,6 +233,12 @@ def test_associate_space_involution_and_conjugates():
     assert np.max(np.abs(total - 1.0)) <= 1e-15
 
 
+def test_step_exponent_sharpens_at_a_tiny_width():
+    # the quotient overflows to +-inf without a warning (an error under pytest)
+    p = step_exponent(make_grid(1, 16.0, 64), 2.0, 3.0, width=1e-320)
+    assert set(p.values.ravel().tolist()) == {2.0, 2.5, 3.0}
+
+
 def test_exponent_field_rejects_bad_values():
     g = make_grid(1, 16, 64)
     with pytest.raises(ValidationError):
