@@ -3,8 +3,8 @@
 One run = one YAML config = one experiment; identical configs produce
 byte-identical outputs.  Subcommands mirror the experiment kinds plus
 ``validate`` (parse and pre-flight only).  Exit codes: 0 success, 2
-validation error or unwritable outputs, 3 numeric failure, 4 completed run
-whose certified inequality chain failed.
+validation error, unwritable outputs or arrays too large for memory, 3
+numeric failure, 4 completed run whose certified inequality chain failed.
 """
 
 from __future__ import annotations
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     for path in written:
         print(f"wrote {path}")

@@ -14,6 +14,7 @@ unambiguous rule.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,22 @@ def as_point(y, n: int) -> np.ndarray:
     return arr
 
 
+def _node_values(values, grid: Grid, dtype, what: str) -> np.ndarray:
+    """The storage rule of every per-node type: ``values`` as a read-only
+    ``dtype`` array of the grid's shape, a view that leaves the caller's
+    array writable.  A real ``dtype`` (float or bool) rejects a nonzero
+    imaginary part; ``what`` names the values."""
+    vals = np.asarray(values)
+    if dtype is not complex and np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
+        raise ValidationError(f"{what} must be real")
+    vals = np.asarray(vals if dtype is complex else vals.real, dtype=dtype).view()
+    if vals.shape != grid.shape:
+        raise ValidationError(
+            f"{what} have shape {vals.shape}, not the grid's {grid.shape}")
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples, one value per grid node."""
@@ -143,10 +160,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.shape:
-            raise ValidationError(
-                f"value shape {vals.shape} does not match grid {self.grid.shape}")
+        vals = _node_values(self.values, self.grid, complex, "grid function values")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
@@ -189,55 +203,35 @@ class Ball:
 
 @dataclass(frozen=True, eq=False)
 class DomainMask:
-    """Per-node indicator of the domain Omega.
+    """Per-node indicator of the domain Omega, with the continuum geometry
+    of the cone it samples where one is known.
 
-    ``kind`` is one of full / halfline / cone / explicit; cone masks carry
-    their angular interval in ``params`` so that containment can also be
-    checked against the continuum geometry.
+    ``distance(y)`` is the continuum distance from y to the complement of
+    Omega, nonpositive when y lies outside; ``ray`` is the unit central ray.
+    Each domain constructor passes both; an explicit mask passes neither.
     """
 
     grid: Grid
     inside: np.ndarray
-    kind: str
-    params: tuple = ()
+    distance: Callable[[np.ndarray], float] | None = None
+    ray: tuple | None = None
 
     def __post_init__(self):
-        ins = np.asarray(self.inside, dtype=bool)
-        if ins.shape != self.grid.shape:
-            raise ValidationError("mask shape does not match grid")
+        ins = _node_values(self.inside, self.grid, bool, "domain mask values")
         if not ins.any():
             raise ValidationError("domain mask selects no node")
-        ins.flags.writeable = False
         object.__setattr__(self, "inside", ins)
 
     def clearance(self, y) -> float | None:
         """Continuum distance from y to the complement of Omega.
 
-        Returns ``inf`` for the full space, ``None`` for explicit masks
-        (no continuum formula available), and a nonpositive number when y
-        lies outside Omega.  Every domain with a formula is a cone with its
-        vertex at the origin, so ``clearance(t * y) == t * clearance(y)``
-        for t > 0.
+        Returns ``None`` for explicit masks (no continuum formula available)
+        and a nonpositive number when y lies outside Omega.  Every domain
+        with a formula is a cone with its vertex at the origin, so
+        ``clearance(t * y) == t * clearance(y)`` for t > 0.
         """
         y = as_point(y, self.grid.n)
-        if self.kind == "full":
-            return math.inf
-        if self.kind == "halfline":
-            return float(y[0])
-        if self.kind == "cone":
-            alpha1, alpha2 = self.params
-            r = math.hypot(y[0], y[1])
-            if r == 0.0:
-                return 0.0
-            theta = math.atan2(y[1], y[0])
-            d1 = (theta - alpha1) % (2.0 * math.pi)
-            d2 = (alpha2 - theta) % (2.0 * math.pi)
-            aperture = alpha2 - alpha1
-            if d1 > aperture or d2 > aperture:
-                return -r  # outside the sector
-            phi = min(d1, d2, 0.5 * math.pi)
-            return r * math.sin(phi)
-        return None
+        return None if self.distance is None else self.distance(y)
 
     def contains_ball(self, ball: Ball) -> bool:
         """True iff the ball lies inside Omega: its radius is at most the
@@ -251,15 +245,9 @@ class DomainMask:
 
     def central_ray(self) -> np.ndarray:
         """Unit vector along the canonical ray of the domain."""
-        if self.kind in ("full", "halfline"):
-            ray = np.zeros(self.grid.n)
-            ray[0] = 1.0
-            return ray
-        if self.kind == "cone":
-            alpha1, alpha2 = self.params
-            psi = 0.5 * (alpha1 + alpha2)
-            return np.array([math.cos(psi), math.sin(psi)])
-        raise ValidationError("explicit masks have no canonical ray")
+        if self.ray is None:
+            raise ValidationError("explicit masks have no canonical ray")
+        return np.array(self.ray)
 
 
 def make_grid(n: int, half_width: float, points: int) -> Grid:
@@ -314,14 +302,15 @@ def ball_indicator(ball: Ball, grid: Grid) -> GridFunction:
 
 
 def full_space(grid: Grid) -> DomainMask:
-    return DomainMask(grid, np.ones(grid.shape, dtype=bool), "full")
+    return DomainMask(grid, np.ones(grid.shape, dtype=bool),
+                      lambda y: math.inf, (1.0,) + (0.0,) * (grid.n - 1))
 
 
 def half_line(grid: Grid) -> DomainMask:
     """Omega = {x >= 0} on a one-dimensional grid."""
     if grid.n != 1:
         raise ValidationError("half-line masks require n = 1")
-    return DomainMask(grid, grid.x_axis >= 0.0, "halfline")
+    return DomainMask(grid, grid.x_axis >= 0.0, lambda y: float(y[0]), (1.0,))
 
 
 def sector(grid: Grid, alpha1: float, alpha2: float) -> DomainMask:
@@ -333,6 +322,7 @@ def sector(grid: Grid, alpha1: float, alpha2: float) -> DomainMask:
     """
     if grid.n != 2:
         raise ValidationError("sector masks require n = 2")
+    alpha1, alpha2 = float(alpha1), float(alpha2)
     aperture = alpha2 - alpha1
     if not (0.0 < aperture <= 2.0 * math.pi + 1e-12):
         raise ValidationError("sector aperture must lie in (0, 2*pi]")
@@ -349,8 +339,21 @@ def sector(grid: Grid, alpha1: float, alpha2: float) -> DomainMask:
         inside = (d1 > 0.0) | (d2 > 0.0)
     else:
         inside = (d1 > 0.0) & (d2 > 0.0)
-    return DomainMask(grid, inside, "cone", (float(alpha1), float(alpha2)))
+
+    def clearance(y: np.ndarray) -> float:
+        r = math.hypot(y[0], y[1])
+        if r == 0.0:
+            return 0.0
+        theta = math.atan2(y[1], y[0])
+        past1 = (theta - alpha1) % (2.0 * math.pi)
+        before2 = (alpha2 - theta) % (2.0 * math.pi)
+        if past1 > aperture or before2 > aperture:
+            return -r  # outside the sector
+        return r * math.sin(min(past1, before2, 0.5 * math.pi))
+
+    psi = 0.5 * (alpha1 + alpha2)
+    return DomainMask(grid, inside, clearance, (math.cos(psi), math.sin(psi)))
 
 
 def explicit_mask(grid: Grid, inside) -> DomainMask:
-    return DomainMask(grid, np.asarray(inside, dtype=bool), "explicit")
+    return DomainMask(grid, inside)

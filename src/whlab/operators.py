@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
-from .grid import (DomainMask, Grid, GridFunction, as_point, extend_by_zero,
-                   restrict)
+from .errors import NumericFailure, ValidationError
+from .grid import (DomainMask, Grid, GridFunction, _node_values, as_point,
+                   extend_by_zero, restrict)
 from .profiles import ramp
 
 __all__ = [
@@ -49,12 +49,9 @@ class Symbol:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != self.grid.shape:
-            raise ValidationError("symbol shape does not match frequency grid")
+        vals = _node_values(self.values, self.grid, complex, "symbol values")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("symbol values must be finite")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "sup_norm", float(np.max(np.abs(vals))))
 
@@ -129,8 +126,12 @@ def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
     """F^{-1}(a . F u) with the node-wise frequency product."""
     if a.grid != u.grid:
         raise ValidationError("symbol and function live on different grids")
-    hat = fourier(u)
-    return inverse_fourier(GridFunction(u.grid, a.values * hat.values))
+    try:
+        with np.errstate(over="raise"):
+            hat = fourier(u)
+            return inverse_fourier(GridFunction(u.grid, a.values * hat.values))
+    except FloatingPointError as exc:
+        raise NumericFailure(f"the multiplier image overflows: {exc}") from None
 
 
 def wiener_hopf_apply(a: Symbol, omega: DomainMask, u: GridFunction) -> GridFunction:

@@ -42,10 +42,11 @@ def ramp(x, edge: float, width: float, low: float, high: float):
     transition zone has full length ``width``."""
     if width <= 0:
         raise ValidationError("transition width must be positive")
-    # a tiny width overflows the quotient to +-inf, the exact limit (a sharp step)
-    with np.errstate(over="ignore"):
+    # a tiny width overflows the quotient to +-inf, the exact limit (a sharp
+    # step); an infinite level gives nan or inf, which the caller rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         t = (x - edge) / width + 0.5
-    return low + (high - low) * smoothstep(t)
+        return low + (high - low) * smoothstep(t)
 
 
 def bump_profile(r, rho):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, Grid, GridFunction, ball_indicator
+from .grid import Ball, DomainMask, Grid, GridFunction, _node_values, ball_indicator
 from .profiles import ramp
 
 __all__ = [
@@ -52,14 +52,6 @@ NORM_RTOL = 1e-10
 NORM_MAX_ITER = 200
 
 
-def _real_field(values, what: str) -> np.ndarray:
-    """``values`` as a float array; a nonzero imaginary part is rejected."""
-    vals = np.asarray(values)
-    if np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
-        raise ValidationError(f"{what} must be real")
-    return np.asarray(vals.real, dtype=float)
-
-
 @dataclass(frozen=True, eq=False)
 class ExponentField:
     """Per-node exponent p(x) with 1 < p_min <= p(x) <= p_max < inf."""
@@ -68,12 +60,9 @@ class ExponentField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _real_field(self.values, "exponents")
-        if vals.shape != self.grid.shape:
-            raise ValidationError("exponent shape does not match grid")
+        vals = _node_values(self.values, self.grid, float, "exponents")
         if not np.all(np.isfinite(vals)) or not np.all(vals > 1.0):
             raise ValidationError("exponents must be finite and > 1 everywhere")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "p_min", float(vals.min()))
         object.__setattr__(self, "p_max", float(vals.max()))
@@ -91,15 +80,12 @@ class Weight:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _real_field(self.values, "weights")
-        if vals.shape != self.grid.shape:
-            raise ValidationError("weight shape does not match grid")
+        vals = _node_values(self.values, self.grid, float, "weights")
         with np.errstate(divide="ignore", over="ignore"):  # 1/w of a subnormal w overflows
             finite = np.isfinite(vals).all() and np.isfinite(1.0 / vals).all()
         if not finite or not np.all(vals > 0.0):
             raise ValidationError("weights must be finite and positive everywhere, "
                                   "with a finite 1/w")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def reciprocal(self) -> "Weight":
@@ -180,8 +166,7 @@ def _support(f: GridFunction, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]
 
 def _modular_sum(z: np.ndarray, p: np.ndarray, lam: float, cell_volume: float) -> float:
     """sum (z/lam)^p h^n over the gathered support; may overflow to inf."""
-    with np.errstate(over="ignore"):
-        return float(((z / lam) ** p).sum() * cell_volume)
+    return float(((z / lam) ** p).sum() * cell_volume)
 
 
 def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,
@@ -197,7 +182,6 @@ def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,
     return log_cell + top + math.log(total), float((p * e).sum()) / total
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _newton_root(z: np.ndarray, p: np.ndarray, cell_volume: float, tol: float) -> float:
     """Root lam of m(f/lam) = 1 by Newton on s = log lam, or nan.
 
@@ -220,7 +204,10 @@ def _newton_root(z: np.ndarray, p: np.ndarray, cell_volume: float, tol: float) -
             break
         s += step
         if abs(step) <= tol:
-            return math.exp(s)
+            try:
+                return math.exp(s)
+            except OverflowError:  # a root above the float range
+                return math.nan
         g, slope = _log_modular(logz, p, log_cell, s)
     return math.nan
 
@@ -238,50 +225,53 @@ def luxemburg_norm(f: GridFunction, space: SpaceSpec) -> float:
     required of the caller.  Raises ``NumericFailure`` when the norm is
     outside the normal float range.  Deterministic and total.
     """
-    z, p = _support(f, space)
-    if z.size == 0:
-        return 0.0
-    cell_volume = space.grid.cell_volume
+    # Overflow, log(0) and inf - inf in the kernel give the documented
+    # non-finite results; one scope per norm keeps numpy quiet about them.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z, p = _support(f, space)
+        if z.size == 0:
+            return 0.0
+        cell_volume = space.grid.cell_volume
 
-    def sum_leq_one(lam: float) -> bool:
-        val = _modular_sum(z, p, lam, cell_volume)
-        return math.isfinite(val) and val <= 1.0
+        def sum_leq_one(lam: float) -> bool:
+            val = _modular_sum(z, p, lam, cell_volume)
+            return math.isfinite(val) and val <= 1.0
 
-    margin = 1e-12
-    root = _newton_root(z, p, cell_volume, margin)
-    # Below ``under`` the modular is known > 1, from ``over`` on <= 1.
-    under, over = root * (1.0 - margin), root * (1.0 + margin)
-    if not (math.isfinite(root) and sum_leq_one(over) and not sum_leq_one(under)):
-        under, over = 0.0, math.inf
+        margin = 1e-12
+        root = _newton_root(z, p, cell_volume, margin)
+        # Below ``under`` the modular is known > 1, from ``over`` on <= 1.
+        under, over = root * (1.0 - margin), root * (1.0 + margin)
+        if not (math.isfinite(root) and sum_leq_one(over) and not sum_leq_one(under)):
+            under, over = 0.0, math.inf
 
-    def leq_one(lam: float) -> bool:
-        if lam >= over:
-            return True
-        if lam <= under:
-            return False
-        return sum_leq_one(lam)
+        def leq_one(lam: float) -> bool:
+            if lam >= over:
+                return True
+            if lam <= under:
+                return False
+            return sum_leq_one(lam)
 
-    # The power of two above the root (1 when there is none), kept where hi
-    # and hi/2 are normal floats.
-    hi = math.ldexp(1.0, min(max(math.frexp(root)[1], -1021), 1023))
-    while not leq_one(hi):
-        hi *= 2.0
-        if math.isinf(hi):
-            raise NumericFailure("Luxemburg norm above the float range")
-    while leq_one(hi / 2.0):
-        hi /= 2.0
-        if hi / 2.0 < sys.float_info.min:
-            raise NumericFailure("Luxemburg norm below the normal float range")
-    lo = hi / 2.0
-    for _ in range(NORM_MAX_ITER):
-        if hi - lo <= NORM_RTOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if leq_one(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        # The power of two above the root (1 when there is none), kept where
+        # hi and hi/2 are normal floats.
+        hi = math.ldexp(1.0, min(max(math.frexp(root)[1], -1021), 1023))
+        while not leq_one(hi):
+            hi *= 2.0
+            if math.isinf(hi):
+                raise NumericFailure("Luxemburg norm above the float range")
+        while leq_one(hi / 2.0):
+            hi /= 2.0
+            if hi / 2.0 < sys.float_info.min:
+                raise NumericFailure("Luxemburg norm below the normal float range")
+        lo = hi / 2.0
+        for _ in range(NORM_MAX_ITER):
+            if hi - lo <= NORM_RTOL * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if leq_one(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
 
 def associate_space(space: SpaceSpec) -> SpaceSpec:
@@ -299,12 +289,12 @@ def _ball_volume(ball: Ball, n: int) -> float:
 def berezhnoi_ratio(ball: Ball, space: SpaceSpec) -> float:
     """(1/|B|) ||chi_B||_X ||chi_B||_X' with the exact continuum volume |B|.
 
-    Requires the space over the full domain; uniform boundedness of this
+    Requires a domain mask that covers every node; uniform boundedness of this
     quantity over all balls is the bridge from the norm machinery to the
     doubling properties of cones.
     """
-    if space.domain.kind != "full":
-        raise ValidationError("berezhnoi_ratio requires the full-space domain")
+    if not space.domain.inside.all():
+        raise ValidationError("berezhnoi_ratio requires a domain that covers every node")
     chi = ball_indicator(ball, space.grid)
     nx = luxemburg_norm(chi, space)
     nxp = luxemburg_norm(chi, associate_space(space))

@@ -232,6 +232,12 @@ seed: $seed
     ("symbol", "{kind: gaussian, sigma: 1.0e-200}", "2 sigma^2 a positive normal float"),
     ("exponent", "{kind: expression, expr: '2.0 + 0*x1 + 1j'}", "exponents must be real"),
     ("weight", "{kind: expression, expr: '1.0 + 0*x1 + 1j'}", "weights must be real"),
+    # an infinite step level ends with the field's message, not a warning
+    ("exponent", "{kind: piecewise, left: 2.0, right: .inf}",
+     "exponents must be finite and > 1 everywhere"),
+    ("symbol", "{kind: smoothed-step, high: .inf}", "symbol values must be finite"),
+    # 2**58 nodes numpy can index, but the 2 EiB axis cannot be allocated
+    ("grid", "{n: 1, half_width: 1.0, points: 288230376151711744}", "out of memory"),
 ])
 def test_config_block_rejections(tmp_path, capsys, block, text, message):
     blocks = dict(BLOCKS, **{block: text})

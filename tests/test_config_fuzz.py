@@ -4,12 +4,14 @@ Small valid configs (each passes ``validate`` as written) are mutated by droppin
 lists, NaN or infinity, and changing kinds.  Whatever comes out, the CLI
 must end with success, a validation error or a numeric failure, never a
 traceback.  The base grids have at most 256 points per axis and no
-mutation makes a grid larger.
+mutation makes a grid larger.  A deterministic sweep also runs each base
+config with one number at a time set to an edge of the float range.
 """
 
 import copy
 import math
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,12 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 @st.composite
 def mutated_configs(draw):
     """A base config with one to three mutations inside its blocks."""
@@ -90,9 +98,7 @@ def mutated_configs(draw):
         if not paths:
             continue
         path = draw(st.sampled_from(paths))
-        parent = cfg
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _get(cfg, path[:-1])
         key = path[-1]
         if op == "drop":
             del parent[key]
@@ -111,3 +117,24 @@ def test_validate_never_raises(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("fuzz") / "config.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert cli.main(["validate", "--config", str(path)]) in (0, 2, 3)
+
+
+EDGES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+# ``trials`` is skipped: a schema-valid 1e308 asks for 1e308 trials
+NUMERIC_PATHS = [(index, path) for index, base in enumerate(BASES)
+                 for path in _paths(base)
+                 if path[-1] != "trials" and type(_get(base, path)) in (int, float)]
+
+
+@pytest.mark.parametrize("index,path", NUMERIC_PATHS,
+                         ids=[f"{i}-{'.'.join(map(str, p))}" for i, p in NUMERIC_PATHS])
+def test_run_at_the_float_edges_never_raises(tmp_path, index, path):
+    # numpy warnings are errors under pytest, so a warning fails here too
+    for value in EDGES:
+        cfg = copy.deepcopy(BASES[index])
+        _get(cfg, path[:-1])[path[-1]] = value
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(cfg))
+        kind = cfg["experiment"]["kind"]
+        code = cli.main([kind, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code in (0, 2, 3, 4), value

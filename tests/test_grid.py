@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whlab import (Ball, DegenerateBallError, GridFunction, ValidationError,
-                   ball_indicator, explicit_mask, extend_by_zero, full_space,
-                   half_line, make_grid, restrict, sample, sector)
+from whlab import (Ball, DegenerateBallError, DomainMask, ExponentField,
+                   GridFunction, Symbol, ValidationError, Weight, ball_indicator,
+                   explicit_mask, extend_by_zero, full_space, half_line,
+                   make_grid, restrict, sample, sector)
 from whlab.grid import _ball_nodes
 
 
@@ -52,6 +53,29 @@ def test_sample_rejects_nonfinite():
     with np.errstate(divide="ignore"):
         with pytest.raises(ValidationError):
             sample(lambda x: 1.0 / x, g)  # hits x = 0
+
+
+PER_NODE_TYPES = {
+    "grid-function": (GridFunction, "values", 1.0 + 0j),
+    "symbol": (Symbol, "values", 1.0 + 0j),
+    "exponent": (ExponentField, "values", 2.0),
+    "weight": (Weight, "values", 1.0),
+    "domain": (DomainMask, "inside", True),
+}
+
+
+@pytest.mark.parametrize("cls,attr,value", PER_NODE_TYPES.values(), ids=PER_NODE_TYPES)
+def test_per_node_types_store_read_only_grid_arrays(cls, attr, value):
+    g = make_grid(1, 16.0, 64)
+    source = np.full(g.shape, value)
+    stored = getattr(cls(g, source), attr)
+    assert stored.shape == g.shape and not stored.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = value
+    assert source.flags.writeable  # the caller's array is left as it was
+    for shape in ((32,), (64, 64)):
+        with pytest.raises(ValidationError, match="shape"):
+            cls(g, np.full(shape, value))
 
 
 def test_restrict_halfline_indicator_action():

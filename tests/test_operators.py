@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from whlab import (GridFunction, SpaceSpec, ValidationError, apply_multiplier,
-                   argmax_freq_node, constant_exponent, constant_symbol,
+from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, ValidationError,
+                   apply_multiplier, argmax_freq_node, ball_indicator,
+                   constant_exponent, constant_symbol,
                    constant_weight, fourier, full_space, gaussian_symbol,
                    half_line, inverse_fourier, make_grid, restrict,
                    sample, smoothed_step_symbol, symbol_from_function,
@@ -187,6 +188,17 @@ def test_norm_probe_rejects_vanishing_probes(norm_probe):
     dead = sample(lambda x: np.where(x < -1, 1.0, 0.0), g)
     with pytest.raises(ValidationError):
         norm_probe(constant_symbol(g, 1.0), S, [dead])
+
+
+@pytest.mark.parametrize("symbol", [lambda g: constant_symbol(g, 1e308),
+                                    lambda g: gaussian_symbol(g, peak=1e308),
+                                    lambda g: smoothed_step_symbol(g, high=1e308)],
+                         ids=["constant", "gaussian", "smoothed-step"])
+def test_multiplier_image_overflow_is_a_numeric_failure(symbol):
+    # a.F(chi) overflows: a numeric failure, with no numpy warning on the way
+    g = make_grid(1, 64.0, 256)
+    with pytest.raises(NumericFailure, match="multiplier image overflows"):
+        apply_multiplier(symbol(g), ball_indicator(Ball((0.0,), 8.0), g))
 
 
 def test_argmax_freq_node_prefers_zero():

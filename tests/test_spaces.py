@@ -8,11 +8,11 @@ from scipy.optimize import brentq
 
 from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ValidationError, associate_space, axiom_check,
-                   berezhnoi_ratio, constant_exponent, constant_weight,
-                   exponent_from_values, full_space, half_line, luxemburg_norm,
-                   make_grid, power_weight, restrict,
-                   sample, sector,
-                   step_exponent, weight_from_values)
+                   ball_indicator, berezhnoi_ratio, constant_exponent,
+                   constant_weight, explicit_mask, exponent_from_values,
+                   full_space, half_line, luxemburg_norm, make_grid,
+                   power_weight, restrict, sample, sector, step_exponent,
+                   weight_from_values)
 from whlab import spaces
 from whlab.spaces import NORM_RTOL
 
@@ -63,6 +63,22 @@ def test_luxemburg_tiny_and_huge_norms():
     for c in (1e-310, 1e308):
         with pytest.raises(NumericFailure):
             luxemburg_norm(c * f, S)
+
+
+def test_luxemburg_at_the_edge_of_the_float_range():
+    # Each case overflows inside the kernel; numpy warnings are errors here.
+    g = make_grid(1, 64.0, 256)
+    chi = ball_indicator(Ball((0.0,), 8.0), g)
+    huge_w = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g, 1e308), full_space(g))
+    # the norm is about 3.9e308: Newton's exp(s) overflows
+    with pytest.raises(NumericFailure, match="above the float range"):
+        luxemburg_norm(chi, huge_w)
+    # |f| w overflows in the gather
+    with pytest.raises(NumericFailure, match="above the float range"):
+        luxemburg_norm(GridFunction(g, np.full(g.shape, 4 + 0j)), huge_w)
+    # p = 1e308: the slope's sum overflows; the norm is 16^(1/p), 1 in floats
+    huge_p = SpaceSpec(g, constant_exponent(g, 1e308), constant_weight(g), full_space(g))
+    assert luxemburg_norm(chi, huge_p) == pytest.approx(1.0, rel=NORM_RTOL)
 
 
 def bisection_norm(f, space):
@@ -295,6 +311,15 @@ def test_berezhnoi_requires_full_space():
         berezhnoi_ratio(Ball((1.0,), 0.5), S)
 
 
+def test_berezhnoi_reads_the_mask_not_the_constructor():
+    # an explicit mask over every node is the full space
+    g = make_grid(1, 16, 256)
+    p, w = step_exponent(g, 2.0, 3.0), power_weight(g, 0.2)
+    ball = Ball((0.5,), 2.0)
+    assert (berezhnoi_ratio(ball, SpaceSpec(g, p, w, explicit_mask(g, np.ones(g.shape, bool))))
+            == berezhnoi_ratio(ball, SpaceSpec(g, p, w, full_space(g))))
+
+
 def muckenhoupt_ratio(ball, exponent, weight):
     """(1/|B|) ||w chi_B||_{p(.)} ||chi_B / w||_{p'(.)}: the Berezhnoi ratio
     of the weighted full space, since ||chi_B||_{X(w)} = ||w chi_B||_{p(.)}."""
@@ -355,11 +380,15 @@ def test_fields_reject_a_nonzero_imaginary_part():
         exponent_from_values(g, 2.0 + 1e-3j * np.ones(g.shape))
     with pytest.raises(ValidationError, match="weights must be real"):
         weight_from_values(g, 1.0 + 1j)
+    with pytest.raises(ValidationError, match="domain mask values must be real"):
+        explicit_mask(g, np.ones(g.shape) + 1j)
     # a zero imaginary part is a real field
     assert np.array_equal(exponent_from_values(g, np.full(g.shape, 2.5 + 0j)).values,
                           constant_exponent(g, 2.5).values)
     assert np.array_equal(weight_from_values(g, 2.0 + 0j).values,
                           constant_weight(g, 2.0).values)
+    assert np.array_equal(explicit_mask(g, np.ones(g.shape) + 0j).inside,
+                          full_space(g).inside)
 
 
 def test_power_weight_origin_repair():
