@@ -10,13 +10,10 @@ numeric failure, 4 completed run whose certified inequality chain failed.
 from __future__ import annotations
 
 import argparse
-import functools
 import importlib
-import json
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 
@@ -56,17 +53,8 @@ class RunConfig:
         return yaml.safe_dump(self.raw, sort_keys=True, default_flow_style=False)
 
 
-@functools.cache
-def _validator():
-    """Validator of the shipped config schema, built once per process."""
-    import jsonschema
-    with resources.files("whlab.schema").joinpath("runconfig.schema.json").open() as fh:
-        schema = json.load(fh)
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
 def load_config(path) -> dict:
-    """Read the YAML config and validate it against the shipped schema."""
+    """Read the YAML config and check it against the config format."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -74,14 +62,71 @@ def load_config(path) -> dict:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ValidationError(f"config {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a mapping")
-    from jsonschema.exceptions import best_match
-    exc = best_match(_validator().iter_errors(raw))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<top level>"
-        raise ValidationError(f"config schema violation at {where}: {exc.message}") from exc
+    _check("config", raw)
     return raw
+
+
+def _violation(path: tuple, message: str) -> ValidationError:
+    where = "/".join(map(str, path)) or "<top level>"
+    return ValidationError(f"config schema violation at {where}: {message}")
+
+
+def _check(block: str, spec, path: tuple = ()):
+    """Check config block ``block`` at key path ``path`` against its row of ``_KEYS``:
+    a mapping of a listed kind, with every key the row needs, no key outside the
+    row and each value of its key's type; the blocks it holds are checked in turn."""
+    if not isinstance(spec, dict):
+        raise _violation(path, f"{spec!r} is not a mapping")
+    kind = None if (block, None) in _KEYS else spec.get("kind")
+    if kind is not None and not isinstance(kind, str) or (block, kind) not in _KEYS:
+        kinds = ", ".join(k for b, k in _KEYS if b == block)
+        raise _violation(path + ("kind",), f"{kind!r} is not one of {kinds}")
+    name = f"{kind} {block}" if kind else block
+    needs, optional = _KEYS[block, kind]
+    if missing := [key for key in needs.split() if key not in spec]:
+        message = f"{name} needs '{missing[0]}'"
+        raise _violation(path, message) if kind is None else ValidationError(message)
+    for key, value in spec.items():
+        where = path + (key,)
+        if key not in f"{needs} {optional} {'kind' if kind else ''}".split():
+            raise _violation(path, f"{key!r} is not a key of {name}")
+        if key == "balls":
+            if not isinstance(value, list):
+                raise _violation(where, f"{value!r} is not a list")
+            for index, ball in enumerate(value):
+                _check(key, ball, where + (index,))
+        elif key not in _TYPES:
+            _check(key, value, where)
+        elif not _TYPES[key][0](value):
+            raise _violation(where, f"{value!r} is not {_TYPES[key][1]}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+#: The type of each config key that is not a block, the same in every block: a test
+#: and a name.  Integers take integral floats such as 5.0; no type takes a bool.
+_TYPES = {
+    **dict.fromkeys("half_width value left right edge width gamma alpha1 alpha2 sigma peak "
+                    "low high rho tau theta lambda y0 r".split(), (_is_number, "a number")),
+    **dict.fromkeys("n points m".split(), (_is_integer, "an integer")),
+    "seed": (lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+    "trials": (lambda v: _is_integer(v) and v >= 1, "an integer >= 1"),
+    **dict.fromkeys("kind expr directory".split(), (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys("center eta ray y".split(), (lambda v: _is_number(v) or _is_numbers(v),
+                                                 "a number or a list of numbers")),
+    **dict.fromkeys("delta_schedule tau_list".split(), (_is_numbers, "a list of numbers")),
+    "formats": (lambda v: v in ("csv", "text", "both"), "one of csv, text, both"),
+}
 
 
 def _coord_names(grid: gridmod.Grid) -> dict:
@@ -123,20 +168,11 @@ def _library(key: str):
 
 def _build(block: str, spec: dict, grid: gridmod.Grid):
     """Build config block ``block`` with the builder of its kind's row."""
-    kind = spec["kind"]
-    builder, needs, optional, coords = _BUILDERS[block, kind]
-    _require(spec, needs.split(), f"{kind} {block}")
+    builder, needs, optional, coords = _BUILDERS[block, spec["kind"]]
     args = [spec[key] for key in needs.split()]
     if coords is not None:
         args = [evaluate_expression(spec["expr"], **coords(grid))]
     return _library(builder)(grid, *args, **_given(spec, *optional.split()))
-
-
-def _require(block: dict, keys, what: str):
-    """Raise unless the config block has every key; ``what`` names the block."""
-    for key in keys:
-        if key not in block:
-            raise ValidationError(f"{what} needs '{key}'")
 
 
 def _given(block: dict, *keys) -> dict:
@@ -146,8 +182,7 @@ def _given(block: dict, *keys) -> dict:
 
 def _family_args(params: dict) -> tuple:
     """(theta, lambda, m, y0) of the config's separated ball family."""
-    return (float(params["theta"]), float(params["lambda"]), int(params["m"]),
-            params.get("y0"))
+    return float(params["theta"]), float(params["lambda"]), int(params["m"]), params.get("y0")
 
 
 def _rendered(experiment, text: str, tables: dict, verdict=lambda report: True):
@@ -161,7 +196,6 @@ def _rendered(experiment, text: str, tables: dict, verdict=lambda report: True):
 
 
 def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
-    _require(params, ("rho", "delta_schedule"), "experiment kind 'norm-lb'")
     plan = wit.plan_norm_lowerbound(symbol, space, float(params["rho"]),
                                     params["delta_schedule"], params.get("eta"),
                                     params.get("ray"))
@@ -170,7 +204,6 @@ def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
 
 
 def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
-    _require(params, ("rho", "theta", "lambda", "m"), "experiment kind 'kappa-lb'")
     rho = float(params["rho"])
     family = wit.kuratowski_family(space.domain, rho, *_family_args(params))
     plan = wit.plan_kuratowski(symbol, space, rho, family, params.get("eta"))
@@ -181,11 +214,11 @@ def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
 
 
 def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
-    _require(params, ("tau",), "experiment kind 'doubling-scan'")
     tau = float(params["tau"])
     schedule = [(entry["y"], float(entry["r"])) for entry in params.get("balls", ())]
     if any(k in params for k in ("theta", "lambda", "m", "y0")):
-        _require(params, ("theta", "lambda", "m"), "doubling-scan family")
+        if missing := [key for key in ("theta", "lambda", "m") if key not in params]:
+            raise ValidationError(f"doubling-scan family needs '{missing[0]}'")
         schedule.extend(dbl.separated_sequence(space.domain, tau, *_family_args(params)))
     dbl.plan_weak_doubling(space.domain, tau, schedule)
     return _rendered(lambda: dbl.weak_doubling_scan(space, tau, schedule),
@@ -193,24 +226,38 @@ def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
 
 
 def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol):
-    _require(params, ("tau_list", "theta", "lambda", "m"), "experiment kind 'tau-scan'")
     plan = dbl.plan_tau_scan(space.domain, params["tau_list"], *_family_args(params))
     return _rendered(lambda: dbl.tau_scan(space, *plan), "reports.tau_scan_text",
                      {"tau_scan.csv": "reports.tau_scan_csv"})
 
 
 def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
-    # the schema's integers include integral floats such as 5.0
+    # config integers include integral floats such as 5.0
     kwargs = {key: int(value) for key, value in _given(params, "trials", "seed").items()}
     return _rendered(lambda: spaces.axiom_check(space, **kwargs), "reports.space_check_text",
                      {"checks.csv": "reports.space_check_csv"},
                      lambda report: all(r.passed for r in report))
 
 
-#: Per experiment kind: check the kind's keys and run the plan step once.  The
-#: returned run executes that plan and renders the kind's files and verdict.
-_EXPERIMENTS = {"norm-lb": _norm_lb, "kappa-lb": _kappa_lb, "doubling-scan": _doubling_scan,
-                "tau-scan": _tau_scan, "space-check": _space_check}
+#: One row per experiment kind: the function that runs the kind's plan step once and
+#: returns the run of that plan, the keys the kind needs and the keys it may take.
+_EXPERIMENTS = {
+    "norm-lb": (_norm_lb, "rho delta_schedule", "eta ray"),
+    "kappa-lb": (_kappa_lb, "rho theta lambda m", "y0 eta"),
+    "doubling-scan": (_doubling_scan, "tau", "balls theta lambda m y0"),
+    "tau-scan": (_tau_scan, "tau_list theta lambda m", "y0"),
+    "space-check": (_space_check, "", "trials"),
+}
+
+#: The config format: the keys each block needs and may take, by block and kind (None
+#: for the top level ``config``, ``grid``, ``space``, ``output`` and one ``balls`` entry).
+_KEYS = {("config", None): ("grid space experiment", "symbol output seed"),
+         ("grid", None): ("n half_width points", ""),
+         ("space", None): ("exponent weight domain", ""),
+         ("output", None): ("", "directory formats"),
+         ("balls", None): ("y r", ""),
+         **{key: row[1:3] for key, row in _BUILDERS.items()},
+         **{("experiment", kind): row[1:] for kind, row in _EXPERIMENTS.items()}}
 
 
 def preflight(raw: dict) -> RunConfig:
@@ -231,7 +278,7 @@ def preflight(raw: dict) -> RunConfig:
     if kind in ("norm-lb", "kappa-lb") and symbol is None:
         raise ValidationError(f"experiment kind {kind!r} needs a symbol block")
     return RunConfig(raw=raw, kind=kind,
-                     execute=_EXPERIMENTS[kind](params, space, symbol),
+                     execute=_EXPERIMENTS[kind][0](params, space, symbol),
                      out_dir=output.get("directory", "out"),
                      formats=output.get("formats", "both"))
 
@@ -247,22 +294,17 @@ def emit(artifacts: dict, formats: str, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for name, content in sorted(artifacts.items()):
-        is_csv = name.endswith(".csv")
-        if is_csv and formats == "text":
-            continue
-        if not is_csv and formats == "csv":
-            continue
-        path = out / name
-        path.write_text(content)
-        written.append(path)
+        if formats == "both" or (formats == "csv") == name.endswith(".csv"):
+            path = out / name
+            path.write_text(content)
+            written.append(path)
     return written
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="whlab",
-        description="Config-driven lower-bound experiments for Wiener-Hopf "
-                    "type operators on weighted variable Lebesgue spaces.")
+    parser = argparse.ArgumentParser(prog="whlab", description=(
+        "Config-driven lower-bound experiments for Wiener-Hopf type operators on "
+        "weighted variable Lebesgue spaces."))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*_EXPERIMENTS, "validate"):
         p = sub.add_parser(name)
@@ -280,9 +322,8 @@ def main(argv=None) -> int:
             print(f"config OK: {cfg.kind}")
             return 0
         if cfg.kind != args.command:
-            raise ValidationError(
-                f"subcommand {args.command!r} does not match config "
-                f"experiment kind {cfg.kind!r}")
+            raise ValidationError(f"subcommand {args.command!r} does not match config "
+                                  f"experiment kind {cfg.kind!r}")
         artifacts, ok = run(cfg)
         written = emit(artifacts, args.format or cfg.formats, args.out or cfg.out_dir)
     except ValidationError as exc:
@@ -300,8 +341,7 @@ def main(argv=None) -> int:
     for path in written:
         print(f"wrote {path}")
     if not ok:
-        print("certified inequality chain FAILED; see the report ledger",
-              file=sys.stderr)
+        print("certified inequality chain FAILED; see the report ledger", file=sys.stderr)
         return 4
     return 0
 

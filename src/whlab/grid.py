@@ -251,8 +251,12 @@ class DomainMask:
 
 
 def make_grid(n: int, half_width: float, points: int) -> Grid:
-    """Build the truncated uniform grid; see :class:`Grid` for invariants."""
-    return Grid(n=n, half_width=float(half_width), points=int(points))
+    """Build the truncated uniform grid; see :class:`Grid` for invariants.  The
+    counts ``n`` and ``points`` may be integral floats such as 2.0."""
+    for name, count in (("n", n), ("points", points)):
+        if isinstance(count, (bool, np.bool_)) or count % 1 != 0:
+            raise ValidationError(f"{name} must be an integer, got {count!r}")
+    return Grid(n=int(n), half_width=float(half_width), points=int(points))
 
 
 def sample(expr, grid: Grid) -> GridFunction:

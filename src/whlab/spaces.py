@@ -330,6 +330,8 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     """
     if trials < 1:
         raise ValidationError(f"the axiom battery needs trials >= 1 (got {trials})")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"the axiom battery needs an integer seed >= 0 (got {seed!r})")
     rng = np.random.default_rng(seed)
     grid = space.grid
     dual = associate_space(space)

@@ -219,7 +219,7 @@ seed: $seed
     ("grid", "{n: 2, half_width: 1.0e+308, points: 64}", "grid spacing"),
     ("grid", "{n: 2, half_width: 1.0e-200, points: 64}", "cell volume"),
     ("grid", "{n: 2, half_width: 1.0e+160, points: 64}", "cell volume"),
-    # 2**1000 nodes: an integral float the schema accepts as an integer
+    # 2**1000 nodes: an integral float the config format accepts as an integer
     ("grid", "{n: 1, half_width: 1.0, points: 1.0715086071862673e+301}",
      "the most complex samples numpy can index"),
     # overflowing expressions end with the field's own message, not a warning
@@ -246,21 +246,27 @@ def test_config_block_rejections(tmp_path, capsys, block, text, message):
     assert message in capsys.readouterr().err
 
 
-def test_builder_table_matches_the_schema():
-    properties = cli._validator().schema["properties"]
-    schemas = {**properties["space"]["properties"], "symbol": properties["symbol"]}
-    assert {block for block, _ in cli._BUILDERS} == set(schemas)
-    for block, schema in schemas.items():
-        rows = {kind: row for (b, kind), row in cli._BUILDERS.items() if b == block}
-        assert set(rows) == set(schema["properties"]["kind"]["enum"])
-        keys = {key for _, needs, optional, _ in rows.values()
-                for key in f"{needs} {optional}".split()}
-        assert keys == set(schema["properties"]) - {"kind"}
+def test_every_key_of_the_config_format_has_a_type():
+    blocks = {block for block, _ in cli._KEYS}
+    keys = {key for row in cli._KEYS.values() for key in " ".join(row).split()}
+    assert keys - blocks == set(cli._TYPES) - {"kind"}
 
 
 def test_config_blocks_are_valid(tmp_path):
     cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(BLOCKS))
     assert cli.main(["validate", "--config", cfg]) == 0
+
+
+def test_integral_float_dimension_is_a_count(tmp_path):
+    # n: 2.0 is an integer of the config format; the grid reads it as 2
+    checks = []
+    for n in ("2", "2.0"):
+        cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(
+            BLOCKS, grid=f"{{n: {n}, half_width: 16.0, points: 64}}"))
+        out = tmp_path / f"out{n}"
+        assert cli.main(["space-check", "--config", cfg, "--out", str(out)]) == 0
+        checks.append((out / "checks.csv").read_bytes())
+    assert checks[0] == checks[1]
 
 
 def test_schema_rejects_unknown_kind(tmp_path, capsys):
@@ -303,11 +309,6 @@ def test_missing_symbol_for_witness_kind(tmp_path, capsys):
     """)
     assert cli.main(["validate", "--config", cfg]) == 2
     assert "symbol" in capsys.readouterr().err
-
-
-def test_shipped_schema_is_valid():
-    validator = cli._validator()
-    type(validator).check_schema(validator.schema)
 
 
 def test_norm_lb_reports_a_skipped_delta(tmp_path):
@@ -391,7 +392,7 @@ def test_space_check_seeded_determinism(tmp_path):
 
 
 def test_space_check_reads_integral_floats_as_counts(tmp_path):
-    # the schema's integers admit 3.0; trials and seed must still be counts
+    # config integers admit 3.0; trials and seed must still be counts
     checks = []
     for trials, seed in (("3", "9"), ("3.0", "9.0")):
         out = tmp_path / f"out{len(checks)}"

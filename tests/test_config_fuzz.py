@@ -5,7 +5,9 @@ lists, NaN or infinity, and changing kinds.  Whatever comes out, the CLI
 must end with success, a validation error or a numeric failure, never a
 traceback.  The base grids have at most 256 points per axis and no
 mutation makes a grid larger.  A deterministic sweep also runs each base
-config with one number at a time set to an edge of the float range.
+config with one number at a time set to an edge of the float range, and
+another adds to each block with a kind, one at a time, each key that only
+other kinds of that block take.
 """
 
 import copy
@@ -120,7 +122,7 @@ def test_validate_never_raises(tmp_path_factory, cfg):
 
 
 EDGES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
-# ``trials`` is skipped: a schema-valid 1e308 asks for 1e308 trials
+# ``trials`` is skipped: a valid 1e308 asks for 1e308 trials
 NUMERIC_PATHS = [(index, path) for index, base in enumerate(BASES)
                  for path in _paths(base)
                  if path[-1] != "trials" and type(_get(base, path)) in (int, float)]
@@ -138,3 +140,31 @@ def test_run_at_the_float_edges_never_raises(tmp_path, index, path):
         kind = cfg["experiment"]["kind"]
         code = cli.main([kind, "--config", str(config), "--out", str(tmp_path / "out")])
         assert code in (0, 2, 3, 4), value
+
+
+#: A valid value of each config key, from the base configs; a key has one type
+#: in every block.
+SAMPLES = {path[-1]: _get(base, path) for base in BASES for path in _paths(base)
+           if isinstance(path[-1], str)}
+
+
+def _foreign_keys(block: str, kind: str) -> list:
+    """The keys that other kinds of config block ``block`` take and ``kind`` does not."""
+    keys = {k: set(" ".join(row).split()) for (b, k), row in cli._KEYS.items() if b == block}
+    return sorted(set().union(*keys.values()) - keys[kind])
+
+
+FOREIGN = [(index, path[:-1], key) for index, base in enumerate(BASES)
+           for path in _paths(base) if path[-1] == "kind"
+           for key in _foreign_keys(path[-2], _get(base, path))]
+
+
+@pytest.mark.parametrize("index,block,key", FOREIGN,
+                         ids=[f"{i}-{'.'.join(b)}-{k}" for i, b, k in FOREIGN])
+def test_a_key_of_another_kind_is_rejected(tmp_path, capsys, index, block, key):
+    cfg = copy.deepcopy(BASES[index])
+    _get(cfg, block)[key] = SAMPLES[key]
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    assert cli.main(["validate", "--config", str(config)]) == 2
+    assert "config schema violation" in capsys.readouterr().err

@@ -26,10 +26,19 @@ def test_make_grid_2d():
     assert g.h == 1.0
 
 
-@pytest.mark.parametrize("n,L,N", [(1, 8, 12), (1, -1, 16), (3, 8, 16), (1, 8, 4)])
+@pytest.mark.parametrize("n,L,N", [(1, 8, 12), (1, -1, 16), (3, 8, 16), (1, 8, 4),
+                                   (1, 16.0, 64.5), (True, 16.0, 64), (1.5, 16.0, 64),
+                                   (1, 16.0, float("nan"))])
 def test_make_grid_rejects(n, L, N):
     with pytest.raises(ValidationError):
         make_grid(n, L, N)
+
+
+def test_make_grid_reads_integral_floats_as_counts():
+    g = make_grid(2.0, 16.0, 64.0)
+    assert g == make_grid(2, 16.0, 64)
+    assert type(g.n) is int and type(g.points) is int
+    assert g.shape == (64, 64)
 
 
 @pytest.mark.parametrize("n,N", [(1, 2 ** 1000), (2, 2 ** 600)], ids=["1d", "2d"])

@@ -454,6 +454,14 @@ def test_axiom_battery_needs_a_trial(trials):
         axiom_check(S, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_axiom_battery_needs_a_seed(seed):
+    g = make_grid(1, 16, 64)
+    S = SpaceSpec(g, constant_exponent(g, 2.0), constant_weight(g), full_space(g))
+    with pytest.raises(ValidationError, match="needs an integer seed >= 0"):
+        axiom_check(S, trials=1, seed=seed)
+
+
 @pytest.mark.parametrize("domain", [lambda g: sector(g, 0.0, 2.0943951023931953),
                                     full_space], ids=["cone", "full"])
 def test_axiom_battery_passes_on_2d_grids(domain):
