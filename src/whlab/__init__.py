@@ -23,9 +23,8 @@ from .spaces import (AxiomResult, ExponentField, SpaceSpec, Weight,
                      associate_space, axiom_check, berezhnoi_ratio,
                      constant_exponent, constant_weight, exponent_from_values,
                      luxemburg_norm, power_weight, step_exponent, weight_from_values)
-from .doubling import (DoublingEntry, DoublingReport, doubling_ratio,
-                       plan_tau_scan, plan_weak_doubling, separated_sequence,
-                       tau_scan, weak_doubling_scan)
+from .doubling import (DoublingEntry, DoublingReport, doubling_ratio, plan_tau_scan,
+                       plan_weak_doubling, separated_sequence, tau_scan)
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         constant_symbol, fourier, gaussian_symbol,
                         inverse_fourier, nearest_freq_node, smoothed_step_symbol,

@@ -220,8 +220,8 @@ def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
         if missing := [key for key in ("theta", "lambda", "m") if key not in params]:
             raise ValidationError(f"doubling-scan family needs '{missing[0]}'")
         schedule.extend(dbl.separated_sequence(space.domain, tau, *_family_args(params)))
-    dbl.plan_weak_doubling(space.domain, tau, schedule)
-    return _rendered(lambda: dbl.weak_doubling_scan(space, tau, schedule),
+    plan = dbl.plan_weak_doubling(space.domain, tau, schedule)
+    return _rendered(lambda: dbl.tau_scan(space, *plan)[0],
                      "reports.doubling_text", {"doubling.csv": "reports.doubling_csv"})
 
 

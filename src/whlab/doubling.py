@@ -1,16 +1,16 @@
 """Doubling ratios over balls, separated ball families along cone rays,
-and scans exhibiting the small-tau trend of the doubling constants.
+and one scan exhibiting the small-tau trend of the doubling constants.
 
 A doubling ratio compares indicator norms of a ball and its tau-inflation
-inside Omega.  The weak-doubling estimate D_est is the minimum ratio over a
-finite schedule of sampled balls -- an upper bound for the infimum
-restricted to the sampled radii, never a certified limit.  The separated
-estimate S_est is the maximum ratio over a family whose tau-inflated balls
-are pairwise disjoint inside Omega.  Containment is decided once, by
-:meth:`whlab.grid.DomainMask.contains_ball` as a precondition of
-:func:`doubling_ratio`, so every scanned ball lies inside Omega;
-disjointness is still recomputed from the centers and radii, never
-trusted from the construction.
+inside Omega.  :func:`tau_scan` measures the ratios of a list of balls at
+each tau and reads them twice: the weak-doubling estimate D_est is their
+minimum -- an upper bound for the infimum restricted to the sampled radii,
+never a certified limit -- and the separated estimate S_est their maximum,
+given only when the tau-inflated balls are pairwise disjoint.  Two plans
+supply the scan: :func:`plan_weak_doubling` (one tau, a ball schedule) and
+:func:`plan_tau_scan` (a tau list, a separated family).  Containment in
+Omega is a precondition of :func:`doubling_ratio`; disjointness is
+recomputed from the centers and radii, never trusted from the construction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, as_point, ball_indicator
+from .grid import Ball, DomainMask, _ball_nodes, as_point, ball_indicator
 from .spaces import SpaceSpec, luxemburg_norm
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "separated_sequence",
     "plan_weak_doubling",
     "plan_tau_scan",
-    "weak_doubling_scan",
     "tau_scan",
 ]
 
@@ -182,45 +181,28 @@ def _require_balls(schedule) -> None:
         raise ValidationError("weak doubling scan needs a non-empty schedule")
 
 
-def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> None:
-    """Validate a weak-doubling scan: a non-empty schedule whose every ball
-    meets the preconditions of :func:`doubling_ratio` at this tau."""
+def plan_weak_doubling(omega: DomainMask, tau: float, schedule) -> tuple:
+    """Validate a one-tau scan: returns the ``([tau], balls)`` that :func:`tau_scan`
+    runs.  Each ball ``(center, radius)`` is normalized and meets, at this tau,
+    every ball precondition of :func:`doubling_ratio`: a node in its inner ball too."""
     _require_balls(schedule)
+    balls = []
     for y, radius in schedule:
-        _inflated_ball(y, radius, tau, omega)
-
-
-def weak_doubling_scan(space: SpaceSpec, tau: float, schedule) -> DoublingReport:
-    """Minimum ratio over a non-empty ball schedule (weak-doubling estimate).
-
-    D_est is an upper bound for the lim-inf restricted to the sampled
-    radii only; the report records every ratio so the sampling is audit-
-    able.  Each ball is checked by :func:`doubling_ratio` itself.
-    """
-    balls = [(tuple(as_point(y, space.grid.n)), float(radius))
-             for y, radius in schedule]
-    _require_balls(balls)
-    ratios = [doubling_ratio(y, radius, tau, space) for y, radius in balls]
-    disjoint = _pairwise_disjoint(balls, tau)
-    all_disjoint = all(disjoint)
-    return DoublingReport(
-        tau=tau,
-        entries=tuple(DoublingEntry(*ball, ratio, d)
-                      for ball, ratio, d in zip(balls, ratios, disjoint)),
-        d_est=min(ratios),
-        s_est=max(ratios) if all_disjoint else None,
-        disjointness_verified=all_disjoint,
-    )
+        outer = _inflated_ball(y, radius, tau, omega)
+        _ball_nodes(Ball(outer.center, radius), omega.grid)
+        balls.append((outer.center, float(radius)))
+    return [tau], balls
 
 
 def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
                   m: int, y0: float | None = None):
-    """Validate a tau scan: returns ``(taus, family)``.
+    """Validate a tau scan: returns the ``(taus, balls)`` of a separated family.
 
     The taus must exceed 1 and decrease strictly.  The family is built and
     checked once, at the largest tau (where ``y0 = None`` is resolved): its
     geometry does not depend on tau, and each precondition it meets there,
-    containment in Omega included, holds at every smaller tau.
+    containment in Omega and pairwise disjoint inflations included, holds
+    at every smaller tau.
     """
     taus = [float(t) for t in tau_list]
     if not taus or any(t <= 1.0 for t in taus):
@@ -228,22 +210,26 @@ def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
     if not all(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("tau list must be strictly decreasing toward 1")
     family = separated_sequence(omega, taus[0], theta, lam, m, y0)
-    plan_weak_doubling(omega, taus[0], family)
-    return taus, family
+    balls = plan_weak_doubling(omega, taus[0], family)[1]
+    if not all(_pairwise_disjoint(balls, taus[0])):
+        raise NumericFailure("constructed family failed the disjointness recheck")
+    return taus, balls
 
 
-def tau_scan(space: SpaceSpec, taus, family) -> list[DoublingReport]:
-    """One report per tau of the ``(taus, family)`` that :func:`plan_tau_scan`
-    returns; S_est is the maximum ratio over the verified disjoint family.
-
-    The same family serves every tau; only the containment margin and the
-    ratios change.  A one-tau scan is
-    ``tau_scan(space, *plan_tau_scan(omega, [tau], ...))[0]``.
-    """
+def tau_scan(space: SpaceSpec, taus, balls) -> list[DoublingReport]:
+    """One report per tau of the ``(taus, balls)`` that :func:`plan_tau_scan`
+    or :func:`plan_weak_doubling` returns: each ratio (so the sampling is
+    auditable), each ball's disjointness flag, D_est and S_est."""
+    _require_balls(balls)
     reports = []
     for tau in taus:
-        report = weak_doubling_scan(space, tau, family)
-        if not report.disjointness_verified:
-            raise NumericFailure("constructed family failed the disjointness recheck")
-        reports.append(report)
+        ratios = [doubling_ratio(y, radius, tau, space) for y, radius in balls]
+        disjoint = _pairwise_disjoint(balls, tau)
+        reports.append(DoublingReport(
+            tau=tau,
+            entries=tuple(DoublingEntry(*ball, ratio, d)
+                          for ball, ratio, d in zip(balls, ratios, disjoint)),
+            d_est=min(ratios),
+            s_est=max(ratios) if all(disjoint) else None,
+            disjointness_verified=all(disjoint)))
     return reports

@@ -35,8 +35,8 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _point_columns(point, base: str = "y"):
-    return [base] if len(point) == 1 else [f"{base}1", f"{base}2"]
+def _point_columns(point):
+    return ["y"] if len(point) == 1 else ["y1", "y2"]
 
 
 def doubling_csv(report: DoublingReport) -> str:

@@ -328,8 +328,9 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     local-integral bound through the factor-2 Hoelder inequality against
     the associate space.
     """
-    if trials < 1:
-        raise ValidationError(f"the axiom battery needs trials >= 1 (got {trials})")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(
+            f"the axiom battery needs trials >= 1, an integer (got {trials!r})")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"the axiom battery needs an integer seed >= 0 (got {seed!r})")
     rng = np.random.default_rng(seed)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .doubling import _check_family, _pairwise_disjoint, separated_sequence
-from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, GridFunction, as_point, ball_indicator
+from .errors import DegenerateBallError, NumericFailure, ValidationError
+from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point, ball_indicator
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         nearest_freq_node)
 from .profiles import bump_profile
@@ -83,10 +83,11 @@ def _margin_violation(y, s: float, L: float) -> str | None:
 class WitnessParams:
     """Concentration scale delta, modulation frequency eta, center y.
 
-    Construction validates the support ball B(y, rho/delta): it must lie
-    inside Omega (continuum clearance where available, plus every node)
-    and obey the periodic-box margin rule (support diameter at most L/2,
-    each center coordinate plus the support radius at most 3L/4).
+    Construction validates the support ball B(y, rho/delta): it must obey
+    the periodic-box margin rule (support diameter at most L/2, each center
+    coordinate plus the support radius at most 3L/4), its plateau ball
+    B(y, 1/delta) must hold a grid node, and it must lie inside Omega
+    (continuum clearance where available, plus every node).
     """
 
     delta: float
@@ -108,6 +109,10 @@ class WitnessParams:
         why = _margin_violation(y, s, grid.half_width)
         if why is not None:
             raise ValidationError(why)
+        try:
+            _ball_nodes(Ball(y, 1.0 / self.delta), grid)
+        except DegenerateBallError as exc:
+            raise ValidationError(f"plateau {exc}") from None
         if not self.domain.contains_ball(Ball(y, s)):
             raise ValidationError(
                 f"support ball B({y}, {s:g}) is not contained in the domain")
@@ -287,8 +292,6 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
     """
     f = make_witness(params)
     norm_f = luxemburg_norm(f, space)
-    if norm_f == 0.0:
-        raise NumericFailure("witness vanishes on Omega")
     ns, nb = (luxemburg_norm(ball_indicator(Ball(params.y, r), space.grid), space)
               for r in (1.0 / params.delta, params.support_radius))
     for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),

@@ -326,6 +326,42 @@ def test_norm_lb_reports_a_skipped_delta(tmp_path):
     assert rows[2][:3] == ["0.05", "nan", "nan"]
 
 
+FINE_GRID = """
+grid: {n: 1, half_width: 16.0, points: 1024}
+space:
+  exponent: {kind: constant, value: 2.0}
+  weight: {kind: constant, value: 1.0}
+  domain: {kind: DOMAIN}
+symbol: {kind: constant, value: 0.7}
+experiment: EXPERIMENT
+"""
+
+
+@pytest.mark.parametrize("delta,plateau", [
+    ("100", "B((11.98,), 0.01)"),  # the witness is nonzero on the support nodes
+    ("200", "B((11.99,), 0.005)"),  # the support holds nodes, the witness is 0 on each
+    ("150", "B((11.986666666666666,), 0.006666666666666667)"),  # the support holds no node either
+])
+def test_norm_lb_skips_a_delta_finer_than_the_grid(tmp_path, delta, plateau):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, FINE_GRID.replace("DOMAIN", "halfline").replace(
+        "EXPERIMENT", f"{{kind: norm-lb, rho: 2.0, delta_schedule: [{delta}, 1.0]}}"))
+    assert cli.main(["validate", "--config", cfg]) == 0
+    assert cli.main(["norm-lb", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert f"  delta={delta}: SKIPPED (plateau ball {plateau} contains no grid node)" in report
+    assert any(line.startswith("  delta=1 y=(10) ratio=") for line in report)
+
+
+def test_validate_rejects_a_doubling_ball_whose_inner_ball_holds_no_node(tmp_path, capsys):
+    cfg = write_config(tmp_path, FINE_GRID.replace("DOMAIN", "full").replace(
+        "EXPERIMENT", "{kind: doubling-scan, tau: 8.0, balls: [{y: 0.015625, r: 0.005}]}"))
+    for command in ("validate", "doubling-scan"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert ("ball B((0.015625,), 0.005) contains no grid node"
+                in capsys.readouterr().err)
+
+
 def test_doubling_scan_csv_schema(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""

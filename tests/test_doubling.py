@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from whlab import (SpaceSpec, ValidationError,
+from whlab import doubling
+from whlab import (NumericFailure, SpaceSpec, ValidationError,
                    constant_exponent, constant_weight, doubling_ratio,
                    explicit_mask, full_space, half_line, make_grid,
                    plan_tau_scan, plan_weak_doubling, power_weight, sector,
-                   separated_sequence, tau_scan, weak_doubling_scan)
+                   separated_sequence, tau_scan)
 
 
 def l2_space(grid, weight=None, domain=None):
@@ -122,7 +123,7 @@ def test_weak_scan_constant_p():
     g = make_grid(1, 64, 4096)
     S = l2_space(g)
     schedule = [((4.0,), 1.0), ((8.0,), 2.0), ((16.0,), 4.0)]
-    rep = weak_doubling_scan(S, 2.0, schedule)
+    rep = tau_scan(S, *plan_weak_doubling(S.domain, 2.0, schedule))[0]
     assert rep.d_est == pytest.approx(np.sqrt(2.0), rel=0.03)
     assert len(rep.entries) == 3
 
@@ -134,7 +135,7 @@ def test_weak_scan_power_weight_far_field():
     S = l2_space(g, weight=power_weight(g, 0.2), domain=half_line(g))
     tau = 2.0
     schedule = [((4.0 ** j,), 4.0 ** j / 4.0) for j in (1, 2, 3)]
-    rep = weak_doubling_scan(S, tau, schedule)
+    rep = tau_scan(S, *plan_weak_doubling(S.domain, tau, schedule))[0]
     assert rep.d_est <= tau ** 0.7 * 1.03
     assert rep.d_est == pytest.approx(tau ** 0.5, rel=0.05)
 
@@ -145,7 +146,26 @@ def test_weak_scan_rejects_empty_schedule():
     with pytest.raises(ValidationError, match=message):
         plan_weak_doubling(full_space(g), 2.0, [])
     with pytest.raises(ValidationError, match=message):
-        weak_doubling_scan(l2_space(g), 2.0, [])
+        tau_scan(l2_space(g), [2.0], [])
+
+
+def test_weak_scan_of_overlapping_balls_reports_no_s_est():
+    g = make_grid(1, 64, 4096)
+    S = l2_space(g)
+    schedule = [((4.0,), 1.0), ((6.0,), 1.0), ((16.0,), 1.0)]  # first two inflations meet
+    rep = tau_scan(S, *plan_weak_doubling(S.domain, 2.0, schedule))[0]
+    assert [e.disjoint for e in rep.entries] == [False, False, True]
+    assert rep.s_est is None and not rep.disjointness_verified
+    assert rep.d_est == min(e.ratio for e in rep.entries)
+
+
+def test_tau_scan_plan_rechecks_disjointness(monkeypatch):
+    g = make_grid(1, 256, 8192)
+    omega = half_line(g)
+    monkeypatch.setattr(doubling, "separated_sequence",
+                        lambda *args: [((8.0,), 1.0), ((10.0,), 1.0)])
+    with pytest.raises(NumericFailure, match="failed the disjointness recheck"):
+        plan_tau_scan(omega, [2.0, 1.5], 0.25, 4.0, 2, y0=1.0)
 
 
 def test_separated_scan_constant_p_halfline():

@@ -446,7 +446,7 @@ def test_axiom_battery_passes():
     assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True])
 def test_axiom_battery_needs_a_trial(trials):
     g = make_grid(1, 16, 64)
     S = SpaceSpec(g, constant_exponent(g, 2.0), constant_weight(g), full_space(g))

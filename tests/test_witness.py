@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from whlab import (Ball, DegenerateBallError, SpaceSpec, ValidationError,
+from whlab import (Ball, SpaceSpec, ValidationError,
                    WitnessParams, apply_multiplier, ball_indicator,
                    constant_exponent, constant_symbol, constant_weight,
-                   explicit_mask, full_space,
+                   explicit_mask, exponent_from_values, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
                    kuratowski_family, luxemburg_norm, make_grid, make_witness,
                    mollification_residual, norm_lowerbound_experiment,
@@ -232,8 +233,8 @@ def test_placed_center_is_admissible(omega, delta, rho):
         return
     try:
         WitnessParams(delta, (0.0,) * omega.grid.n, tuple(y), rho, omega)
-    except DegenerateBallError:
-        pass  # support smaller than a cell
+    except ValidationError as exc:  # plateau smaller than a cell
+        assert str(exc).startswith("plateau ball") and "contains no grid node" in str(exc)
 
 
 def whole_grid_witness(params):
@@ -439,6 +440,40 @@ def test_kappa_sector_2d():
     rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, fam))
     assert rep.kappa_lower_bound >= 0.7 * (1 - 1e-6)
     assert rep.chains_passed
+
+
+def _halfline_space():
+    g = make_grid(1, 4096.0, 2 ** 16)
+    om = half_line(g)
+    return (SpaceSpec(g, constant_exponent(g, 1.5), power_weight(g, 0.1), om),
+            separated_sequence(om, 2.0, 0.25, 4.0, 4, y0=8.0), 2.0)
+
+
+def _sector_space():
+    g = make_grid(2, 64.0, 512)
+    cone = sector(g, 0.0, 2 * np.pi / 3)
+    r = np.hypot(*g.coords())
+    return (SpaceSpec(g, exponent_from_values(g, 2.0 + 0.75 / (1.0 + r)),
+                      power_weight(g, 0.3), cone),
+            separated_sequence(cone, 1.5, 0.1, 1.6, 3, y0=10.0), 1.5)
+
+
+@pytest.mark.parametrize("build", [_halfline_space, _sector_space],
+                         ids=["halfline-constant-p", "sector-variable-p"])
+def test_disjoint_normalized_witnesses_separate_by_the_modular_constant(build):
+    # phi_j - phi_k has modular 1 + 1 = 2 at lambda = 1 (disjoint supports), so
+    # its norm lies in [2^{1/p_+}, 2^{1/p_-}] with p_+- taken over its support
+    S, family, rho = build()
+    plan = plan_kuratowski(constant_symbol(S.grid, 1.0), S, rho, family)
+    phis = []
+    for params in plan.witnesses:
+        f = make_witness(params)
+        phis.append(f * (1.0 / luxemburg_norm(f, S)))
+    for phi_j, phi_k in itertools.combinations(phis, 2):
+        diff = phi_j - phi_k
+        p = S.exponent.values[(diff.values != 0) & S.domain.inside]
+        d = luxemburg_norm(diff, S)
+        assert 2.0 ** (1.0 / p.max()) * (1 - 1e-9) <= d <= 2.0 ** (1.0 / p.min()) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("omega,rho,theta,lam,m", [
