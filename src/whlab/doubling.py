@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, _ball_nodes, as_point, ball_indicator
-from .spaces import SpaceSpec, luxemburg_norm
+from .grid import Ball, DomainMask, _ball_nodes, as_point
+from .spaces import SpaceSpec, indicator_norm
 
 __all__ = [
     "DoublingEntry",
@@ -83,10 +83,10 @@ def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
     """
     outer = _inflated_ball(y, radius, tau, space.domain)
     inner = Ball(outer.center, radius)
-    denom = luxemburg_norm(ball_indicator(inner, space.grid), space)
+    denom = indicator_norm(inner, space)
     if denom < 1e-14:
         raise NumericFailure("degenerate inner ball: indicator norm below 1e-14")
-    numer = luxemburg_norm(ball_indicator(outer, space.grid), space)
+    numer = indicator_norm(outer, space)
     return numer / denom
 
 

@@ -13,6 +13,7 @@ unambiguous rule.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -112,12 +113,15 @@ class Grid:
         """``(slices, dist)``: the bounding box of B(center, radius), one
         slice per axis over the nodes with |x_i - c_i| < radius, and the
         node distances to ``center`` on it.  The box is exact: a node outside
-        it lies at distance >= |x_i - c_i| >= radius."""
+        it lies at distance >= |x_i - c_i| >= radius.  A rounded subtraction
+        is monotone, so -radius < x_i - c_i < radius holds on one index range,
+        found by two bisections: O(log N) per axis."""
         c = as_point(center, self.n)
-        hits = [np.flatnonzero(np.abs(self.x_axis - ci) < radius) for ci in c]
-        slices = tuple(slice(h[0], h[-1] + 1) if h.size else slice(0, 0)
-                       for h in hits)
-        axes = np.ix_(*(self.x_axis[s] for s in slices))  # open mesh, no copy
+        axis = self.x_axis
+        bounds = [(bisect.bisect_right(axis, -radius, key=lambda v: v - ci),
+                   bisect.bisect_left(axis, radius, key=lambda v: v - ci)) for ci in c]
+        slices = tuple(slice(lo, hi) if lo < hi else slice(0, 0) for lo, hi in bounds)
+        axes = np.ix_(*(axis[s] for s in slices))  # open mesh, no copy
         offsets = [x - ci for x, ci in zip(axes, c)]
         return slices, (np.abs(offsets[0]) if self.n == 1 else np.hypot(*offsets))
 

@@ -9,6 +9,8 @@ the upper end of a bisection in the power-of-two bracket around it.  A
 Newton iteration on log m, checked by two modular sums, brackets the root
 to 1e-12 first, so the bisection's tests cost a sum only inside that
 bracket.  Both run on |f| w and p gathered once over Omega ∩ supp f.
+A ball indicator's norm, :func:`indicator_norm`, gathers w and p on the
+ball's window alone (:meth:`whlab.grid.Grid.window`), bit for bit.
 
 The associate space is taken in closed form as (p'(.), 1/w) on the same
 domain; duality checks elsewhere carry a factor-2 slack for the norm
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, Grid, GridFunction, _node_values, ball_indicator
+from .grid import Ball, DomainMask, Grid, GridFunction, _ball_nodes, _node_values
 from .profiles import ramp
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "power_weight",
     "weight_from_values",
     "luxemburg_norm",
+    "indicator_norm",
     "associate_space",
     "berezhnoi_ratio",
     "axiom_check",
@@ -155,13 +158,14 @@ def weight_from_values(grid: Grid, values) -> Weight:
     return Weight(grid, np.broadcast_to(values, grid.shape).copy())
 
 
-def _support(f: GridFunction, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(|f| w, p)`` over ``Omega ∩ supp f``, the only nodes the modular sees."""
-    if f.grid != space.grid:
-        raise ValidationError("grid mismatch between function and space")
-    absf = np.abs(f.values)
-    keep = space.domain.inside & (absf != 0.0)
-    return absf[keep] * space.weight.values[keep], space.exponent.values[keep]
+def _support(space: SpaceSpec, window: tuple,
+             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|f| w, p)`` over ``Omega ∩ supp f`` on ``window``, the only nodes
+    the modular sees; ``values`` is f on the window, or a bool membership
+    for an indicator, whose |f| w is w exactly."""
+    absf = np.abs(values)
+    keep = space.domain.inside[window] & (absf != 0.0)
+    return absf[keep] * space.weight.values[window][keep], space.exponent.values[window][keep]
 
 
 def _modular_sum(z: np.ndarray, p: np.ndarray, lam: float, cell_volume: float) -> float:
@@ -175,11 +179,12 @@ def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,
 
     ``-g'(s)`` is the mean of p under the weights of the sum's terms.
     """
-    t = p * (logz - s)
+    t = np.subtract(logz, s)
+    np.multiply(p, t, out=t)
     top = float(t.max())
     e = np.exp(np.subtract(t, top, out=t), out=t)
     total = float(e.sum())
-    return log_cell + top + math.log(total), float((p * e).sum()) / total
+    return log_cell + top + math.log(total), float(np.multiply(p, e, out=e).sum()) / total
 
 
 def _newton_root(z: np.ndarray, p: np.ndarray, cell_volume: float, tol: float) -> float:
@@ -225,10 +230,24 @@ def luxemburg_norm(f: GridFunction, space: SpaceSpec) -> float:
     required of the caller.  Raises ``NumericFailure`` when the norm is
     outside the normal float range.  Deterministic and total.
     """
-    # Overflow, log(0) and inf - inf in the kernel give the documented
-    # non-finite results; one scope per norm keeps numpy quiet about them.
+    if f.grid != space.grid:
+        raise ValidationError("grid mismatch between function and space")
+    return _luxemburg(space, (), f.values)
+
+
+def indicator_norm(ball: Ball, space: SpaceSpec) -> float:
+    """``luxemburg_norm(ball_indicator(ball, space.grid), space)``, bit for bit,
+    from the ball's window alone: a sub-box of the grid, whose row-major
+    gather visits the ball's nodes in the whole grid's order."""
+    return _luxemburg(space, *_ball_nodes(ball, space.grid))
+
+
+def _luxemburg(space: SpaceSpec, window: tuple, values: np.ndarray) -> float:
+    """The norm kernel, on the f equal to ``values`` on ``window``, 0 off it."""
+    # Overflow, log(0) and inf - inf in the gather and the kernel give the
+    # documented non-finite results; one scope per norm keeps numpy quiet.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z, p = _support(f, space)
+        z, p = _support(space, window, values)
         if z.size == 0:
             return 0.0
         cell_volume = space.grid.cell_volume
@@ -295,9 +314,8 @@ def berezhnoi_ratio(ball: Ball, space: SpaceSpec) -> float:
     """
     if not space.domain.inside.all():
         raise ValidationError("berezhnoi_ratio requires a domain that covers every node")
-    chi = ball_indicator(ball, space.grid)
-    nx = luxemburg_norm(chi, space)
-    nxp = luxemburg_norm(chi, associate_space(space))
+    nx = indicator_norm(ball, space)
+    nxp = indicator_norm(ball, associate_space(space))
     return nx * nxp / _ball_volume(ball, space.grid.n)
 
 

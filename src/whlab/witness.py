@@ -33,11 +33,11 @@ import numpy as np
 
 from .doubling import _check_family, _pairwise_disjoint, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
-from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point, ball_indicator
+from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         nearest_freq_node)
 from .profiles import bump_profile
-from .spaces import SpaceSpec, luxemburg_norm
+from .spaces import SpaceSpec, indicator_norm, luxemburg_norm
 
 __all__ = [
     "WitnessParams",
@@ -122,6 +122,15 @@ class WitnessParams:
         return self.rho / self.delta
 
 
+def _witness_window(params: WitnessParams) -> tuple:
+    """``Grid.window`` of the witness's support ball; the witness is 0 off it."""
+    # delta * radius >= rho after rounding, so the bump is 0 off the window
+    radius = params.support_radius
+    while params.delta * radius < params.rho:
+        radius = math.nextafter(radius, math.inf)
+    return params.domain.grid.window(params.y, radius)
+
+
 def make_witness(params: WitnessParams) -> GridFunction:
     """e^{i eta.x} phi(delta |x - y|) sampled on the nodes of the domain grid.
 
@@ -129,11 +138,7 @@ def make_witness(params: WitnessParams) -> GridFunction:
     of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
     """
     grid = params.domain.grid
-    # delta * radius >= rho after rounding, so the bump is 0 off the window
-    radius = params.support_radius
-    while params.delta * radius < params.rho:
-        radius = math.nextafter(radius, math.inf)
-    window, dist = grid.window(params.y, radius)
+    window, dist = _witness_window(params)
     amp = bump_profile(params.delta * dist, params.rho)
     axes = np.ix_(*(grid.x_axis[s] for s in window))
     phase_arg = sum(e * x for e, x in zip(params.eta, axes))
@@ -154,7 +159,10 @@ def mollification_residual(a: Symbol, params: WitnessParams,
     """
     idx, _ = nearest_freq_node(f.grid, params.eta)
     g = apply_multiplier(a, f)
-    return g, float(np.max(np.abs(g.values - a.at(idx) * f.values)))
+    window, _ = _witness_window(params)
+    err = np.abs(g.values)  # f is 0 off its window, where g - a(eta) f = g exactly
+    err[window] = np.abs(g.values[window] - a.at(idx) * f.values[window])
+    return g, float(np.max(err))
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -292,7 +300,7 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
     """
     f = make_witness(params)
     norm_f = luxemburg_norm(f, space)
-    ns, nb = (luxemburg_norm(ball_indicator(Ball(params.y, r), space.grid), space)
+    ns, nb = (indicator_norm(Ball(params.y, r), space)
               for r in (1.0 / params.delta, params.support_radius))
     for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
                  _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)):

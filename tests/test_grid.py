@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whlab import (Ball, DegenerateBallError, DomainMask, ExponentField,
-                   GridFunction, Symbol, ValidationError, Weight, ball_indicator,
-                   explicit_mask, extend_by_zero, full_space, half_line,
-                   make_grid, restrict, sample, sector)
+                   GridFunction, SpaceSpec, Symbol, ValidationError, Weight,
+                   associate_space, ball_indicator, explicit_mask,
+                   exponent_from_values, extend_by_zero, full_space, half_line,
+                   indicator_norm, luxemburg_norm, make_grid, power_weight,
+                   restrict, sample, sector)
 from whlab.grid import _ball_nodes
 
 
@@ -174,6 +176,12 @@ def whole_grid_ball_nodes(ball, grid):
     return member
 
 
+def whole_axis_window(grid, c, radius):
+    """The former Grid.window slices: one scan of each axis."""
+    hits = [np.flatnonzero(np.abs(grid.x_axis - ci) < radius) for ci in c]
+    return tuple(slice(h[0], h[-1] + 1) if h.size else slice(0, 0) for h in hits)
+
+
 @st.composite
 def grid_balls(draw):
     g = make_grid(draw(st.sampled_from([1, 2])), draw(st.floats(1.0, 64.0)),
@@ -197,6 +205,8 @@ def test_ball_window_matches_the_whole_grid_rule(case, seed):
     g, ball = case
     assert np.array_equal(g.distances(ball.center),
                           whole_grid_distances(g, ball.center))
+    assert (g.window(ball.center, ball.radius)[0]
+            == whole_axis_window(g, ball.center, ball.radius))
     try:
         ref = whole_grid_ball_nodes(ball, g)
     except DegenerateBallError as exc:
@@ -208,11 +218,18 @@ def test_ball_window_matches_the_whole_grid_rule(case, seed):
     full = np.zeros(g.shape, dtype=bool)
     full[window] = member
     assert np.array_equal(full, ref)
-    assert np.array_equal(ball_indicator(ball, g).values, ref.astype(complex))
-    inside = np.random.default_rng(seed).random(g.shape) < 0.97
+    chi = ball_indicator(ball, g)
+    assert np.array_equal(chi.values, ref.astype(complex))
+    rng = np.random.default_rng(seed)
+    inside = rng.random(g.shape) < 0.97
     inside.flat[0] = True
     om = explicit_mask(g, inside)
     assert om.contains_ball(ball) == bool(np.all(inside[ref]))
+    # the windowed indicator norm is the whole-grid norm, bit for bit
+    S = SpaceSpec(g, exponent_from_values(g, 1.2 + 2.0 * rng.random(g.shape)),
+                  power_weight(g, 0.3), om)
+    for space in (S, associate_space(S)):
+        assert indicator_norm(ball, space) == luxemburg_norm(chi, space)
 
 
 def test_sector_scaling_invariance_on_node_pairs():

@@ -10,9 +10,9 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ValidationError, associate_space, axiom_check,
                    ball_indicator, berezhnoi_ratio, constant_exponent,
                    constant_weight, explicit_mask, exponent_from_values,
-                   full_space, half_line, luxemburg_norm, make_grid,
-                   power_weight, restrict, sample, sector, step_exponent,
-                   weight_from_values)
+                   full_space, half_line, indicator_norm, luxemburg_norm,
+                   make_grid, power_weight, restrict, sample, sector,
+                   step_exponent, weight_from_values)
 from whlab import spaces
 from whlab.spaces import NORM_RTOL
 
@@ -71,8 +71,12 @@ def test_luxemburg_at_the_edge_of_the_float_range():
     chi = ball_indicator(Ball((0.0,), 8.0), g)
     huge_w = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g, 1e308), full_space(g))
     # the norm is about 3.9e308: Newton's exp(s) overflows
-    with pytest.raises(NumericFailure, match="above the float range"):
+    with pytest.raises(NumericFailure, match="above the float range") as whole:
         luxemburg_norm(chi, huge_w)
+    # the windowed gather of the same ball fails the same way
+    with pytest.raises(NumericFailure) as windowed:
+        indicator_norm(Ball((0.0,), 8.0), huge_w)
+    assert str(windowed.value) == str(whole.value)
     # |f| w overflows in the gather
     with pytest.raises(NumericFailure, match="above the float range"):
         luxemburg_norm(GridFunction(g, np.full(g.shape, 4 + 0j)), huge_w)

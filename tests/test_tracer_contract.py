@@ -46,3 +46,6 @@ def test_tracer_counts_the_builders_and_renderers(tmp_path, monkeypatch):
                 "operators.gaussian_symbol", "reports.experiment_text",
                 "reports.witness_csv", "reports.pairwise_csv"):
         assert tracer.calls(key) == 1, key
+    # the two witnesses' sandwich norms read only their balls' windows
+    assert tracer.calls("grid.ball_indicator") == 0
+    assert tracer.calls("spaces.indicator_norm") == 4

@@ -12,11 +12,13 @@ from whlab import (Ball, SpaceSpec, ValidationError,
                    explicit_mask, exponent_from_values, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
                    kuratowski_family, luxemburg_norm, make_grid, make_witness,
-                   mollification_residual, norm_lowerbound_experiment,
+                   mollification_residual, nearest_freq_node,
+                   norm_lowerbound_experiment,
                    place_witness_center, plan_kuratowski, plan_norm_lowerbound,
                    power_weight,
                    restrict, sector,
                    separated_sequence, step_exponent, symbol_from_function,
+                   symbol_from_values,
                    wiener_hopf_apply)
 from whlab.profiles import bump_profile, glue, smoothstep
 
@@ -312,6 +314,38 @@ def test_witness_image_restricts_to_wiener_hopf(n):
     assert np.array_equal(restrict(apply_multiplier(a, f), om).values, w_f)
     assert np.array_equal(restrict(image, om).values, w_f)
     assert np.any(image.values[~om.inside] != 0)  # the restriction matters
+
+
+@pytest.mark.parametrize("omega,center,rho,theta,lam,m,y0", [
+    (half_line(make_grid(1, 32768.0, 2 ** 18)), 0.0, 2.0, 0.25, 8.0, 4, 4.0),
+    (sector(make_grid(2, 64.0, 512), 0.0, 2 * np.pi / 3), [0.0, 0.0],
+     1.5, 0.1, 1.6, 3, 10.0),
+], ids=["kappa-1d", "sector-512"])
+def test_residual_matches_the_whole_grid_formula(omega, center, rho, theta, lam,
+                                                 m, y0):
+    # the residual is taken on the witness's window: bit for bit the whole grid's
+    a = gaussian_symbol(omega.grid, center, 2.0, 1.0)
+    family = kuratowski_family(omega, rho, theta, lam, m, y0=y0)
+    for params in plan_kuratowski(a, l2(omega.grid, omega), rho, family).witnesses:
+        f = make_witness(params)
+        g, res = mollification_residual(a, params, f)
+        idx, _ = nearest_freq_node(omega.grid, params.eta)
+        assert res == float(np.max(np.abs(g.values - a.at(idx) * f.values)))
+
+
+def test_residual_reads_the_image_off_the_witness_window():
+    # a shift by 40 with a(eta) = 0: the image 2 f(x - 40) and so the
+    # residual's max lie off the witness's window
+    g = make_grid(1, 64.0, 1024)
+    P = WitnessParams(0.5, (0.0,), (-20.0,), 2.0, full_space(g))
+    idx, _ = nearest_freq_node(g, P.eta)
+    vals = 2.0 * np.exp(-40j * g.xi_axis)
+    vals[idx] = 0.0
+    a = symbol_from_values(g, vals)
+    f = make_witness(P)
+    image, res = mollification_residual(a, P, f)
+    assert res == float(np.max(np.abs(image.values)))
+    assert res == pytest.approx(2.0, rel=0.1)
 
 
 def test_residual_lipschitz_symbol_scales_linearly():
