@@ -11,8 +11,7 @@ Run: python3 demos/demo_kappa.py
 """
 
 from whlab import (SpaceSpec, gaussian_symbol, half_line, kuratowski_experiment,
-                   make_grid, plan_kuratowski, power_weight, separated_sequence,
-                   step_exponent)
+                   make_grid, plan_kuratowski, power_weight, step_exponent)
 
 grid = make_grid(1, 32768, 2 ** 18)
 omega = half_line(grid)
@@ -20,12 +19,12 @@ space = SpaceSpec(grid, step_exponent(grid, 2.0, 2.5), power_weight(grid, 0.1),
                   omega)
 symbol = gaussian_symbol(grid, center=0.0, sigma=2.0, peak=1.0)
 
-family = separated_sequence(omega, tau=2.0, theta=0.25, lam=8.0, m=4, y0=4.0)
+# the family's balls B(y_j, R_j) are the witness plateaus, delta_j = 1/R_j
+plan = plan_kuratowski(symbol, space, rho=2.0, theta=0.25, lam=8.0, m=4, y0=4.0)
 print("separated family (inflations pairwise disjoint in R_+):")
-for j, (y, R) in enumerate(family):
-    print(f"  ball {j}: center {y[0]:>6g}, radius {R:>5g}")
+for j, params in enumerate(plan.witnesses):
+    print(f"  ball {j}: center {params.y[0]:>6g}, radius {1 / params.delta:>5g}")
 
-plan = plan_kuratowski(symbol, space, rho=2.0, family=family)
 report = kuratowski_experiment(plan)
 
 print(f"\nmeasured family doubling constant S_est = {report.doubling_estimate:.4f}")

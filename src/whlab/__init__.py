@@ -30,9 +30,8 @@ from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         inverse_fourier, nearest_freq_node, smoothed_step_symbol,
                         symbol_from_function, symbol_from_values, wiener_hopf_apply)
 from .witness import (ExperimentReport, LedgerLine, PairRecord, WitnessPlan,
-                      WitnessParams, WitnessRecord, kuratowski_experiment,
-                      kuratowski_family, make_witness, mollification_residual,
-                      norm_lowerbound_experiment, place_witness_center,
-                      plan_kuratowski, plan_norm_lowerbound)
+                      WitnessParams, WitnessRecord, kuratowski_experiment, make_witness,
+                      mollification_residual, norm_lowerbound_experiment,
+                      place_witness_center, plan_kuratowski, plan_norm_lowerbound)
 
 __version__ = "0.1.0"

@@ -98,7 +98,7 @@ def _check(block: str, spec, path: tuple = ()):
         elif key not in _TYPES:
             _check(key, value, where)
         elif not _TYPES[key][0](value):
-            raise _violation(where, f"{value!r} is not {_TYPES[key][1]}")
+            raise _violation(where, f"{value!r} is not {_TYPES[key][1]}{_yaml_hint(key, value)}")
 
 
 def _is_number(value) -> bool:
@@ -111,6 +111,18 @@ def _is_integer(value) -> bool:
 
 def _is_numbers(value) -> bool:
     return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _yaml_hint(key: str, value) -> str:
+    """For a string YAML 1.1 leaves unread, such as 2e0, whose float ``key`` takes:
+    that float spelt with the dot and signed exponent YAML 1.1 needs, else ""."""
+    try:
+        number = float(value) if isinstance(value, str) else np.nan
+    except ValueError:
+        return ""
+    if not (np.isfinite(number) and _TYPES[key][0](number)):
+        return ""
+    return f"; YAML 1.1 reads it as text, write {np.format_float_scientific(number, min_digits=1)}"
 
 
 #: The type of each config key that is not a block, the same in every block: a test
@@ -204,9 +216,8 @@ def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
 
 
 def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
-    rho = float(params["rho"])
-    family = wit.kuratowski_family(space.domain, rho, *_family_args(params))
-    plan = wit.plan_kuratowski(symbol, space, rho, family, params.get("eta"))
+    plan = wit.plan_kuratowski(symbol, space, float(params["rho"]), *_family_args(params),
+                               params.get("eta"))
     return _rendered(lambda: wit.kuratowski_experiment(plan), "reports.experiment_text",
                      {"pairwise.csv": "reports.pairwise_csv",
                       "witnesses.csv": "reports.witness_csv"},

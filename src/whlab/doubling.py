@@ -127,9 +127,9 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
     Centers are y_j = y0 * lam^j for j = 1..m with radii R_j = theta |y_j|,
     so the tau-inflated balls stay inside Omega (tau * theta below the
     clearance of the unit central ray, capped at 1) and are pairwise
-    disjoint (lam > (1 + tau*theta)/(1 - tau*theta)).  The scans check both
-    again, containment through :func:`doubling_ratio`.  ``y0 = None`` picks
-    the largest value keeping the outermost inflated ball inside the box.
+    disjoint (lam > (1 + tau*theta)/(1 - tau*theta)), rechecked here on the
+    built balls; the scans check containment through :func:`doubling_ratio`.
+    ``y0 = None`` takes the largest value keeping the outermost inflated ball in the box.
     """
     grid = omega.grid
     ray, lam_m = _check_family(omega, tau, theta, lam, m)
@@ -159,6 +159,8 @@ def separated_sequence(omega: DomainMask, tau: float, theta: float,
                 f"grid box too small: inflated ball {j} of {m} "
                 f"(center distance {y0 * lam ** j:g}) leaves the box")
         family.append(ball(j))
+    if not all(_pairwise_disjoint(family, tau)):
+        raise NumericFailure("constructed family failed the disjointness recheck")
     return family
 
 
@@ -210,10 +212,7 @@ def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
     if not all(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("tau list must be strictly decreasing toward 1")
     family = separated_sequence(omega, taus[0], theta, lam, m, y0)
-    balls = plan_weak_doubling(omega, taus[0], family)[1]
-    if not all(_pairwise_disjoint(balls, taus[0])):
-        raise NumericFailure("constructed family failed the disjointness recheck")
-    return taus, balls
+    return taus, plan_weak_doubling(omega, taus[0], family)[1]
 
 
 def tau_scan(space: SpaceSpec, taus, balls) -> list[DoublingReport]:

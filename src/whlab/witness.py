@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doubling import _check_family, _pairwise_disjoint, separated_sequence
+from .doubling import _check_family, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
@@ -49,7 +49,6 @@ __all__ = [
     "make_witness",
     "mollification_residual",
     "place_witness_center",
-    "kuratowski_family",
     "plan_norm_lowerbound",
     "plan_kuratowski",
     "norm_lowerbound_experiment",
@@ -312,32 +311,6 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
                             nb / ns, residual)
 
 
-def kuratowski_family(omega: DomainMask, rho: float, theta: float, lam: float,
-                      m: int, y0: float | None = None) -> list:
-    """The separated family whose rho-inflations are the witness supports:
-    :func:`whlab.doubling.separated_sequence` with tau = rho.  ``y0 = None``
-    picks the largest value, stepped past rounding, whose outermost support
-    B(y_m, rho R_m) keeps the margin rule of :class:`WitnessParams`."""
-    _check_rho(rho)
-    if y0 is None:
-        ray, lam_m = _check_family(omega, rho, theta, lam, m)
-        L, tt = omega.grid.half_width, rho * theta
-
-        def fits(y0: float) -> bool:  # ball m's support, as WitnessParams sees it
-            dist = y0 * lam ** m
-            return _margin_violation(dist * ray, rho / (1.0 / (theta * dist)), L) is None
-
-        y0 = min(0.25 * L / tt, 0.75 * L / (float(np.max(np.abs(ray))) + tt)) / lam_m
-        while y0 > 0.0 and not fits(y0):
-            y0 = math.nextafter(y0, 0.0)
-        if not (y0 >= 4.0 * omega.grid.h / theta):
-            raise ValidationError(
-                f"no y0 meets both the witness margin rule and 4h/theta: the "
-                f"margin rule needs y0 <= {y0:g}, resolving the innermost "
-                f"ball needs y0 >= {4.0 * omega.grid.h / theta:g}")
-    return separated_sequence(omega, rho, theta, lam, m, y0)
-
-
 def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
                          delta_schedule, eta=None, ray=None):
     """Validate a norm-lb run and place its witnesses in the domain of ``space``.
@@ -369,24 +342,35 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
     return WitnessPlan(a, space, node, tuple(eta_vec), tuple(plan))
 
 
-def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, family, eta=None):
-    """Validate a kappa-lb run: the plan's witnesses are one
-    :class:`WitnessParams` per family ball (delta_j = 1/R_j).
-
-    Raises unless rho > 1, the family has at least two balls, their
-    rho-inflations are pairwise disjoint, and every witness fits in Omega.
-    """
+def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
+                    lam: float, m: int, y0: float | None = None, eta=None):
+    """Validate a kappa-lb run: one :class:`WitnessParams` (delta_j = 1/R_j)
+    per ball of :func:`whlab.doubling.separated_sequence` with tau = rho, so
+    the witness supports are the family's rho-inflations.  ``y0 = None``
+    picks the largest value, stepped past rounding, whose outermost support
+    B(y_m, rho R_m) keeps the margin rule of :class:`WitnessParams`."""
     _check_rho(rho)
-    grid = space.grid
-    fam = [(tuple(as_point(y, grid.n)), float(r)) for y, r in family]
-    m = len(fam)
-    if m < 2:
-        raise ValidationError("the pairwise experiment needs at least 2 balls")
-    if not all(_pairwise_disjoint(fam, rho)):
-        raise ValidationError("family balls have intersecting inflations")
+    omega = space.domain
+    if y0 is None:
+        ray, lam_m = _check_family(omega, rho, theta, lam, m)
+        L, tt = omega.grid.half_width, rho * theta
+
+        def fits(y0: float) -> bool:  # ball m's support, as WitnessParams sees it
+            dist = y0 * lam ** m
+            return _margin_violation(dist * ray, rho / (1.0 / (theta * dist)), L) is None
+
+        y0 = min(0.25 * L / tt, 0.75 * L / (float(np.max(np.abs(ray))) + tt)) / lam_m
+        while y0 > 0.0 and not fits(y0):
+            y0 = math.nextafter(y0, 0.0)
+        if not (y0 >= 4.0 * omega.grid.h / theta):
+            raise ValidationError(
+                f"no y0 meets both the witness margin rule and 4h/theta: the "
+                f"margin rule needs y0 <= {y0:g}, resolving the innermost "
+                f"ball needs y0 >= {4.0 * omega.grid.h / theta:g}")
+    family = separated_sequence(omega, rho, theta, lam, m, y0)
     node, eta_vec = _resolve_eta(a, eta)
-    params = tuple(WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, space.domain)
-                   for y, radius in fam)
+    params = tuple(WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
+                   for y, radius in family)
     return WitnessPlan(a, space, node, tuple(eta_vec), params)
 
 

@@ -17,7 +17,7 @@ from whlab import (Ball, SpaceSpec, axiom_check,
                    kuratowski_experiment, luxemburg_norm, make_grid,
                    make_witness, norm_lowerbound_experiment,
                    plan_kuratowski, plan_norm_lowerbound, plan_tau_scan,
-                   power_weight, sample, separated_sequence,
+                   power_weight, sample,
                    smoothed_step_symbol, step_exponent, tau_scan,
                    weight_from_values, WitnessParams)
 
@@ -124,8 +124,7 @@ def test_criterion_5_kappa_lower_bound():
         om = half_line(g)
         S = criterion4_space(g)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-        fam = separated_sequence(om, 2.0, 0.25, 8.0, 4, y0=4.0)
-        rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, fam))
+        rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, 0.25, 8.0, 4, y0=4.0))
         assert rep.family_size == 4
         assert rep.kappa_lower_bound >= 0.85 * rep.a_eta_abs
         pairwise = [ln for ln in rep.ledger if ln.name.startswith("pairwise-chain")]
@@ -232,7 +231,7 @@ def test_criterion_10_corollary_probe():
     g = make_grid(1, 256, 8192)
     om = half_line(g)
     S = l2(g, domain=om)
-    fam = separated_sequence(om, 2.0, 0.25, 4.0, 3, y0=1.0)
+    fam = dict(rho=2.0, theta=0.25, lam=4.0, m=3, y0=1.0)
     symbols = {
         "gaussian": gaussian_symbol(g, 0.0, 2.0, 1.0),
         "constant 0.7": constant_symbol(g, 0.7),
@@ -240,10 +239,10 @@ def test_criterion_10_corollary_probe():
     }
     for name, a in symbols.items():
         assert a.sup_norm >= 0.5
-        rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, fam))
+        rep = kuratowski_experiment(plan_kuratowski(a, S, **fam))
         assert rep.kappa_lower_bound >= 0.4, name
     zero = constant_symbol(g, 0.0)
-    repk = kuratowski_experiment(plan_kuratowski(zero, S, 2.0, fam))
+    repk = kuratowski_experiment(plan_kuratowski(zero, S, **fam))
     repn = norm_lowerbound_experiment(
         plan_norm_lowerbound(zero, S, 2.0, [0.25, 0.125]))
     outputs = [repk.kappa_lower_bound, repk.eps_obs, repn.eps_obs,

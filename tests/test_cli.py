@@ -126,6 +126,10 @@ experiment: EXPERIMENT
      "lies outside the frequency range [-25.1327, 25.0837]"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: 1.0e+6}",
      "lies outside the frequency range [-25.1327, 25.0837]"),
+    ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 4.0, m: 1, y0: 2.0}",
+     "a separated family needs at least 2 balls"),
+    ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 1.2, m: 2, y0: 2.0}",
+     "for disjoint inflated balls"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
@@ -147,7 +151,7 @@ experiment: EXPERIMENT
 #: The plan steps and the family and placement builders they use, by the
 #: module binding ``cli`` and the library call them through.
 PLANNING = {"wit": ("plan_norm_lowerbound", "plan_kuratowski", "place_witness_center",
-                    "kuratowski_family", "separated_sequence"),
+                    "separated_sequence"),
             "dbl": ("plan_weak_doubling", "plan_tau_scan", "separated_sequence")}
 
 
@@ -238,12 +242,37 @@ seed: $seed
     ("symbol", "{kind: smoothed-step, high: .inf}", "symbol values must be finite"),
     # 2**58 nodes numpy can index, but the 2 EiB axis cannot be allocated
     ("grid", "{n: 1, half_width: 1.0, points: 288230376151711744}", "out of memory"),
+    # YAML 1.1 reads a number without a dot or a signed exponent as a string
+    ("symbol", "{kind: gaussian, sigma: 2e0}",
+     "'2e0' is not a number; YAML 1.1 reads it as text, write 2.0e+00"),
+    ("grid", "{n: 2, half_width: 1.0e308, points: 64}",
+     "'1.0e308' is not a number; YAML 1.1 reads it as text, write 1.0e+308"),
 ])
 def test_config_block_rejections(tmp_path, capsys, block, text, message):
     blocks = dict(BLOCKS, **{block: text})
     cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(blocks))
     assert cli.main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["2e0", "1e-3", "1e+308", "1.0e308", "-5E2", "5e-324"])
+def test_number_hint_spelling_loads_as_the_float(text):
+    assert isinstance(yaml.safe_load(f"sigma: {text}")["sigma"], str)
+    with pytest.raises(cli.ValidationError, match="YAML 1.1 reads it as text") as err:
+        cli._check("symbol", {"kind": "gaussian", "sigma": text})
+    spelling = str(err.value).rsplit("write ", 1)[1]
+    assert yaml.safe_load(f"sigma: {spelling}")["sigma"] == float(text)
+
+
+@pytest.mark.parametrize("block,spec", [
+    ("output", {"formats": "1e0"}),  # not a number key
+    ("experiment", {"kind": "space-check", "trials": "0e0"}),  # 0 is no trial count
+    ("symbol", {"kind": "gaussian", "sigma": "nan"}),  # YAML's .nan is no typo of nan
+])
+def test_number_hint_only_for_a_float_the_key_takes(block, spec):
+    with pytest.raises(cli.ValidationError, match="is not") as err:
+        cli._check(block, spec)
+    assert "YAML 1.1" not in str(err.value)
 
 
 def test_every_key_of_the_config_format_has_a_type():

@@ -162,10 +162,11 @@ def test_weak_scan_of_overlapping_balls_reports_no_s_est():
 def test_tau_scan_plan_rechecks_disjointness(monkeypatch):
     g = make_grid(1, 256, 8192)
     omega = half_line(g)
-    monkeypatch.setattr(doubling, "separated_sequence",
-                        lambda *args: [((8.0,), 1.0), ((10.0,), 1.0)])
+    # skip the lambda bound: lambda = 1.2 is below (1 + tau theta)/(1 - tau theta) = 3
+    monkeypatch.setattr(doubling, "_check_family",
+                        lambda omega, tau, theta, lam, m: (omega.central_ray(), lam ** m))
     with pytest.raises(NumericFailure, match="failed the disjointness recheck"):
-        plan_tau_scan(omega, [2.0, 1.5], 0.25, 4.0, 2, y0=1.0)
+        plan_tau_scan(omega, [2.0, 1.5], 0.25, 1.2, 2, y0=8.0)
 
 
 def test_separated_scan_constant_p_halfline():

@@ -11,7 +11,7 @@ from whlab import (Ball, SpaceSpec, ValidationError,
                    constant_exponent, constant_symbol, constant_weight,
                    explicit_mask, exponent_from_values, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
-                   kuratowski_family, luxemburg_norm, make_grid, make_witness,
+                   luxemburg_norm, make_grid, make_witness,
                    mollification_residual, nearest_freq_node,
                    norm_lowerbound_experiment,
                    place_witness_center, plan_kuratowski, plan_norm_lowerbound,
@@ -325,8 +325,8 @@ def test_residual_matches_the_whole_grid_formula(omega, center, rho, theta, lam,
                                                  m, y0):
     # the residual is taken on the witness's window: bit for bit the whole grid's
     a = gaussian_symbol(omega.grid, center, 2.0, 1.0)
-    family = kuratowski_family(omega, rho, theta, lam, m, y0=y0)
-    for params in plan_kuratowski(a, l2(omega.grid, omega), rho, family).witnesses:
+    plan = plan_kuratowski(a, l2(omega.grid, omega), rho, theta, lam, m, y0=y0)
+    for params in plan.witnesses:
         f = make_witness(params)
         g, res = mollification_residual(a, params, f)
         idx, _ = nearest_freq_node(omega.grid, params.eta)
@@ -433,8 +433,8 @@ def test_kappa_constant_symbol_disjoint_supports():
     g = make_grid(1, 256, 8192)
     om = half_line(g)
     S = l2(g, om)
-    fam = separated_sequence(om, 2.0, 0.25, 4.0, 3, y0=1.0)
-    rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, fam))
+    rep = kuratowski_experiment(
+        plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, 0.25, 4.0, 3, y0=1.0))
     # disjoint supports + lattice property give d_jk >= |c|
     assert rep.kappa_lower_bound >= 0.7 * (1 - 1e-6)
     assert rep.kappa_half == pytest.approx(rep.kappa_lower_bound / 2)
@@ -446,8 +446,8 @@ def test_kappa_zero_symbol():
     g = make_grid(1, 256, 8192)
     om = half_line(g)
     S = l2(g, om)
-    fam = separated_sequence(om, 2.0, 0.25, 4.0, 3, y0=1.0)
-    rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.0), S, 2.0, fam))
+    rep = kuratowski_experiment(
+        plan_kuratowski(constant_symbol(g, 0.0), S, 2.0, 0.25, 4.0, 3, y0=1.0))
     assert all(p.distance <= 1e-8 for p in rep.pairs)
     assert rep.kappa_lower_bound <= 1e-8
 
@@ -457,8 +457,7 @@ def test_kappa_gaussian_weighted_variable():
     om = half_line(g)
     S = SpaceSpec(g, constant_exponent(g, 2.5), power_weight(g, 0.1), om)
     a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-    fam = separated_sequence(om, 2.0, 0.25, 4.0, 4, y0=8.0)
-    rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, fam))
+    rep = kuratowski_experiment(plan_kuratowski(a, S, 2.0, 0.25, 4.0, 4, y0=8.0))
     assert rep.kappa_lower_bound >= 0.85 * rep.a_eta_abs
     assert rep.chains_passed
     # measured chain: every pair beats |a(eta)|/(S_est + slack) - residuals
@@ -470,8 +469,8 @@ def test_kappa_sector_2d():
     g = make_grid(2, 32, 1024)
     cone = sector(g, 0.0, np.pi / 2)
     S = l2(g, cone)
-    fam = separated_sequence(cone, 2.0, 0.25, 3.5, 2, y0=1.3)
-    rep = kuratowski_experiment(plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, fam))
+    rep = kuratowski_experiment(
+        plan_kuratowski(constant_symbol(g, 0.7), S, 2.0, 0.25, 3.5, 2, y0=1.3))
     assert rep.kappa_lower_bound >= 0.7 * (1 - 1e-6)
     assert rep.chains_passed
 
@@ -480,7 +479,7 @@ def _halfline_space():
     g = make_grid(1, 4096.0, 2 ** 16)
     om = half_line(g)
     return (SpaceSpec(g, constant_exponent(g, 1.5), power_weight(g, 0.1), om),
-            separated_sequence(om, 2.0, 0.25, 4.0, 4, y0=8.0), 2.0)
+            (2.0, 0.25, 4.0, 4, 8.0))
 
 
 def _sector_space():
@@ -489,16 +488,13 @@ def _sector_space():
     r = np.hypot(*g.coords())
     return (SpaceSpec(g, exponent_from_values(g, 2.0 + 0.75 / (1.0 + r)),
                       power_weight(g, 0.3), cone),
-            separated_sequence(cone, 1.5, 0.1, 1.6, 3, y0=10.0), 1.5)
+            (1.5, 0.1, 1.6, 3, 10.0))
 
 
-@pytest.mark.parametrize("build", [_halfline_space, _sector_space],
-                         ids=["halfline-constant-p", "sector-variable-p"])
-def test_disjoint_normalized_witnesses_separate_by_the_modular_constant(build):
-    # phi_j - phi_k has modular 1 + 1 = 2 at lambda = 1 (disjoint supports), so
-    # its norm lies in [2^{1/p_+}, 2^{1/p_-}] with p_+- taken over its support
-    S, family, rho = build()
-    plan = plan_kuratowski(constant_symbol(S.grid, 1.0), S, rho, family)
+def assert_separated_by_the_modular_constant(plan):
+    """phi_j - phi_k has modular 1 + 1 = 2 at lambda = 1 (disjoint supports), so
+    its norm lies in [2^{1/p_+}, 2^{1/p_-}] with p_+- taken over its support."""
+    S = plan.space
     phis = []
     for params in plan.witnesses:
         f = make_witness(params)
@@ -510,15 +506,64 @@ def test_disjoint_normalized_witnesses_separate_by_the_modular_constant(build):
         assert 2.0 ** (1.0 / p.max()) * (1 - 1e-9) <= d <= 2.0 ** (1.0 / p.min()) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("build", [_halfline_space, _sector_space],
+                         ids=["halfline-constant-p", "sector-variable-p"])
+def test_disjoint_normalized_witnesses_separate_by_the_modular_constant(build):
+    S, family_args = build()
+    assert_separated_by_the_modular_constant(
+        plan_kuratowski(constant_symbol(S.grid, 1.0), S, *family_args))
+
+
+KAPPA_DOMAINS = [half_line(make_grid(1, 1024.0, 2 ** 14))] + [
+    sector(make_grid(2, 64.0, 512), 0.0, aperture)
+    for aperture in (np.pi / 2, 2 * np.pi / 3, np.pi)]
+
+
+@st.composite
+def kappa_runs(draw):
+    """A space on a drawn cone with a constant or step exponent in [1.2, 4] and a
+    power weight in the middle 80% of (-n/p_+, n(1 - 1/p_-)); kappa-lb family args."""
+    omega = draw(st.sampled_from(KAPPA_DOMAINS))
+    g, n = omega.grid, omega.grid.n
+    left = draw(st.floats(1.2, 4.0))
+    if draw(st.booleans()):
+        exponent = constant_exponent(g, left)
+        p_min = p_max = left
+    else:
+        right = draw(st.floats(1.2, 4.0))
+        edge = draw(st.floats(-0.25, 0.5)) * g.half_width
+        exponent = step_exponent(g, left, right, edge)
+        p_min, p_max = min(left, right), max(left, right)
+    lo, hi = -n / p_max, n * (1.0 - 1.0 / p_min)
+    gamma = lo + (hi - lo) * draw(st.floats(0.1, 0.9))
+    space = SpaceSpec(g, exponent, power_weight(g, gamma), omega)
+    rho = draw(st.floats(1.5, 2.5))
+    tt = draw(st.floats(0.05, 0.25))
+    lam = (1.0 + tt) / (1.0 - tt) * draw(st.floats(1.05, 1.5))
+    return space, rho, tt / rho, lam, draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(run=kappa_runs())
+def test_kappa_plan_default_family_certifies_and_separates(run):
+    # the default y0 path end to end: the chains pass and the witnesses separate
+    S, rho, theta, lam, m = run
+    try:
+        plan = plan_kuratowski(gaussian_symbol(S.grid, None, 2.0, 1.0), S, rho,
+                               theta, lam, m)
+    except ValidationError:
+        return
+    assert kuratowski_experiment(plan).chains_passed
+    assert_separated_by_the_modular_constant(plan)
+
+
 @pytest.mark.parametrize("omega,rho,theta,lam,m", [
     (sector(make_grid(2, 64.0, 512), 0.0, 2 * np.pi / 3), 1.5, 0.1, 1.6, 3),
     (half_line(make_grid(1, 64.0, 1024)), 2.0, 0.25, 4.0, 2),
 ])
-def test_kuratowski_family_default_y0_keeps_the_margin_rule(omega, rho, theta,
-                                                            lam, m):
-    family = kuratowski_family(omega, rho, theta, lam, m)
+def test_kappa_plan_default_y0_keeps_the_margin_rule(omega, rho, theta, lam, m):
     params = plan_kuratowski(constant_symbol(omega.grid, 1.0),
-                             l2(omega.grid, omega), rho, family).witnesses
+                             l2(omega.grid, omega), rho, theta, lam, m).witnesses
     # the largest admissible y0: the outermost support reaches the margin
     L, outer = omega.grid.half_width, params[-1]
     s = outer.support_radius
@@ -526,25 +571,27 @@ def test_kuratowski_family_default_y0_keeps_the_margin_rule(omega, rho, theta,
     assert 0.0 <= slack <= 1e-12 * L
 
 
-def test_kuratowski_family_explicit_y0_and_unresolvable_default():
+def test_kappa_plan_explicit_y0_and_unresolvable_default():
     om = half_line(make_grid(1, 64.0, 1024))
-    assert (kuratowski_family(om, 2.0, 0.25, 4.0, 2, y0=2.0)
+    a, S = constant_symbol(om.grid, 1.0), l2(om.grid, om)
+    plan = plan_kuratowski(a, S, 2.0, 0.25, 4.0, 2, y0=2.0)
+    assert ([(params.y, 1.0 / params.delta) for params in plan.witnesses]
             == separated_sequence(om, 2.0, 0.25, 4.0, 2, y0=2.0))
     with pytest.raises(ValidationError, match="margin rule and 4h/theta"):
-        kuratowski_family(om, 2.0, 0.01, 1.1, 4)
+        plan_kuratowski(a, S, 2.0, 0.01, 1.1, 4)
 
 
 def test_kappa_rejects_overlapping_family():
     g = make_grid(1, 256, 8192)
     om = half_line(g)
     S = l2(g, om)
-    fam = [((8.0,), 2.0), ((12.0,), 2.0)]  # inflations overlap
-    with pytest.raises(ValidationError):
-        plan_kuratowski(constant_symbol(g, 1.0), S, 2.0, fam)
+    # lambda = 1.2 is below (1 + rho theta)/(1 - rho theta) = 3: inflations overlap
+    with pytest.raises(ValidationError, match="for disjoint inflated balls"):
+        plan_kuratowski(constant_symbol(g, 1.0), S, 2.0, 0.25, 1.2, 2, y0=8.0)
 
 
 def test_kappa_needs_two_balls():
     g = make_grid(1, 256, 8192)
     om = half_line(g)
-    with pytest.raises(ValidationError):
-        plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, [((8.0,), 2.0)])
+    with pytest.raises(ValidationError, match="needs at least 2 balls"):
+        plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, 0.25, 4.0, 1, y0=8.0)
