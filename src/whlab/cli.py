@@ -114,15 +114,17 @@ def _is_numbers(value) -> bool:
 
 
 def _yaml_hint(key: str, value) -> str:
-    """For a string YAML 1.1 leaves unread, such as 2e0, whose float ``key`` takes:
-    that float spelt with the dot and signed exponent YAML 1.1 needs, else ""."""
-    try:
-        number = float(value) if isinstance(value, str) else np.nan
-    except ValueError:
-        return ""
-    if not (np.isfinite(number) and _TYPES[key][0](number)):
-        return ""
-    return f"; YAML 1.1 reads it as text, write {np.format_float_scientific(number, min_digits=1)}"
+    """For the first string of ``value`` or of its list that YAML 1.1 leaves unread, such as
+    2e0, whose float ``key`` takes: that float spelt as YAML 1.1 needs it, else ""."""
+    for item in value if isinstance(value, list) else [value]:
+        try:
+            number = float(item) if isinstance(item, str) else np.nan
+        except ValueError:
+            continue
+        if np.isfinite(number) and _TYPES[key][0](number if item is value else [number]):
+            return (f"; YAML 1.1 reads {'it' if item is value else repr(item)} as text, "
+                    f"write {np.format_float_scientific(number, min_digits=1)}")
+    return ""
 
 
 #: The type of each config key that is not a block, the same in every block: a test

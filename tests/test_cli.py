@@ -1,5 +1,6 @@
 import collections
 import csv
+import re
 import string
 import textwrap
 
@@ -130,6 +131,17 @@ experiment: EXPERIMENT
      "a separated family needs at least 2 balls"),
     ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 1.2, m: 2, y0: 2.0}",
      "for disjoint inflated balls"),
+    # YAML 1.1 reads a list element without a dot or a signed exponent as a string
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [5e-1, 0.25]}",
+     "['5e-1', 0.25] is not a list of numbers; YAML 1.1 reads '5e-1' as text, write 5.0e-01"),
+    ("{kind: tau-scan, tau_list: [2.0, 15e-1], theta: 0.25, lambda: 4.0, m: 2}",
+     "YAML 1.1 reads '15e-1' as text, write 1.5e+00"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: [1e0]}",
+     "YAML 1.1 reads '1e0' as text, write 1.0e+00"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], ray: [x, 1E0]}",
+     "YAML 1.1 reads '1E0' as text, write 1.0e+00"),
+    ("{kind: doubling-scan, tau: 2.0, balls: [{y: [8e0], r: 1.0}]}",
+     "YAML 1.1 reads '8e0' as text, write 8.0e+00"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
@@ -247,6 +259,9 @@ seed: $seed
      "'2e0' is not a number; YAML 1.1 reads it as text, write 2.0e+00"),
     ("grid", "{n: 2, half_width: 1.0e308, points: 64}",
      "'1.0e308' is not a number; YAML 1.1 reads it as text, write 1.0e+308"),
+    ("symbol", "{kind: gaussian, center: [0.0, 1e0]}",
+     "[0.0, '1e0'] is not a number or a list of numbers; YAML 1.1 reads '1e0' as text, "
+     "write 1.0e+00"),
 ])
 def test_config_block_rejections(tmp_path, capsys, block, text, message):
     blocks = dict(BLOCKS, **{block: text})
@@ -262,12 +277,20 @@ def test_number_hint_spelling_loads_as_the_float(text):
         cli._check("symbol", {"kind": "gaussian", "sigma": text})
     spelling = str(err.value).rsplit("write ", 1)[1]
     assert yaml.safe_load(f"sigma: {spelling}")["sigma"] == float(text)
+    # in a list the hint names the first element float() reads, and spells it
+    listed = yaml.safe_load(f"center: [0.0, e1, {text}, 3e0]")["center"]
+    with pytest.raises(cli.ValidationError,
+                       match=f"YAML 1.1 reads '{re.escape(text)}' as text") as err:
+        cli._check("symbol", {"kind": "gaussian", "center": listed})
+    spelling = str(err.value).rsplit("write ", 1)[1]
+    assert yaml.safe_load(f"center: [0.0, {spelling}]")["center"][1] == float(text)
 
 
 @pytest.mark.parametrize("block,spec", [
     ("output", {"formats": "1e0"}),  # not a number key
     ("experiment", {"kind": "space-check", "trials": "0e0"}),  # 0 is no trial count
     ("symbol", {"kind": "gaussian", "sigma": "nan"}),  # YAML's .nan is no typo of nan
+    ("grid", {"n": 1, "half_width": 1.0, "points": ["8e0"]}),  # a count is no list
 ])
 def test_number_hint_only_for_a_float_the_key_takes(block, spec):
     with pytest.raises(cli.ValidationError, match="is not") as err:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, ValidationError,
                    apply_multiplier, argmax_freq_node, ball_indicator,
@@ -199,6 +203,64 @@ def test_multiplier_image_overflow_is_a_numeric_failure(symbol):
     g = make_grid(1, 64.0, 256)
     with pytest.raises(NumericFailure, match="multiplier image overflows"):
         apply_multiplier(symbol(g), ball_indicator(Ball((0.0,), 8.0), g))
+
+
+SYMBOLS = {
+    "constant": lambda g, x: constant_symbol(g, complex(x[0], x[1])),
+    "gaussian": lambda g, x: gaussian_symbol(g, x[0] * g.xi_axis[-1] * np.ones(g.n),
+                                             sigma=abs(x[1]) * g.xi_axis[-1] + 0.1, peak=x[2]),
+    "smoothed-step": lambda g, x: smoothed_step_symbol(g, x[0] * g.xi_axis[-1],
+                                                       abs(x[1]) + 1e-3, low=x[2], high=x[3]),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((1, 2)), log_points=st.integers(3, 10),
+       log_width=st.integers(-2, 8), stretch=st.sampled_from((1.0, 1.3, 1.7, 1.9375)),
+       kind=st.sampled_from(sorted(SYMBOLS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_multiplier_is_the_continuum_transform_product(n, log_points, log_width, stretch,
+                                                       kind, seed):
+    # the fused kernel against F^{-1}(a . F u) through both continuum transforms:
+    # bit-identical when h^n is a power of two, a few ulp apart otherwise
+    g = make_grid(n, stretch * 2.0 ** log_width, 2 ** log_points)
+    rng = np.random.default_rng(seed)
+    a = SYMBOLS[kind](g, rng.uniform(-1.0, 1.0, 4))
+    # mean 4: the zero-frequency coefficient times 1e308 overflows below
+    u = GridFunction(g, 4.0 + rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    image = apply_multiplier(a, u).values
+    reference = inverse_fourier(GridFunction(g, a.values * fourier(u).values)).values
+    if np.frexp(g.h ** g.n)[0] == 0.5:
+        assert np.array_equal(image, reference)
+    else:
+        assert np.linalg.norm(image - reference) <= 1e-15 * np.linalg.norm(reference)
+    with pytest.raises(ValidationError, match="different grids"):
+        apply_multiplier(SYMBOLS[kind](make_grid(n, 3.0 * g.half_width, g.points), [0.5] * 4), u)
+    with pytest.raises(NumericFailure, match="the multiplier image overflows"):
+        apply_multiplier(constant_symbol(g, 1e308), u)
+
+
+def test_multiplier_image_of_a_huge_cell_does_not_overflow():
+    # h = 2^18: the h-scaled spectrum 2^18 . 8e306 of the continuum transform
+    # overflows, the FFT-order product of the fused kernel does not
+    g = make_grid(1, 2.0 ** 20, 8)
+    u = GridFunction(g, np.full(g.shape, 1e306))
+    image = apply_multiplier(constant_symbol(g, 1.0), u)
+    assert np.max(np.abs(image.values - u.values)) <= 1e-15 * 1e306
+
+
+@pytest.mark.parametrize("n,points", [(1, 2 ** 16), (2, 256)])
+def test_multiplier_peak_memory(n, points):
+    # one spectrum array, transformed axis by axis in place; the image is a view of it
+    g = make_grid(n, 16.0, points)
+    a, u = gaussian_symbol(g), rand_fn(g, 9)
+    apply_multiplier(a, u)  # numpy caches its FFT plans on the first call
+    tracemalloc.start()
+    try:
+        apply_multiplier(a, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * g.node_count * np.dtype(complex).itemsize
 
 
 def test_argmax_freq_node_prefers_zero():
