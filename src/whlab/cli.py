@@ -4,7 +4,7 @@ One run = one YAML config = one experiment; identical configs produce
 byte-identical outputs.  Subcommands mirror the experiment kinds plus
 ``validate`` (parse and pre-flight only).  Exit codes: 0 success, 2
 validation error, unwritable outputs or arrays too large for memory, 3
-numeric failure, 4 completed run whose certified inequality chain failed.
+numeric failure, 4 completed run whose report status is not OK.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import importlib
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +39,11 @@ CONFIG_P_MIN = 1.05
 class RunConfig:
     """A parsed and pre-flighted run: every referenced object is built,
     every precondition of the invoked operations has been checked, and
-    ``execute(echo)`` runs the checked plan and renders its files and verdict."""
+    ``execute()`` runs the checked plan and renders its files and status."""
 
     raw: dict
     kind: str
-    execute: Callable[[str], tuple]
+    execute: Callable[[], tuple]
     out_dir: str
     formats: str
 
@@ -199,14 +198,18 @@ def _family_args(params: dict) -> tuple:
     return float(params["theta"]), float(params["lambda"]), int(params["m"]), params.get("y0")
 
 
-def _rendered(experiment, text: str, tables: dict, verdict=lambda report: True):
-    """A kind's run: ``report.txt`` and the csv ``tables`` of the report of
-    ``experiment()``, each from its renderer, and the report's verdict."""
-    def execute(echo):
+def _rendered(experiment, text: str, tables: dict, status=lambda report: "OK"):
+    """A kind's run: the csv ``tables`` and the body of ``report.txt`` of the report of
+    ``experiment()``, each from its renderer, and the report's status."""
+    def execute():
         report = experiment()
         files = {name: _library(csv)(report) for name, csv in tables.items()}
-        return {"report.txt": _library(text)(report, echo), **files}, verdict(report)
+        return files, _library(text)(report), status(report)
     return execute
+
+
+def _chain_status(report: wit.ExperimentReport) -> str:
+    return "OK" if report.chains_passed else "CHAIN FAILURE"
 
 
 def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
@@ -214,7 +217,7 @@ def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
                                     params["delta_schedule"], params.get("eta"),
                                     params.get("ray"))
     return _rendered(lambda: wit.norm_lowerbound_experiment(plan), "reports.experiment_text",
-                     {"witnesses.csv": "reports.witness_csv"}, attrgetter("chains_passed"))
+                     {"witnesses.csv": "reports.witness_csv"}, _chain_status)
 
 
 def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
@@ -222,8 +225,7 @@ def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
                                params.get("eta"))
     return _rendered(lambda: wit.kuratowski_experiment(plan), "reports.experiment_text",
                      {"pairwise.csv": "reports.pairwise_csv",
-                      "witnesses.csv": "reports.witness_csv"},
-                     attrgetter("chains_passed"))
+                      "witnesses.csv": "reports.witness_csv"}, _chain_status)
 
 
 def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
@@ -249,7 +251,7 @@ def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
     kwargs = {key: int(value) for key, value in _given(params, "trials", "seed").items()}
     return _rendered(lambda: spaces.axiom_check(space, **kwargs), "reports.space_check_text",
                      {"checks.csv": "reports.space_check_csv"},
-                     lambda report: all(r.passed for r in report))
+                     lambda results: "OK" if all(r.passed for r in results) else "AXIOM FAILURE")
 
 
 #: One row per experiment kind: the function that runs the kind's plan step once and
@@ -297,8 +299,12 @@ def preflight(raw: dict) -> RunConfig:
 
 
 def run(cfg: RunConfig):
-    """Execute the experiment; returns (artifacts, chains_passed)."""
-    return cfg.execute(cfg.echo)
+    """Execute the experiment; returns (artifacts, status == "OK").  ``report.txt`` is
+    the renderer's body framed by the kind, the config echo and the status line."""
+    echo = ["  " + line for line in cfg.echo.rstrip("\n").split("\n")]
+    tables, body, status = cfg.execute()
+    text = [f"experiment report: {cfg.kind}", "config:", *echo, *body, f"status: {status}"]
+    return {"report.txt": "\n".join(text) + "\n", **tables}, status == "OK"
 
 
 def emit(artifacts: dict, formats: str, out_dir) -> list:
@@ -354,7 +360,8 @@ def main(argv=None) -> int:
     for path in written:
         print(f"wrote {path}")
     if not ok:
-        print("certified inequality chain FAILED; see the report ledger", file=sys.stderr)
+        print(f"run finished with {artifacts['report.txt'].splitlines()[-1]!r}",
+              file=sys.stderr)
         return 4
     return 0
 

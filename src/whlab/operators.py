@@ -21,7 +21,6 @@ aliasing then stays below the stated tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,14 +100,12 @@ def smoothed_step_symbol(grid: Grid, edge: float = 0.0, width: float | None = No
     return symbol_from_values(grid, ramp(grid.freq_coords()[0], edge, width, low, high))
 
 
-@lru_cache(maxsize=None)
 def _phase(n: int, points: int) -> np.ndarray:
-    """The sign (-1)^(k_1 + ... + k_n) on the frequency nodes, read-only."""
+    """The sign (-1)^(k_1 + ... + k_n) on the frequency nodes."""
     k = np.arange(-(points // 2), points // 2)
     out = (1 - 2 * (np.abs(k) % 2)).astype(float)
     if n == 2:
         out = np.outer(out, out)
-    out.flags.writeable = False
     return out
 
 

@@ -1,11 +1,17 @@
 """Deterministic text and CSV rendering of reports.
 
 Given a fixed report object the rendered bytes are identical run to run:
-no timestamps, fixed float formatting, fixed row order.
+no timestamps, fixed float formatting, fixed row order.  A text renderer
+writes only the body of ``report.txt``; the CLI writes its frame (the
+experiment kind, the config echo and the status line).  Every table goes
+through one ``csv.writer``, so a cell that holds a comma, a quote or a
+line feed is quoted.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 from .doubling import DoublingReport
@@ -39,46 +45,41 @@ def _point_columns(point):
     return ["y"] if len(point) == 1 else ["y1", "y2"]
 
 
+def _csv(header: list, rows) -> str:
+    """The header line, then one line per row of cells."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def doubling_csv(report: DoublingReport) -> str:
     header = (["tau", "j"] + _point_columns(report.entries[0].y)
               + ["R", "ratio", "disjoint"])
-    rows = [",".join(header)]
-    for j, e in enumerate(report.entries):
-        cells = [fmt(report.tau), str(j)]
-        cells += [fmt(c) for c in e.y]
-        cells += [fmt(e.radius), fmt(e.ratio), str(e.disjoint).lower()]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    return _csv(header, ([fmt(report.tau), j, *map(fmt, e.y), fmt(e.radius), fmt(e.ratio),
+                          str(e.disjoint).lower()] for j, e in enumerate(report.entries)))
 
 
 def tau_scan_csv(scan: list[DoublingReport]) -> str:
-    out = ["tau,d_est,s_est"]
-    for r in scan:
-        out.append(f"{fmt(r.tau)},{fmt(r.d_est)},{fmt(r.s_est)}")
-    return "\n".join(out) + "\n"
+    return _csv(["tau", "d_est", "s_est"],
+                ([fmt(r.tau), fmt(r.d_est), fmt(r.s_est)] for r in scan))
 
 
 def witness_csv(report: ExperimentReport) -> str:
     header = (["delta"] + _point_columns(report.eta)
               + ["ratio", "norm_small", "norm_witness", "norm_big",
                  "quotient", "residual", "error"])
-    rows = [",".join(header)]
-    for w in report.witnesses:
-        y = list(w.y) if w.y else [math.nan] * len(report.eta)
-        cells = [fmt(w.delta)] + [fmt(c) for c in y]
-        cells += [fmt(w.ratio), fmt(w.norm_small), fmt(w.norm_witness),
-                  fmt(w.norm_big), fmt(w.quotient), fmt(w.residual),
-                  w.error or ""]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    return _csv(header, (
+        [fmt(w.delta), *map(fmt, w.y or [math.nan] * len(report.eta)),
+         fmt(w.ratio), fmt(w.norm_small), fmt(w.norm_witness), fmt(w.norm_big),
+         fmt(w.quotient), fmt(w.residual), w.error or ""] for w in report.witnesses))
 
 
 def pairwise_csv(report: ExperimentReport) -> str:
-    rows = ["j,k,distance,bound,bound_raw,passed"]
-    for p in report.pairs:
-        rows.append(f"{p.j},{p.k},{fmt(p.distance)},{fmt(p.bound)},"
-                    f"{fmt(p.bound_raw)},{str(p.passed).lower()}")
-    return "\n".join(rows) + "\n"
+    return _csv(["j", "k", "distance", "bound", "bound_raw", "passed"],
+                ([p.j, p.k, fmt(p.distance), fmt(p.bound), fmt(p.bound_raw),
+                  str(p.passed).lower()] for p in report.pairs))
 
 
 def _ledger_lines(report) -> list[str]:
@@ -90,16 +91,8 @@ def _ledger_lines(report) -> list[str]:
     return out
 
 
-def _header(title: str, echo: str) -> list[str]:
-    """Report title line, then the indented config echo."""
-    out = [f"experiment report: {title}", "config:"]
-    out.extend("  " + ln for ln in echo.rstrip("\n").split("\n"))
-    return out
-
-
-def experiment_text(report: ExperimentReport, config_echo: str) -> str:
-    out = _header(report.kind, config_echo)
-    out.append(f"symbol sup norm: {fmt(report.sup_norm)}")
+def experiment_text(report: ExperimentReport) -> list[str]:
+    out = [f"symbol sup norm: {fmt(report.sup_norm)}"]
     eta = ",".join(fmt(v) for v in report.eta)
     out.append(f"probed eta: ({eta})  |a(eta)| = {fmt(report.a_eta_abs)}")
     out.append(f"observed residual eps: {fmt(report.eps_obs)}")
@@ -125,15 +118,11 @@ def experiment_text(report: ExperimentReport, config_echo: str) -> str:
         out.append(f"kappa_lower_bound: {fmt(report.kappa_lower_bound)} "
                    f"(consistent with separation of a size-{report.family_size} family)")
         out.append(f"reported noncompactness bound (half): {fmt(report.kappa_half)}")
-    out.extend(_ledger_lines(report))
-    out.append(f"status: {'OK' if report.chains_passed else 'CHAIN FAILURE'}")
-    return "\n".join(out) + "\n"
+    return out + _ledger_lines(report)
 
 
-def doubling_text(report: DoublingReport, config_echo: str) -> str:
-    out = _header("doubling-scan", config_echo)
-    out.append(f"tau: {fmt(report.tau)}")
-    out.append("balls:")
+def doubling_text(report: DoublingReport) -> list[str]:
+    out = [f"tau: {fmt(report.tau)}", "balls:"]
     for j, e in enumerate(report.entries):
         y = ",".join(fmt(c) for c in e.y)
         out.append(f"  j={j} y=({y}) R={fmt(e.radius)} ratio={fmt(e.ratio)} "
@@ -141,34 +130,20 @@ def doubling_text(report: DoublingReport, config_echo: str) -> str:
     out.append(f"D_est (min ratio over sampled balls): {fmt(report.d_est)}")
     out.append(f"S_est (max ratio over verified disjoint family): {fmt(report.s_est)}")
     out.append(f"disjointness_verified: {str(report.disjointness_verified).lower()}")
-    out.append("status: OK")
-    return "\n".join(out) + "\n"
+    return out
 
 
-def tau_scan_text(scan: list[DoublingReport], config_echo: str) -> str:
-    out = _header("tau-scan", config_echo)
-    out.append("tau trend (decreasing toward 1):")
-    for r in scan:
-        out.append(f"  tau={fmt(r.tau)} D_est={fmt(r.d_est)} S_est={fmt(r.s_est)}")
-    out.append("status: OK")
-    return "\n".join(out) + "\n"
+def tau_scan_text(scan: list[DoublingReport]) -> list[str]:
+    return ["tau trend (decreasing toward 1):"] + [
+        f"  tau={fmt(r.tau)} D_est={fmt(r.d_est)} S_est={fmt(r.s_est)}" for r in scan]
 
 
-def space_check_text(results: list[AxiomResult], config_echo: str) -> str:
-    out = _header("space-check", config_echo)
-    ok = True
-    for r in results:
-        verdict = "PASS" if r.passed else "FAIL"
-        ok = ok and r.passed
-        out.append(f"  {r.name}: worst={fmt(r.worst)} tol={fmt(r.tolerance)} "
-                   f"trials={r.trials} {verdict}")
-    out.append(f"status: {'OK' if ok else 'AXIOM FAILURE'}")
-    return "\n".join(out) + "\n"
+def space_check_text(results: list[AxiomResult]) -> list[str]:
+    return [f"  {r.name}: worst={fmt(r.worst)} tol={fmt(r.tolerance)} "
+            f"trials={r.trials} {'PASS' if r.passed else 'FAIL'}" for r in results]
 
 
 def space_check_csv(results: list[AxiomResult]) -> str:
-    rows = ["check,worst,tolerance,trials,passed"]
-    for r in results:
-        rows.append(f"{r.name},{fmt(r.worst)},{fmt(r.tolerance)},"
-                    f"{r.trials},{str(r.passed).lower()}")
-    return "\n".join(rows) + "\n"
+    return _csv(["check", "worst", "tolerance", "trials", "passed"],
+                ([r.name, fmt(r.worst), fmt(r.tolerance), r.trials, str(r.passed).lower()]
+                 for r in results))

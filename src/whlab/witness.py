@@ -253,7 +253,6 @@ class ExperimentReport:
     it; ``family_size`` records how many balls witnessed the separation.
     """
 
-    kind: str
     sup_norm: float
     eta: tuple
     a_eta_abs: float
@@ -405,7 +404,6 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
         records.append(replace(rec, ratio=wnorm / rec.norm_witness))
     measured = [r for r in records if r.error is None]
     return ExperimentReport(
-        kind="norm-lb",
         sup_norm=a.sup_norm,
         eta=plan.eta,
         a_eta_abs=a_abs,
@@ -443,12 +441,10 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
-    worst_eps_norm = 0.0
     for j, k in itertools.combinations(range(len(records)), 2):
         d = luxemburg_norm(images[j] - images[k], space)
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
-        worst_eps_norm = max(worst_eps_norm, eps_norm)
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm
         bound_raw = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_obs
         line = _line(f"pairwise-chain[{j},{k}]", bound, d, CHAIN_SLACK)
@@ -456,10 +452,9 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
         pairs.append(PairRecord(j, k, d, bound, bound_raw, line.passed))
     kappa_lb = min(p.distance for p in pairs)
     kappa_half = 0.5 * kappa_lb
-    target = 0.5 * (a_abs / (s_est + S_EST_SLACK) - 2.0 * worst_eps_norm)
+    target = 0.5 * min(p.bound for p in pairs)
     ledger.append(_line("kappa-half-target", target, kappa_half, CHAIN_SLACK))
     return ExperimentReport(
-        kind="kappa-lb",
         sup_norm=a.sup_norm,
         eta=plan.eta,
         a_eta_abs=a_abs,

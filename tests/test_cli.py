@@ -403,6 +403,31 @@ def test_norm_lb_skips_a_delta_finer_than_the_grid(tmp_path, delta, plateau):
     report = (out / "report.txt").read_text().splitlines()
     assert f"  delta={delta}: SKIPPED (plateau ball {plateau} contains no grid node)" in report
     assert any(line.startswith("  delta=1 y=(10) ratio=") for line in report)
+    with open(out / "witnesses.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [9, 9, 9]
+    assert rows[1][-1] == f"plateau ball {plateau} contains no grid node"
+
+
+def test_witness_csv_rows_of_skipped_deltas_in_2d(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, """
+    grid: {n: 2, half_width: 16.0, points: 64}
+    space:
+      exponent: {kind: constant, value: 2.0}
+      weight: {kind: constant, value: 1.0}
+      domain: {kind: cone, alpha1: 0.0, alpha2: 1.5}
+    symbol: {kind: constant, value: 0.7}
+    experiment: {kind: norm-lb, rho: 2.0, delta_schedule: [64.0, 1.0, 0.05]}
+    """)
+    assert cli.main(["norm-lb", "--config", cfg, "--out", str(out)]) == 0
+    skipped = [line.split(": SKIPPED (", 1)[1][:-1]
+               for line in (out / "report.txt").read_text().splitlines() if "SKIPPED" in line]
+    assert skipped[0].startswith("plateau ball B((11.96875, ")
+    with open(out / "witnesses.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [10, 10, 10, 10]
+    assert [rows[1][-1], rows[3][-1]] == skipped
 
 
 def test_validate_rejects_a_doubling_ball_whose_inner_ball_holds_no_node(tmp_path, capsys):
@@ -538,7 +563,7 @@ def test_expression_whitelist_rejections(tmp_path, capsys, expr, message):
     assert message in capsys.readouterr().err
 
 
-def test_chain_failure_exit_code(tmp_path, monkeypatch):
+def test_chain_failure_exit_code(tmp_path, capsys, monkeypatch):
     from whlab import witness as wit
 
     cfgtext = NORM_LB.replace("OUT", str(tmp_path / "out"))
@@ -554,7 +579,31 @@ def test_chain_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.wit, "norm_lowerbound_experiment", sabotaged)
     assert cli.main(["norm-lb", "--config", cfg]) == 4
-    assert "FAIL" in (tmp_path / "out" / "report.txt").read_text()
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "FAIL" in report
+    assert report.splitlines()[-1] == "status: CHAIN FAILURE"
+    assert "'status: CHAIN FAILURE'" in capsys.readouterr().err
+
+
+def test_axiom_failure_exit_code(tmp_path, capsys, monkeypatch):
+    failed = cli.spaces.AxiomResult("triangle", 2.0, 1e-9, False, 3)
+    monkeypatch.setattr(cli.spaces, "axiom_check", lambda space, **kwargs: [failed])
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, """
+    grid: {n: 1, half_width: 16.0, points: 256}
+    space:
+      exponent: {kind: constant, value: 2.0}
+      weight: {kind: constant}
+      domain: {kind: full}
+    experiment: {kind: space-check, trials: 3}
+    """)
+    assert cli.main(["space-check", "--config", cfg, "--out", str(out)]) == 4
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[-2:] == ["  triangle: worst=2 tol=1e-09 trials=3 FAIL",
+                           "status: AXIOM FAILURE"]
+    err = capsys.readouterr().err
+    assert "'status: AXIOM FAILURE'" in err
+    assert "inequality chain" not in err
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
