@@ -10,7 +10,9 @@ Newton iteration on log m, checked by two modular sums, brackets the root
 to 1e-12 first, so the bisection's tests cost a sum only inside that
 bracket.  Both run on |f| w and p gathered once over Omega ∩ supp f.
 A ball indicator's norm, :func:`indicator_norm`, gathers w and p on the
-ball's window alone (:meth:`whlab.grid.Grid.window`), bit for bit.
+ball's window alone (:meth:`whlab.grid.Grid.window`), bit for bit.  So
+does :func:`part_norm` for a function known on some nodes only, a window
+or Omega, with the space's part on them taken once by :func:`space_part`.
 
 The associate space is taken in closed form as (p'(.), 1/w) on the same
 domain; duality checks elsewhere carry a factor-2 slack for the norm
@@ -41,6 +43,8 @@ __all__ = [
     "weight_from_values",
     "luxemburg_norm",
     "indicator_norm",
+    "space_part",
+    "part_norm",
     "associate_space",
     "berezhnoi_ratio",
     "axiom_check",
@@ -158,14 +162,24 @@ def weight_from_values(grid: Grid, values) -> Weight:
     return Weight(grid, np.broadcast_to(values, grid.shape).copy())
 
 
-def _support(space: SpaceSpec, window: tuple,
-             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(|f| w, p)`` over ``Omega ∩ supp f`` on ``window``, the only nodes
-    the modular sees; ``values`` is f on the window, or a bool membership
-    for an indicator, whose |f| w is w exactly."""
+def space_part(space: SpaceSpec, nodes) -> tuple:
+    """``(inside, w, p, h^n)`` of ``space`` on ``nodes``: all that the norm of
+    a function known on those nodes reads.  ``nodes`` indexes the grid's
+    arrays: a window of slices (:meth:`whlab.grid.Grid.window`; ``()`` is
+    the whole grid), whose parts are views, or a bool mask such as
+    ``space.domain.inside``, whose parts are gathered in row-major order."""
+    return (space.domain.inside[nodes], space.weight.values[nodes],
+            space.exponent.values[nodes], space.grid.cell_volume)
+
+
+def _support(part: tuple, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|f| w, p)`` over ``Omega ∩ supp f`` on the nodes of ``part``, the
+    only nodes the modular sees; ``values`` is f on them, or a bool
+    membership for an indicator, whose |f| w is w exactly."""
+    inside, w, p, _ = part
     absf = np.abs(values)
-    keep = space.domain.inside[window] & (absf != 0.0)
-    return absf[keep] * space.weight.values[window][keep], space.exponent.values[window][keep]
+    keep = inside & (absf != 0.0)
+    return absf[keep] * w[keep], p[keep]
 
 
 def _modular_sum(z: np.ndarray, p: np.ndarray, lam: float, cell_volume: float) -> float:
@@ -232,25 +246,37 @@ def luxemburg_norm(f: GridFunction, space: SpaceSpec) -> float:
     """
     if f.grid != space.grid:
         raise ValidationError("grid mismatch between function and space")
-    return _luxemburg(space, (), f.values)
+    return _luxemburg(space_part(space, ()), f.values)
 
 
 def indicator_norm(ball: Ball, space: SpaceSpec) -> float:
     """``luxemburg_norm(ball_indicator(ball, space.grid), space)``, bit for bit,
     from the ball's window alone: a sub-box of the grid, whose row-major
     gather visits the ball's nodes in the whole grid's order."""
-    return _luxemburg(space, *_ball_nodes(ball, space.grid))
+    window, member = _ball_nodes(ball, space.grid)
+    return _luxemburg(space_part(space, window), member)
 
 
-def _luxemburg(space: SpaceSpec, window: tuple, values: np.ndarray) -> float:
-    """The norm kernel, on the f equal to ``values`` on ``window``, 0 off it."""
+def part_norm(part: tuple, values: np.ndarray) -> float:
+    """``luxemburg_norm`` of the f equal to ``values`` on the nodes of
+    ``part = space_part(space, nodes)`` and 0 off them, bit for bit: the
+    norm reads only ``Omega ∩ supp f``, in row-major order, on any
+    ``nodes`` that hold ``supp f``."""
+    if np.shape(values) != np.shape(part[1]):
+        raise ValidationError(f"{np.shape(values)} values on a space part of "
+                              f"shape {np.shape(part[1])}")
+    return _luxemburg(part, values)
+
+
+def _luxemburg(part: tuple, values: np.ndarray) -> float:
+    """The norm kernel, on the f equal to ``values`` on the nodes of ``part``."""
     # Overflow, log(0) and inf - inf in the gather and the kernel give the
     # documented non-finite results; one scope per norm keeps numpy quiet.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z, p = _support(space, window, values)
+        z, p = _support(part, values)
         if z.size == 0:
             return 0.0
-        cell_volume = space.grid.cell_volume
+        cell_volume = part[3]
 
         def sum_leq_one(lam: float) -> bool:
             val = _modular_sum(z, p, lam, cell_volume)

@@ -21,12 +21,33 @@ chains that turn that residual into certified lower bounds:
 A finite family exhibits pairwise separation but cannot, strictly,
 lower-bound the noncompactness measure; reports therefore state the
 family size next to the bound.
+
+Each image W f = r_Omega F^{-1} a F f is kept only on Omega, as its
+values there in row-major order, and normed with w and p gathered on
+Omega once per experiment; each witness norm reads only the witness's
+window.  The norm reads only Omega ∩ supp f in row-major order, so these
+norms equal the whole-grid ones bit for bit.
+
+The witnesses are independent of each other.  On a 1-D grid both
+experiments measure them (build, sandwich norms, image, residual,
+normalization) and the pairwise experiment computes its distances on a
+pool of min(2, usable CPUs) threads, created and ended inside the
+experiment; results, ledger lines and exceptions come in plan order.
+numpy runs a long 1-D FFT without holding the GIL, so two threads gain:
+two 2^18-node transforms take 11.8 ms on two threads, 23.5 ms in
+sequence.  Its batched 2-D row transforms do not (two 512^2 ``fftn``:
+10.2 ms on two threads, 9.0 ms in sequence), so 2-D grids stay
+sequential.  The pool stops at MAX_WORKERS = 2 because each further
+witness in flight adds about 10 MiB to the peak at 2^18 nodes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +58,7 @@ from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,
                         nearest_freq_node)
 from .profiles import bump_profile
-from .spaces import SpaceSpec, indicator_norm, luxemburg_norm
+from .spaces import SpaceSpec, indicator_norm, part_norm, space_part
 
 __all__ = [
     "WitnessParams",
@@ -61,6 +82,8 @@ CHAIN_SLACK = 1e-8
 SANDWICH_SLACK = 1e-9
 #: Additive slack on the measured family doubling constant.
 S_EST_SLACK = 0.05
+#: Most witnesses in flight at once on a 1-D grid (module docstring).
+MAX_WORKERS = 2
 
 
 def _check_rho(rho: float) -> None:
@@ -158,9 +181,11 @@ def mollification_residual(a: Symbol, params: WitnessParams,
     """
     idx, _ = nearest_freq_node(f.grid, params.eta)
     g = apply_multiplier(a, f)
-    window, _ = _witness_window(params)
+    window = _witness_window(params)[0]
+    # formed first, so its temporaries are freed before the grid-sized err is
+    near = np.abs(g.values[window] - a.at(idx) * f.values[window])
     err = np.abs(g.values)  # f is 0 off its window, where g - a(eta) f = g exactly
-    err[window] = np.abs(g.values[window] - a.at(idx) * f.values[window])
+    err[window] = near
     return g, float(np.max(err))
 
 
@@ -288,26 +313,64 @@ def _resolve_eta(a: Symbol, eta):
     return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
-def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
-                     tag: str, ledger: list):
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one
+    (``os.sched_getaffinity`` is missing on macOS and Windows), else all."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _plan_order_map(grid):
+    """``map(fn, items)``, which returns ``[fn(item) for item in items]``.
+
+    On a 1-D grid with two usable CPUs it runs the calls on a pool of
+    ``MAX_WORKERS`` threads, each in a copy of the caller's context (numpy's
+    error state is a contextvar), and still returns the results and raises
+    the first exception in item order.  The threads end with the block.
+    """
+    workers = 1 if grid.n != 1 else min(MAX_WORKERS, _usable_cpus())
+    if workers < 2:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not on the import path
+
+    pool = ThreadPoolExecutor(workers)
+
+    def ordered(fn, items):
+        futures = [pool.submit(contextvars.copy_context().run, fn, item)
+                   for item in items]
+        return [future.result() for future in futures]
+
+    try:
+        yield ordered
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams, tag: str):
     """Norms, image and residual of the witness f = make_witness(params).
 
-    Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
-    to ``ledger`` (a failed one raises) and returns ``(g, record)`` with
-    g = F^{-1} a F f and a record whose ratio is left nan for the caller.
+    Returns ``(g, record, lines)``: g = F^{-1} a F f as its values on Omega
+    in row-major order, a record whose ratio is left nan for the caller, and
+    the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big|| (a failed
+    one raises).  ||f|| reads only the witness's window, where f lives.
     """
     f = make_witness(params)
-    norm_f = luxemburg_norm(f, space)
+    window = _witness_window(params)[0]
+    norm_f = part_norm(space_part(space, window), f.values[window])
     ns, nb = (indicator_norm(Ball(params.y, r), space)
               for r in (1.0 / params.delta, params.support_radius))
-    for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
-                 _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)):
+    lines = [_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
+             _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)]
+    for line in lines:
         if not line.passed:
             raise NumericFailure(f"sandwich inequality violated beyond slack: {line}")
-        ledger.append(line)
     g, residual = mollification_residual(a, params, f)
-    return g, WitnessRecord(params.delta, params.y, math.nan, ns, norm_f, nb,
-                            nb / ns, residual)
+    return (g.values[space.domain.inside],
+            WitnessRecord(params.delta, params.y, math.nan, ns, norm_f, nb,
+                          nb / ns, residual),
+            lines)
 
 
 def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
@@ -387,21 +450,24 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
     """
     a, space = plan.symbol, plan.space
     a_abs = abs(a.at(plan.node))
+    omega = space_part(space, space.domain.inside)
 
-    records = []
-    ledger = []
-    for delta, params in plan.witnesses:
+    def measure(item):
+        delta, params = item
         if isinstance(params, str):
-            records.append(WitnessRecord(delta, (), math.nan, math.nan,
-                                         math.nan, math.nan, math.nan,
-                                         math.nan, error=params))
-            continue
+            return WitnessRecord(delta, (), math.nan, math.nan, math.nan,
+                                 math.nan, math.nan, math.nan, error=params), []
         tag = f"delta={delta:g}"
-        g, rec = _measure_witness(a, space, params, tag, ledger)
-        wnorm = luxemburg_norm(g, space)
-        ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
-                            wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
-        records.append(replace(rec, ratio=wnorm / rec.norm_witness))
+        g, rec, lines = _measure_witness(a, space, params, tag)
+        wnorm = part_norm(omega, g)
+        lines.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
+                           wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
+        return replace(rec, ratio=wnorm / rec.norm_witness), lines
+
+    with _plan_order_map(space.grid) as map_:
+        results = map_(measure, plan.witnesses)
+    records = [rec for rec, _ in results]
+    ledger = [line for _, lines in results for line in lines]
     measured = [r for r in records if r.error is None]
     return ExperimentReport(
         sup_norm=a.sup_norm,
@@ -430,19 +496,27 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     a, space = plan.symbol, plan.space
     a_abs = abs(a.at(plan.node))
 
-    records = []
-    ledger = []
-    images = []
-    for j, params in enumerate(plan.witnesses):
-        g, rec = _measure_witness(a, space, params, f"j={j}", ledger)
-        images.append(g * (1.0 / rec.norm_witness))
-        records.append(rec)
+    def measure(item):  # the normalized image r_Omega g / ||f||, on Omega
+        j, params = item
+        g, rec, lines = _measure_witness(a, space, params, f"j={j}")
+        g *= complex(1.0 / rec.norm_witness)
+        return g, rec, lines
+
+    def distance(pair):
+        j, k = pair
+        return part_norm(omega, images[j] - images[k])
+
+    pair_ids = list(itertools.combinations(range(len(plan.witnesses)), 2))
+    with _plan_order_map(space.grid) as map_:
+        images, records, lines = zip(*map_(measure, enumerate(plan.witnesses)))
+        omega = space_part(space, space.domain.inside)  # not held while images are formed
+        distances = map_(distance, pair_ids)
+    ledger = [line for witness_lines in lines for line in witness_lines]
 
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
-    for j, k in itertools.combinations(range(len(records)), 2):
-        d = luxemburg_norm(images[j] - images[k], space)
+    for (j, k), d in zip(pair_ids, distances):
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

@@ -11,8 +11,8 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ball_indicator, berezhnoi_ratio, constant_exponent,
                    constant_weight, explicit_mask, exponent_from_values,
                    full_space, half_line, indicator_norm, luxemburg_norm,
-                   make_grid, power_weight, restrict, sample, sector,
-                   step_exponent, weight_from_values)
+                   make_grid, part_norm, power_weight, restrict, sample, sector,
+                   space_part, step_exponent, weight_from_values)
 from whlab import spaces
 from whlab.spaces import NORM_RTOL
 
@@ -159,6 +159,24 @@ def bisection_cases(count):
 def test_luxemburg_matches_the_bisection_bit_for_bit():
     for case, f, S in bisection_cases(500):
         assert luxemburg_norm(f, S) == bisection_norm(f, S), case
+
+
+@pytest.mark.parametrize("omega,center", [
+    (half_line(make_grid(1, 16.0, 1024)), (1.0,)),
+    (sector(make_grid(2, 16.0, 128), 0.0, 2 * np.pi / 3), (3.0, 4.0)),
+])
+def test_part_norm_on_a_window_and_on_omega_is_the_whole_grid_norm(omega, center):
+    g = omega.grid
+    S = SpaceSpec(g, step_exponent(g, 1.5, 3.0, edge=2.0), power_weight(g, 0.3), omega)
+    window, _ = g.window(center, 5.0)  # it crosses the boundary of Omega
+    rng = np.random.default_rng(5)
+    vals = np.zeros(g.shape, complex)
+    vals[window] = rng.standard_normal(vals[window].shape) + 1j
+    expected = luxemburg_norm(GridFunction(g, vals), S)
+    assert part_norm(space_part(S, window), vals[window]) == expected
+    assert part_norm(space_part(S, omega.inside), vals[omega.inside]) == expected
+    with pytest.raises(ValidationError, match="values on a space part of shape"):
+        part_norm(space_part(S, window), vals)
 
 
 @pytest.mark.parametrize("bad_root", [lambda root: math.nan,

@@ -1,12 +1,17 @@
+import dataclasses
 import itertools
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from whlab import (Ball, SpaceSpec, ValidationError,
+from whlab import witness
+from whlab import (Ball, NumericFailure, SpaceSpec, ValidationError,
                    WitnessParams, apply_multiplier, ball_indicator,
                    constant_exponent, constant_symbol, constant_weight,
                    explicit_mask, exponent_from_values, full_space,
@@ -595,3 +600,121 @@ def test_kappa_needs_two_balls():
     om = half_line(g)
     with pytest.raises(ValidationError, match="needs at least 2 balls"):
         plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, 0.25, 4.0, 1, y0=8.0)
+
+
+# -- witness pool: 1-D witnesses measured two at a time ----------------------
+
+def _step_power_halfline():
+    g = make_grid(1, 1024.0, 2 ** 14)
+    return SpaceSpec(g, step_exponent(g, 2.0, 2.5, edge=16.0), power_weight(g, 0.1),
+                     half_line(g))
+
+
+def _kappa_halfline_plan(peak=1.0):
+    S = _step_power_halfline()
+    return plan_kuratowski(gaussian_symbol(S.grid, 0.0, 2.0, peak), S,
+                           2.0, 0.25, 4.0, 4, y0=2.0)
+
+
+def _kappa_sector_plan():
+    S, family_args = _sector_space()
+    return plan_kuratowski(gaussian_symbol(S.grid, None, 2.0, 1.0), S, *family_args)
+
+
+def _fields(report):
+    # repr is exact for floats and reads nan as nan
+    return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert witness._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert witness._usable_cpus() == 3
+
+
+def test_one_cpu_report_equals_the_pooled_report(monkeypatch):
+    plan = _kappa_halfline_plan()
+    monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
+    pooled = kuratowski_experiment(plan)
+    monkeypatch.setattr(witness, "_usable_cpus", lambda: 1)
+    threads = set()
+
+    def record_thread(a, u):
+        threads.add(threading.get_ident())
+        return apply_multiplier(a, u)
+
+    monkeypatch.setattr(witness, "apply_multiplier", record_thread)
+    sequential = kuratowski_experiment(plan)
+    assert threads == {threading.get_ident()}
+    assert _fields(sequential) == _fields(pooled)
+    assert pooled.chains_passed and pooled.family_size == 4
+
+
+def test_workers_see_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
+    seen = []
+
+    def record_errstate(a, u):
+        seen.append((threading.get_ident(), np.geterr()))
+        return apply_multiplier(a, u)
+
+    monkeypatch.setattr(witness, "apply_multiplier", record_errstate)
+    plan = _kappa_halfline_plan()
+    with np.errstate(all="ignore"):  # trips nothing: every setting ignores
+        expected = np.geterr()
+        kuratowski_experiment(plan)
+    assert expected != np.geterr()  # differs from the state a new thread starts in
+    assert len(seen) == 4
+    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert [state for _, state in seen] == [expected] * 4
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_witness_in_plan_order_is_raised(monkeypatch, cpus):
+    # a symbol peak near the float maximum overflows every witness image
+    plan = _kappa_halfline_plan(peak=1e308)
+    sizes = [np.count_nonzero(make_witness(p).values) for p in plan.witnesses]
+    failed = {}
+
+    def record_failure(a, u):
+        j = sizes.index(np.count_nonzero(u.values))
+        if j == 0:
+            time.sleep(0.2)  # on two threads witness 1 fails first
+        try:
+            return apply_multiplier(a, u)
+        except NumericFailure as exc:
+            failed[j] = exc
+            raise
+
+    monkeypatch.setattr(witness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(witness, "apply_multiplier", record_failure)
+    with pytest.raises(NumericFailure, match="^the multiplier image overflows: ") as info:
+        kuratowski_experiment(plan)
+    assert info.value is failed[0]
+    assert list(failed)[0] == (1 if cpus == 2 else 0)
+    assert len(failed) >= cpus
+
+
+@pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
+                         ids=["halfline-pooled", "sector-sequential"])
+def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of):
+    plan = plan_of()
+    a, S = plan.symbol, plan.space
+    rep = kuratowski_experiment(plan)
+    images = []
+    for params, rec in zip(plan.witnesses, rep.witnesses):
+        f = make_witness(params)
+        assert rec.norm_witness == luxemburg_norm(f, S)
+        images.append(apply_multiplier(a, f) * (1.0 / luxemburg_norm(f, S)))
+    assert [p.distance for p in rep.pairs] == [
+        luxemburg_norm(images[p.j] - images[p.k], S) for p in rep.pairs]
+    norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5, 0.25])
+    norm_rep = norm_lowerbound_experiment(norm_plan)
+    assert all(rec.error is None for rec in norm_rep.witnesses)
+    for (_, params), rec in zip(norm_plan.witnesses, norm_rep.witnesses):
+        f = make_witness(params)
+        assert rec.norm_witness == luxemburg_norm(f, S)
+        assert rec.ratio == luxemburg_norm(apply_multiplier(a, f), S) / rec.norm_witness
