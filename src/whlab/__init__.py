@@ -19,10 +19,10 @@ from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import (Ball, DomainMask, Grid, GridFunction, ball_indicator,
                    explicit_mask, extend_by_zero, full_space, half_line,
                    make_grid, restrict, sample, sector)
-from .spaces import (AxiomResult, ExponentField, SpaceSpec, Weight, associate_space,
-                     axiom_check, berezhnoi_ratio, constant_exponent, constant_weight,
-                     exponent_from_values, indicator_norm, luxemburg_norm, part_norm,
-                     power_weight, space_part, step_exponent, weight_from_values)
+from .spaces import (AxiomResult, ExponentField, SpacePart, SpaceSpec, Weight,
+                     associate_space, axiom_check, berezhnoi_ratio, constant_exponent,
+                     constant_weight, exponent_from_values, indicator_norm, luxemburg_norm,
+                     part_norm, power_weight, space_part, step_exponent, weight_from_values)
 from .doubling import (DoublingEntry, DoublingReport, doubling_ratio, plan_tau_scan,
                        plan_weak_doubling, separated_sequence, tau_scan)
 from .operators import (Symbol, apply_multiplier, argmax_freq_node,

@@ -43,6 +43,7 @@ __all__ = [
     "weight_from_values",
     "luxemburg_norm",
     "indicator_norm",
+    "SpacePart",
     "space_part",
     "part_norm",
     "associate_space",
@@ -162,24 +163,33 @@ def weight_from_values(grid: Grid, values) -> Weight:
     return Weight(grid, np.broadcast_to(values, grid.shape).copy())
 
 
-def space_part(space: SpaceSpec, nodes) -> tuple:
-    """``(inside, w, p, h^n)`` of ``space`` on ``nodes``: all that the norm of
-    a function known on those nodes reads.  ``nodes`` indexes the grid's
-    arrays: a window of slices (:meth:`whlab.grid.Grid.window`; ``()`` is
-    the whole grid), whose parts are views, or a bool mask such as
+@dataclass(frozen=True, eq=False)
+class SpacePart:
+    """What the norm of a function known on some nodes of the grid reads:
+    the Omega membership, w and p on those nodes, and the cell volume h^n."""
+
+    inside: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
+    cell_volume: float
+
+
+def space_part(space: SpaceSpec, nodes) -> SpacePart:
+    """The :class:`SpacePart` of ``space`` on ``nodes``.  ``nodes`` indexes
+    the grid's arrays: a window of slices (:meth:`whlab.grid.Grid.window`;
+    ``()`` is the whole grid), whose parts are views, or a bool mask such as
     ``space.domain.inside``, whose parts are gathered in row-major order."""
-    return (space.domain.inside[nodes], space.weight.values[nodes],
-            space.exponent.values[nodes], space.grid.cell_volume)
+    return SpacePart(space.domain.inside[nodes], space.weight.values[nodes],
+                     space.exponent.values[nodes], space.grid.cell_volume)
 
 
-def _support(part: tuple, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _support(part: SpacePart, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(|f| w, p)`` over ``Omega ∩ supp f`` on the nodes of ``part``, the
     only nodes the modular sees; ``values`` is f on them, or a bool
     membership for an indicator, whose |f| w is w exactly."""
-    inside, w, p, _ = part
     absf = np.abs(values)
-    keep = inside & (absf != 0.0)
-    return absf[keep] * w[keep], p[keep]
+    keep = part.inside & (absf != 0.0)
+    return absf[keep] * part.w[keep], part.p[keep]
 
 
 def _modular_sum(z: np.ndarray, p: np.ndarray, lam: float, cell_volume: float) -> float:
@@ -257,18 +267,18 @@ def indicator_norm(ball: Ball, space: SpaceSpec) -> float:
     return _luxemburg(space_part(space, window), member)
 
 
-def part_norm(part: tuple, values: np.ndarray) -> float:
+def part_norm(part: SpacePart, values: np.ndarray) -> float:
     """``luxemburg_norm`` of the f equal to ``values`` on the nodes of
     ``part = space_part(space, nodes)`` and 0 off them, bit for bit: the
     norm reads only ``Omega ∩ supp f``, in row-major order, on any
     ``nodes`` that hold ``supp f``."""
-    if np.shape(values) != np.shape(part[1]):
+    if np.shape(values) != np.shape(part.w):
         raise ValidationError(f"{np.shape(values)} values on a space part of "
-                              f"shape {np.shape(part[1])}")
+                              f"shape {np.shape(part.w)}")
     return _luxemburg(part, values)
 
 
-def _luxemburg(part: tuple, values: np.ndarray) -> float:
+def _luxemburg(part: SpacePart, values: np.ndarray) -> float:
     """The norm kernel, on the f equal to ``values`` on the nodes of ``part``."""
     # Overflow, log(0) and inf - inf in the gather and the kernel give the
     # documented non-finite results; one scope per norm keeps numpy quiet.
@@ -276,7 +286,7 @@ def _luxemburg(part: tuple, values: np.ndarray) -> float:
         z, p = _support(part, values)
         if z.size == 0:
             return 0.0
-        cell_volume = part[3]
+        cell_volume = part.cell_volume
 
         def sum_leq_one(lam: float) -> bool:
             val = _modular_sum(z, p, lam, cell_volume)

@@ -28,17 +28,24 @@ Omega once per experiment; each witness norm reads only the witness's
 window.  The norm reads only Omega ∩ supp f in row-major order, so these
 norms equal the whole-grid ones bit for bit.
 
-The witnesses are independent of each other.  On a 1-D grid both
-experiments measure them (build, sandwich norms, image, residual,
-normalization) and the pairwise experiment computes its distances on a
-pool of min(2, usable CPUs) threads, created and ended inside the
-experiment; results, ledger lines and exceptions come in plan order.
-numpy runs a long 1-D FFT without holding the GIL, so two threads gain:
-two 2^18-node transforms take 11.8 ms on two threads, 23.5 ms in
-sequence.  Its batched 2-D row transforms do not (two 512^2 ``fftn``:
-10.2 ms on two threads, 9.0 ms in sequence), so 2-D grids stay
-sequential.  The pool stops at MAX_WORKERS = 2 because each further
-witness in flight adds about 10 MiB to the peak at 2^18 nodes.
+The witnesses are independent of each other.  On a 1-D grid of at least
+POOL_MIN_POINTS nodes with two usable CPUs, both experiments measure them
+(build, sandwich norms, image, residual, normalization), and the pairwise
+experiment computes its distances, two at a time: the caller takes the
+first of each pair and one pool thread, created and ended inside the
+experiment, the second.  Results, ledger lines and exceptions come in
+plan order.  numpy runs a long 1-D FFT without holding the GIL, so two
+threads gain: two 2^18-node transforms take 11.8 ms on two threads, 23.5
+ms in sequence.  Its batched 2-D row transforms do not (two 512^2
+``fftn``: 10.2 ms on two threads, 9.0 ms in sequence), so 2-D grids stay
+sequential.  So do 1-D grids below POOL_MIN_POINTS nodes, where the
+hand-off between the threads costs about what the second CPU saves: a
+norm-lb and a kappa-lb run on two CPUs took 1.2 times as long as on one
+at 2^13 nodes, as long at 2^14, 10% less at 2^15 (but more in 6 and 9 of
+30 rounds) and 20% less at 2^16.  Two at a time, with the caller as one
+of the two, because each further witness in flight adds about 10 MiB to
+the peak at 2^18 nodes, and each further thread a malloc arena that keeps
+the grid-sized arrays it freed.
 """
 
 from __future__ import annotations
@@ -84,6 +91,9 @@ SANDWICH_SLACK = 1e-9
 S_EST_SLACK = 0.05
 #: Most witnesses in flight at once on a 1-D grid (module docstring).
 MAX_WORKERS = 2
+#: Fewest nodes of a 1-D grid whose witnesses are measured MAX_WORKERS at a
+#: time (module docstring).
+POOL_MIN_POINTS = 2 ** 16
 
 
 def _check_rho(rho: float) -> None:
@@ -324,28 +334,31 @@ def _usable_cpus() -> int:
 def _plan_order_map(grid):
     """``map(fn, items)``, which returns ``[fn(item) for item in items]``.
 
-    On a 1-D grid with two usable CPUs it runs the calls on a pool of
-    ``MAX_WORKERS`` threads, each in a copy of the caller's context (numpy's
-    error state is a contextvar), and still returns the results and raises
-    the first exception in item order.  The threads end with the block.
+    On a 1-D grid of at least ``POOL_MIN_POINTS`` nodes with two usable
+    CPUs it takes the items ``MAX_WORKERS`` at a time: the caller runs the
+    first of each batch and the pool's threads the others, each in a copy
+    of the caller's context (numpy's error state is a contextvar).  Every
+    item before a batch has succeeded when the batch starts, so the first
+    exception in item order is the one raised.  The threads end with the
+    block.
     """
-    workers = 1 if grid.n != 1 else min(MAX_WORKERS, _usable_cpus())
-    if workers < 2:
+    workers = min(MAX_WORKERS, _usable_cpus())
+    if grid.n != 1 or grid.points < POOL_MIN_POINTS or workers < 2:
         yield lambda fn, items: [fn(item) for item in items]
         return
     from concurrent.futures import ThreadPoolExecutor  # not on the import path
 
-    pool = ThreadPoolExecutor(workers)
+    def in_batches(fn, items):
+        items, results = list(items), []
+        for start in range(0, len(items), workers):
+            rest = [pool.submit(contextvars.copy_context().run, fn, item)
+                    for item in items[start + 1:start + workers]]
+            results.append(fn(items[start]))
+            results.extend(future.result() for future in rest)
+        return results
 
-    def ordered(fn, items):
-        futures = [pool.submit(contextvars.copy_context().run, fn, item)
-                   for item in items]
-        return [future.result() for future in futures]
-
-    try:
-        yield ordered
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(workers - 1) as pool:
+        yield in_batches
 
 
 def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams, tag: str):

@@ -3,7 +3,6 @@ import itertools
 import math
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -602,16 +601,16 @@ def test_kappa_needs_two_balls():
         plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, 0.25, 4.0, 1, y0=8.0)
 
 
-# -- witness pool: 1-D witnesses measured two at a time ----------------------
+# -- witness pool: long 1-D grids measure two witnesses at a time ------------
 
-def _step_power_halfline():
-    g = make_grid(1, 1024.0, 2 ** 14)
+def _step_power_halfline(points=witness.POOL_MIN_POINTS):
+    g = make_grid(1, points / 16.0, points)
     return SpaceSpec(g, step_exponent(g, 2.0, 2.5, edge=16.0), power_weight(g, 0.1),
                      half_line(g))
 
 
-def _kappa_halfline_plan(peak=1.0):
-    S = _step_power_halfline()
+def _kappa_halfline_plan(peak=1.0, points=witness.POOL_MIN_POINTS):
+    S = _step_power_halfline(points)
     return plan_kuratowski(gaussian_symbol(S.grid, 0.0, 2.0, peak), S,
                            2.0, 0.25, 4.0, 4, y0=2.0)
 
@@ -626,6 +625,20 @@ def _fields(report):
     return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
+def _record_threads(monkeypatch, plan):
+    """{witness index: the thread that computes its image}, filled from now on;
+    the witnesses of these plans differ in their number of support nodes."""
+    sizes = [np.count_nonzero(make_witness(p).values) for p in plan.witnesses]
+    threads = {}
+
+    def record_thread(a, u):
+        threads[sizes.index(np.count_nonzero(u.values))] = threading.get_ident()
+        return apply_multiplier(a, u)
+
+    monkeypatch.setattr(witness, "apply_multiplier", record_thread)
+    return threads
+
+
 def test_usable_cpus_without_an_affinity_call(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -638,19 +651,28 @@ def test_usable_cpus_without_an_affinity_call(monkeypatch):
 def test_one_cpu_report_equals_the_pooled_report(monkeypatch):
     plan = _kappa_halfline_plan()
     monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
+    threads = _record_threads(monkeypatch, plan)
     pooled = kuratowski_experiment(plan)
+    # the caller measures witnesses 0 and 2, one pool thread 1 and 3
+    caller, other = threading.get_ident(), threads[1]
+    assert other != caller and threads == {0: caller, 1: other, 2: caller, 3: other}
     monkeypatch.setattr(witness, "_usable_cpus", lambda: 1)
-    threads = set()
-
-    def record_thread(a, u):
-        threads.add(threading.get_ident())
-        return apply_multiplier(a, u)
-
-    monkeypatch.setattr(witness, "apply_multiplier", record_thread)
+    threads.clear()
     sequential = kuratowski_experiment(plan)
-    assert threads == {threading.get_ident()}
+    assert threads == dict.fromkeys(range(4), caller)
     assert _fields(sequential) == _fields(pooled)
     assert pooled.chains_passed and pooled.family_size == 4
+
+
+@pytest.mark.parametrize("plan_of", [
+    lambda: _kappa_halfline_plan(points=witness.POOL_MIN_POINTS // 2), _kappa_sector_plan],
+    ids=["short-halfline", "sector"])
+def test_short_and_2d_grids_stay_on_the_callers_thread(monkeypatch, plan_of):
+    plan = plan_of()
+    monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
+    threads = _record_threads(monkeypatch, plan)
+    assert kuratowski_experiment(plan).chains_passed
+    assert threads == dict.fromkeys(range(len(plan.witnesses)), threading.get_ident())
 
 
 def test_workers_see_the_callers_numpy_error_state(monkeypatch):
@@ -668,7 +690,7 @@ def test_workers_see_the_callers_numpy_error_state(monkeypatch):
         kuratowski_experiment(plan)
     assert expected != np.geterr()  # differs from the state a new thread starts in
     assert len(seen) == 4
-    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert len({ident for ident, _ in seen} - {threading.get_ident()}) == 1
     assert [state for _, state in seen] == [expected] * 4
 
 
@@ -678,15 +700,19 @@ def test_first_failing_witness_in_plan_order_is_raised(monkeypatch, cpus):
     plan = _kappa_halfline_plan(peak=1e308)
     sizes = [np.count_nonzero(make_witness(p).values) for p in plan.witnesses]
     failed = {}
+    witness_1_failed = threading.Event()
 
     def record_failure(a, u):
         j = sizes.index(np.count_nonzero(u.values))
-        if j == 0:
-            time.sleep(0.2)  # on two threads witness 1 fails first
+        # on two CPUs witnesses 0 and 1 run together, and witness 1 fails first
+        if cpus == 2 and j == 0:
+            assert witness_1_failed.wait(timeout=60.0)
         try:
             return apply_multiplier(a, u)
         except NumericFailure as exc:
             failed[j] = exc
+            if j == 1:
+                witness_1_failed.set()
             raise
 
     monkeypatch.setattr(witness, "_usable_cpus", lambda: cpus)
@@ -694,8 +720,7 @@ def test_first_failing_witness_in_plan_order_is_raised(monkeypatch, cpus):
     with pytest.raises(NumericFailure, match="^the multiplier image overflows: ") as info:
         kuratowski_experiment(plan)
     assert info.value is failed[0]
-    assert list(failed)[0] == (1 if cpus == 2 else 0)
-    assert len(failed) >= cpus
+    assert list(failed) == ([1, 0] if cpus == 2 else [0])
 
 
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
