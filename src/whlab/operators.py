@@ -128,13 +128,20 @@ def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
     """F^{-1}(a . F u), one pass over the FFT-order spectrum (module docstring)."""
     if a.grid != u.grid:
         raise ValidationError("symbol and function live on different grids")
-    halves = (2, u.grid.points // 2) * u.grid.n  # each axis as its two halves
+    return GridFunction(u.grid, _multiplier_image(a, u.values, np.empty(u.grid.shape, complex)))
+
+
+def _multiplier_image(a: Symbol, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """F^{-1}(a . F u) of the u with ``values`` on the grid of ``a``, formed in
+    ``out`` and returned; ``out`` may be ``values`` itself, which the image
+    then replaces."""
+    halves = (2, a.grid.points // 2) * a.grid.n  # each axis as its two halves
     try:
         with np.errstate(over="raise"):
-            spec = np.fft.fftn(u.values, out=np.empty(u.grid.shape, complex))
-            swapped = a.values.reshape(halves)[(slice(None, None, -1), slice(None)) * u.grid.n]
+            spec = np.fft.fftn(values, out=out)
+            swapped = a.values.reshape(halves)[(slice(None, None, -1), slice(None)) * a.grid.n]
             np.multiply(swapped, spec.reshape(halves), out=spec.reshape(halves))
-            return GridFunction(u.grid, np.fft.ifftn(spec, out=spec))
+            return np.fft.ifftn(spec, out=spec)
     except FloatingPointError as exc:
         raise NumericFailure(f"the multiplier image overflows: {exc}") from None
 

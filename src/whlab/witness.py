@@ -26,35 +26,24 @@ Each image W f = r_Omega F^{-1} a F f is kept only on Omega, as its
 values there in row-major order, and normed with w and p gathered on
 Omega once per experiment; each witness norm reads only the witness's
 window.  The norm reads only Omega ∩ supp f in row-major order, so these
-norms equal the whole-grid ones bit for bit.
+norms equal the whole-grid ones bit for bit.  The experiments form each
+witness in the grid array that its image then replaces, so no grid-sized
+witness is held while the image is transformed.  Such a witness is
+written only on its window, and numpy advises huge pages for arrays of
+4 MiB and more, so its resident size depended on where it was mapped and
+moved a 2^18-node run's peak memory between runs.
 
-The witnesses are independent of each other.  On a 1-D grid of at least
-POOL_MIN_POINTS nodes with two usable CPUs, both experiments measure them
-(build, sandwich norms, image, residual, normalization), and the pairwise
-experiment computes its distances, two at a time: the caller takes the
-first of each pair and one pool thread, created and ended inside the
-experiment, the second.  Results, ledger lines and exceptions come in
-plan order.  numpy runs a long 1-D FFT without holding the GIL, so two
-threads gain: two 2^18-node transforms take 11.8 ms on two threads, 23.5
-ms in sequence.  Its batched 2-D row transforms do not (two 512^2
-``fftn``: 10.2 ms on two threads, 9.0 ms in sequence), so 2-D grids stay
-sequential.  So do 1-D grids below POOL_MIN_POINTS nodes, where the
-hand-off between the threads costs about what the second CPU saves: a
-norm-lb and a kappa-lb run on two CPUs took 1.2 times as long as on one
-at 2^13 nodes, as long at 2^14, 10% less at 2^15 (but more in 6 and 9 of
-30 rounds) and 20% less at 2^16.  Two at a time, with the caller as one
-of the two, because each further witness in flight adds about 10 MiB to
-the peak at 2^18 nodes, and each further thread a malloc arena that keeps
-the grid-sized arrays it freed.
+The witnesses are measured one after another.  On two threads, two
+2^18-node FFTs take about half the time, but each needs the input, the
+output and two scratch arrays of numpy's FFT at once: whether the two
+threads' arrays coincide depends on thread timing, and a run's peak
+memory would change from one run to the next.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,8 +51,8 @@ import numpy as np
 from .doubling import _check_family, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point
-from .operators import (Symbol, apply_multiplier, argmax_freq_node,
-                        nearest_freq_node)
+from .operators import (Symbol, _multiplier_image, apply_multiplier,
+                        argmax_freq_node, nearest_freq_node)
 from .profiles import bump_profile
 from .spaces import SpaceSpec, indicator_norm, part_norm, space_part
 
@@ -89,11 +78,6 @@ CHAIN_SLACK = 1e-8
 SANDWICH_SLACK = 1e-9
 #: Additive slack on the measured family doubling constant.
 S_EST_SLACK = 0.05
-#: Most witnesses in flight at once on a 1-D grid (module docstring).
-MAX_WORKERS = 2
-#: Fewest nodes of a 1-D grid whose witnesses are measured MAX_WORKERS at a
-#: time (module docstring).
-POOL_MIN_POINTS = 2 ** 16
 
 
 def _check_rho(rho: float) -> None:
@@ -163,20 +147,31 @@ def _witness_window(params: WitnessParams) -> tuple:
     return params.domain.grid.window(params.y, radius)
 
 
+def _witness_values(params: WitnessParams) -> tuple[tuple, np.ndarray]:
+    """``(window, values)``: the witness's window and its values there."""
+    grid = params.domain.grid
+    window, dist = _witness_window(params)
+    amp = bump_profile(params.delta * dist, params.rho)
+    axes = np.ix_(*(grid.x_axis[s] for s in window))
+    phase_arg = sum(e * x for e, x in zip(params.eta, axes))
+    return window, np.exp(1j * phase_arg) * amp
+
+
+def _on_grid(grid, window: tuple, values: np.ndarray) -> np.ndarray:
+    """A grid array equal to ``values`` on ``window`` and 0 elsewhere."""
+    out = np.zeros(grid.shape, dtype=complex)
+    out[window] = values
+    return out
+
+
 def make_witness(params: WitnessParams) -> GridFunction:
     """e^{i eta.x} phi(delta |x - y|) sampled on the nodes of the domain grid.
 
     The modulus equals the bump profile exactly, so |f| = 1 on every node
     of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
     """
-    grid = params.domain.grid
-    window, dist = _witness_window(params)
-    amp = bump_profile(params.delta * dist, params.rho)
-    axes = np.ix_(*(grid.x_axis[s] for s in window))
-    phase_arg = sum(e * x for e, x in zip(params.eta, axes))
-    vals = np.zeros(grid.shape, dtype=complex)
-    vals[window] = np.exp(1j * phase_arg) * amp
-    return GridFunction(grid, vals)
+    return GridFunction(params.domain.grid, _on_grid(params.domain.grid,
+                                                     *_witness_values(params)))
 
 
 def mollification_residual(a: Symbol, params: WitnessParams,
@@ -189,14 +184,20 @@ def mollification_residual(a: Symbol, params: WitnessParams,
     whenever the symbol is continuous at eta.  The witness is supported in
     Omega, so e_Omega f = f, and the norm of X(Omega) applies r_Omega to g.
     """
-    idx, _ = nearest_freq_node(f.grid, params.eta)
     g = apply_multiplier(a, f)
     window = _witness_window(params)[0]
+    return g, _sup_residual(a, params.eta, g, window, f.values[window])
+
+
+def _sup_residual(a: Symbol, eta, g: GridFunction, window: tuple,
+                  f_window: np.ndarray) -> float:
+    """max |g - a(eta) f| over the grid, from f's values on its window."""
+    idx, _ = nearest_freq_node(g.grid, eta)
     # formed first, so its temporaries are freed before the grid-sized err is
-    near = np.abs(g.values[window] - a.at(idx) * f.values[window])
+    near = np.abs(g.values[window] - a.at(idx) * f_window)
     err = np.abs(g.values)  # f is 0 off its window, where g - a(eta) f = g exactly
     err[window] = near
-    return g, float(np.max(err))
+    return float(np.max(err))
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -323,67 +324,30 @@ def _resolve_eta(a: Symbol, eta):
     return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS keeps one
-    (``os.sched_getaffinity`` is missing on macOS and Windows), else all."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _plan_order_map(grid):
-    """``map(fn, items)``, which returns ``[fn(item) for item in items]``.
-
-    On a 1-D grid of at least ``POOL_MIN_POINTS`` nodes with two usable
-    CPUs it takes the items ``MAX_WORKERS`` at a time: the caller runs the
-    first of each batch and the pool's threads the others, each in a copy
-    of the caller's context (numpy's error state is a contextvar).  Every
-    item before a batch has succeeded when the batch starts, so the first
-    exception in item order is the one raised.  The threads end with the
-    block.
-    """
-    workers = min(MAX_WORKERS, _usable_cpus())
-    if grid.n != 1 or grid.points < POOL_MIN_POINTS or workers < 2:
-        yield lambda fn, items: [fn(item) for item in items]
-        return
-    from concurrent.futures import ThreadPoolExecutor  # not on the import path
-
-    def in_batches(fn, items):
-        items, results = list(items), []
-        for start in range(0, len(items), workers):
-            rest = [pool.submit(contextvars.copy_context().run, fn, item)
-                    for item in items[start + 1:start + workers]]
-            results.append(fn(items[start]))
-            results.extend(future.result() for future in rest)
-        return results
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        yield in_batches
-
-
-def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams, tag: str):
+def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
+                     tag: str, ledger: list):
     """Norms, image and residual of the witness f = make_witness(params).
 
-    Returns ``(g, record, lines)``: g = F^{-1} a F f as its values on Omega
-    in row-major order, a record whose ratio is left nan for the caller, and
-    the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big|| (a failed
-    one raises).  ||f|| reads only the witness's window, where f lives.
+    Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
+    to ``ledger`` (a failed one raises) and returns ``(g, record)`` with
+    g = F^{-1} a F f as its values on Omega in row-major order and a record
+    whose ratio is left nan for the caller.  ||f|| reads only the witness's
+    window, where f lives, and f is formed in the grid array g replaces.
     """
-    f = make_witness(params)
-    window = _witness_window(params)[0]
-    norm_f = part_norm(space_part(space, window), f.values[window])
+    window, f_window = _witness_values(params)
+    norm_f = part_norm(space_part(space, window), f_window)
     ns, nb = (indicator_norm(Ball(params.y, r), space)
               for r in (1.0 / params.delta, params.support_radius))
-    lines = [_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
-             _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)]
-    for line in lines:
+    for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
+                 _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)):
         if not line.passed:
             raise NumericFailure(f"sandwich inequality violated beyond slack: {line}")
-    g, residual = mollification_residual(a, params, f)
-    return (g.values[space.domain.inside],
-            WitnessRecord(params.delta, params.y, math.nan, ns, norm_f, nb,
-                          nb / ns, residual),
-            lines)
+        ledger.append(line)
+    f = _on_grid(space.grid, window, f_window)
+    g = GridFunction(space.grid, _multiplier_image(a, f, f))
+    residual = _sup_residual(a, params.eta, g, window, f_window)
+    return g.values[space.domain.inside], WitnessRecord(
+        params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
 
 def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
@@ -465,22 +429,20 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
     a_abs = abs(a.at(plan.node))
     omega = space_part(space, space.domain.inside)
 
-    def measure(item):
-        delta, params = item
+    records = []
+    ledger = []
+    for delta, params in plan.witnesses:
         if isinstance(params, str):
-            return WitnessRecord(delta, (), math.nan, math.nan, math.nan,
-                                 math.nan, math.nan, math.nan, error=params), []
+            records.append(WitnessRecord(delta, (), math.nan, math.nan,
+                                         math.nan, math.nan, math.nan,
+                                         math.nan, error=params))
+            continue
         tag = f"delta={delta:g}"
-        g, rec, lines = _measure_witness(a, space, params, tag)
+        g, rec = _measure_witness(a, space, params, tag, ledger)
         wnorm = part_norm(omega, g)
-        lines.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
-                           wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
-        return replace(rec, ratio=wnorm / rec.norm_witness), lines
-
-    with _plan_order_map(space.grid) as map_:
-        results = map_(measure, plan.witnesses)
-    records = [rec for rec, _ in results]
-    ledger = [line for _, lines in results for line in lines]
+        ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
+                            wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
+        records.append(replace(rec, ratio=wnorm / rec.norm_witness))
     measured = [r for r in records if r.error is None]
     return ExperimentReport(
         sup_norm=a.sup_norm,
@@ -509,27 +471,21 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     a, space = plan.symbol, plan.space
     a_abs = abs(a.at(plan.node))
 
-    def measure(item):  # the normalized image r_Omega g / ||f||, on Omega
-        j, params = item
-        g, rec, lines = _measure_witness(a, space, params, f"j={j}")
+    records = []
+    ledger = []
+    images = []  # the normalized images r_Omega g / ||f||, on Omega
+    for j, params in enumerate(plan.witnesses):
+        g, rec = _measure_witness(a, space, params, f"j={j}", ledger)
         g *= complex(1.0 / rec.norm_witness)
-        return g, rec, lines
-
-    def distance(pair):
-        j, k = pair
-        return part_norm(omega, images[j] - images[k])
-
-    pair_ids = list(itertools.combinations(range(len(plan.witnesses)), 2))
-    with _plan_order_map(space.grid) as map_:
-        images, records, lines = zip(*map_(measure, enumerate(plan.witnesses)))
-        omega = space_part(space, space.domain.inside)  # not held while images are formed
-        distances = map_(distance, pair_ids)
-    ledger = [line for witness_lines in lines for line in witness_lines]
+        images.append(g)
+        records.append(rec)
+    omega = space_part(space, space.domain.inside)  # not held while images are formed
 
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
-    for (j, k), d in zip(pair_ids, distances):
+    for j, k in itertools.combinations(range(len(records)), 2):
+        d = part_norm(omega, images[j] - images[k])
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

@@ -1,8 +1,6 @@
-import dataclasses
 import itertools
 import math
-import os
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,15 +599,15 @@ def test_kappa_needs_two_balls():
         plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, 0.25, 4.0, 1, y0=8.0)
 
 
-# -- witness pool: long 1-D grids measure two witnesses at a time ------------
+# -- images kept on Omega; witnesses formed in their image's grid array ------
 
-def _step_power_halfline(points=witness.POOL_MIN_POINTS):
+def _step_power_halfline(points=2 ** 16):
     g = make_grid(1, points / 16.0, points)
     return SpaceSpec(g, step_exponent(g, 2.0, 2.5, edge=16.0), power_weight(g, 0.1),
                      half_line(g))
 
 
-def _kappa_halfline_plan(peak=1.0, points=witness.POOL_MIN_POINTS):
+def _kappa_halfline_plan(peak=1.0, points=2 ** 16):
     S = _step_power_halfline(points)
     return plan_kuratowski(gaussian_symbol(S.grid, 0.0, 2.0, peak), S,
                            2.0, 0.25, 4.0, 4, y0=2.0)
@@ -620,111 +618,29 @@ def _kappa_sector_plan():
     return plan_kuratowski(gaussian_symbol(S.grid, None, 2.0, 1.0), S, *family_args)
 
 
-def _fields(report):
-    # repr is exact for floats and reads nan as nan
-    return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
-
-
-def _record_threads(monkeypatch, plan):
-    """{witness index: the thread that computes its image}, filled from now on;
-    the witnesses of these plans differ in their number of support nodes."""
-    sizes = [np.count_nonzero(make_witness(p).values) for p in plan.witnesses]
-    threads = {}
-
-    def record_thread(a, u):
-        threads[sizes.index(np.count_nonzero(u.values))] = threading.get_ident()
-        return apply_multiplier(a, u)
-
-    monkeypatch.setattr(witness, "apply_multiplier", record_thread)
-    return threads
-
-
-def test_usable_cpus_without_an_affinity_call(monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert witness._usable_cpus() == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert witness._usable_cpus() == 3
-
-
-def test_one_cpu_report_equals_the_pooled_report(monkeypatch):
+def test_witness_is_formed_in_the_grid_array_of_its_image():
+    # that array and the image on Omega (half the grid) stay below two grid
+    # arrays; a grid-sized witness held beside them would not
     plan = _kappa_halfline_plan()
-    monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
-    threads = _record_threads(monkeypatch, plan)
-    pooled = kuratowski_experiment(plan)
-    # the caller measures witnesses 0 and 2, one pool thread 1 and 3
-    caller, other = threading.get_ident(), threads[1]
-    assert other != caller and threads == {0: caller, 1: other, 2: caller, 3: other}
-    monkeypatch.setattr(witness, "_usable_cpus", lambda: 1)
-    threads.clear()
-    sequential = kuratowski_experiment(plan)
-    assert threads == dict.fromkeys(range(4), caller)
-    assert _fields(sequential) == _fields(pooled)
-    assert pooled.chains_passed and pooled.family_size == 4
+    args = plan.symbol, plan.space, plan.witnesses[-1], "j=3"
+    witness._measure_witness(*args, [])  # numpy caches its FFT plans on the first call
+    tracemalloc.start()
+    try:
+        witness._measure_witness(*args, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * plan.space.grid.node_count * np.dtype(complex).itemsize
 
 
-@pytest.mark.parametrize("plan_of", [
-    lambda: _kappa_halfline_plan(points=witness.POOL_MIN_POINTS // 2), _kappa_sector_plan],
-    ids=["short-halfline", "sector"])
-def test_short_and_2d_grids_stay_on_the_callers_thread(monkeypatch, plan_of):
-    plan = plan_of()
-    monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
-    threads = _record_threads(monkeypatch, plan)
-    assert kuratowski_experiment(plan).chains_passed
-    assert threads == dict.fromkeys(range(len(plan.witnesses)), threading.get_ident())
-
-
-def test_workers_see_the_callers_numpy_error_state(monkeypatch):
-    monkeypatch.setattr(witness, "_usable_cpus", lambda: 2)
-    seen = []
-
-    def record_errstate(a, u):
-        seen.append((threading.get_ident(), np.geterr()))
-        return apply_multiplier(a, u)
-
-    monkeypatch.setattr(witness, "apply_multiplier", record_errstate)
-    plan = _kappa_halfline_plan()
-    with np.errstate(all="ignore"):  # trips nothing: every setting ignores
-        expected = np.geterr()
-        kuratowski_experiment(plan)
-    assert expected != np.geterr()  # differs from the state a new thread starts in
-    assert len(seen) == 4
-    assert len({ident for ident, _ in seen} - {threading.get_ident()}) == 1
-    assert [state for _, state in seen] == [expected] * 4
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_first_failing_witness_in_plan_order_is_raised(monkeypatch, cpus):
+def test_overflowing_witness_image_is_a_numeric_failure():
     # a symbol peak near the float maximum overflows every witness image
-    plan = _kappa_halfline_plan(peak=1e308)
-    sizes = [np.count_nonzero(make_witness(p).values) for p in plan.witnesses]
-    failed = {}
-    witness_1_failed = threading.Event()
-
-    def record_failure(a, u):
-        j = sizes.index(np.count_nonzero(u.values))
-        # on two CPUs witnesses 0 and 1 run together, and witness 1 fails first
-        if cpus == 2 and j == 0:
-            assert witness_1_failed.wait(timeout=60.0)
-        try:
-            return apply_multiplier(a, u)
-        except NumericFailure as exc:
-            failed[j] = exc
-            if j == 1:
-                witness_1_failed.set()
-            raise
-
-    monkeypatch.setattr(witness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(witness, "apply_multiplier", record_failure)
-    with pytest.raises(NumericFailure, match="^the multiplier image overflows: ") as info:
-        kuratowski_experiment(plan)
-    assert info.value is failed[0]
-    assert list(failed) == ([1, 0] if cpus == 2 else [0])
+    with pytest.raises(NumericFailure, match="^the multiplier image overflows: "):
+        kuratowski_experiment(_kappa_halfline_plan(peak=1e308))
 
 
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
-                         ids=["halfline-pooled", "sector-sequential"])
+                         ids=["halfline", "sector"])
 def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of):
     plan = plan_of()
     a, S = plan.symbol, plan.space
