@@ -247,6 +247,7 @@ def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol):
 
 
 def _space_check(params: dict, space: spaces.SpaceSpec, symbol):
+    spaces.associate_space(space)  # pre-flight: the axiom battery's Hoelder checks need it
     # config integers include integral floats such as 5.0
     kwargs = {key: int(value) for key, value in _given(params, "trials", "seed").items()}
     return _rendered(lambda: spaces.axiom_check(space, **kwargs), "reports.space_check_text",

@@ -207,7 +207,9 @@ def plan_tau_scan(omega: DomainMask, tau_list, theta: float, lam: float,
     at every smaller tau.
     """
     taus = [float(t) for t in tau_list]
-    if not taus or any(t <= 1.0 for t in taus):
+    if not taus:
+        raise ValidationError("tau list is empty")
+    if any(t <= 1.0 for t in taus):
         raise ValidationError("every tau in the scan must exceed 1")
     if not all(b < a for a, b in zip(taus, taus[1:])):
         raise ValidationError("tau list must be strictly decreasing toward 1")

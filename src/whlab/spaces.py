@@ -76,8 +76,14 @@ class ExponentField:
         object.__setattr__(self, "p_max", float(vals.max()))
 
     def conjugate(self) -> "ExponentField":
-        """Node-wise conjugate field p'(x) with 1/p + 1/p' = 1."""
-        return ExponentField(self.grid, self.values / (self.values - 1.0))
+        """Node-wise conjugate field p'(x) with 1/p + 1/p' = 1.  Raises where
+        p' = p/(p-1) rounds to 1, which happens from about p = 2^53 on."""
+        conj = self.values / (self.values - 1.0)
+        if not np.all(conj > 1.0):
+            raise ValidationError(f"the conjugate p/(p-1) of the exponent p = "
+                                  f"{self.values[conj <= 1.0].min():g} rounds to 1; the "
+                                  "associate space needs exponents of at most 2^53")
+        return ExponentField(self.grid, conj)
 
 
 @dataclass(frozen=True, eq=False)

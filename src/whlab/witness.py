@@ -26,12 +26,7 @@ Each image W f = r_Omega F^{-1} a F f is kept only on Omega, as its
 values there in row-major order, and normed with w and p gathered on
 Omega once per experiment; each witness norm reads only the witness's
 window.  The norm reads only Omega ∩ supp f in row-major order, so these
-norms equal the whole-grid ones bit for bit.  The experiments form each
-witness in the grid array that its image then replaces, so no grid-sized
-witness is held while the image is transformed.  Such a witness is
-written only on its window, and numpy advises huge pages for arrays of
-4 MiB and more, so its resident size depended on where it was mapped and
-moved a 2^18-node run's peak memory between runs.
+norms equal the whole-grid ones bit for bit.
 
 The witnesses are measured one after another.  On two threads, two
 2^18-node FFTs take about half the time, but each needs the input, the
@@ -51,8 +46,8 @@ import numpy as np
 from .doubling import _check_family, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point
-from .operators import (Symbol, _multiplier_image, apply_multiplier,
-                        argmax_freq_node, nearest_freq_node)
+from .operators import (Symbol, _multiplier_image, argmax_freq_node,
+                        nearest_freq_node)
 from .profiles import bump_profile
 from .spaces import SpaceSpec, indicator_norm, part_norm, space_part
 
@@ -138,66 +133,54 @@ class WitnessParams:
         return self.rho / self.delta
 
 
-def _witness_window(params: WitnessParams) -> tuple:
-    """``Grid.window`` of the witness's support ball; the witness is 0 off it."""
+def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
+    """``(window, values)``: e^{i eta.x} phi(delta |x - y|) on the nodes of
+    the ``Grid.window`` of the support ball B(y, rho/delta), and 0 off it.
+
+    The modulus equals the bump profile exactly, so |f| = 1 on every node
+    of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
+    """
+    grid = params.domain.grid
     # delta * radius >= rho after rounding, so the bump is 0 off the window
     radius = params.support_radius
     while params.delta * radius < params.rho:
         radius = math.nextafter(radius, math.inf)
-    return params.domain.grid.window(params.y, radius)
-
-
-def _witness_values(params: WitnessParams) -> tuple[tuple, np.ndarray]:
-    """``(window, values)``: the witness's window and its values there."""
-    grid = params.domain.grid
-    window, dist = _witness_window(params)
+    window, dist = grid.window(params.y, radius)
     amp = bump_profile(params.delta * dist, params.rho)
     axes = np.ix_(*(grid.x_axis[s] for s in window))
     phase_arg = sum(e * x for e, x in zip(params.eta, axes))
     return window, np.exp(1j * phase_arg) * amp
 
 
-def _on_grid(grid, window: tuple, values: np.ndarray) -> np.ndarray:
-    """A grid array equal to ``values`` on ``window`` and 0 elsewhere."""
-    out = np.zeros(grid.shape, dtype=complex)
-    out[window] = values
-    return out
-
-
-def make_witness(params: WitnessParams) -> GridFunction:
-    """e^{i eta.x} phi(delta |x - y|) sampled on the nodes of the domain grid.
-
-    The modulus equals the bump profile exactly, so |f| = 1 on every node
-    of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
-    """
-    return GridFunction(params.domain.grid, _on_grid(params.domain.grid,
-                                                     *_witness_values(params)))
-
-
 def mollification_residual(a: Symbol, params: WitnessParams,
-                           f: GridFunction) -> tuple[GridFunction, float]:
-    """Image g = F^{-1} a F f of the witness f = make_witness(params) and
+                           f: tuple) -> tuple[GridFunction, float]:
+    """Image g = F^{-1} a F f of the witness ``f = make_witness(params)`` and
     the measured sup-node residual max |g - a(eta) f|.
 
     ``eta`` is snapped to the nearest frequency node; the residual is the
     observed epsilon of the lower-bound chains and shrinks as delta does
     whenever the symbol is continuous at eta.  The witness is supported in
     Omega, so e_Omega f = f, and the norm of X(Omega) applies r_Omega to g.
+
+    f is written into one zeroed grid array that g then replaces, so no
+    second grid-sized array is held while g is transformed.  A separate
+    witness array would be written only on its window; numpy advises huge
+    pages for arrays of 4 MiB and more, so its resident size would depend
+    on where it was mapped, and so would a run's peak memory.
     """
-    g = apply_multiplier(a, f)
-    window = _witness_window(params)[0]
-    return g, _sup_residual(a, params.eta, g, window, f.values[window])
-
-
-def _sup_residual(a: Symbol, eta, g: GridFunction, window: tuple,
-                  f_window: np.ndarray) -> float:
-    """max |g - a(eta) f| over the grid, from f's values on its window."""
-    idx, _ = nearest_freq_node(g.grid, eta)
+    grid = params.domain.grid
+    if a.grid != grid:
+        raise ValidationError("symbol and witness live on different grids")
+    window, values = f
+    out = np.zeros(grid.shape, dtype=complex)
+    out[window] = values
+    g = GridFunction(grid, _multiplier_image(a, out, out))
+    idx, _ = nearest_freq_node(grid, params.eta)
     # formed first, so its temporaries are freed before the grid-sized err is
-    near = np.abs(g.values[window] - a.at(idx) * f_window)
+    near = np.abs(g.values[window] - a.at(idx) * values)
     err = np.abs(g.values)  # f is 0 off its window, where g - a(eta) f = g exactly
     err[window] = near
-    return float(np.max(err))
+    return g, float(np.max(err))
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -320,7 +303,10 @@ class WitnessPlan:
     witnesses: tuple
 
 
-def _resolve_eta(a: Symbol, eta):
+def _resolve_eta(a: Symbol, space: SpaceSpec, eta):
+    """The probing frequency node of a plan, for a symbol on the grid of ``space``."""
+    if a.grid != space.grid:
+        raise ValidationError("symbol and space live on different grids")
     return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
@@ -332,10 +318,10 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
     to ``ledger`` (a failed one raises) and returns ``(g, record)`` with
     g = F^{-1} a F f as its values on Omega in row-major order and a record
     whose ratio is left nan for the caller.  ||f|| reads only the witness's
-    window, where f lives, and f is formed in the grid array g replaces.
+    window, where f lives.
     """
-    window, f_window = _witness_values(params)
-    norm_f = part_norm(space_part(space, window), f_window)
+    window, values = make_witness(params)
+    norm_f = part_norm(space_part(space, window), values)
     ns, nb = (indicator_norm(Ball(params.y, r), space)
               for r in (1.0 / params.delta, params.support_radius))
     for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
@@ -343,9 +329,7 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
         if not line.passed:
             raise NumericFailure(f"sandwich inequality violated beyond slack: {line}")
         ledger.append(line)
-    f = _on_grid(space.grid, window, f_window)
-    g = GridFunction(space.grid, _multiplier_image(a, f, f))
-    residual = _sup_residual(a, params.eta, g, window, f_window)
+    g, residual = mollification_residual(a, params, (window, values))
     return g.values[space.domain.inside], WitnessRecord(
         params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
@@ -361,11 +345,13 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
     """
     _check_rho(rho)
     deltas = [float(d) for d in delta_schedule]
-    if not deltas or not all(d > 0 for d in deltas):
+    if not deltas:
+        raise ValidationError("delta schedule is empty")
+    if not all(d > 0 for d in deltas):
         raise ValidationError("delta schedule must be positive")
     if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta schedule must be strictly decreasing")
-    node, eta_vec = _resolve_eta(a, eta)
+    node, eta_vec = _resolve_eta(a, space, eta)
     plan = []
     for delta in deltas:
         try:
@@ -407,7 +393,7 @@ def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
                 f"margin rule needs y0 <= {y0:g}, resolving the innermost "
                 f"ball needs y0 >= {4.0 * omega.grid.h / theta:g}")
     family = separated_sequence(omega, rho, theta, lam, m, y0)
-    node, eta_vec = _resolve_eta(a, eta)
+    node, eta_vec = _resolve_eta(a, space, eta)
     params = tuple(WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
                    for y, radius in family)
     return WitnessPlan(a, space, node, tuple(eta_vec), params)

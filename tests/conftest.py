@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from whlab import ValidationError, luxemburg_norm, wiener_hopf_apply
+from whlab import (GridFunction, ValidationError, luxemburg_norm, make_witness,
+                   wiener_hopf_apply)
 
 
 @pytest.fixture
@@ -20,3 +22,14 @@ def norm_probe():
             raise ValidationError("all probes vanish on Omega")
         return max(ratios)
     return probe
+
+
+@pytest.fixture(scope="session")
+def witness_on_grid():
+    """make_witness(params) on the whole grid: its values on its window, 0 elsewhere."""
+    def on_grid(params):
+        window, values = make_witness(params)
+        out = np.zeros(params.domain.grid.shape, dtype=complex)
+        out[window] = values
+        return GridFunction(params.domain.grid, out)
+    return on_grid

@@ -15,7 +15,7 @@ from whlab import (Ball, SpaceSpec, axiom_check,
                    constant_symbol, constant_weight, doubling_ratio,
                    full_space, gaussian_symbol, half_line,
                    kuratowski_experiment, luxemburg_norm, make_grid,
-                   make_witness, norm_lowerbound_experiment,
+                   norm_lowerbound_experiment,
                    plan_kuratowski, plan_norm_lowerbound, plan_tau_scan,
                    power_weight, sample,
                    smoothed_step_symbol, step_exponent, tau_scan,
@@ -74,7 +74,7 @@ def test_criterion_2_variable_exponent_golden_value():
               f"of lam^3-lam-1 within 1% ({t.elapsed:.2f}s)")
 
 
-def test_criterion_3_plancherel_chain(norm_probe):
+def test_criterion_3_plancherel_chain(norm_probe, witness_on_grid):
     with Timer() as t:
         g = make_grid(1, 64, 4096)
         om = full_space(g)
@@ -82,7 +82,7 @@ def test_criterion_3_plancherel_chain(norm_probe):
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
         rep = norm_lowerbound_experiment(plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125]))
         witness_probes = [
-            make_witness(WitnessParams(w.delta, rep.eta, w.y, 2.0, om))
+            witness_on_grid(WitnessParams(w.delta, rep.eta, w.y, 2.0, om))
             for w in rep.witnesses if w.error is None
         ]
         rng = np.random.default_rng(12)

@@ -113,6 +113,8 @@ experiment: EXPERIMENT
      "lambda ** m overflows"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [.nan]}",
      "delta schedule must be positive"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: []}", "delta schedule is empty"),
+    ("{kind: tau-scan, tau_list: [], theta: 0.25, lambda: 4.0, m: 2}", "tau list is empty"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: .nan}",
      "expected a finite point"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.02, 0.01]}",
@@ -251,6 +253,9 @@ seed: $seed
     # an infinite step level ends with the field's message, not a warning
     ("exponent", "{kind: piecewise, left: 2.0, right: .inf}",
      "exponents must be finite and > 1 everywhere"),
+    # p/(p-1) rounds to 1 from about p = 2^53: the associate space has no exponent
+    ("exponent", "{kind: constant, value: 1.0e+16}",
+     "the conjugate p/(p-1) of the exponent p = 1e+16 rounds to 1"),
     ("symbol", "{kind: smoothed-step, high: .inf}", "symbol values must be finite"),
     # 2**58 nodes numpy can index, but the 2 EiB axis cannot be allocated
     ("grid", "{n: 1, half_width: 1.0, points: 288230376151711744}", "out of memory"),

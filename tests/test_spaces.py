@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,27 @@ def test_power_weight_repairs_the_origin_only(n):
     # |x|^400 overflows away from the origin; the weight rejects it.
     with pytest.raises(ValidationError, match="finite and positive"):
         power_weight(g, 400.0)
+
+
+
+@pytest.mark.parametrize("p", [1.0e16, 1.0e300])
+def test_exponent_whose_conjugate_rounds_to_1_has_no_associate_space(p):
+    g = make_grid(1, 16, 256)
+    S = SpaceSpec(g, constant_exponent(g, p), constant_weight(g), full_space(g))
+    assert luxemburg_norm(ball_indicator(Ball((0.5,), 2.0), g), S) > 0.0
+    message = re.escape(f"the conjugate p/(p-1) of the exponent p = {p:g} rounds to 1")
+    with pytest.raises(ValidationError, match=message):
+        associate_space(S)
+    with pytest.raises(ValidationError, match=message):
+        berezhnoi_ratio(Ball((0.5,), 2.0), S)
+
+
+def test_exponent_up_to_2_53_keeps_its_conjugates():
+    g = make_grid(1, 16, 256)
+    p = np.where(g.x_axis < 0.0, 1.0 + 2.0 ** -52, 2.0 ** 53)
+    S = SpaceSpec(g, exponent_from_values(g, p), constant_weight(g), full_space(g))
+    assert associate_space(associate_space(S)).exponent.p_min > 1.0
+    assert berezhnoi_ratio(Ball((0.5,), 2.0), S) > 0.0
 
 
 def test_berezhnoi_constant_p_is_one():

@@ -49,3 +49,6 @@ def test_tracer_counts_the_builders_and_renderers(tmp_path, monkeypatch):
     # the two witnesses' sandwich norms read only their balls' windows
     assert tracer.calls("grid.ball_indicator") == 0
     assert tracer.calls("spaces.indicator_norm") == 4
+    # each of the two witnesses is built and transformed by the public pair
+    assert tracer.calls("witness.make_witness") == 2
+    assert tracer.calls("witness.mollification_residual") == 2

@@ -106,11 +106,11 @@ def test_bump_even_and_rejects_bad_rho():
 
 # -- witness ----------------------------------------------------------------
 
-def test_witness_modulus_and_plateau():
+def test_witness_modulus_and_plateau(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     P = WitnessParams(0.25, (g.xi_axis[600],), (24.0,), 2.0, om)
-    f = make_witness(P)
+    f = witness_on_grid(P)
     amp = bump_profile(0.25 * np.abs(g.x_axis - 24.0), 2.0)
     assert np.max(np.abs(np.abs(f.values) - amp)) <= 1e-14
     plateau = ball_indicator(Ball((24.0,), 4.0), g).values.real == 1
@@ -120,21 +120,21 @@ def test_witness_modulus_and_plateau():
     assert np.all(f.values[outside] == 0.0)
 
 
-def test_witness_real_bump_when_eta_zero():
+def test_witness_real_bump_when_eta_zero(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    f = make_witness(WitnessParams(0.25, (0.0,), (0.0,), 2.0, om))
+    f = witness_on_grid(WitnessParams(0.25, (0.0,), (0.0,), 2.0, om))
     assert np.max(np.abs(f.values.imag)) == 0.0
     assert np.min(f.values.real) >= 0.0
     assert np.max(f.values.real) == 1.0
 
 
-def test_witness_sandwich_norms():
+def test_witness_sandwich_norms(witness_on_grid):
     g = make_grid(1, 64, 2048)
     om = full_space(g)
     S = SpaceSpec(g, step_exponent(g, 2.0, 2.5), power_weight(g, 0.1), om)
     P = WitnessParams(0.25, (1.5,), (24.0,), 2.0, om)
-    f = make_witness(P)
+    f = witness_on_grid(P)
     ns = luxemburg_norm(ball_indicator(Ball((24.0,), 4.0), g), S)
     nb = luxemburg_norm(ball_indicator(Ball((24.0,), 8.0), g), S)
     nf = luxemburg_norm(f, S)
@@ -142,12 +142,12 @@ def test_witness_sandwich_norms():
     assert nf <= nb * (1 + 1e-9)
 
 
-def test_witness_phase_invariance():
+def test_witness_phase_invariance(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     S = l2(g)
-    f1 = make_witness(WitnessParams(0.25, (1.5,), (24.0,), 2.0, om))
-    f2 = make_witness(WitnessParams(0.25, (-1.5,), (24.0,), 2.0, om))
+    f1 = witness_on_grid(WitnessParams(0.25, (1.5,), (24.0,), 2.0, om))
+    f2 = witness_on_grid(WitnessParams(0.25, (-1.5,), (24.0,), 2.0, om))
     assert luxemburg_norm(f1, S) == pytest.approx(luxemburg_norm(f2, S), rel=1e-12)
 
 
@@ -261,11 +261,12 @@ WITNESS_CASES = [
 
 
 @pytest.mark.parametrize("omega,delta,eta,y,rho", WITNESS_CASES)
-def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho):
+def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho,
+                                                 witness_on_grid):
     if y is None:
         y = tuple(place_witness_center(omega, delta, rho))
     params = WitnessParams(delta, eta, y, rho, omega)
-    f = make_witness(params).values
+    f = witness_on_grid(params).values
     assert np.array_equal(f, whole_grid_witness(params))
     window, _ = omega.grid.window(params.y, params.support_radius)
     outside = np.ones(omega.grid.shape, dtype=bool)
@@ -297,7 +298,7 @@ def test_residual_gaussian_monotone_in_delta():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_witness_image_restricts_to_wiener_hopf(n):
+def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
     # The experiments read W f off the residual's image g = F^{-1} a F f as
     # r_Omega g; that needs e_Omega f = f, so it must hold bit for bit.
     if n == 1:
@@ -310,8 +311,8 @@ def test_witness_image_restricts_to_wiener_hopf(n):
         om = sector(g, 0.0, np.pi / 2)
         P = WitnessParams(0.5, (1.0, -0.5), (12.0, 12.0), 2.0, om)
         a = gaussian_symbol(g, [0.5, 0.0], 2.0, 1.0)
-    f = make_witness(P)
-    image, _ = mollification_residual(a, P, f)
+    f = witness_on_grid(P)
+    image, _ = mollification_residual(a, P, make_witness(P))
     w_f = wiener_hopf_apply(a, om, f).values
     assert np.array_equal(restrict(apply_multiplier(a, f), om).values, w_f)
     assert np.array_equal(restrict(image, om).values, w_f)
@@ -324,13 +325,13 @@ def test_witness_image_restricts_to_wiener_hopf(n):
      1.5, 0.1, 1.6, 3, 10.0),
 ], ids=["kappa-1d", "sector-512"])
 def test_residual_matches_the_whole_grid_formula(omega, center, rho, theta, lam,
-                                                 m, y0):
+                                                 m, y0, witness_on_grid):
     # the residual is taken on the witness's window: bit for bit the whole grid's
     a = gaussian_symbol(omega.grid, center, 2.0, 1.0)
     plan = plan_kuratowski(a, l2(omega.grid, omega), rho, theta, lam, m, y0=y0)
     for params in plan.witnesses:
-        f = make_witness(params)
-        g, res = mollification_residual(a, params, f)
+        f = witness_on_grid(params)
+        g, res = mollification_residual(a, params, make_witness(params))
         idx, _ = nearest_freq_node(omega.grid, params.eta)
         assert res == float(np.max(np.abs(g.values - a.at(idx) * f.values)))
 
@@ -493,13 +494,13 @@ def _sector_space():
             (1.5, 0.1, 1.6, 3, 10.0))
 
 
-def assert_separated_by_the_modular_constant(plan):
+def assert_separated_by_the_modular_constant(plan, witness_on_grid):
     """phi_j - phi_k has modular 1 + 1 = 2 at lambda = 1 (disjoint supports), so
     its norm lies in [2^{1/p_+}, 2^{1/p_-}] with p_+- taken over its support."""
     S = plan.space
     phis = []
     for params in plan.witnesses:
-        f = make_witness(params)
+        f = witness_on_grid(params)
         phis.append(f * (1.0 / luxemburg_norm(f, S)))
     for phi_j, phi_k in itertools.combinations(phis, 2):
         diff = phi_j - phi_k
@@ -510,10 +511,11 @@ def assert_separated_by_the_modular_constant(plan):
 
 @pytest.mark.parametrize("build", [_halfline_space, _sector_space],
                          ids=["halfline-constant-p", "sector-variable-p"])
-def test_disjoint_normalized_witnesses_separate_by_the_modular_constant(build):
+def test_disjoint_normalized_witnesses_separate_by_the_modular_constant(build,
+                                                                       witness_on_grid):
     S, family_args = build()
     assert_separated_by_the_modular_constant(
-        plan_kuratowski(constant_symbol(S.grid, 1.0), S, *family_args))
+        plan_kuratowski(constant_symbol(S.grid, 1.0), S, *family_args), witness_on_grid)
 
 
 KAPPA_DOMAINS = [half_line(make_grid(1, 1024.0, 2 ** 14))] + [
@@ -547,7 +549,7 @@ def kappa_runs(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(run=kappa_runs())
-def test_kappa_plan_default_family_certifies_and_separates(run):
+def test_kappa_plan_default_family_certifies_and_separates(run, witness_on_grid):
     # the default y0 path end to end: the chains pass and the witnesses separate
     S, rho, theta, lam, m = run
     try:
@@ -556,7 +558,7 @@ def test_kappa_plan_default_family_certifies_and_separates(run):
     except ValidationError:
         return
     assert kuratowski_experiment(plan).chains_passed
-    assert_separated_by_the_modular_constant(plan)
+    assert_separated_by_the_modular_constant(plan, witness_on_grid)
 
 
 @pytest.mark.parametrize("omega,rho,theta,lam,m", [
@@ -597,6 +599,29 @@ def test_kappa_needs_two_balls():
     om = half_line(g)
     with pytest.raises(ValidationError, match="needs at least 2 balls"):
         plan_kuratowski(constant_symbol(g, 1.0), l2(g, om), 2.0, 0.25, 4.0, 1, y0=8.0)
+
+
+
+# a symbol sampled on another box or on fewer nodes than the space's grid
+OTHER_GRIDS = [make_grid(1, 512, 8192), make_grid(1, 256, 4096)]
+
+
+@pytest.mark.parametrize("symbol_grid", OTHER_GRIDS, ids=["half-width", "points"])
+@pytest.mark.parametrize("plan", [
+    lambda a, S: plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125, 0.0625]),
+    lambda a, S: plan_kuratowski(a, S, 2.0, 0.25, 4.0, 2, y0=8.0),
+], ids=["norm-lb", "kappa-lb"])
+def test_plans_reject_a_symbol_on_another_grid(plan, symbol_grid):
+    g = make_grid(1, 256, 8192)
+    with pytest.raises(ValidationError, match="symbol and space live on different grids"):
+        plan(gaussian_symbol(symbol_grid, 0.0, 2.0), l2(g, half_line(g)))
+
+
+@pytest.mark.parametrize("symbol_grid", OTHER_GRIDS, ids=["half-width", "points"])
+def test_residual_rejects_a_symbol_on_another_grid(symbol_grid):
+    P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
+    with pytest.raises(ValidationError, match="symbol and witness live on different grids"):
+        mollification_residual(gaussian_symbol(symbol_grid, 0.0, 2.0), P, make_witness(P))
 
 
 # -- images kept on Omega; witnesses formed in their image's grid array ------
@@ -641,13 +666,13 @@ def test_overflowing_witness_image_is_a_numeric_failure():
 
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
                          ids=["halfline", "sector"])
-def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of):
+def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_grid):
     plan = plan_of()
     a, S = plan.symbol, plan.space
     rep = kuratowski_experiment(plan)
     images = []
     for params, rec in zip(plan.witnesses, rep.witnesses):
-        f = make_witness(params)
+        f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
         images.append(apply_multiplier(a, f) * (1.0 / luxemburg_norm(f, S)))
     assert [p.distance for p in rep.pairs] == [
@@ -656,6 +681,6 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of):
     norm_rep = norm_lowerbound_experiment(norm_plan)
     assert all(rec.error is None for rec in norm_rep.witnesses)
     for (_, params), rec in zip(norm_plan.witnesses, norm_rep.witnesses):
-        f = make_witness(params)
+        f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
         assert rec.ratio == luxemburg_norm(apply_multiplier(a, f), S) / rec.norm_witness
