@@ -3,7 +3,9 @@
 An expression is parsed and checked against an AST whitelist before it
 runs: names, numeric constants, unary and binary arithmetic (``&`` and
 ``|`` included, to combine masks), comparisons, and calls of the
-whitelisted numpy functions with positional arguments.  Names resolve to
+whitelisted numpy functions with positional arguments.  Every integer
+constant is read as a float, so arithmetic on constants overflows at once
+instead of building an arbitrary-precision integer.  Names resolve to
 those functions, ``pi``, ``e`` and the coordinate arrays; nothing else is
 reachable, attribute access and lambdas included.
 """
@@ -57,6 +59,8 @@ def _check(tree: ast.Expression, names) -> None:
                 and (isinstance(node.value, bool)
                      or not isinstance(node.value, (int, float, complex)))):
             raise ValidationError(f"constant {node.value!r} is not a number")
+        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+            node.value = float(node.value)
         if isinstance(node, ast.Call) and (
                 not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS
                 or node.keywords):
@@ -76,4 +80,5 @@ def evaluate_expression(expr: str, **coords):
         with np.errstate(all="ignore"):  # fields and symbols reject non-finite values
             return eval(code, {"__builtins__": {}}, namespace)
     except Exception as exc:
-        raise ValidationError(f"expression {expr!r} rejected: {exc}") from exc
+        why = "it overflows the float range" if isinstance(exc, OverflowError) else exc
+        raise ValidationError(f"expression {expr!r} rejected: {why}") from exc

@@ -86,7 +86,9 @@ def gaussian_symbol(grid: Grid, center=None, sigma: float = 1.0,
         raise ValidationError("gaussian symbol needs sigma > 0 with 2 sigma^2 a positive "
                               f"normal float (got sigma = {sigma:g})")
     c = np.zeros(grid.n) if center is None else as_point(center, grid.n)
-    with np.errstate(over="ignore"):  # a far center or small sigma underflows it to 0
+    # a far center or small sigma underflows it to 0, where an infinite peak
+    # gives nan; Symbol rejects that
+    with np.errstate(over="ignore", invalid="ignore"):
         r2 = sum((m - ci) ** 2 for m, ci in zip(grid.freq_coords(), c))
         return Symbol(grid, peak * np.exp(-r2 / var2))
 
@@ -128,17 +130,16 @@ def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
     """F^{-1}(a . F u), one pass over the FFT-order spectrum (module docstring)."""
     if a.grid != u.grid:
         raise ValidationError("symbol and function live on different grids")
-    return GridFunction(u.grid, _multiplier_image(a, u.values, np.empty(u.grid.shape, complex)))
+    return GridFunction(u.grid, _multiplier_image(a, u.values.copy()))
 
 
-def _multiplier_image(a: Symbol, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """F^{-1}(a . F u) of the u with ``values`` on the grid of ``a``, formed in
-    ``out`` and returned; ``out`` may be ``values`` itself, which the image
-    then replaces."""
+def _multiplier_image(a: Symbol, values: np.ndarray) -> np.ndarray:
+    """F^{-1}(a . F u) of the u with complex ``values`` on the grid of ``a``,
+    formed in ``values`` itself, which the image replaces, and returned."""
     halves = (2, a.grid.points // 2) * a.grid.n  # each axis as its two halves
     try:
         with np.errstate(over="raise"):
-            spec = np.fft.fftn(values, out=out)
+            spec = np.fft.fftn(values, out=values)
             swapped = a.values.reshape(halves)[(slice(None, None, -1), slice(None)) * a.grid.n]
             np.multiply(swapped, spec.reshape(halves), out=spec.reshape(halves))
             return np.fft.ifftn(spec, out=spec)

@@ -22,11 +22,10 @@ A finite family exhibits pairwise separation but cannot, strictly,
 lower-bound the noncompactness measure; reports therefore state the
 family size next to the bound.
 
-Each image W f = r_Omega F^{-1} a F f is kept only on Omega, as its
-values there in row-major order, and normed with w and p gathered on
-Omega once per experiment; each witness norm reads only the witness's
-window.  The norm reads only Omega ∩ supp f in row-major order, so these
-norms equal the whole-grid ones bit for bit.
+Each image W f is normed as :func:`mollification_residual` hands it on,
+with w and p gathered on Omega once per experiment; each witness norm
+reads only the witness's window.  The norm reads only Omega ∩ supp f in
+row-major order, so these norms equal the whole-grid ones bit for bit.
 
 The witnesses are measured one after another.  On two threads, two
 2^18-node FFTs take about half the time, but each needs the input, the
@@ -45,7 +44,7 @@ import numpy as np
 
 from .doubling import _check_family, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
-from .grid import Ball, DomainMask, GridFunction, _ball_nodes, as_point
+from .grid import Ball, DomainMask, _ball_nodes, as_point
 from .operators import (Symbol, _multiplier_image, argmax_freq_node,
                         nearest_freq_node)
 from .profiles import bump_profile
@@ -108,8 +107,8 @@ class WitnessParams:
     domain: DomainMask
 
     def __post_init__(self):
-        if not (self.delta > 0):
-            raise ValidationError("delta must be positive")
+        if not (0 < self.delta < math.inf):
+            raise ValidationError("delta must be finite and positive")
         _check_rho(self.rho)
         grid = self.domain.grid
         eta = tuple(as_point(self.eta, grid.n).tolist())
@@ -153,14 +152,17 @@ def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
 
 
 def mollification_residual(a: Symbol, params: WitnessParams,
-                           f: tuple) -> tuple[GridFunction, float]:
-    """Image g = F^{-1} a F f of the witness ``f = make_witness(params)`` and
-    the measured sup-node residual max |g - a(eta) f|.
+                           f: tuple) -> tuple[np.ndarray, float]:
+    """``(W f, eps)`` for the witness ``f = make_witness(params)``: the image
+    W f = r_Omega g of g = F^{-1} a F f, kept only on Omega as its values
+    there in row-major order, and the measured sup-node residual
+    eps = max |g - a(eta) f| over the whole grid.
 
     ``eta`` is snapped to the nearest frequency node; the residual is the
     observed epsilon of the lower-bound chains and shrinks as delta does
     whenever the symbol is continuous at eta.  The witness is supported in
-    Omega, so e_Omega f = f, and the norm of X(Omega) applies r_Omega to g.
+    Omega, so e_Omega f = f.  The residual reads every node of g, so a
+    non-finite g raises :class:`NumericFailure`.
 
     f is written into one zeroed grid array that g then replaces, so no
     second grid-sized array is held while g is transformed.  A separate
@@ -172,15 +174,19 @@ def mollification_residual(a: Symbol, params: WitnessParams,
     if a.grid != grid:
         raise ValidationError("symbol and witness live on different grids")
     window, values = f
-    out = np.zeros(grid.shape, dtype=complex)
-    out[window] = values
-    g = GridFunction(grid, _multiplier_image(a, out, out))
+    g = np.zeros(grid.shape, dtype=complex)
+    g[window] = values
+    g = _multiplier_image(a, g)
     idx, _ = nearest_freq_node(grid, params.eta)
     # formed first, so its temporaries are freed before the grid-sized err is
-    near = np.abs(g.values[window] - a.at(idx) * values)
-    err = np.abs(g.values)  # f is 0 off its window, where g - a(eta) f = g exactly
+    near = np.abs(g[window] - a.at(idx) * values)
+    err = np.abs(g)  # f is 0 off its window, where g - a(eta) f = g exactly
     err[window] = near
-    return g, float(np.max(err))
+    residual = float(np.max(err))
+    del err  # freed before the gather on Omega
+    if not math.isfinite(residual):
+        raise NumericFailure(f"the witness image is not finite: residual {residual}")
+    return g[params.domain.inside], residual
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -315,9 +321,9 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
     """Norms, image and residual of the witness f = make_witness(params).
 
     Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
-    to ``ledger`` (a failed one raises) and returns ``(g, record)`` with
-    g = F^{-1} a F f as its values on Omega in row-major order and a record
-    whose ratio is left nan for the caller.  ||f|| reads only the witness's
+    to ``ledger`` (a failed one raises) and returns ``(W f, record)`` with
+    W f as :func:`mollification_residual` hands it on and a record whose
+    ratio is left nan for the caller.  ||f|| reads only the witness's
     window, where f lives.
     """
     window, values = make_witness(params)
@@ -329,8 +335,8 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
         if not line.passed:
             raise NumericFailure(f"sandwich inequality violated beyond slack: {line}")
         ledger.append(line)
-    g, residual = mollification_residual(a, params, (window, values))
-    return g.values[space.domain.inside], WitnessRecord(
+    image, residual = mollification_residual(a, params, (window, values))
+    return image, WitnessRecord(
         params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
 
@@ -340,15 +346,15 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
 
     The plan's witnesses are, per delta, ``(delta, params)`` with params
     either its :class:`WitnessParams` or the message explaining why no
-    witness fits.  Raises unless rho > 1, the schedule is positive and
-    strictly decreasing, and at least one delta admits a witness.
+    witness fits.  Raises unless rho > 1, the schedule is finite, positive
+    and strictly decreasing, and at least one delta admits a witness.
     """
     _check_rho(rho)
     deltas = [float(d) for d in delta_schedule]
     if not deltas:
         raise ValidationError("delta schedule is empty")
-    if not all(d > 0 for d in deltas):
-        raise ValidationError("delta schedule must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValidationError("delta schedule must be finite and positive")
     if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta schedule must be strictly decreasing")
     node, eta_vec = _resolve_eta(a, space, eta)
@@ -459,7 +465,7 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
 
     records = []
     ledger = []
-    images = []  # the normalized images r_Omega g / ||f||, on Omega
+    images = []  # the normalized images W f / ||f||, on Omega
     for j, params in enumerate(plan.witnesses):
         g, rec = _measure_witness(a, space, params, f"j={j}", ledger)
         g *= complex(1.0 / rec.norm_witness)

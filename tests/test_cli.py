@@ -112,7 +112,9 @@ experiment: EXPERIMENT
     ("{kind: kappa-lb, rho: 2.0, theta: 0.25, lambda: 1.0e+300, m: 3}",
      "lambda ** m overflows"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [.nan]}",
-     "delta schedule must be positive"),
+     "delta schedule must be finite and positive"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [.inf, 1.0]}",
+     "delta schedule must be finite and positive"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: []}", "delta schedule is empty"),
     ("{kind: tau-scan, tau_list: [], theta: 0.25, lambda: 4.0, m: 2}", "tau list is empty"),
     ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], eta: .nan}",
@@ -257,6 +259,13 @@ seed: $seed
     ("exponent", "{kind: constant, value: 1.0e+16}",
      "the conjugate p/(p-1) of the exponent p = 1e+16 rounds to 1"),
     ("symbol", "{kind: smoothed-step, high: .inf}", "symbol values must be finite"),
+    # inf times the underflowed Gaussian is nan: rejected with no numpy warning
+    ("symbol", "{kind: gaussian, sigma: 0.1, peak: .inf}", "symbol values must be finite"),
+    # numbers in an expression are floats: a power of constants overflows at once
+    ("exponent", "{kind: expression, expr: '10 ** 400'}", "overflows the float range"),
+    ("weight", "{kind: expression, expr: '10 ** 400'}", "overflows the float range"),
+    ("symbol", "{kind: expression, expr: '10 ** 400'}", "overflows the float range"),
+    ("exponent", "{kind: expression, expr: '9 ** 9 ** 9'}", "overflows the float range"),
     # 2**58 nodes numpy can index, but the 2 EiB axis cannot be allocated
     ("grid", "{n: 1, half_width: 1.0, points: 288230376151711744}", "out of memory"),
     # YAML 1.1 reads a number without a dot or a signed exponent as a string

@@ -8,8 +8,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from whlab import witness
-from whlab import (Ball, NumericFailure, SpaceSpec, ValidationError,
-                   WitnessParams, apply_multiplier, ball_indicator,
+from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
+                   ValidationError, WitnessParams, apply_multiplier, ball_indicator,
                    constant_exponent, constant_symbol, constant_weight,
                    explicit_mask, exponent_from_values, full_space,
                    gaussian_symbol, half_line, kuratowski_experiment,
@@ -299,8 +299,8 @@ def test_residual_gaussian_monotone_in_delta():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
-    # The experiments read W f off the residual's image g = F^{-1} a F f as
-    # r_Omega g; that needs e_Omega f = f, so it must hold bit for bit.
+    # The residual hands on W f as r_Omega g of its image g = F^{-1} a F f;
+    # that needs e_Omega f = f, so it must hold bit for bit.
     if n == 1:
         g = make_grid(1, 64, 1024)
         om = half_line(g)
@@ -312,10 +312,11 @@ def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
         P = WitnessParams(0.5, (1.0, -0.5), (12.0, 12.0), 2.0, om)
         a = gaussian_symbol(g, [0.5, 0.0], 2.0, 1.0)
     f = witness_on_grid(P)
-    image, _ = mollification_residual(a, P, make_witness(P))
-    w_f = wiener_hopf_apply(a, om, f).values
-    assert np.array_equal(restrict(apply_multiplier(a, f), om).values, w_f)
-    assert np.array_equal(restrict(image, om).values, w_f)
+    w_f, _ = mollification_residual(a, P, make_witness(P))
+    image = apply_multiplier(a, f)
+    reference = wiener_hopf_apply(a, om, f).values
+    assert np.array_equal(restrict(image, om).values, reference)
+    assert np.array_equal(w_f, reference[om.inside])
     assert np.any(image.values[~om.inside] != 0)  # the restriction matters
 
 
@@ -331,12 +332,13 @@ def test_residual_matches_the_whole_grid_formula(omega, center, rho, theta, lam,
     plan = plan_kuratowski(a, l2(omega.grid, omega), rho, theta, lam, m, y0=y0)
     for params in plan.witnesses:
         f = witness_on_grid(params)
-        g, res = mollification_residual(a, params, make_witness(params))
+        _, res = mollification_residual(a, params, make_witness(params))
+        g = apply_multiplier(a, f).values
         idx, _ = nearest_freq_node(omega.grid, params.eta)
-        assert res == float(np.max(np.abs(g.values - a.at(idx) * f.values)))
+        assert res == float(np.max(np.abs(g - a.at(idx) * f.values)))
 
 
-def test_residual_reads_the_image_off_the_witness_window():
+def test_residual_reads_the_image_off_the_witness_window(witness_on_grid):
     # a shift by 40 with a(eta) = 0: the image 2 f(x - 40) and so the
     # residual's max lie off the witness's window
     g = make_grid(1, 64.0, 1024)
@@ -345,8 +347,8 @@ def test_residual_reads_the_image_off_the_witness_window():
     vals = 2.0 * np.exp(-40j * g.xi_axis)
     vals[idx] = 0.0
     a = symbol_from_values(g, vals)
-    f = make_witness(P)
-    image, res = mollification_residual(a, P, f)
+    _, res = mollification_residual(a, P, make_witness(P))
+    image = apply_multiplier(a, witness_on_grid(P))
     assert res == float(np.max(np.abs(image.values)))
     assert res == pytest.approx(2.0, rel=0.1)
 
@@ -428,6 +430,15 @@ def test_norm_experiment_rejects_increasing_schedule():
     om = full_space(g)
     with pytest.raises(ValidationError):
         plan_norm_lowerbound(constant_symbol(g, 1.0), l2(g), 2.0, [0.25, 0.5])
+
+
+@pytest.mark.parametrize("delta", [np.inf, np.nan, 0.0])
+def test_infinite_or_nonpositive_delta_is_rejected(delta):
+    g = make_grid(1, 64, 1024)
+    with pytest.raises(ValidationError, match="delta must be finite and positive"):
+        WitnessParams(delta, (0.0,), (0.0,), 2.0, full_space(g))
+    with pytest.raises(ValidationError, match="delta schedule must be finite and positive"):
+        plan_norm_lowerbound(constant_symbol(g, 1.0), l2(g), 2.0, [delta, 0.25])
 
 
 # -- pairwise (noncompactness) experiment -----------------------------------
@@ -662,6 +673,35 @@ def test_overflowing_witness_image_is_a_numeric_failure():
     # a symbol peak near the float maximum overflows every witness image
     with pytest.raises(NumericFailure, match="^the multiplier image overflows: "):
         kuratowski_experiment(_kappa_halfline_plan(peak=1e308))
+
+
+def test_witness_path_builds_no_grid_function(monkeypatch):
+    # W f is handed on as its values on Omega: no whole-grid GridFunction,
+    # so no second finiteness scan of the image
+    S = _step_power_halfline(2 ** 12)
+    a = gaussian_symbol(S.grid, 0.0, 2.0)
+    kappa_plan = plan_kuratowski(a, S, 2.0, 0.25, 4.0, 2, y0=2.0)
+    norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5])
+    built = []
+    real = GridFunction.__post_init__
+    monkeypatch.setattr(GridFunction, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    kuratowski_experiment(kappa_plan)
+    norm_lowerbound_experiment(norm_plan)
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_witness_image_is_a_numeric_failure(monkeypatch, bad):
+    # the residual reads every node of the image, so it catches a non-finite one
+    def image_with(a, values):
+        values[-1] = bad
+        return values
+
+    monkeypatch.setattr(witness, "_multiplier_image", image_with)
+    P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
+    with pytest.raises(NumericFailure, match="^the witness image is not finite"):
+        mollification_residual(constant_symbol(P.domain.grid, 1.0), P, make_witness(P))
 
 
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
