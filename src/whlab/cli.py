@@ -144,7 +144,7 @@ _TYPES = {
 
 def _coord_names(grid: gridmod.Grid) -> dict:
     names = ("x",) if grid.n == 1 else ("x1", "x2")
-    return dict(zip(names, grid.coords()), r=grid.distances(np.zeros(grid.n)))
+    return dict(zip(names, grid.coords()), r=grid.window(np.zeros(grid.n))[1])
 
 
 def _freq_names(grid: gridmod.Grid) -> dict:

@@ -4,10 +4,11 @@ An expression is parsed and checked against an AST whitelist before it
 runs: names, numeric constants, unary and binary arithmetic (``&`` and
 ``|`` included, to combine masks), comparisons, and calls of the
 whitelisted numpy functions with positional arguments.  Every integer
-constant is read as a float, so arithmetic on constants overflows at once
-instead of building an arbitrary-precision integer.  Names resolve to
-those functions, ``pi``, ``e`` and the coordinate arrays; nothing else is
-reachable, attribute access and lambdas included.
+constant is read as a float and every comparison result as a numpy
+array, so arithmetic on constants stays in fixed-size numbers, which
+overflow at once, instead of building an arbitrary-precision integer.
+Names resolve to those functions, ``pi``, ``e`` and the coordinate
+arrays; nothing else is reachable, attribute access and lambdas included.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def _check(tree: ast.Expression, names) -> None:
                 "only whitelisted functions may be called, with positional arguments")
 
 
+class _ArrayCompares(ast.NodeTransformer):
+    """Wrap each comparison in ``_array(...)``, which is ``np.asarray`` at
+    evaluation and a name ``_check`` rejects in the expression itself: a
+    Python ``bool`` would add and raise to powers as an unbounded ``int``."""
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        return ast.Call(ast.Name("_array", ast.Load()), [node], [])
+
+
 def evaluate_expression(expr: str, **coords):
     """Evaluate ``expr`` over the whitelist and ``coords``."""
     if not isinstance(expr, str) or not expr.strip():
@@ -76,9 +87,10 @@ def evaluate_expression(expr: str, **coords):
     try:
         tree = ast.parse(expr, "<config expression>", "eval")
         _check(tree, namespace)
+        tree = ast.fix_missing_locations(_ArrayCompares().visit(tree))
         code = compile(tree, "<config expression>", "eval")
         with np.errstate(all="ignore"):  # fields and symbols reject non-finite values
-            return eval(code, {"__builtins__": {}}, namespace)
+            return eval(code, {"__builtins__": {}}, {**namespace, "_array": np.asarray})
     except Exception as exc:
         why = "it overflows the float range" if isinstance(exc, OverflowError) else exc
         raise ValidationError(f"expression {expr!r} rejected: {why}") from exc

@@ -125,10 +125,6 @@ class Grid:
         offsets = [x - ci for x, ci in zip(axes, c)]
         return slices, (np.abs(offsets[0]) if self.n == 1 else np.hypot(*offsets))
 
-    def distances(self, center):
-        """Euclidean node distances to ``center`` (array of ``shape``)."""
-        return self.window(center)[1]
-
 
 def as_point(y, n: int) -> np.ndarray:
     """Normalize a scalar / sequence to a finite length-n float point."""
@@ -158,7 +154,7 @@ def _node_values(values, grid: Grid, dtype, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex samples, one value per grid node."""
+    """Validated complex samples, one per grid node; no arithmetic."""
 
     grid: Grid
     values: np.ndarray
@@ -168,23 +164,6 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise ValidationError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
-
-    def _check_grid(self, other: "GridFunction"):
-        if self.grid != other.grid:
-            raise ValidationError("grid mismatch between grid functions")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.grid, self.values * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

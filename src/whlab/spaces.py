@@ -9,10 +9,11 @@ the upper end of a bisection in the power-of-two bracket around it.  A
 Newton iteration on log m, checked by two modular sums, brackets the root
 to 1e-12 first, so the bisection's tests cost a sum only inside that
 bracket.  Both run on |f| w and p gathered once over Omega ∩ supp f.
-A ball indicator's norm, :func:`indicator_norm`, gathers w and p on the
-ball's window alone (:meth:`whlab.grid.Grid.window`), bit for bit.  So
-does :func:`part_norm` for a function known on some nodes only, a window
-or Omega, with the space's part on them taken once by :func:`space_part`.
+:func:`part_norm` is the one entry into this kernel: it takes f on some
+nodes only (the whole grid, a window or Omega) and the space's part on
+them, taken once by :func:`space_part`.  :func:`luxemburg_norm` calls it
+on the whole grid, and :func:`indicator_norm` on a ball's window
+(:meth:`whlab.grid.Grid.window`), bit for bit.
 
 The associate space is taken in closed form as (p'(.), 1/w) on the same
 domain; duality checks elsewhere carry a factor-2 slack for the norm
@@ -157,7 +158,7 @@ def power_weight(grid: Grid, gamma: float) -> Weight:
     :class:`Weight` rejects.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        vals = grid.distances(np.zeros(grid.n)) ** float(gamma)
+        vals = grid.window(np.zeros(grid.n))[1] ** float(gamma)
     origin = (grid.points // 2,) * grid.n
     neighbors = [origin[:axis] + (origin[axis] + step,) + origin[axis + 1:]
                  for axis in range(grid.n) for step in (-1, 1)]
@@ -184,7 +185,13 @@ def space_part(space: SpaceSpec, nodes) -> SpacePart:
     """The :class:`SpacePart` of ``space`` on ``nodes``.  ``nodes`` indexes
     the grid's arrays: a window of slices (:meth:`whlab.grid.Grid.window`;
     ``()`` is the whole grid), whose parts are views, or a bool mask such as
-    ``space.domain.inside``, whose parts are gathered in row-major order."""
+    ``space.domain.inside``, whose parts are gathered in row-major order.
+
+    A witness experiment gathers Omega once and reuses it for every norm of
+    an image.  Gathering w and p inside each norm call instead made
+    ``perfbench`` ``run_s`` slower: kappa-1d 0.1647 -> 0.1697 s (5 of 6
+    alternated pairs) and sector-2d 0.1207 -> 0.1250 s (6 of 6), on a
+    2-core VM at ``--seconds 5``."""
     return SpacePart(space.domain.inside[nodes], space.weight.values[nodes],
                      space.exponent.values[nodes], space.grid.cell_volume)
 
@@ -262,7 +269,7 @@ def luxemburg_norm(f: GridFunction, space: SpaceSpec) -> float:
     """
     if f.grid != space.grid:
         raise ValidationError("grid mismatch between function and space")
-    return _luxemburg(space_part(space, ()), f.values)
+    return part_norm(space_part(space, ()), f.values)
 
 
 def indicator_norm(ball: Ball, space: SpaceSpec) -> float:
@@ -270,22 +277,17 @@ def indicator_norm(ball: Ball, space: SpaceSpec) -> float:
     from the ball's window alone: a sub-box of the grid, whose row-major
     gather visits the ball's nodes in the whole grid's order."""
     window, member = _ball_nodes(ball, space.grid)
-    return _luxemburg(space_part(space, window), member)
+    return part_norm(space_part(space, window), member)
 
 
 def part_norm(part: SpacePart, values: np.ndarray) -> float:
-    """``luxemburg_norm`` of the f equal to ``values`` on the nodes of
-    ``part = space_part(space, nodes)`` and 0 off them, bit for bit: the
-    norm reads only ``Omega ∩ supp f``, in row-major order, on any
+    """The norm kernel: ``luxemburg_norm`` of the f equal to ``values`` on
+    the nodes of ``part = space_part(space, nodes)`` and 0 off them, bit for
+    bit.  The norm reads only ``Omega ∩ supp f``, in row-major order, on any
     ``nodes`` that hold ``supp f``."""
     if np.shape(values) != np.shape(part.w):
         raise ValidationError(f"{np.shape(values)} values on a space part of "
                               f"shape {np.shape(part.w)}")
-    return _luxemburg(part, values)
-
-
-def _luxemburg(part: SpacePart, values: np.ndarray) -> float:
-    """The norm kernel, on the f equal to ``values`` on the nodes of ``part``."""
     # Overflow, log(0) and inf - inf in the gather and the kernel give the
     # documented non-finite results; one scope per norm keeps numpy quiet.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -407,7 +409,7 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
     }
     worst = dict.fromkeys(tols, 0.0)
     L = grid.half_width
-    dist0 = grid.distances(np.zeros(grid.n))
+    dist0 = grid.window(np.zeros(grid.n))[1]
     radii = [L / 8.0, L / 4.0, L / 2.0, float(dist0.max())]
 
     for _ in range(trials):
@@ -417,11 +419,11 @@ def axiom_check(space: SpaceSpec, trials: int = 100, seed: int = 0) -> list[Axio
         ng = luxemburg_norm(g, space)
 
         c = float(rng.uniform(0.1, 10.0))
-        ncf = luxemburg_norm(c * f, space)
+        ncf = luxemburg_norm(GridFunction(grid, f.values * complex(c)), space)
         worst["homogeneity"] = max(worst["homogeneity"],
                                    abs(ncf - c * nf) / (c * nf))
 
-        nsum = luxemburg_norm(f + g, space)
+        nsum = luxemburg_norm(GridFunction(grid, f.values + g.values), space)
         worst["triangle"] = max(worst["triangle"],
                                 (nsum - nf - ng) / max(nf + ng, 1e-300))
 

@@ -3,6 +3,7 @@ import csv
 import re
 import string
 import textwrap
+import time
 
 import pytest
 import yaml
@@ -282,6 +283,20 @@ def test_config_block_rejections(tmp_path, capsys, block, text, message):
     cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(blocks))
     assert cli.main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", ["exponent", "weight"])
+@pytest.mark.parametrize("levels", [5, 6])
+def test_comparison_towers_stay_numpy(tmp_path, capsys, block, levels):
+    # (1 < 2) + (1 < 2) is 2 as Python bools; a tower of such terms would
+    # build 2 ** 65536 (five levels) or 2 ** 2 ** 65536 (six) as a Python int
+    tower = " ** ".join(["((1 < 2) + (1 < 2))"] * levels)
+    blocks = dict(BLOCKS, **{block: f"{{kind: expression, expr: '{tower}'}}"})
+    cfg = write_config(tmp_path, string.Template(BLOCKS_CONFIG).substitute(blocks))
+    start = time.perf_counter()
+    assert cli.main(["validate", "--config", cfg]) in (0, 2)
+    assert time.perf_counter() - start < 1.0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["2e0", "1e-3", "1e+308", "1.0e308", "-5E2", "5e-324"])

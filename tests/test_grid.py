@@ -203,7 +203,7 @@ def grid_balls(draw):
 @given(case=grid_balls(), seed=st.integers(0, 2 ** 16))
 def test_ball_window_matches_the_whole_grid_rule(case, seed):
     g, ball = case
-    assert np.array_equal(g.distances(ball.center),
+    assert np.array_equal(g.window(ball.center)[1],
                           whole_grid_distances(g, ball.center))
     assert (g.window(ball.center, ball.radius)[0]
             == whole_axis_window(g, ball.center, ball.radius))

@@ -68,7 +68,7 @@ def test_inverse_fourier_spike_and_linearity():
     assert np.max(np.abs(np.abs(v.values) - g.h)) <= 1e-12
     a, b = rand_fn(g, 3), rand_fn(g, 4)
     lhs = inverse_fourier(GridFunction(g, 2.5 * a.values + b.values))
-    rhs = 2.5 * inverse_fourier(a) + inverse_fourier(b)
+    rhs = GridFunction(g, 2.5 * inverse_fourier(a).values + inverse_fourier(b).values)
     assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(rhs.values))
 
 

@@ -512,9 +512,9 @@ def assert_separated_by_the_modular_constant(plan, witness_on_grid):
     phis = []
     for params in plan.witnesses:
         f = witness_on_grid(params)
-        phis.append(f * (1.0 / luxemburg_norm(f, S)))
+        phis.append(GridFunction(S.grid, f.values * complex(1.0 / luxemburg_norm(f, S))))
     for phi_j, phi_k in itertools.combinations(phis, 2):
-        diff = phi_j - phi_k
+        diff = GridFunction(S.grid, phi_j.values - phi_k.values)
         p = S.exponent.values[(diff.values != 0) & S.domain.inside]
         d = luxemburg_norm(diff, S)
         assert 2.0 ** (1.0 / p.max()) * (1 - 1e-9) <= d <= 2.0 ** (1.0 / p.min()) * (1 + 1e-9)
@@ -691,6 +691,28 @@ def test_witness_path_builds_no_grid_function(monkeypatch):
     assert built == []
 
 
+def test_each_experiment_gathers_omega_once(monkeypatch):
+    # w and p on Omega are gathered by one space_part call per experiment,
+    # not once per norm of an image
+    S = _step_power_halfline(2 ** 12)
+    a = gaussian_symbol(S.grid, 0.0, 2.0)
+    kappa_plan = plan_kuratowski(a, S, 2.0, 0.25, 4.0, 3, y0=2.0)
+    norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5])
+    gathers = []
+    real = witness.space_part
+
+    def counted(space, nodes):
+        if isinstance(nodes, np.ndarray) and nodes.dtype == bool:
+            gathers.append(nodes)
+        return real(space, nodes)
+
+    monkeypatch.setattr(witness, "space_part", counted)
+    kuratowski_experiment(kappa_plan)
+    assert len(gathers) == 1
+    norm_lowerbound_experiment(norm_plan)
+    assert len(gathers) == 2
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_witness_image_is_a_numeric_failure(monkeypatch, bad):
     # the residual reads every node of the image, so it catches a non-finite one
@@ -714,9 +736,10 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
     for params, rec in zip(plan.witnesses, rep.witnesses):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
-        images.append(apply_multiplier(a, f) * (1.0 / luxemburg_norm(f, S)))
+        images.append(apply_multiplier(a, f).values * complex(1.0 / luxemburg_norm(f, S)))
     assert [p.distance for p in rep.pairs] == [
-        luxemburg_norm(images[p.j] - images[p.k], S) for p in rep.pairs]
+        luxemburg_norm(GridFunction(S.grid, images[p.j] - images[p.k]), S)
+        for p in rep.pairs]
     norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5, 0.25])
     norm_rep = norm_lowerbound_experiment(norm_plan)
     assert all(rec.error is None for rec in norm_rep.witnesses)
