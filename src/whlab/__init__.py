@@ -15,23 +15,12 @@ certify, at desk scale,
 together with the doubling-constant scans the bounds rest on.
 """
 
-from .errors import DegenerateBallError, NumericFailure, ValidationError
-from .grid import (Ball, DomainMask, Grid, GridFunction, ball_indicator,
-                   explicit_mask, extend_by_zero, full_space, half_line,
-                   make_grid, restrict, sample, sector)
-from .spaces import (AxiomResult, ExponentField, SpacePart, SpaceSpec, Weight,
-                     associate_space, axiom_check, berezhnoi_ratio, constant_exponent,
-                     constant_weight, exponent_from_values, indicator_norm, luxemburg_norm,
-                     part_norm, power_weight, space_part, step_exponent, weight_from_values)
-from .doubling import (DoublingEntry, DoublingReport, doubling_ratio, plan_tau_scan,
-                       plan_weak_doubling, separated_sequence, tau_scan)
-from .operators import (Symbol, apply_multiplier, argmax_freq_node,
-                        constant_symbol, fourier, gaussian_symbol,
-                        inverse_fourier, nearest_freq_node, smoothed_step_symbol,
-                        symbol_from_function, symbol_from_values, wiener_hopf_apply)
-from .witness import (ExperimentReport, LedgerLine, PairRecord, WitnessPlan,
-                      WitnessParams, WitnessRecord, kuratowski_experiment, make_witness,
-                      mollification_residual, norm_lowerbound_experiment,
-                      place_witness_center, plan_kuratowski, plan_norm_lowerbound)
+# the public API: the __all__ of each layer
+from .errors import *
+from .grid import *
+from .spaces import *
+from .doubling import *
+from .operators import *
+from .witness import *
 
 __version__ = "0.1.0"

@@ -5,6 +5,8 @@ numeric failures mean the computation itself degenerated (overflow, empty
 geometry).  The CLI maps the two classes to distinct exit codes.
 """
 
+__all__ = ["ValidationError", "NumericFailure", "DegenerateBallError"]
+
 
 class ValidationError(ValueError):
     """A documented precondition does not hold."""

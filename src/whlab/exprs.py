@@ -63,8 +63,7 @@ def _check(tree: ast.Expression, names) -> None:
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
             node.value = float(node.value)
         if isinstance(node, ast.Call) and (
-                not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS
-                or node.keywords):
+                not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS):
             raise ValidationError(
                 "only whitelisted functions may be called, with positional arguments")
 

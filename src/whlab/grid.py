@@ -187,17 +187,18 @@ class Ball:
 @dataclass(frozen=True, eq=False)
 class DomainMask:
     """Per-node indicator of the domain Omega, with the continuum geometry
-    of the cone it samples where one is known.
+    of the cone it samples.
 
     ``distance(y)`` is the continuum distance from y to the complement of
     Omega, nonpositive when y lies outside; ``ray`` is the unit central ray.
-    Each domain constructor passes both; an explicit mask passes neither.
+    A domain with no continuum boundary (the full space, an explicit mask)
+    has distance +inf and ray e_1, so its containment is decided on its nodes.
     """
 
     grid: Grid
     inside: np.ndarray
-    distance: Callable[[np.ndarray], float] | None = None
-    ray: tuple | None = None
+    distance: Callable[[np.ndarray], float]
+    ray: tuple
 
     def __post_init__(self):
         ins = _node_values(self.inside, self.grid, bool, "domain mask values")
@@ -205,31 +206,24 @@ class DomainMask:
             raise ValidationError("domain mask selects no node")
         object.__setattr__(self, "inside", ins)
 
-    def clearance(self, y) -> float | None:
-        """Continuum distance from y to the complement of Omega.
-
-        Returns ``None`` for explicit masks (no continuum formula available)
-        and a nonpositive number when y lies outside Omega.  Every domain
-        with a formula is a cone with its vertex at the origin, so
-        ``clearance(t * y) == t * clearance(y)`` for t > 0.
+    def clearance(self, y) -> float:
+        """Continuum distance from y to the complement of Omega, nonpositive
+        when y lies outside Omega.  Every distance rule is a cone's, vertex at
+        the origin, so ``clearance(t * y) == t * clearance(y)`` for t > 0.
         """
-        y = as_point(y, self.grid.n)
-        return None if self.distance is None else self.distance(y)
+        return self.distance(as_point(y, self.grid.n))
 
     def contains_ball(self, ball: Ball) -> bool:
         """True iff the ball lies inside Omega: its radius is at most the
-        continuum clearance of its center (where one exists) and every node
-        of the ball lies inside the mask."""
-        clear = self.clearance(ball.center)
-        if clear is not None and clear < ball.radius:
+        continuum clearance of its center and every node of the ball lies
+        inside the mask."""
+        if self.clearance(ball.center) < ball.radius:
             return False
         window, member = _ball_nodes(ball, self.grid)
         return bool(np.all(self.inside[window][member]))
 
     def central_ray(self) -> np.ndarray:
         """Unit vector along the canonical ray of the domain."""
-        if self.ray is None:
-            raise ValidationError("explicit masks have no canonical ray")
         return np.array(self.ray)
 
 
@@ -343,4 +337,5 @@ def sector(grid: Grid, alpha1: float, alpha2: float) -> DomainMask:
 
 
 def explicit_mask(grid: Grid, inside) -> DomainMask:
-    return DomainMask(grid, inside)
+    """Omega given by its nodes alone, with the geometry of :func:`full_space`."""
+    return DomainMask(grid, inside, lambda y: math.inf, (1.0,) + (0.0,) * (grid.n - 1))

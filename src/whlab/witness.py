@@ -97,7 +97,7 @@ class WitnessParams:
     the periodic-box margin rule (support diameter at most L/2, each center
     coordinate plus the support radius at most 3L/4), its plateau ball
     B(y, 1/delta) must hold a grid node, and it must lie inside Omega
-    (continuum clearance where available, plus every node).
+    (continuum clearance, plus every node).
     """
 
     delta: float
@@ -196,9 +196,9 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
     Admissible means the support ball B(y, rho/delta) obeys the box margin
     rule and fits inside Omega.  ``ray`` defaults to the domain's central
     ray.  Omega is a cone, so the support fits inside it from
-    t = s / clearance(ray) on.  Raises for an explicit mask, for a ray that
-    does not point into Omega, and when no placement exists for this delta
-    (grid too small).
+    t = s / clearance(ray) on; its nodes are checked by :class:`WitnessParams`.
+    Raises for a ray that does not point into Omega, and when no placement
+    exists for this delta (grid too small).
     """
     grid = omega.grid
     s = rho / delta
@@ -213,8 +213,6 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
         raise ValidationError("ray must be a nonzero direction of finite length")
     ray = ray / norm
     clear = omega.clearance(ray)
-    if clear is None:
-        raise ValidationError("explicit masks need an explicit center")
     if clear <= 0.0:
         raise ValidationError("ray does not point into the domain")
     t_min = s / clear

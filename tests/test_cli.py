@@ -147,6 +147,9 @@ experiment: EXPERIMENT
      "YAML 1.1 reads '1E0' as text, write 1.0e+00"),
     ("{kind: doubling-scan, tau: 2.0, balls: [{y: [8e0], r: 1.0}]}",
      "YAML 1.1 reads '8e0' as text, write 8.0e+00"),
+    ("{kind: doubling-scan, tau: 2.0, balls: 5}", "experiment/balls: 5 is not a list"),
+    ("{kind: norm-lb, rho: 2.0, delta_schedule: [0.5], ray: [0.0]}",
+     "ray must be a nonzero direction of finite length"),
 ])
 def test_validate_rejections(tmp_path, capsys, experiment, message):
     cfg = write_config(tmp_path, REJECTED.replace("EXPERIMENT", experiment))
@@ -233,6 +236,7 @@ seed: $seed
     ("weight", "{kind: power, gamma: 400}", "weights must be finite and positive"),
     ("weight", "{kind: constant, value: 1.0e-320}", "with a finite 1/w"),
     ("domain", "{kind: cone, alpha1: 0.0}", "cone domain needs 'alpha2'"),
+    ("domain", "{kind: halfline}", "half-line masks require n = 1"),
     ("symbol", "{kind: constant}", "constant symbol needs 'value'"),
     ("symbol", "{kind: expression}", "expression symbol needs 'expr'"),
     ("seed", "-1", "schema violation at seed"),
@@ -252,6 +256,7 @@ seed: $seed
     ("symbol", "{kind: gaussian, sigma: 1.0e+200}", "2 sigma^2 a positive normal float"),
     ("symbol", "{kind: gaussian, sigma: 1.0e-200}", "2 sigma^2 a positive normal float"),
     ("exponent", "{kind: expression, expr: '2.0 + 0*x1 + 1j'}", "exponents must be real"),
+    ("exponent", "{kind: expression, expr: ''}", "expression must be a non-empty string"),
     ("weight", "{kind: expression, expr: '1.0 + 0*x1 + 1j'}", "weights must be real"),
     # an infinite step level ends with the field's message, not a warning
     ("exponent", "{kind: piecewise, left: 2.0, right: .inf}",
@@ -348,6 +353,29 @@ def test_integral_float_dimension_is_a_count(tmp_path):
         assert cli.main(["space-check", "--config", cfg, "--out", str(out)]) == 0
         checks.append((out / "checks.csv").read_bytes())
     assert checks[0] == checks[1]
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("missing.yaml", None, "cannot read config"),
+    ("directory.yaml", "", "cannot read config"),
+    ("invalid.yaml", "grid: [1, 2", "is not valid YAML"),
+])
+def test_unreadable_config_exit_code(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    if text == "":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cone_domain_requires_n_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, REJECTED.replace(
+        "{kind: halfline}", "{kind: cone, alpha1: 0.0, alpha2: 1.0}").replace(
+        "EXPERIMENT", "{kind: space-check, trials: 1}"))
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert "sector masks require n = 2" in capsys.readouterr().err
 
 
 def test_schema_rejects_unknown_kind(tmp_path, capsys):
@@ -468,6 +496,29 @@ def test_validate_rejects_a_doubling_ball_whose_inner_ball_holds_no_node(tmp_pat
                 in capsys.readouterr().err)
 
 
+def test_doubling_scan_rejects_a_degenerate_inner_ball(tmp_path, capsys):
+    cfg = write_config(tmp_path, REJECTED.replace("value: 1.0}", "value: 1.0e-20}").replace(
+        "EXPERIMENT", "{kind: doubling-scan, tau: 2.0, balls: [{y: 8.0, r: 1.0}]}"))
+    assert cli.main(["doubling-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "degenerate inner ball: indicator norm below 1e-14" in capsys.readouterr().err
+
+
+def test_norm_lb_on_the_slit_plane(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, """
+    grid: {n: 2, half_width: 16.0, points: 128}
+    space:
+      exponent: {kind: constant, value: 2.0}
+      weight: {kind: constant, value: 1.0}
+      domain: {kind: cone, alpha1: 0.0, alpha2: 6.283185307179586}
+    symbol: {kind: gaussian, sigma: 2.0}
+    experiment: {kind: norm-lb, rho: 2.0, delta_schedule: [1.0, 0.5]}
+    """)
+    assert cli.main(["norm-lb", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "achieved_lower_bound: 0.942799524027" in report
+
+
 def test_doubling_scan_csv_schema(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""
@@ -578,6 +629,10 @@ def test_expression_blocks(tmp_path):
 @pytest.mark.parametrize("expr,message", [
     ("x.view('i8')", "Attribute is not allowed"),
     ("(lambda t: t)(x)", "Lambda is not allowed"),
+    ("clip(x, a_min=2.0)", "keyword is not allowed"),
+    ("foo + x", "unknown name 'foo'"),
+    ("open(x)", "only whitelisted functions may be called"),
+    ("x*('a' < 'b')", "constant 'a' is not a number"),
 ])
 def test_expression_whitelist_rejections(tmp_path, capsys, expr, message):
     cfg = write_config(tmp_path, f"""

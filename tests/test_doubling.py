@@ -79,11 +79,16 @@ def test_separated_sequence_sector_preconditions():
         separated_sequence(cone, 2.0, 0.4, 16.0, 2, y0=2.5)
 
 
-def test_separated_sequence_needs_a_central_ray():
+def test_explicit_mask_family_runs_along_e1():
     g = make_grid(1, 256, 8192)
-    with pytest.raises(ValidationError):
-        separated_sequence(explicit_mask(g, g.x_axis > 0.0), 2.0, 0.25, 4.0,
-                           2, y0=8.0)
+    om = explicit_mask(g, g.x_axis > 0.0)
+    family = separated_sequence(om, 2.0, 0.25, 4.0, 2, y0=8.0)
+    assert family == [((32.0,), 8.0), ((128.0,), 32.0)]
+    assert plan_weak_doubling(om, 2.0, family) == ([2.0], family)
+    # the mask alone decides containment: a hole under the first inflated ball
+    holed = explicit_mask(g, (g.x_axis > 0.0) & ~((g.x_axis > 40.0) & (g.x_axis < 44.0)))
+    with pytest.raises(ValidationError, match=r"inflated ball B\(\(32.0,\), 16.0\) is not"):
+        plan_weak_doubling(holed, 2.0, family)
 
 
 def test_separated_sequence_default_y0_fits_off_axis_rays():

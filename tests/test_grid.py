@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whlab import (Ball, DegenerateBallError, DomainMask, ExponentField,
-                   GridFunction, SpaceSpec, Symbol, ValidationError, Weight,
-                   associate_space, ball_indicator, explicit_mask,
+from whlab import (Ball, DegenerateBallError, ExponentField, GridFunction,
+                   SpaceSpec, Symbol, ValidationError, Weight, associate_space,
+                   ball_indicator, explicit_mask,
                    exponent_from_values, extend_by_zero, full_space, half_line,
                    indicator_norm, luxemburg_norm, make_grid, power_weight,
                    restrict, sample, sector)
@@ -71,7 +71,7 @@ PER_NODE_TYPES = {
     "symbol": (Symbol, "values", 1.0 + 0j),
     "exponent": (ExponentField, "values", 2.0),
     "weight": (Weight, "values", 1.0),
-    "domain": (DomainMask, "inside", True),
+    "domain": (explicit_mask, "inside", True),
 }
 
 
@@ -262,6 +262,16 @@ def test_sector_wide_aperture_and_origin():
     assert wide.clearance((1.0, -1.0)) < 0
 
 
+def test_sector_slit_plane():
+    # alpha2 = alpha1 + 2 pi: every node but those of the closed alpha1 ray
+    g = make_grid(2, 4, 64)
+    slit = sector(g, 0.0, 2.0 * np.pi)
+    x1, x2 = g.coords()
+    assert np.array_equal(slit.inside, ~((x2 == 0.0) & (x1 >= 0.0)))
+    assert slit.clearance((-3.0, 0.0)) == 3.0  # behind the vertex: the distance r to it
+    assert slit.clearance((0.0, 0.0)) == 0.0
+
+
 def test_contains_ball_rejects_through_the_clearance():
     g = make_grid(1, 8, 16)  # nodes at the integers
     om = half_line(g)
@@ -275,7 +285,7 @@ def test_contains_ball_rejects_through_a_node():
     inside = np.ones(16, dtype=bool)
     inside[10] = False  # the node x = 2
     om = explicit_mask(g, inside)
-    assert om.clearance((0.0,)) is None
+    assert om.clearance((0.0,)) == math.inf
     assert om.contains_ball(Ball((1.0,), 1.5)) is False
     assert om.contains_ball(Ball((-1.0,), 1.5)) is True
 

@@ -46,3 +46,15 @@ def test_every_public_name_has_a_user():
                                                  "witness", "doubling", "cli"}
     used = _references()
     assert [f"whlab.{module}.{name}" for module, name in public if name not in used] == []
+
+
+def test_package_exports_exactly_the_layers_public_names():
+    import types
+
+    import whlab
+
+    layers = ("errors", "grid", "spaces", "doubling", "operators", "witness")
+    exported = {name for name, value in vars(whlab).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {name for layer in layers
+                        for name in _public_names(PACKAGE / f"{layer}.py")}

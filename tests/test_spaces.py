@@ -342,6 +342,26 @@ def test_berezhnoi_power_weight_closed_form():
         assert berezhnoi_ratio(Ball((0.0,), R), S) == pytest.approx(exact, rel=0.02)
 
 
+def test_space_and_norm_reject_a_second_grid():
+    g, other = make_grid(1, 16, 64), make_grid(1, 16, 128)
+    with pytest.raises(ValidationError, match="space components must share one grid"):
+        SpaceSpec(g, constant_exponent(g, 2), constant_weight(other), full_space(g))
+    S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), full_space(g))
+    with pytest.raises(ValidationError, match="grid mismatch between function and space"):
+        luxemburg_norm(sample(lambda x: 1.0 + 0.0 * x, other), S)
+
+
+def test_berezhnoi_ratio_in_2d_is_the_node_area_over_the_disc():
+    # p = 2, w = 1: ||chi_B||^2 = count h^2 in X and in X' = X
+    g = make_grid(2, 16, 256)
+    S = SpaceSpec(g, constant_exponent(g, 2), constant_weight(g), full_space(g))
+    ball = Ball((0.0, 0.0), 2.0)
+    count = int(ball_indicator(ball, g).values.real.sum())
+    ratio = berezhnoi_ratio(ball, S)
+    assert ratio == pytest.approx(count * g.h ** 2 / (np.pi * 4.0), rel=4 * NORM_RTOL)
+    assert round(ratio, 5) == 0.98601
+
+
 def test_berezhnoi_exponential_weight_grows():
     g = make_grid(1, 16, 2048)
     w = weight_from_values(g, np.exp(np.abs(g.x_axis)))

@@ -183,13 +183,17 @@ def test_place_witness_center_sector():
     assert cone.clearance(y) >= 4.0 - 1e-12
 
 
-def test_place_witness_center_needs_a_continuum_clearance():
+def test_place_witness_center_on_an_explicit_mask():
+    # no continuum boundary: the margin limit 3L/4 - rho/delta along e_1
     g = make_grid(1, 64, 256)
     om = explicit_mask(g, g.x_axis > 1.0)
-    with pytest.raises(ValidationError):
-        place_witness_center(om, 0.5, 2.0)
-    with pytest.raises(ValidationError):
-        place_witness_center(om, 0.5, 2.0, ray=(1.0,))
+    assert place_witness_center(om, 0.5, 2.0).tolist() == [44.0]
+    # the nodes decide containment: a hole under the delta = 0.5 support skips it
+    holed = explicit_mask(g, (g.x_axis > 1.0) & ~((g.x_axis > 40.0) & (g.x_axis < 44.0)))
+    plan = plan_norm_lowerbound(constant_symbol(g, 0.7), l2(g, holed), 2.0, [1.0, 0.5])
+    (_, fits), (_, skip) = plan.witnesses
+    assert fits.y == (46.0,)
+    assert skip == "support ball B((44.0,), 4) is not contained in the domain"
 
 
 def test_place_witness_center_rejects_a_ray_leaving_the_domain():
