@@ -138,18 +138,32 @@ def as_point(y, n: int) -> np.ndarray:
 
 def _node_values(values, grid: Grid, dtype, what: str) -> np.ndarray:
     """The storage rule of every per-node type: ``values`` as a read-only
-    ``dtype`` array of the grid's shape, a view that leaves the caller's
-    array writable.  A real ``dtype`` (float or bool) rejects a nonzero
-    imaginary part; ``what`` names the values."""
+    ``dtype`` array of the grid's shape that the type owns.  It is a copy, so
+    a later write to the caller's array, which stays writable, changes
+    neither the stored values nor anything the type derived from them.  The
+    one array stored as it is is a read-only ``dtype`` array that owns its
+    data: its maker handed it over (:func:`_handed_over`).  A real ``dtype``
+    (float or bool) rejects a nonzero imaginary part; ``what`` names the
+    values."""
     vals = np.asarray(values)
     if dtype is not complex and np.iscomplexobj(vals) and np.any(vals.imag != 0.0):
         raise ValidationError(f"{what} must be real")
-    vals = np.asarray(vals if dtype is complex else vals.real, dtype=dtype).view()
     if vals.shape != grid.shape:
         raise ValidationError(
             f"{what} have shape {vals.shape}, not the grid's {grid.shape}")
-    vals.flags.writeable = False
+    if dtype is not complex:
+        vals = vals.real
+    if vals.flags.writeable or not vals.flags.owndata or vals.dtype != dtype:
+        vals = np.array(vals, dtype=dtype)
+        vals.flags.writeable = False
     return vals
+
+
+def _handed_over(values: np.ndarray) -> np.ndarray:
+    """A new array that a builder made and hands to a per-node type,
+    read-only, so that :func:`_node_values` stores it without a copy."""
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,8 +257,7 @@ def sample(expr, grid: Grid) -> GridFunction:
     return finite values broadcastable to the grid shape.
     """
     raw = expr(*grid.coords())
-    return GridFunction(grid, np.broadcast_to(np.asarray(raw, dtype=complex),
-                                              grid.shape).copy())
+    return GridFunction(grid, np.broadcast_to(np.asarray(raw, dtype=complex), grid.shape))
 
 
 def restrict(u: GridFunction, omega: DomainMask) -> GridFunction:

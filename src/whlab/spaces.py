@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, ValidationError
-from .grid import Ball, DomainMask, Grid, GridFunction, _ball_nodes, _node_values
+from .grid import (Ball, DomainMask, Grid, GridFunction, _ball_nodes, _handed_over,
+                   _node_values)
 from .profiles import ramp
 
 __all__ = [
@@ -123,7 +124,7 @@ class SpaceSpec:
 
 
 def constant_exponent(grid: Grid, p0: float) -> ExponentField:
-    return ExponentField(grid, np.full(grid.shape, float(p0)))
+    return ExponentField(grid, _handed_over(np.full(grid.shape, float(p0))))
 
 
 def step_exponent(grid: Grid, left: float, right: float,
@@ -136,15 +137,15 @@ def step_exponent(grid: Grid, left: float, right: float,
     if width is None:
         width = 2.0 * grid.h
     vals = ramp(grid.coords()[0], edge, width, left, right)
-    return ExponentField(grid, np.broadcast_to(vals, grid.shape).copy())
+    return ExponentField(grid, np.broadcast_to(vals, grid.shape))
 
 
 def exponent_from_values(grid: Grid, values) -> ExponentField:
-    return ExponentField(grid, np.broadcast_to(values, grid.shape).copy())
+    return ExponentField(grid, np.broadcast_to(values, grid.shape))
 
 
 def constant_weight(grid: Grid, value: float = 1.0) -> Weight:
-    return Weight(grid, np.full(grid.shape, float(value)))
+    return Weight(grid, _handed_over(np.full(grid.shape, float(value))))
 
 
 def power_weight(grid: Grid, gamma: float) -> Weight:
@@ -163,11 +164,11 @@ def power_weight(grid: Grid, gamma: float) -> Weight:
     neighbors = [origin[:axis] + (origin[axis] + step,) + origin[axis + 1:]
                  for axis in range(grid.n) for step in (-1, 1)]
     vals[origin] = np.mean([vals[j] for j in neighbors])
-    return Weight(grid, vals)
+    return Weight(grid, _handed_over(vals))
 
 
 def weight_from_values(grid: Grid, values) -> Weight:
-    return Weight(grid, np.broadcast_to(values, grid.shape).copy())
+    return Weight(grid, np.broadcast_to(values, grid.shape))
 
 
 @dataclass(frozen=True, eq=False)

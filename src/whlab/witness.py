@@ -138,6 +138,7 @@ def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
 
     The modulus equals the bump profile exactly, so |f| = 1 on every node
     of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
+    At eta = 0, where e^{i 0.x} = 1 exactly, ``values`` is the real profile.
     """
     grid = params.domain.grid
     # delta * radius >= rho after rounding, so the bump is 0 off the window
@@ -146,6 +147,8 @@ def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
         radius = math.nextafter(radius, math.inf)
     window, dist = grid.window(params.y, radius)
     amp = bump_profile(params.delta * dist, params.rho)
+    if not any(params.eta):
+        return window, amp
     axes = np.ix_(*(grid.x_axis[s] for s in window))
     phase_arg = sum(e * x for e, x in zip(params.eta, axes))
     return window, np.exp(1j * phase_arg) * amp
@@ -164,17 +167,23 @@ def mollification_residual(a: Symbol, params: WitnessParams,
     Omega, so e_Omega f = f.  The residual reads every node of g, so a
     non-finite g raises :class:`NumericFailure`.
 
-    f is written into one zeroed grid array that g then replaces, so no
-    second grid-sized array is held while g is transformed.  A separate
-    witness array would be written only on its window; numpy advises huge
-    pages for arrays of 4 MiB and more, so its resident size would depend
-    on where it was mapped, and so would a run's peak memory.
+    f is written into one zeroed grid array of its dtype that g then
+    replaces, so no second grid-sized array is held while g is transformed.
+    A separate witness array would be written only on its window; numpy
+    advises huge pages for arrays of 4 MiB and more, so its resident size
+    would depend on where it was mapped, and so would a run's peak memory.
+
+    At eta = 0 the witness is real, and under a Hermitian symbol, such as
+    every shipped demo symbol, g is real too: that float array is
+    transformed by rfftn and irfft, with half the memory and about half the
+    transform time of the complex pair that every other witness takes (the
+    measurements are in :mod:`whlab.operators`).
     """
     grid = params.domain.grid
     if a.grid != grid:
         raise ValidationError("symbol and witness live on different grids")
     window, values = f
-    g = np.zeros(grid.shape, dtype=complex)
+    g = np.zeros(grid.shape, dtype=values.dtype)
     g[window] = values
     g = _multiplier_image(a, g)
     idx, _ = nearest_freq_node(grid, params.eta)
@@ -466,7 +475,7 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     images = []  # the normalized images W f / ||f||, on Omega
     for j, params in enumerate(plan.witnesses):
         g, rec = _measure_witness(a, space, params, f"j={j}", ledger)
-        g *= complex(1.0 / rec.norm_witness)
+        g *= 1.0 / rec.norm_witness
         images.append(g)
         records.append(rec)
     omega = space_part(space, space.domain.inside)  # not held while images are formed

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, ValidationError,
+from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, Symbol, ValidationError,
                    apply_multiplier, argmax_freq_node, ball_indicator,
                    constant_exponent, constant_symbol,
                    constant_weight, fourier, full_space, gaussian_symbol,
                    half_line, inverse_fourier, make_grid, restrict,
                    sample, smoothed_step_symbol, symbol_from_function,
-                   wiener_hopf_apply)
+                   symbol_from_values, wiener_hopf_apply)
 
 
 def rand_fn(grid, seed=0):
@@ -199,10 +200,92 @@ def test_norm_probe_rejects_vanishing_probes(norm_probe):
                                     lambda g: smoothed_step_symbol(g, high=1e308)],
                          ids=["constant", "gaussian", "smoothed-step"])
 def test_multiplier_image_overflow_is_a_numeric_failure(symbol):
-    # a.F(chi) overflows: a numeric failure, with no numpy warning on the way
+    # a.F(chi) overflows: a numeric failure, with no numpy warning on the way.  The
+    # real chi takes the real path under the Hermitian constant and Gaussian, and
+    # the complex pair under the smoothed step; i chi takes the complex pair.
     g = make_grid(1, 64.0, 256)
-    with pytest.raises(NumericFailure, match="multiplier image overflows"):
-        apply_multiplier(symbol(g), ball_indicator(Ball((0.0,), 8.0), g))
+    chi = ball_indicator(Ball((0.0,), 8.0), g).values
+    for phase in (1.0, 1j):
+        with pytest.raises(NumericFailure, match="multiplier image overflows"):
+            apply_multiplier(symbol(g), GridFunction(g, phase * chi))
+
+
+def _mirror(s):
+    """s at (-k) mod N along every axis, in ascending order: index i -> (N - i) mod N."""
+    return np.roll(np.flip(s), 1, axis=tuple(range(s.ndim)))
+
+
+def _complex_pair(a, u):
+    """The complex transform pair of the multiplier image, kept here as the reference."""
+    return np.fft.ifftn(np.fft.ifftshift(a.values) * np.fft.fftn(u))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((1, 2)), log_points=st.integers(3, 7), real=st.booleans(),
+       scale=st.sampled_from((1e-100, 1.0, 1e100)), seed=st.integers(0, 2 ** 32 - 1))
+def test_real_image_matches_the_complex_pair(n, log_points, real, scale, seed):
+    # a real u under a Hermitian symbol takes rfftn, the half-spectrum and irfft
+    g = make_grid(n, 8.0, 2 ** log_points)
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    s = 0.5 * (s + np.conj(_mirror(s)))  # Hermitian exactly: each pair sums the same terms
+    if real:
+        s = s.real  # real and even
+    nyquist = s[0] if n == 1 else np.concatenate([s[0], s[:, 0]])  # k = -N/2 on an axis
+    assert np.all(nyquist != 0)
+    a = symbol_from_values(g, s)
+    assert a.hermitian and a.values.dtype == (float if real else complex)
+    u = scale * rng.standard_normal(g.shape)
+    image = apply_multiplier(a, GridFunction(g, u)).values
+    assert not np.any(image.imag)  # the real path; the complex pair leaves round-off there
+    # Each of the two paths is within 2 log2(N^n) eta sup|a| ||u||_2 of the exact image:
+    # a forward and an inverse FFT, each with normwise relative error at most log2(N^n) eta,
+    # eta ~ 3 eps for accurate twiddle factors (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., thm. 24.2), and one rounded multiply.
+    bound = 4.0 * math.log2(g.node_count) * 3.0 * np.finfo(float).eps
+    reference = _complex_pair(a, u)
+    assert np.linalg.norm(image - reference) <= bound * a.sup_norm * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("broken", ["node", "nyquist"])
+def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
+    # the complex pair keeps its bits: the in-place kernel equals the reference pair
+    g = make_grid(n, 8.0, 32)
+    s = gaussian_symbol(g, None, 2.0).values.copy()
+    if broken == "node":
+        s[(3,) * n] *= 1.0 + 2.0 ** -40  # its mirror (29, ...) keeps the old value
+    else:
+        s = s.astype(complex)
+        s[(0,) * n] += 1e-3j  # the Nyquist node is its own mirror, so must be real
+    a = symbol_from_values(g, s)
+    assert not a.hermitian
+    u = np.exp(-sum(x ** 2 for x in g.coords()))
+    image = apply_multiplier(a, GridFunction(g, u)).values
+    assert np.array_equal(image.view(float), _complex_pair(a, u.astype(complex)).view(float))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_symbol_owns_its_values(dtype):
+    g = make_grid(1, 8.0, 16)
+    arr = np.ones(16, dtype)
+    a = Symbol(g, arr)
+    arr[3] = 100  # would break both the sup norm and the symmetry of a shared array
+    assert np.all(a.values == 1.0) and a.sup_norm == 1.0 and a.hermitian
+
+
+def test_symbol_builders_keep_real_samples_real():
+    g = make_grid(2, 8.0, 16)
+    real = [constant_symbol(g, 0.7), constant_symbol(g, 2), gaussian_symbol(g),
+            gaussian_symbol(g, [0.3, 0.0]), smoothed_step_symbol(g),
+            symbol_from_values(g, np.ones(g.shape)),
+            symbol_from_values(g, np.ones(g.shape, complex)),
+            symbol_from_function(g, lambda xi1, xi2: xi1 ** 2 + xi2 ** 2)]
+    assert all(a.values.dtype == float for a in real)
+    assert [a.hermitian for a in real] == [True, True, True, False, False, True, True, True]
+    assert real[0].at((3, 5)) == 0.7
+    c = constant_symbol(g, 0.7 + 0.2j)
+    assert c.values.dtype == complex and not c.hermitian and c.at((3, 5)) == 0.7 + 0.2j
 
 
 SYMBOLS = {

@@ -123,10 +123,16 @@ def test_witness_modulus_and_plateau(witness_on_grid):
 def test_witness_real_bump_when_eta_zero(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    f = witness_on_grid(WitnessParams(0.25, (0.0,), (0.0,), 2.0, om))
+    P = WitnessParams(0.25, (0.0,), (0.0,), 2.0, om)
+    f = witness_on_grid(P)
     assert np.max(np.abs(f.values.imag)) == 0.0
     assert np.min(f.values.real) >= 0.0
     assert np.max(f.values.real) == 1.0
+    assert make_witness(P)[1].dtype == float
+    # the image is real under a Hermitian symbol, complex under any other
+    for center, dtype in ((0.0, float), (0.5, complex)):
+        a = gaussian_symbol(g, center, 2.0)
+        assert mollification_residual(a, P, make_witness(P))[0].dtype == dtype
 
 
 def test_witness_sandwich_norms(witness_on_grid):
@@ -261,6 +267,7 @@ WITNESS_CASES = [
     (sector(make_grid(2, 32, 256), 0.0, 2 * np.pi / 3), 0.6, (0.7, -1.2),
      None, 1.5),
     (full_space(make_grid(2, 16, 128)), 1.3, (3.0, 0.5), (1.1, -2.35), 2.5),
+    (half_line(make_grid(1, 64, 1024)), 0.5, 0.0, None, 2.0),  # the real profile
 ]
 
 
