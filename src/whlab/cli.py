@@ -30,8 +30,8 @@ __all__ = ["RunConfig", "load_config", "run", "emit", "main"]
 
 #: Config-level floor on the variable exponent, stricter than the type's
 #: p > 1: it bounds the conjugate exponent p/(p-1) by 21, and with it how
-#: steep the associate space's modular is for the Newton bracket and the
-#: bisection of the Luxemburg norm.
+#: steep the associate space's modular is for the Newton bracket of the
+#: Luxemburg norm and for its fallback bisection.
 CONFIG_P_MIN = 1.05
 
 

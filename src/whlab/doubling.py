@@ -76,18 +76,18 @@ def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
 
 
 def doubling_ratio(y, radius: float, tau: float, space: SpaceSpec) -> float:
-    """||chi_{B(y, tau R)}||_X(Omega) / ||chi_{B(y, R)}||_X(Omega).
+    """||chi_{B(y, tau R)}||_X(Omega) / ||chi_{B(y, R)}||_X(Omega), from the
+    upper ends of the two norm brackets: an estimate, not a certificate.
 
     Preconditions: tau > 1 and the inflated ball inside the grid box
     and in Omega (:meth:`whlab.grid.DomainMask.contains_ball`).
     """
     outer = _inflated_ball(y, radius, tau, space.domain)
     inner = Ball(outer.center, radius)
-    denom = indicator_norm(inner, space)
+    denom = indicator_norm(inner, space)[1]
     if denom < 1e-14:
         raise NumericFailure("degenerate inner ball: indicator norm below 1e-14")
-    numer = indicator_norm(outer, space)
-    return numer / denom
+    return indicator_norm(outer, space)[1] / denom
 
 
 def _check_family(omega: DomainMask, tau: float, theta: float, lam: float,

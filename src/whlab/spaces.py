@@ -4,16 +4,19 @@ The modular is the plain Riemann sum on node centers,
 
     m(f) = sum_{x in Omega} |f(x) w(x)|^{p(x)} h^n,
 
-and the norm is the Luxemburg functional inf{lam > 0 : m(f/lam) <= 1}:
-the upper end of a bisection in the power-of-two bracket around it.  A
-Newton iteration on log m, checked by two modular sums, brackets the root
-to 1e-12 first, so the bisection's tests cost a sum only inside that
-bracket.  Both run on |f| w and p gathered once over Omega ∩ supp f.
+and the norm is the Luxemburg functional inf{lam > 0 : m(f/lam) <= 1},
+the root of m(f/lam) = 1.  :func:`part_norm` returns a bracket (lo, hi)
+of it, with m(f/hi) <= 1 < m(f/lo) checked by modular sums: Newton's
+root (1 -+ 1e-12) from an iteration on log m, or, where the two sums do
+not confirm that, a power-of-two bisection to relative width NORM_RTOL.
+Both run on |f| w and p gathered once over Omega ∩ supp f.
 :func:`part_norm` is the one entry into this kernel: it takes f on some
 nodes only (the whole grid, a window or Omega) and the space's part on
 them, taken once by :func:`space_part`.  :func:`luxemburg_norm` calls it
-on the whole grid, and :func:`indicator_norm` on a ball's window
-(:meth:`whlab.grid.Grid.window`), bit for bit.
+on the whole grid and returns the upper end, and :func:`indicator_norm`
+on a ball's window (:meth:`whlab.grid.Grid.window`), bit for bit.  Each
+certified number reads the end that keeps it conservative
+(:mod:`whlab.witness`).
 
 The associate space is taken in closed form as (p'(.), 1/w) on the same
 domain; duality checks elsewhere carry a factor-2 slack for the norm
@@ -54,11 +57,11 @@ __all__ = [
     "AxiomResult",
 ]
 
-#: Relative tolerance of the Luxemburg bisection; the norm returned is its
-#: upper end, within NORM_RTOL above the root of the discrete modular.
+#: Relative width at which the fallback bisection of a norm bracket stops;
+#: each end of any bracket lies within NORM_RTOL of the discrete root.
 NORM_RTOL = 1e-10
-#: Iteration cap of the bisection and of the Newton bracket (the bisection
-#: needs about 34 steps, Newton about 5).
+#: Iteration cap of the Newton bracket (about 5 steps) and of the fallback
+#: bisection (about 34).
 NORM_MAX_ITER = 200
 
 
@@ -206,11 +209,6 @@ def _support(part: SpacePart, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return absf[keep] * part.w[keep], part.p[keep]
 
 
-def _modular_sum(z: np.ndarray, p: np.ndarray, lam: float, cell_volume: float) -> float:
-    """sum (z/lam)^p h^n over the gathered support; may overflow to inf."""
-    return float(((z / lam) ** p).sum() * cell_volume)
-
-
 def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,
                  s: float) -> tuple[float, float]:
     """g(s) = log m(f/e^s) in log-sum-exp form, and its slope's negative.
@@ -256,36 +254,34 @@ def _newton_root(z: np.ndarray, p: np.ndarray, cell_volume: float, tol: float) -
 
 
 def luxemburg_norm(f: GridFunction, space: SpaceSpec) -> float:
-    """inf{lam > 0 : modular(f/lam) <= 1}: the upper end of a bisection.
-
-    Returns 0 exactly when f vanishes on Omega.  The bisection starts from
-    the power-of-two bracket ``(hi/2, hi]`` around the norm, stops at
-    relative width ``NORM_RTOL`` and returns ``hi``.  Its tests
-    "modular(f/lam) <= 1" are decided by a Newton root checked by modular
-    sums at ``root (1 -+ 1e-12)``, with a modular sum only inside that
-    bracket, or for every test if Newton fails or the check does not hold.
-    Overflow of the modular counts as "modular > 1", so no rescaling is
-    required of the caller.  Raises ``NumericFailure`` when the norm is
-    outside the normal float range.  Deterministic and total.
-    """
+    """inf{lam > 0 : modular(f/lam) <= 1} as the upper end ``hi`` of the
+    :func:`part_norm` bracket: modular(f/hi) <= 1, and hi lies within
+    ``NORM_RTOL`` above the discrete root.  0 exactly when f vanishes on
+    Omega; raises as :func:`part_norm` does.  Deterministic and total."""
     if f.grid != space.grid:
         raise ValidationError("grid mismatch between function and space")
-    return part_norm(space_part(space, ()), f.values)
+    return part_norm(space_part(space, ()), f.values)[1]
 
 
-def indicator_norm(ball: Ball, space: SpaceSpec) -> float:
-    """``luxemburg_norm(ball_indicator(ball, space.grid), space)``, bit for bit,
-    from the ball's window alone: a sub-box of the grid, whose row-major
-    gather visits the ball's nodes in the whole grid's order."""
+def indicator_norm(ball: Ball, space: SpaceSpec) -> tuple[float, float]:
+    """The :func:`part_norm` bracket of ``ball_indicator(ball, space.grid)``,
+    bit for bit, from the ball's window alone: a sub-box of the grid, whose
+    row-major gather visits the ball's nodes in the whole grid's order."""
     window, member = _ball_nodes(ball, space.grid)
     return part_norm(space_part(space, window), member)
 
 
-def part_norm(part: SpacePart, values: np.ndarray) -> float:
-    """The norm kernel: ``luxemburg_norm`` of the f equal to ``values`` on
-    the nodes of ``part = space_part(space, nodes)`` and 0 off them, bit for
-    bit.  The norm reads only ``Omega ∩ supp f``, in row-major order, on any
-    ``nodes`` that hold ``supp f``."""
+def part_norm(part: SpacePart, values: np.ndarray) -> tuple[float, float]:
+    """The norm kernel: a bracket ``(lo, hi)``, modular(f/hi) <= 1 <
+    modular(f/lo) by modular sums, of the Luxemburg norm of the f equal to
+    ``values`` on the nodes of ``part = space_part(space, nodes)`` and 0 off
+    them; ``(0, 0)`` when f vanishes on Omega.  It reads only
+    ``Omega ∩ supp f``, in row-major order, so any ``nodes`` that hold
+    ``supp f`` give the same bits.  The bracket is Newton's
+    ``root (1 -+ 1e-12)`` where the two sums at its ends confirm it, else a
+    bisection from 1, doubling or halving to a power-of-two bracket, to
+    relative width ``NORM_RTOL``.  Raises ``NumericFailure`` for a norm
+    outside the normal float range; no rescaling is asked of the caller."""
     if np.shape(values) != np.shape(part.w):
         raise ValidationError(f"{np.shape(values)} values on a space part of "
                               f"shape {np.shape(part.w)}")
@@ -294,48 +290,37 @@ def part_norm(part: SpacePart, values: np.ndarray) -> float:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z, p = _support(part, values)
         if z.size == 0:
-            return 0.0
+            return 0.0, 0.0
         cell_volume = part.cell_volume
 
-        def sum_leq_one(lam: float) -> bool:
-            val = _modular_sum(z, p, lam, cell_volume)
+        def leq_one(lam: float) -> bool:  # m(f/lam) <= 1; an overflow counts as > 1
+            val = float(((z / lam) ** p).sum() * cell_volume)
             return math.isfinite(val) and val <= 1.0
 
         margin = 1e-12
         root = _newton_root(z, p, cell_volume, margin)
-        # Below ``under`` the modular is known > 1, from ``over`` on <= 1.
-        under, over = root * (1.0 - margin), root * (1.0 + margin)
-        if not (math.isfinite(root) and sum_leq_one(over) and not sum_leq_one(under)):
-            under, over = 0.0, math.inf
-
-        def leq_one(lam: float) -> bool:
-            if lam >= over:
-                return True
-            if lam <= under:
-                return False
-            return sum_leq_one(lam)
-
-        # The power of two above the root (1 when there is none), kept where
-        # hi and hi/2 are normal floats.
-        hi = math.ldexp(1.0, min(max(math.frexp(root)[1], -1021), 1023))
-        while not leq_one(hi):
-            hi *= 2.0
-            if math.isinf(hi):
-                raise NumericFailure("Luxemburg norm above the float range")
-        while leq_one(hi / 2.0):
-            hi /= 2.0
-            if hi / 2.0 < sys.float_info.min:
-                raise NumericFailure("Luxemburg norm below the normal float range")
-        lo = hi / 2.0
-        for _ in range(NORM_MAX_ITER):
-            if hi - lo <= NORM_RTOL * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if leq_one(mid):
-                hi = mid
+        lo, hi = root * (1.0 - margin), root * (1.0 + margin)
+        if not (math.isfinite(root) and leq_one(hi) and not leq_one(lo)):
+            hi = 1.0
+            if leq_one(hi):
+                while hi / 2.0 >= sys.float_info.min and leq_one(hi / 2.0):
+                    hi /= 2.0
             else:
-                lo = mid
-        return hi
+                while hi < math.inf and not leq_one(hi):
+                    hi *= 2.0
+            lo = hi / 2.0
+            for _ in range(NORM_MAX_ITER):
+                if not hi - lo > NORM_RTOL * hi:  # inf - inf is nan at hi = inf
+                    break
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if leq_one(mid) else (mid, hi)
+    # The range of the power-of-two bisection, whose ends hi and hi/2 are
+    # normal floats: a norm in [2^-1022, 2^1023].
+    if not hi <= 2.0 ** 1023:
+        raise NumericFailure("Luxemburg norm above the float range")
+    if lo < sys.float_info.min:
+        raise NumericFailure("Luxemburg norm below the normal float range")
+    return lo, hi
 
 
 def associate_space(space: SpaceSpec) -> SpaceSpec:
@@ -351,7 +336,8 @@ def _ball_volume(ball: Ball, n: int) -> float:
 
 
 def berezhnoi_ratio(ball: Ball, space: SpaceSpec) -> float:
-    """(1/|B|) ||chi_B||_X ||chi_B||_X' with the exact continuum volume |B|.
+    """(1/|B|) ||chi_B||_X ||chi_B||_X' with the exact continuum volume |B|,
+    from the upper ends of the two norms: an estimate, not a certificate.
 
     Requires a domain mask that covers every node; uniform boundedness of this
     quantity over all balls is the bridge from the norm machinery to the
@@ -359,8 +345,8 @@ def berezhnoi_ratio(ball: Ball, space: SpaceSpec) -> float:
     """
     if not space.domain.inside.all():
         raise ValidationError("berezhnoi_ratio requires a domain that covers every node")
-    nx = indicator_norm(ball, space)
-    nxp = indicator_norm(ball, associate_space(space))
+    nx = indicator_norm(ball, space)[1]
+    nxp = indicator_norm(ball, associate_space(space))[1]
     return nx * nxp / _ball_volume(ball, space.grid.n)
 
 

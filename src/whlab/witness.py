@@ -22,10 +22,15 @@ A finite family exhibits pairwise separation but cannot, strictly,
 lower-bound the noncompactness measure; reports therefore state the
 family size next to the bound.
 
-Each image W f is normed as :func:`mollification_residual` hands it on,
-with w and p gathered on Omega once per experiment; each witness norm
-reads only the witness's window.  The norm reads only Omega ∩ supp f in
-row-major order, so these norms equal the whole-grid ones bit for bit.
+Each norm is a bracket (lo, hi) of :func:`whlab.spaces.part_norm`, and
+each certified number reads the end that keeps it conservative: lo for
+||W f||, d_jk and the plateau norm ||chi_{B(y,1/delta)}||; hi for ||f||
+(so for the 1/||f|| scaling of the kappa images) and for
+||chi_{B(y,rho/delta)}||.  Each image W f is normed as
+:func:`mollification_residual` hands it on, with w and p gathered on Omega
+once per experiment; each witness norm reads only the witness's window.
+The norm reads only Omega ∩ supp f in row-major order, so these brackets
+equal the whole-grid ones bit for bit.
 
 The witnesses are measured one after another.  On two threads, two
 2^18-node FFTs take about half the time, but each needs the input, the
@@ -334,9 +339,9 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
     window, where f lives.
     """
     window, values = make_witness(params)
-    norm_f = part_norm(space_part(space, window), values)
-    ns, nb = (indicator_norm(Ball(params.y, r), space)
-              for r in (1.0 / params.delta, params.support_radius))
+    norm_f = part_norm(space_part(space, window), values)[1]
+    ns = indicator_norm(Ball(params.y, 1.0 / params.delta), space)[0]
+    nb = indicator_norm(Ball(params.y, params.support_radius), space)[1]
     for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
                  _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)):
         if not line.passed:
@@ -438,7 +443,7 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
             continue
         tag = f"delta={delta:g}"
         g, rec = _measure_witness(a, space, params, tag, ledger)
-        wnorm = part_norm(omega, g)
+        wnorm = part_norm(omega, g)[0]
         ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
                             wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
         records.append(replace(rec, ratio=wnorm / rec.norm_witness))
@@ -484,7 +489,7 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     eps_obs = max(r.residual for r in records)
     pairs = []
     for j, k in itertools.combinations(range(len(records)), 2):
-        d = part_norm(omega, images[j] - images[k])
+        d = part_norm(omega, images[j] - images[k])[0]
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

@@ -516,7 +516,7 @@ def test_norm_lb_on_the_slit_plane(tmp_path):
     """)
     assert cli.main(["norm-lb", "--config", cfg, "--out", str(out)]) == 0
     report = (out / "report.txt").read_text().splitlines()
-    assert "achieved_lower_bound: 0.942799524027" in report
+    assert "achieved_lower_bound: 0.942799523974" in report
 
 
 def test_doubling_scan_csv_schema(tmp_path):

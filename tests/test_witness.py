@@ -15,11 +15,11 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    gaussian_symbol, half_line, kuratowski_experiment,
                    luxemburg_norm, make_grid, make_witness,
                    mollification_residual, nearest_freq_node,
-                   norm_lowerbound_experiment,
+                   norm_lowerbound_experiment, part_norm,
                    place_witness_center, plan_kuratowski, plan_norm_lowerbound,
                    power_weight,
                    restrict, sector,
-                   separated_sequence, step_exponent, symbol_from_function,
+                   separated_sequence, space_part, step_exponent, symbol_from_function,
                    symbol_from_values,
                    wiener_hopf_apply)
 from whlab.profiles import bump_profile, glue, smoothstep
@@ -385,7 +385,7 @@ def test_norm_experiment_constant_symbol():
     S = l2(g)
     rep = norm_lowerbound_experiment(
         plan_norm_lowerbound(constant_symbol(g, 0.7), S, 2.0, [0.5, 0.25]))
-    assert rep.achieved_lower_bound == pytest.approx(0.7, abs=1e-6)
+    assert 0.7 - 1e-6 <= rep.achieved_lower_bound <= 0.7
     assert rep.chains_passed
     assert rep.eps_obs <= 1e-8
 
@@ -749,12 +749,12 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
         assert rec.norm_witness == luxemburg_norm(f, S)
         images.append(apply_multiplier(a, f).values * complex(1.0 / luxemburg_norm(f, S)))
     assert [p.distance for p in rep.pairs] == [
-        luxemburg_norm(GridFunction(S.grid, images[p.j] - images[p.k]), S)
-        for p in rep.pairs]
+        part_norm(space_part(S, ()), images[p.j] - images[p.k])[0] for p in rep.pairs]
     norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5, 0.25])
     norm_rep = norm_lowerbound_experiment(norm_plan)
     assert all(rec.error is None for rec in norm_rep.witnesses)
     for (_, params), rec in zip(norm_plan.witnesses, norm_rep.witnesses):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
-        assert rec.ratio == luxemburg_norm(apply_multiplier(a, f), S) / rec.norm_witness
+        image = apply_multiplier(a, f).values
+        assert rec.ratio == part_norm(space_part(S, ()), image)[0] / rec.norm_witness
