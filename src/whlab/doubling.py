@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericFailure, ValidationError
 from .grid import Ball, DomainMask, _ball_nodes, as_point
-from .spaces import SpaceSpec, indicator_norm
+from .spaces import NORM_RTOL, SpaceSpec, indicator_norm
 
 __all__ = [
     "DoublingEntry",
@@ -34,8 +34,12 @@ __all__ = [
     "tau_scan",
 ]
 
-#: Quadrature slack allowed on ratio >= 1 (lattice property at grid resolution).
-RATIO_SLACK = 0.05
+#: Floor of every doubling ratio.  The inner ball's nodes are among the outer
+#: ball's, so the modular, monotone in |f|, gives discrete norms r_in <= r_out.
+#: A ratio divides the upper bracket ends, r <= hi <= r / (1 - NORM_RTOL), so it
+#: is at least (1 - NORM_RTOL) r_out / r_in >= 1 - NORM_RTOL; the second
+#: NORM_RTOL covers the rounding of the modular sums and of the quotient.
+RATIO_FLOOR = 1.0 - 2.0 * NORM_RTOL
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,9 @@ class DoublingReport:
 
     def __post_init__(self):
         for e in self.entries:
-            if e.ratio < 1.0 - RATIO_SLACK:
+            if e.ratio < RATIO_FLOOR:
                 raise NumericFailure(
-                    f"doubling ratio {e.ratio} below 1 beyond quadrature slack")
+                    f"doubling ratio {e.ratio} below the nested-ball floor {RATIO_FLOOR!r}")
 
 
 def _inflated_ball(y, radius: float, tau: float, omega: DomainMask) -> Ball:
@@ -100,7 +104,7 @@ def _check_family(omega: DomainMask, tau: float, theta: float, lam: float,
     if not (0.0 < theta):
         raise ValidationError("theta must be positive")
     tt = tau * theta
-    ray = omega.central_ray()
+    ray = np.array(omega.ray)
     limit = min(omega.clearance(ray), 1.0)
     if not (tt < limit):
         raise ValidationError(

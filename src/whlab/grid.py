@@ -5,7 +5,9 @@ Conventions
 -----------
 The grid covers the periodic box [-L, L)^n with N nodes per axis,
 node spacing h = 2L/N and node coordinates x_m = -L + m h.  The matching
-frequency nodes are xi_k = pi k / L for k = -N/2 .. N/2 - 1 (ascending).
+frequency nodes are xi_k = pi k / L, listed in FFT order, the order that
+``np.fft.fftn`` writes: k = 0 .. N/2 - 1, then -N/2 .. -1, so node k sits at
+index k mod N (Frigo and Johnson, Proc. IEEE 93, 2005).
 Ball and mask membership is tested at node centers with strict
 inequalities; boundary precision is deliberately traded for an
 unambiguous rule.
@@ -80,7 +82,7 @@ class Grid:
                 "/ points whose cell volume h^n is a positive normal float "
                 f"(got h = {h:g}, h^n = {cell_volume:g})")
         x_axis = -self.half_width + h * np.arange(N)
-        xi_axis = (math.pi / self.half_width) * np.arange(-(N // 2), N // 2)
+        xi_axis = (math.pi / self.half_width) * np.fft.fftfreq(N, 1.0 / N)  # k: 1/N is exact
         x_axis.flags.writeable = False
         xi_axis.flags.writeable = False
         object.__setattr__(self, "h", h)
@@ -106,7 +108,7 @@ class Grid:
         return self._mesh(self.x_axis)
 
     def freq_coords(self):
-        """Frequency node arrays in ascending order, broadcastable to ``shape``."""
+        """Frequency node arrays in FFT order, broadcastable to ``shape``."""
         return self._mesh(self.xi_axis)
 
     def window(self, center, radius: float = math.inf):
@@ -235,10 +237,6 @@ class DomainMask:
             return False
         window, member = _ball_nodes(ball, self.grid)
         return bool(np.all(self.inside[window][member]))
-
-    def central_ray(self) -> np.ndarray:
-        """Unit vector along the canonical ray of the domain."""
-        return np.array(self.ray)
 
 
 def make_grid(n: int, half_width: float, points: int) -> Grid:

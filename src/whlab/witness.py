@@ -220,7 +220,7 @@ def place_witness_center(omega: DomainMask, delta: float, rho: float,
     why = _margin_violation(np.zeros(grid.n), s, L)  # at the origin: s <= L/4
     if why is not None:
         raise ValidationError(f"{why}; no admissible placement")
-    ray = omega.central_ray() if ray is None else as_point(ray, grid.n)
+    ray = as_point(omega.ray if ray is None else ray, grid.n)
     ray = np.ldexp(ray, -math.frexp(float(np.max(np.abs(ray))))[1])  # exact; max in [1/2, 1)
     norm = float(np.linalg.norm(ray))
     if not (0.0 < norm < math.inf):

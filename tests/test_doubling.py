@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from whlab import doubling
-from whlab import (NumericFailure, SpaceSpec, ValidationError,
+from whlab import (Ball, NumericFailure, SpaceSpec, ValidationError,
                    constant_exponent, constant_weight, doubling_ratio,
                    explicit_mask, full_space, half_line, make_grid,
                    plan_tau_scan, plan_weak_doubling, power_weight, sector,
                    separated_sequence, tau_scan)
+from whlab.spaces import NORM_RTOL
 
 
 def l2_space(grid, weight=None, domain=None):
@@ -101,7 +102,7 @@ def test_separated_sequence_default_y0_fits_off_axis_rays():
     checked = 0
     for i in range(1, 63):
         cone = sector(make_grid(2, L, 512), 0.0, 0.1 * i)
-        if not tau * theta < min(cone.clearance(cone.central_ray()), 1.0):
+        if not tau * theta < min(cone.clearance(cone.ray), 1.0):
             continue
         fam = separated_sequence(cone, tau, theta, 1.6, 3)
         center, radius = fam[-1]
@@ -169,7 +170,7 @@ def test_tau_scan_plan_rechecks_disjointness(monkeypatch):
     omega = half_line(g)
     # skip the lambda bound: lambda = 1.2 is below (1 + tau theta)/(1 - tau theta) = 3
     monkeypatch.setattr(doubling, "_check_family",
-                        lambda omega, tau, theta, lam, m: (omega.central_ray(), lam ** m))
+                        lambda omega, tau, theta, lam, m: (np.array(omega.ray), lam ** m))
     with pytest.raises(NumericFailure, match="failed the disjointness recheck"):
         plan_tau_scan(omega, [2.0, 1.5], 0.25, 1.2, 2, y0=8.0)
 
@@ -193,7 +194,29 @@ def test_scan_ratios_never_below_lattice_floor():
     g = make_grid(1, 256, 8192)
     S = l2_space(g, domain=half_line(g))
     rep = tau_scan(S, *plan_tau_scan(S.domain, [1.1], 0.25, 4.0, 3, y0=1.0))[0]
-    assert all(e.ratio >= 1.0 - 0.05 for e in rep.entries)
+    assert all(e.ratio >= doubling.RATIO_FLOOR for e in rep.entries)
+
+
+@pytest.mark.parametrize("shrink,raises", [(1.0, False), (1.0 - 3.0 * NORM_RTOL, True)])
+def test_a_ratio_below_the_nested_ball_floor_is_a_numeric_failure(monkeypatch, shrink,
+                                                                   raises):
+    # Nested node sets make ||chi_outer|| >= ||chi_inner||: an outer norm shrunk
+    # below the inner one by more than the bracket widths is a numeric failure.
+    g = make_grid(1, 256, 8192)
+    S = l2_space(g, domain=half_line(g))
+    norm = doubling.indicator_norm
+
+    def outer_shrunk(ball, space):
+        inner = norm(Ball(ball.center, 1.0), space)
+        return inner if ball.radius == 1.0 else tuple(shrink * v for v in inner)
+
+    monkeypatch.setattr(doubling, "indicator_norm", outer_shrunk)
+    plan = plan_weak_doubling(S.domain, 2.0, [((8.0,), 1.0)])
+    if raises:
+        with pytest.raises(NumericFailure, match="below the nested-ball floor"):
+            tau_scan(S, *plan)
+    else:
+        assert tau_scan(S, *plan)[0].entries[0].ratio == 1.0
 
 
 def test_tau_scan_trend_and_validation():

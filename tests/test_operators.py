@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -10,9 +11,10 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, Symbol, Valida
                    apply_multiplier, argmax_freq_node, ball_indicator,
                    constant_exponent, constant_symbol,
                    constant_weight, fourier, full_space, gaussian_symbol,
-                   half_line, inverse_fourier, make_grid, restrict,
+                   half_line, inverse_fourier, make_grid, nearest_freq_node, restrict,
                    sample, smoothed_step_symbol, symbol_from_function,
                    symbol_from_values, wiener_hopf_apply)
+from whlab.operators import _multiplier_image
 
 
 def rand_fn(grid, seed=0):
@@ -205,19 +207,20 @@ def test_multiplier_image_overflow_is_a_numeric_failure(symbol):
     # the complex pair under the smoothed step; i chi takes the complex pair.
     g = make_grid(1, 64.0, 256)
     chi = ball_indicator(Ball((0.0,), 8.0), g).values
-    for phase in (1.0, 1j):
+    for image in (lambda a: _multiplier_image(a, chi.real.copy()),
+                  lambda a: apply_multiplier(a, GridFunction(g, 1j * chi))):
         with pytest.raises(NumericFailure, match="multiplier image overflows"):
-            apply_multiplier(symbol(g), GridFunction(g, phase * chi))
+            image(symbol(g))
 
 
 def _mirror(s):
-    """s at (-k) mod N along every axis, in ascending order: index i -> (N - i) mod N."""
+    """s at (-k) mod N along every axis: index i -> (N - i) mod N."""
     return np.roll(np.flip(s), 1, axis=tuple(range(s.ndim)))
 
 
 def _complex_pair(a, u):
     """The complex transform pair of the multiplier image, kept here as the reference."""
-    return np.fft.ifftn(np.fft.ifftshift(a.values) * np.fft.fftn(u))
+    return np.fft.ifftn(a.values * np.fft.fftn(u))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -231,13 +234,14 @@ def test_real_image_matches_the_complex_pair(n, log_points, real, scale, seed):
     s = 0.5 * (s + np.conj(_mirror(s)))  # Hermitian exactly: each pair sums the same terms
     if real:
         s = s.real  # real and even
-    nyquist = s[0] if n == 1 else np.concatenate([s[0], s[:, 0]])  # k = -N/2 on an axis
+    half = g.points // 2  # k = -N/2 on an axis
+    nyquist = s[half] if n == 1 else np.concatenate([s[half], s[:, half]])
     assert np.all(nyquist != 0)
     a = symbol_from_values(g, s)
     assert a.hermitian and a.values.dtype == (float if real else complex)
     u = scale * rng.standard_normal(g.shape)
-    image = apply_multiplier(a, GridFunction(g, u)).values
-    assert not np.any(image.imag)  # the real path; the complex pair leaves round-off there
+    image = _multiplier_image(a, u.copy())
+    assert image.dtype == float
     # Each of the two paths is within 2 log2(N^n) eta sup|a| ||u||_2 of the exact image:
     # a forward and an inverse FFT, each with normwise relative error at most log2(N^n) eta,
     # eta ~ 3 eps for accurate twiddle factors (Higham, Accuracy and Stability of Numerical
@@ -257,11 +261,11 @@ def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
         s[(3,) * n] *= 1.0 + 2.0 ** -40  # its mirror (29, ...) keeps the old value
     else:
         s = s.astype(complex)
-        s[(0,) * n] += 1e-3j  # the Nyquist node is its own mirror, so must be real
+        s[(g.points // 2,) * n] += 1e-3j  # the Nyquist node is its own mirror, so must be real
     a = symbol_from_values(g, s)
     assert not a.hermitian
     u = np.exp(-sum(x ** 2 for x in g.coords()))
-    image = apply_multiplier(a, GridFunction(g, u)).values
+    image = _multiplier_image(a, u.copy())
     assert np.array_equal(image.view(float), _complex_pair(a, u.astype(complex)).view(float))
 
 
@@ -290,9 +294,9 @@ def test_symbol_builders_keep_real_samples_real():
 
 SYMBOLS = {
     "constant": lambda g, x: constant_symbol(g, complex(x[0], x[1])),
-    "gaussian": lambda g, x: gaussian_symbol(g, x[0] * g.xi_axis[-1] * np.ones(g.n),
-                                             sigma=abs(x[1]) * g.xi_axis[-1] + 0.1, peak=x[2]),
-    "smoothed-step": lambda g, x: smoothed_step_symbol(g, x[0] * g.xi_axis[-1],
+    "gaussian": lambda g, x: gaussian_symbol(g, x[0] * g.xi_axis.max() * np.ones(g.n),
+                                             sigma=abs(x[1]) * g.xi_axis.max() + 0.1, peak=x[2]),
+    "smoothed-step": lambda g, x: smoothed_step_symbol(g, x[0] * g.xi_axis.max(),
                                                        abs(x[1]) + 1e-3, low=x[2], high=x[3]),
 }
 
@@ -333,17 +337,19 @@ def test_multiplier_image_of_a_huge_cell_does_not_overflow():
 
 @pytest.mark.parametrize("n,points", [(1, 2 ** 16), (2, 256)])
 def test_multiplier_peak_memory(n, points):
-    # one spectrum array, transformed axis by axis in place; the image is a view of it
+    # one spectrum array, transformed axis by axis in place; the image is a view of it.
+    # A real-valued u is stored complex too, so it takes the same single copy.
     g = make_grid(n, 16.0, points)
     a, u = gaussian_symbol(g), rand_fn(g, 9)
-    apply_multiplier(a, u)  # numpy caches its FFT plans on the first call
-    tracemalloc.start()
-    try:
-        apply_multiplier(a, u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * g.node_count * np.dtype(complex).itemsize
+    for v in (u, GridFunction(g, u.values.real)):
+        apply_multiplier(a, v)  # numpy caches its FFT plans on the first call
+        tracemalloc.start()
+        try:
+            apply_multiplier(a, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * g.node_count * np.dtype(complex).itemsize
 
 
 def test_argmax_freq_node_prefers_zero():
@@ -352,6 +358,34 @@ def test_argmax_freq_node_prefers_zero():
     assert eta[0] == 0.0
     idx2, eta2 = argmax_freq_node(smoothed_step_symbol(g, edge=-5.0, width=2.0))
     assert eta2[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_argmax_freq_node_breaks_a_tie_at_the_lowest_frequency(n):
+    # |a| peaks on the ring |xi| = 3 pi / 8 through the nodes k = +-3 of each axis, all
+    # equally close to zero: the rule takes the lowest frequency in ascending
+    # lexicographic order, where a plain argmin in FFT order would take +3 pi / 8
+    g = make_grid(n, 8.0, 16)
+    ring = (3 * np.pi / 8) ** 2
+    a = symbol_from_function(g, lambda *xi: np.exp(-(sum(x ** 2 for x in xi) - ring) ** 2))
+    idx, eta = argmax_freq_node(a)
+    assert eta.tolist() == [-3 * (np.pi / 8)] + [0.0] * (n - 1)
+    assert [g.xi_axis[i] for i in idx] == eta.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nearest_freq_node_inverts_the_frequency_axis(n):
+    # every node maps back to its index: the zero node, the Nyquist node k = -N/2
+    # and both ends of the range among them
+    g = make_grid(n, 8.0, 16)
+    xi = g.xi_axis
+    for idx in itertools.product(range(g.points), repeat=n):
+        found, eta = nearest_freq_node(g, [xi[i] for i in idx])
+        assert found == idx and eta.tolist() == [xi[i] for i in idx]
+    spacing = np.pi / g.half_width
+    for outside in (xi.min() - spacing, xi.max() + spacing):
+        with pytest.raises(ValidationError, match="outside the frequency range"):
+            nearest_freq_node(g, [outside] + [0.0] * (n - 1))
 
 
 @pytest.mark.parametrize("edge,width,values", [(0.0, 1e-320, {0.0, 0.5, 1.0}),
@@ -379,7 +413,7 @@ def test_gaussian_symbol_sigma_at_the_float_limits():
     g = make_grid(1, 16, 64)
     # 2 sigma^2 just above the smallest normal float: a spike, with no warning
     spike = gaussian_symbol(g, 0.0, 1.1e-154).values
-    assert spike[32] == 1.0 and np.count_nonzero(spike) == 1
+    assert spike[0] == 1.0 and np.count_nonzero(spike) == 1
     for sigma in (1.34e154, -1.0):  # 2 sigma^2 = inf; sigma <= 0
         with pytest.raises(ValidationError, match="2 sigma\\^2 a positive normal float"):
             gaussian_symbol(g, 0.0, sigma)

@@ -1,10 +1,12 @@
 """Every public name of a ``whlab`` module has a user besides its own tests.
 
 A name in a module's ``__all__`` counts as used when code in ``src/whlab``
-(outside ``__init__.py``), ``demos/`` or ``perfbench/`` reads it: a
-loaded name, an attribute, or a dotted ``"layer.name"`` key such as the
-ones ``perfbench/tracer.py`` reads the traced functions by.  The name's
-own definition and its ``__all__`` entry are not uses.
+(outside ``__init__.py``), ``demos/`` or ``perfbench/`` reads it: an
+attribute, a dotted ``"layer.name"`` key such as the ones
+``perfbench/tracer.py`` reads the traced functions by, or a loaded name
+that the file imports from whlab or defines at module level, so that a
+local variable of the same name is not a use.  The name's own definition
+and its ``__all__`` entry are not uses.
 """
 
 import ast
@@ -25,13 +27,34 @@ def _public_names(path):
     return []
 
 
+def _own_names(tree):
+    """The names a file imports from whlab, under the whlab name, and the
+    names it defines at module level."""
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").split(".")[0] == "whlab")
+                for alias in node.names}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            imported[node.name] = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    imported[target.id] = target.id
+    return imported
+
+
 def _references():
     """Every name read by the code of the user files."""
     found = set()
     for path in USERS:
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        own = _own_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                found.add(node.id)
+                if node.id in own:
+                    found.add(own[node.id])
             elif isinstance(node, ast.Attribute):
                 found.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
