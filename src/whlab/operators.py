@@ -165,32 +165,77 @@ def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, _handed_over(_multiplier_image(a, u.values.copy())))
 
 
-def _multiplier_image(a: Symbol, values: np.ndarray) -> np.ndarray:
-    """F^{-1}(a . F u) of the u with ``values`` on the grid of ``a``, formed
-    in ``values`` itself, which the image replaces, and returned.
+def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple = (),
+                      window: tuple | None = None) -> np.ndarray:
+    """e^{-i eta.x} F^{-1}(a . F(e^{i eta.x} u)) of the u with ``values`` on
+    the grid of ``a``, with eta the frequency node at the index tuple ``node``
+    (zero when omitted): ifft_n(a[k + node] . fft_n(u)[k]) by the demodulation
+    identity of the module docstring.  Complex ``values`` are transformed in
+    place and returned.  With ``window``, a tuple of slices, ``values`` hold
+    u on that window only, u is 0 off it, and u is written into a zeroed grid
+    array: real u into a float one when a real transform follows, so on 1-D
+    grids and at eta = 0 under a Hermitian symbol.
 
-    Real ``values`` under a Hermitian symbol have a real image: ``rfftn``, a
-    multiply by the view ``a.values[..., :N/2 + 1]`` (index N/2 is the Nyquist
-    node), the inverse in place on the half-spectrum and ``irfft`` into
-    ``values``; ``irfftn`` would allocate a second half-spectrum for the
+    Real u under a Hermitian symbol at eta = 0 has a real image: ``rfftn``,
+    a multiply by the view ``a.values[..., :N/2 + 1]`` (index N/2 is the
+    Nyquist node), the inverse in place on the half-spectrum and ``irfft``
+    into ``values``; ``irfftn`` would allocate a second half-spectrum for the
     leading axes (a 512^2 image peaked at 4.0 MiB of arrays with it, 2.4 MiB
-    without).  Every other image is the complex in-place pair.
+    without).  Every other image takes the complex spectrum of
+    :func:`_spectrum`, the multiply by ``a`` read at k + node through two
+    block views per shifted axis (:func:`_shifted_blocks`; no rolled copy of
+    the symbol), and ``ifftn`` in place.  A float grid array formed here is
+    freed before the inverse.
     """
+    shift = tuple(node) or (0,) * a.grid.n
+    real = np.isrealobj(values) and a.hermitian and not any(shift)
+    if window is not None:
+        u = np.zeros(a.grid.shape, values.dtype if real or a.grid.n == 1 else complex)
+        u[window] = values
+        values = u
+        del u  # so the float u is freed with the name values below
     try:
         with np.errstate(over="raise"):
-            if np.isrealobj(values) and a.hermitian:
+            if real:
                 kept = a.grid.points // 2 + 1  # k = 0 .. N/2 of the last axis
                 spec = np.fft.rfftn(values, out=np.empty(values.shape[:-1] + (kept,), complex))
                 np.multiply(spec, a.values[..., :kept], out=spec)
                 for axis in range(a.grid.n - 1):
                     np.fft.ifft(spec, axis=axis, out=spec)
                 return np.fft.irfft(spec, a.grid.points, axis=-1, out=values)
-            values = values.astype(complex, copy=False)  # a copy only of real values
-            spec = np.fft.fftn(values, out=values)
-            np.multiply(a.values, spec, out=spec)
+            spec = _spectrum(values)
+            del values
+            for here, there in _shifted_blocks(a.grid.points, shift):
+                np.multiply(a.values[there], spec[here], out=spec[here])
             return np.fft.ifftn(spec, out=spec)
     except FloatingPointError as exc:
         raise NumericFailure(f"the multiplier image overflows: {exc}") from None
+
+
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """fft_n of ``values`` as a complex array: complex ``values`` transformed
+    in place, real 1-D ones by ``rfft`` into the first N/2 + 1 entries and
+    the Hermitian fill spec[N - k] = conj spec[k] of the rest, any others in
+    a complex copy."""
+    if np.isrealobj(values) and values.ndim == 1:
+        half = values.size // 2
+        spec = np.empty(values.shape, complex)
+        np.fft.rfft(values, out=spec[:half + 1])
+        np.conjugate(spec[half - 1:0:-1], out=spec[half + 1:])
+        return spec
+    values = values.astype(complex, copy=False)  # a copy only of real values
+    return np.fft.fftn(values, out=values)
+
+
+def _shifted_blocks(points: int, shift: tuple):
+    """``(here, there)`` index pairs that pair every spectrum index k with the
+    symbol index (k + shift) mod N: an axis shifted by s splits into k < N - s,
+    read from s on, and k >= N - s, read from 0 on; an unshifted axis is one
+    block."""
+    axes = [[(slice(0, points - s), slice(s, None))]
+            + ([(slice(points - s, None), slice(0, s))] if s else []) for s in shift]
+    for block in itertools.product(*axes):
+        yield tuple(here for here, _ in block), tuple(there for _, there in block)
 
 
 def wiener_hopf_apply(a: Symbol, omega: DomainMask, u: GridFunction) -> GridFunction:
@@ -219,10 +264,9 @@ def argmax_freq_node(a: Symbol):
     frequency in ascending lexicographic order.  At such a node the symbol
     is sampled at a continuity point of the config families used here."""
     mag = np.abs(a.values)
-    tie = mag >= mag.max() * (1.0 - 1e-12)
-    dist2 = np.where(tie, sum(m ** 2 for m in a.grid.freq_coords()), np.inf)
-    np.equal(dist2, dist2.min(), out=tie)  # the maximizers closest to zero
-    nodes = np.unravel_index(np.flatnonzero(tie), a.grid.shape)
+    nodes = np.unravel_index(np.flatnonzero(mag >= mag.max() * (1.0 - 1e-12)), a.grid.shape)
+    dist2 = sum(a.grid.xi_axis[i] ** 2 for i in nodes)  # read at the maximizers only
+    nodes = tuple(i[dist2 == dist2.min()] for i in nodes)  # those closest to zero
     # np.lexsort sorts by its last key first, so the first axis goes last
     first = np.lexsort([a.grid.xi_axis[i] for i in reversed(nodes)])[0]
     best = tuple(i[first] for i in nodes)

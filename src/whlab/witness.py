@@ -7,6 +7,9 @@ multiplier leaves a measured residual
 
     eps = max_x | (F^{-1} a F f)(x) - a(eta) f(x) |,
 
+which every number below reads through |.| only; so the real phi stands for
+f, and its image is taken demodulated (:func:`mollification_residual`).
+
 and the experiments re-derive, numerically and per run, the inequality
 chains that turn that residual into certified lower bounds:
 
@@ -26,7 +29,7 @@ Each norm is a bracket (lo, hi) of :func:`whlab.spaces.part_norm`, and
 each certified number reads the end that keeps it conservative: lo for
 ||W f||, d_jk and the plateau norm ||chi_{B(y,1/delta)}||; hi for ||f||
 (so for the 1/||f|| scaling of the kappa images) and for
-||chi_{B(y,rho/delta)}||.  Each image W f is normed as
+||chi_{B(y,rho/delta)}||.  Each image is normed as
 :func:`mollification_residual` hands it on, with w and p gathered on Omega
 once per experiment; each witness norm reads only the witness's window.
 The norm reads only Omega ∩ supp f in row-major order, so these brackets
@@ -138,12 +141,14 @@ class WitnessParams:
 
 
 def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
-    """``(window, values)``: e^{i eta.x} phi(delta |x - y|) on the nodes of
-    the ``Grid.window`` of the support ball B(y, rho/delta), and 0 off it.
+    """``(window, values)``: the real profile phi(delta |x - y|) of the witness
+    f = e^{i eta.x} phi(delta (x - y)) on the nodes of the ``Grid.window`` of
+    the support ball B(y, rho/delta), and 0 off it.
 
-    The modulus equals the bump profile exactly, so |f| = 1 on every node
-    of B(y, 1/delta) and f vanishes on every node outside B(y, rho/delta).
-    At eta = 0, where e^{i 0.x} = 1 exactly, ``values`` is the real profile.
+    |f| = phi, so phi = 1 on every node of B(y, 1/delta) and phi vanishes on
+    every node outside B(y, rho/delta).  The factor e^{i eta.x} is never
+    formed: every number measured from f reads |W f|, which
+    :func:`mollification_residual` gets from the real phi by demodulation.
     """
     grid = params.domain.grid
     # delta * radius >= rho after rounding, so the bump is 0 off the window
@@ -151,56 +156,53 @@ def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
     while params.delta * radius < params.rho:
         radius = math.nextafter(radius, math.inf)
     window, dist = grid.window(params.y, radius)
-    amp = bump_profile(params.delta * dist, params.rho)
-    if not any(params.eta):
-        return window, amp
-    axes = np.ix_(*(grid.x_axis[s] for s in window))
-    phase_arg = sum(e * x for e, x in zip(params.eta, axes))
-    return window, np.exp(1j * phase_arg) * amp
+    return window, bump_profile(params.delta * dist, params.rho)
 
 
-def mollification_residual(a: Symbol, params: WitnessParams,
-                           f: tuple) -> tuple[np.ndarray, float]:
-    """``(W f, eps)`` for the witness ``f = make_witness(params)``: the image
-    W f = r_Omega g of g = F^{-1} a F f, kept only on Omega as its values
-    there in row-major order, and the measured sup-node residual
-    eps = max |g - a(eta) f| over the whole grid.
+def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
+                           node: tuple) -> tuple[np.ndarray, float]:
+    """``(h, eps)`` for the witness ``f = make_witness(params)`` modulated at
+    the frequency node with index tuple ``node`` (a plan's
+    :attr:`WitnessPlan.node`): the demodulated image h = e^{-i eta.x} W f,
+    kept only on Omega as its values there in row-major order, and the
+    measured sup-node residual eps = max |h - a(eta) phi| over the whole grid.
 
-    ``eta`` is snapped to the nearest frequency node; the residual is the
-    observed epsilon of the lower-bound chains and shrinks as delta does
-    whenever the symbol is continuous at eta.  The witness is supported in
-    Omega, so e_Omega f = f.  The residual reads every node of g, so a
-    non-finite g raises :class:`NumericFailure`.
+    With eta a frequency node, h = ifft(a[k + node] . fft(phi)[k]) over the
+    whole grid (:mod:`whlab.operators`), so |h| = |W f| node by node and eps
+    is max |W f - a(eta) f|; every norm and distance of the experiments reads
+    only |h|, and all witnesses of a plan share eta, so W f_j - W f_k has the
+    modulus of h_j - h_k.  The residual is the observed epsilon of the
+    lower-bound chains and shrinks as delta does whenever the symbol is
+    continuous at eta.  The witness is supported in Omega, so e_Omega f = f.
+    The residual reads every node of h, so a non-finite h raises
+    :class:`NumericFailure`.
 
-    f is written into one zeroed grid array of its dtype that g then
-    replaces, so no second grid-sized array is held while g is transformed.
-    A separate witness array would be written only on its window; numpy
-    advises huge pages for arrays of 4 MiB and more, so its resident size
-    would depend on where it was mapped, and so would a run's peak memory.
-
-    At eta = 0 the witness is real, and under a Hermitian symbol, such as
-    every shipped demo symbol, g is real too: that float array is
-    transformed by rfftn and irfft, with half the memory and about half the
-    transform time of the complex pair that every other witness takes (the
-    measurements are in :mod:`whlab.operators`).
+    phi is written into one zeroed grid array that is transformed into h
+    (:func:`whlab.operators._multiplier_image`), so no second grid-sized
+    array is held while h is formed.  A separate witness array would be
+    written only on its window; numpy advises huge pages for arrays of 4 MiB
+    and more, so its resident size would depend on where it was mapped, and
+    so would a run's peak memory.  That array is float on 1-D grids, where
+    ``rfft`` and a Hermitian fill give the spectrum and the array is freed
+    before the inverse, and at eta = 0 under a Hermitian symbol, such as
+    every shipped demo symbol, where h is real too and is formed by rfftn
+    and irfft; on 2-D grids at eta != 0 it is complex and transformed in
+    place (the measurements are in :mod:`whlab.operators`).
     """
     grid = params.domain.grid
     if a.grid != grid:
         raise ValidationError("symbol and witness live on different grids")
     window, values = f
-    g = np.zeros(grid.shape, dtype=values.dtype)
-    g[window] = values
-    g = _multiplier_image(a, g)
-    idx, _ = nearest_freq_node(grid, params.eta)
+    h = _multiplier_image(a, values, node, window)
     # formed first, so its temporaries are freed before the grid-sized err is
-    near = np.abs(g[window] - a.at(idx) * values)
-    err = np.abs(g)  # f is 0 off its window, where g - a(eta) f = g exactly
+    near = np.abs(h[window] - a.at(node) * values)
+    err = np.abs(h)  # phi is 0 off its window, where h - a(eta) phi = h exactly
     err[window] = near
     residual = float(np.max(err))
     del err  # freed before the gather on Omega
     if not math.isfinite(residual):
         raise NumericFailure(f"the witness image is not finite: residual {residual}")
-    return g[params.domain.inside], residual
+    return h[params.domain.inside], residual
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -328,16 +330,17 @@ def _resolve_eta(a: Symbol, space: SpaceSpec, eta):
     return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
-def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
-                     tag: str, ledger: list):
-    """Norms, image and residual of the witness f = make_witness(params).
+def _measure_witness(plan: WitnessPlan, params: WitnessParams, tag: str, ledger: list):
+    """Norms, image and residual of the witness f = make_witness(params) of
+    ``plan``, modulated at the plan's probing node.
 
     Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
-    to ``ledger`` (a failed one raises) and returns ``(W f, record)`` with
-    W f as :func:`mollification_residual` hands it on and a record whose
-    ratio is left nan for the caller.  ||f|| reads only the witness's
-    window, where f lives.
+    to ``ledger`` (a failed one raises) and returns ``(h, record)`` with the
+    demodulated image h as :func:`mollification_residual` hands it on and a
+    record whose ratio is left nan for the caller.  ||f|| reads only the
+    witness's window, where f lives.
     """
+    space = plan.space
     window, values = make_witness(params)
     norm_f = part_norm(space_part(space, window), values)[1]
     ns = indicator_norm(Ball(params.y, 1.0 / params.delta), space)[0]
@@ -347,7 +350,7 @@ def _measure_witness(a: Symbol, space: SpaceSpec, params: WitnessParams,
         if not line.passed:
             raise NumericFailure(f"sandwich inequality violated beyond slack: {line}")
         ledger.append(line)
-    image, residual = mollification_residual(a, params, (window, values))
+    image, residual = mollification_residual(plan.symbol, params, (window, values), plan.node)
     return image, WitnessRecord(
         params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
@@ -442,7 +445,7 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
                                          math.nan, error=params))
             continue
         tag = f"delta={delta:g}"
-        g, rec = _measure_witness(a, space, params, tag, ledger)
+        g, rec = _measure_witness(plan, params, tag, ledger)
         wnorm = part_norm(omega, g)[0]
         ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
                             wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
@@ -477,9 +480,9 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
 
     records = []
     ledger = []
-    images = []  # the normalized images W f / ||f||, on Omega
+    images = []  # the normalized demodulated images h / ||f||, on Omega
     for j, params in enumerate(plan.witnesses):
-        g, rec = _measure_witness(a, space, params, f"j={j}", ledger)
+        g, rec = _measure_witness(plan, params, f"j={j}", ledger)
         g *= 1.0 / rec.norm_witness
         images.append(g)
         records.append(rec)

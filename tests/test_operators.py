@@ -14,7 +14,7 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, Symbol, Valida
                    half_line, inverse_fourier, make_grid, nearest_freq_node, restrict,
                    sample, smoothed_step_symbol, symbol_from_function,
                    symbol_from_values, wiener_hopf_apply)
-from whlab.operators import _multiplier_image
+from whlab.operators import _multiplier_image, _spectrum
 
 
 def rand_fn(grid, seed=0):
@@ -254,7 +254,8 @@ def test_real_image_matches_the_complex_pair(n, log_points, real, scale, seed):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("broken", ["node", "nyquist"])
 def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
-    # the complex pair keeps its bits: the in-place kernel equals the reference pair
+    # the complex inverse keeps its bits: the in-place kernel equals the reference
+    # inverse of the complex spectrum, which on 2-D grids is the reference pair's
     g = make_grid(n, 8.0, 32)
     s = gaussian_symbol(g, None, 2.0).values.copy()
     if broken == "node":
@@ -266,7 +267,30 @@ def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
     assert not a.hermitian
     u = np.exp(-sum(x ** 2 for x in g.coords()))
     image = _multiplier_image(a, u.copy())
-    assert np.array_equal(image.view(float), _complex_pair(a, u.astype(complex)).view(float))
+    reference = np.fft.ifftn(a.values * _spectrum(u.copy()))
+    assert np.array_equal(image.view(float), reference.view(float))
+    if n == 2:
+        assert np.array_equal(image.view(float), _complex_pair(a, u.astype(complex)).view(float))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(log_points=st.integers(1, 12), scale=st.sampled_from((1e-100, 1.0, 1e100)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hermitian_fill_is_the_fft_of_a_real_array(log_points, scale, seed):
+    # rfft and the fill spec[N - k] = conj spec[k] give the spectrum np.fft.fft gives,
+    # within the two transforms' normwise error (Higham, thm. 24.2, as above);
+    # the filled half mirrors the rfft half exactly, and a complex array keeps its bits
+    N = 2 ** log_points
+    rng = np.random.default_rng(seed)
+    u = scale * rng.standard_normal(N)
+    spec = _spectrum(u.copy())
+    reference = np.fft.fft(u)
+    bound = 2.0 * max(log_points, 1) * 3.0 * np.finfo(float).eps
+    assert np.linalg.norm(spec - reference) <= bound * math.sqrt(N) * np.linalg.norm(u)
+    assert np.array_equal(spec[:N // 2 + 1], np.fft.rfft(u))
+    assert np.array_equal(spec[N // 2 + 1:], np.conj(spec[1:N // 2][::-1]))
+    z = u + 1j * rng.standard_normal(N)
+    assert np.array_equal(_spectrum(z.copy()), np.fft.fft(z))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -31,13 +31,21 @@ def l2(grid, domain=None):
                      domain if domain is not None else full_space(grid))
 
 
+def probing_node(params):
+    """The index tuple of the frequency node at params.eta."""
+    return nearest_freq_node(params.domain.grid, params.eta)[0]
+
+
 def whole_grid_image(a, params):
-    """The image of make_witness(params) on the whole grid, formed in the witness's
-    own dtype as mollification_residual forms it: a real witness takes the real path."""
+    """The demodulated image of make_witness(params) on the whole grid, formed as
+    mollification_residual forms it."""
     window, values = make_witness(params)
-    g = np.zeros(params.domain.grid.shape, dtype=values.dtype)
-    g[window] = values
-    return _multiplier_image(a, g)
+    return _multiplier_image(a, values, probing_node(params), window)
+
+
+def modulation(params):
+    """e^{i eta.x} on the whole grid."""
+    return np.exp(1j * sum(e * m for e, m in zip(params.eta, params.domain.grid.coords())))
 
 
 # -- bump -------------------------------------------------------------------
@@ -142,7 +150,7 @@ def test_witness_real_bump_when_eta_zero(witness_on_grid):
     # the image is real under a Hermitian symbol, complex under any other
     for center, dtype in ((0.0, float), (0.5, complex)):
         a = gaussian_symbol(g, center, 2.0)
-        assert mollification_residual(a, P, make_witness(P))[0].dtype == dtype
+        assert mollification_residual(a, P, make_witness(P), (0,))[0].dtype == dtype
 
 
 def test_witness_sandwich_norms(witness_on_grid):
@@ -288,7 +296,8 @@ def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho,
         y = tuple(place_witness_center(omega, delta, rho))
     params = WitnessParams(delta, eta, y, rho, omega)
     f = witness_on_grid(params).values
-    assert np.array_equal(f, whole_grid_witness(params))
+    assert not np.any(f.imag)  # the real profile stands for the modulated witness
+    assert np.array_equal(modulation(params) * f, whole_grid_witness(params))
     window, _ = omega.grid.window(params.y, params.support_radius)
     outside = np.ones(omega.grid.shape, dtype=bool)
     outside[window] = False
@@ -298,7 +307,7 @@ def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho,
 # -- residual ---------------------------------------------------------------
 
 def residual(a, params):
-    return mollification_residual(a, params, make_witness(params))[1]
+    return mollification_residual(a, params, make_witness(params), probing_node(params))[1]
 
 
 def test_residual_constant_symbol_vanishes():
@@ -320,7 +329,7 @@ def test_residual_gaussian_monotone_in_delta():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
-    # The residual hands on W f as r_Omega g of its image g = F^{-1} a F f;
+    # The residual hands on h = e^{-i eta.x} W f as r_Omega of its whole-grid image;
     # that needs e_Omega f = f, so it must hold bit for bit.
     if n == 1:
         g = make_grid(1, 64, 1024)
@@ -332,13 +341,50 @@ def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
         om = sector(g, 0.0, np.pi / 2)
         P = WitnessParams(0.5, (1.0, -0.5), (12.0, 12.0), 2.0, om)
         a = gaussian_symbol(g, [0.5, 0.0], 2.0, 1.0)
-    f = witness_on_grid(P)
-    w_f, _ = mollification_residual(a, P, make_witness(P))
+    f = GridFunction(g, modulation(P) * witness_on_grid(P).values)
+    h, _ = mollification_residual(a, P, make_witness(P), probing_node(P))
     image = apply_multiplier(a, f)
     reference = wiener_hopf_apply(a, om, f).values
     assert np.array_equal(restrict(image, om).values, reference)
-    assert np.array_equal(w_f, reference[om.inside])
-    assert np.any(image.values[~om.inside] != 0)  # the restriction matters
+    whole = whole_grid_image(a, P)
+    assert np.array_equal(h, whole[om.inside])
+    assert np.any(whole[~om.inside] != 0)  # the restriction matters
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k0", ["-N/2", "-3", "0", "5", "N/2-1"])
+def test_demodulated_image_is_the_image(n, k0):
+    # e^{i eta.x} h is W f of the modulated witness f = e^{i eta.x} phi under an
+    # off-lattice Gaussian, up to round-off, with eta the node k0 on the first axis:
+    # k0 = -N/2 and N/2 - 1 split the symbol's block views at their ends
+    g = make_grid(1, 32.0, 256) if n == 1 else make_grid(2, 16.0, 64)
+    N, spacing = g.points, np.pi / g.half_width
+    k = {"-N/2": -N // 2, "N/2-1": N // 2 - 1}.get(k0) or int(k0)
+    node = (k % N,) + (3,) * (n - 1)
+    eta = tuple(g.xi_axis[i] for i in node)
+    # the Gaussian's center sits 0.37 cells off eta, so it is Hermitian nowhere
+    a = gaussian_symbol(g, np.array(eta) + 0.37 * spacing, 4.0 * spacing)
+    assert not a.hermitian
+    om = full_space(g)
+    P = WitnessParams(0.5, eta, (1.0,) * n, 2.0, om)
+    assert probing_node(P) == node
+    window, phi = make_witness(P)
+    f = np.zeros(g.shape, complex)
+    f[window] = phi
+    f *= modulation(P)
+    image = wiener_hopf_apply(a, om, GridFunction(g, f)).values
+    h, res = mollification_residual(a, P, (window, phi), node)
+    # each side takes a forward and an inverse FFT (Higham, thm. 24.2: log2(N^n) eta,
+    # eta ~ 3 eps) and one multiply; e^{i eta.x} is formed with an absolute error of a
+    # few eps |eta.x| per node, once on each side
+    eps = np.finfo(float).eps
+    phase_err = 2.0 * eps * (2.0 + sum(abs(e) for e in eta) * g.half_width)
+    bound = (4.0 * math.log2(g.node_count) * 3.0 * eps + 2.0 * phase_err) * \
+        a.sup_norm * np.linalg.norm(phi)
+    assert np.linalg.norm(modulation(P).ravel() * h - image.ravel()) <= bound
+    # the residual max |h - a(eta) phi| is max |W f - a(eta) f|
+    assert abs(res - np.max(np.abs(image - a.at(node) * f))) <= bound
+    assert res > 1e3 * bound  # a symbol that varies near eta leaves a residual
 
 
 @pytest.mark.parametrize("omega,center,rho,theta,lam,m,y0", [
@@ -353,9 +399,9 @@ def test_residual_matches_the_whole_grid_formula(omega, center, rho, theta, lam,
     plan = plan_kuratowski(a, l2(omega.grid, omega), rho, theta, lam, m, y0=y0)
     for params in plan.witnesses:
         f = witness_on_grid(params)
-        _, res = mollification_residual(a, params, make_witness(params))
+        idx = probing_node(params)
+        _, res = mollification_residual(a, params, make_witness(params), idx)
         g = whole_grid_image(a, params)
-        idx, _ = nearest_freq_node(omega.grid, params.eta)
         assert res == float(np.max(np.abs(g - a.at(idx) * f.values)))
 
 
@@ -368,9 +414,10 @@ def test_residual_reads_the_image_off_the_witness_window(witness_on_grid):
     vals = 2.0 * np.exp(-40j * g.xi_axis)
     vals[idx] = 0.0
     a = symbol_from_values(g, vals)
-    _, res = mollification_residual(a, P, make_witness(P))
+    _, res = mollification_residual(a, P, make_witness(P), idx)
+    assert res == float(np.max(np.abs(whole_grid_image(a, P))))
     image = apply_multiplier(a, witness_on_grid(P))
-    assert res == float(np.max(np.abs(image.values)))
+    assert res == pytest.approx(float(np.max(np.abs(image.values))), rel=1e-13)
     assert res == pytest.approx(2.0, rel=0.1)
 
 
@@ -653,7 +700,7 @@ def test_plans_reject_a_symbol_on_another_grid(plan, symbol_grid):
 def test_residual_rejects_a_symbol_on_another_grid(symbol_grid):
     P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
     with pytest.raises(ValidationError, match="symbol and witness live on different grids"):
-        mollification_residual(gaussian_symbol(symbol_grid, 0.0, 2.0), P, make_witness(P))
+        mollification_residual(gaussian_symbol(symbol_grid, 0.0, 2.0), P, make_witness(P), (0,))
 
 
 # -- images kept on Omega; witnesses formed in their image's grid array ------
@@ -679,7 +726,7 @@ def test_witness_is_formed_in_the_grid_array_of_its_image():
     # that array and the image on Omega (half the grid) stay below two grid
     # arrays; a grid-sized witness held beside them would not
     plan = _kappa_halfline_plan()
-    args = plan.symbol, plan.space, plan.witnesses[-1], "j=3"
+    args = plan, plan.witnesses[-1], "j=3"
     witness._measure_witness(*args, [])  # numpy caches its FFT plans on the first call
     tracemalloc.start()
     try:
@@ -688,6 +735,30 @@ def test_witness_is_formed_in_the_grid_array_of_its_image():
     finally:
         tracemalloc.stop()
     assert peak < 2 * plan.space.grid.node_count * np.dtype(complex).itemsize
+
+
+def test_float_witness_is_freed_before_the_inverse(monkeypatch):
+    # a 1-D witness at eta != 0 is transformed by rfft from a float grid array;
+    # when the inverse starts, only the complex spectrum is held
+    g = make_grid(1, 4096.0, 2 ** 16)
+    P = WitnessParams(1.0 / 64.0, (g.xi_axis[5],), (0.0,), 2.0, full_space(g))
+    a, f = gaussian_symbol(g, 0.0, 2.0), make_witness(P)
+    held = []
+    inverse = np.fft.ifftn
+
+    def traced(x, *args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return inverse(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", traced)
+    mollification_residual(a, P, f, (5,))  # numpy caches its FFT plans on the first call
+    tracemalloc.start()
+    try:
+        mollification_residual(a, P, f, (5,))
+    finally:
+        tracemalloc.stop()
+    spectrum = g.node_count * np.dtype(complex).itemsize
+    assert spectrum <= held[-1] < 1.25 * spectrum
 
 
 def test_overflowing_witness_image_is_a_numeric_failure():
@@ -737,14 +808,15 @@ def test_each_experiment_gathers_omega_once(monkeypatch):
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_witness_image_is_a_numeric_failure(monkeypatch, bad):
     # the residual reads every node of the image, so it catches a non-finite one
-    def image_with(a, values):
-        values[-1] = bad
-        return values
+    def image_with(a, values, node, window):
+        image = np.zeros(a.grid.shape)
+        image[-1] = bad
+        return image
 
     monkeypatch.setattr(witness, "_multiplier_image", image_with)
     P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
     with pytest.raises(NumericFailure, match="^the witness image is not finite"):
-        mollification_residual(constant_symbol(P.domain.grid, 1.0), P, make_witness(P))
+        mollification_residual(constant_symbol(P.domain.grid, 1.0), P, make_witness(P), (0,))
 
 
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
