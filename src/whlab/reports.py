@@ -41,6 +41,33 @@ def fmt(x) -> str:
     return f"{x:.12g}"
 
 
+def _fmt_down(x) -> str:
+    """:func:`fmt` rounded toward -inf instead of to nearest, for a certified
+    lower bound: the printed value never exceeds the float it prints.  The
+    comparison is exact, in integers: x = p / q and the printed value is
+    mant * 10^e."""
+    if x is None or not math.isfinite(x) or x == 0:
+        return fmt(x)
+    x = float(x)
+    digits, exp = f"{x:.11e}".split("e")  # 12 significant digits, to nearest
+    mant, e = int(digits.replace(".", "")), int(exp) - 11
+    p, q = x.as_integer_ratio()
+    if (mant * 10 ** e * q > p) if e >= 0 else (mant * q > p * 10 ** -e):
+        mant -= 1
+        if 0 < mant < 10 ** 11:  # 10^11 - 1: the decade below keeps 12 digits
+            mant, e = 10 * mant + 9, e - 1
+    d = str(abs(mant))
+    lead = e + len(d) - 1  # the exponent of the leading digit, as "g" reads it
+    d = d.rstrip("0")
+    if not -4 <= lead < 12:
+        body = d[0] + ("." + d[1:] if len(d) > 1 else "") + f"e{lead:+03d}"
+    elif lead >= 0:
+        body = d[:lead + 1].ljust(lead + 1, "0") + ("." + d[lead + 1:] if len(d) > lead + 1 else "")
+    else:
+        body = "0." + "0" * (-lead - 1) + d
+    return ("-" if mant < 0 else "") + body
+
+
 def _point_columns(point):
     return ["y"] if len(point) == 1 else ["y1", "y2"]
 
@@ -109,15 +136,15 @@ def experiment_text(report: ExperimentReport) -> list[str]:
             f"{fmt(w.norm_big)}] quotient={fmt(w.quotient)} "
             f"residual={fmt(w.residual)}")
     if report.achieved_lower_bound is not None:
-        out.append(f"achieved_lower_bound: {fmt(report.achieved_lower_bound)}")
+        out.append(f"achieved_lower_bound: {_fmt_down(report.achieved_lower_bound)}")
     if report.kappa_lower_bound is not None:
         out.append(f"pairwise distances (family of {report.family_size}):")
         for p in report.pairs:
             out.append(f"  d[{p.j},{p.k}]={fmt(p.distance)} "
                        f"bound={fmt(p.bound)} bound_raw={fmt(p.bound_raw)}")
-        out.append(f"kappa_lower_bound: {fmt(report.kappa_lower_bound)} "
+        out.append(f"kappa_lower_bound: {_fmt_down(report.kappa_lower_bound)} "
                    f"(consistent with separation of a size-{report.family_size} family)")
-        out.append(f"reported noncompactness bound (half): {fmt(report.kappa_half)}")
+        out.append(f"reported noncompactness bound (half): {_fmt_down(report.kappa_half)}")
     return out + _ledger_lines(report)
 
 
