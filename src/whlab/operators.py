@@ -18,16 +18,29 @@ radius at most 3L/4); aliasing then stays below the stated tolerances.
 
 A real u under a Hermitian symbol, a(-xi) = conj a(xi) on the DFT lattice, has a real
 image.  :func:`_multiplier_image` forms such an image by rfftn, a multiply by the symbol's
-half-spectrum and irfft, and every other image by the complex in-place pair.  A
-:class:`GridFunction` is complex, so :func:`apply_multiplier` takes the pair, and the real
-path serves the real witnesses of :func:`whlab.witness.mollification_residual`.  A
-real-data FFT does about half the work of a complex one (Sorensen, Jones, Heideman and
-Burrus, IEEE Trans. ASSP 35, 1987): a 2^18-node image took 10.4 ms against 15.4 ms, and a
-512^2 one 3.5 ms against 7.3 ms (best of 7, 2-core VM).  A modulated witness keeps the
-complex pair: its real form needs one irfftn per Hermitian part of the shifted symbol,
-and on 2-D grids rfftn and irfftn each take two passes, so rfftn and two irfftn do the
-complex pair's work.  That split path made the perfbench sector-2d run_s 0.116 s ->
-0.130-0.155 s on the same VM.
+half-spectrum and irfft, and every other image by a complex spectrum and an in-place
+ifftn.  A :class:`GridFunction` is complex, so :func:`apply_multiplier` takes the complex
+path, and the real path serves the real witnesses of
+:func:`whlab.witness.mollification_residual`.  A real-data FFT does about half the work of
+a complex one (Sorensen, Jones, Heideman and Burrus, IEEE Trans. ASSP 35, 1987): a
+2^18-node image took 10.4 ms against 15.4 ms, and a 512^2 one 3.5 ms against 7.3 ms
+(best of 7, 2-core VM).
+
+A modulated witness f = e^{i eta.x} phi, with phi real and eta = (pi / L) k0 a frequency
+node, is never formed.  On the nodes x_m = -L + m h, e^{i eta.x_m} = (-1)^{k0_1 + ... +
+k0_n} e^{2 pi i k0.m / N}, so fft_n(f)[k] = (-1)^{k0_1 + ... + k0_n} fft_n(phi)[k - k0] and
+
+    h = e^{-i eta.x} F^{-1}(a . F f) = ifft_n(a[k + k0] . fft_n(phi)[k]),
+
+indices mod N: the demodulated image h multiplies the spectrum of the real phi by the
+symbol read at the probing node, and |h| = |W f| node by node.  The symbol is read
+through two block views per shifted axis, never as a rolled copy (2 MiB at 2^18 nodes).
+On 1-D grids the spectrum of phi is rfft and the Hermitian fill spec[N - k] =
+conj spec[k]; on 2-D grids phi is written into a complex array that fftn transforms in
+place, since rfftn and the fill measured slower there.  The perfbench kappa-1d run_s at
+seed 1, an off-centre Gaussian probed at eta != 0, fell from RUN1P to RUN1C s against
+forming f and the complex pair (medians of 10 alternated pairs, 2-core VM), and at seed 7
+from RUN7P to RUN7C s; sector-2d run_s read SECP against SECC s.
 """
 
 from __future__ import annotations
@@ -174,36 +187,42 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple = (),
     place and returned.  With ``window``, a tuple of slices, ``values`` hold
     u on that window only, u is 0 off it, and u is written into a zeroed grid
     array: real u into a float one when a real transform follows, so on 1-D
-    grids and at eta = 0 under a Hermitian symbol.
+    grids and at eta = 0 under a Hermitian symbol.  The forward transform's
+    first pass, along the last axis, then reads only the window's rows: the
+    transform of a zero row is zero.
 
-    Real u under a Hermitian symbol at eta = 0 has a real image: ``rfftn``,
-    a multiply by the view ``a.values[..., :N/2 + 1]`` (index N/2 is the
-    Nyquist node), the inverse in place on the half-spectrum and ``irfft``
-    into ``values``; ``irfftn`` would allocate a second half-spectrum for the
-    leading axes (a 512^2 image peaked at 4.0 MiB of arrays with it, 2.4 MiB
-    without).  Every other image takes the complex spectrum of
-    :func:`_spectrum`, the multiply by ``a`` read at k + node through two
-    block views per shifted axis (:func:`_shifted_blocks`; no rolled copy of
-    the symbol), and ``ifftn`` in place.  A float grid array formed here is
-    freed before the inverse.
+    Real u under a Hermitian symbol at eta = 0 has a real image: the passes
+    of ``rfftn``, a multiply by the view ``a.values[..., :N/2 + 1]`` (index
+    N/2 is the Nyquist node), the inverse in place on the half-spectrum and
+    ``irfft`` into ``values``; ``irfftn`` would allocate a second
+    half-spectrum for the leading axes (a 512^2 image peaked at 4.0 MiB of
+    arrays with it, 2.4 MiB without).  Every other image takes the complex
+    spectrum of :func:`_spectrum`, the multiply by ``a`` read at k + node
+    through two block views per shifted axis (:func:`_shifted_blocks`; no
+    rolled copy of the symbol), and ``ifftn`` in place.  A float grid array
+    formed here is freed before the inverse.
     """
     shift = tuple(node) or (0,) * a.grid.n
     real = np.isrealobj(values) and a.hermitian and not any(shift)
+    rows = (slice(None),) * (a.grid.n - 1)  # the rows u may be nonzero on
     if window is not None:
         u = np.zeros(a.grid.shape, values.dtype if real or a.grid.n == 1 else complex)
         u[window] = values
-        values = u
+        values, rows = u, window[:-1]
         del u  # so the float u is freed with the name values below
     try:
         with np.errstate(over="raise"):
             if real:
                 kept = a.grid.points // 2 + 1  # k = 0 .. N/2 of the last axis
-                spec = np.fft.rfftn(values, out=np.empty(values.shape[:-1] + (kept,), complex))
+                spec = np.zeros(values.shape[:-1] + (kept,), complex)
+                np.fft.rfft(values[rows], axis=-1, out=spec[rows])  # rfftn's passes
+                for axis in range(a.grid.n - 1):
+                    np.fft.fft(spec, axis=axis, out=spec)
                 np.multiply(spec, a.values[..., :kept], out=spec)
                 for axis in range(a.grid.n - 1):
                     np.fft.ifft(spec, axis=axis, out=spec)
                 return np.fft.irfft(spec, a.grid.points, axis=-1, out=values)
-            spec = _spectrum(values)
+            spec = _spectrum(values, rows)
             del values
             for here, there in _shifted_blocks(a.grid.points, shift):
                 np.multiply(a.values[there], spec[here], out=spec[here])
@@ -212,11 +231,12 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple = (),
         raise NumericFailure(f"the multiplier image overflows: {exc}") from None
 
 
-def _spectrum(values: np.ndarray) -> np.ndarray:
-    """fft_n of ``values`` as a complex array: complex ``values`` transformed
-    in place, real 1-D ones by ``rfft`` into the first N/2 + 1 entries and
-    the Hermitian fill spec[N - k] = conj spec[k] of the rest, any others in
-    a complex copy."""
+def _spectrum(values: np.ndarray, rows: tuple = ()) -> np.ndarray:
+    """fft_n of ``values`` as a complex array: real 1-D ``values`` by ``rfft``
+    into the first N/2 + 1 entries and the Hermitian fill
+    spec[N - k] = conj spec[k] of the rest; others in place, complex ones in
+    themselves and real ones in a complex copy, by fftn's passes, the last
+    axis first and there only over ``rows``, which hold every nonzero row."""
     if np.isrealobj(values) and values.ndim == 1:
         half = values.size // 2
         spec = np.empty(values.shape, complex)
@@ -224,7 +244,10 @@ def _spectrum(values: np.ndarray) -> np.ndarray:
         np.conjugate(spec[half - 1:0:-1], out=spec[half + 1:])
         return spec
     values = values.astype(complex, copy=False)  # a copy only of real values
-    return np.fft.fftn(values, out=values)
+    np.fft.fft(values[rows], axis=-1, out=values[rows])
+    for axis in range(values.ndim - 1):
+        np.fft.fft(values, axis=axis, out=values)
+    return values
 
 
 def _shifted_blocks(points: int, shift: tuple):

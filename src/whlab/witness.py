@@ -7,9 +7,6 @@ multiplier leaves a measured residual
 
     eps = max_x | (F^{-1} a F f)(x) - a(eta) f(x) |,
 
-which every number below reads through |.| only; so the real phi stands for
-f, and its image is taken demodulated (:func:`mollification_residual`).
-
 and the experiments re-derive, numerically and per run, the inequality
 chains that turn that residual into certified lower bounds:
 
@@ -20,6 +17,10 @@ chains that turn that residual into certified lower bounds:
   have pairwise image distances d_jk bounded below through the measured
   family doubling constant, so half the minimum distance is the reported
   lower bound for the measure-of-noncompactness seminorm.
+
+Every number measured from a witness reads |W f| only, so the real phi
+stands for f and its image is taken demodulated at eta
+(:func:`mollification_residual`).
 
 A finite family exhibits pairwise separation but cannot, strictly,
 lower-bound the noncompactness measure; reports therefore state the
@@ -99,7 +100,9 @@ def _margin_violation(y, s: float, L: float) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class WitnessParams:
-    """Concentration scale delta, modulation frequency eta, center y.
+    """Concentration scale delta, modulation frequency eta, center y.  A
+    plan's eta is its probing frequency node, the node at which
+    :func:`mollification_residual` demodulates the witness's image.
 
     Construction validates the support ball B(y, rho/delta): it must obey
     the periodic-box margin rule (support diameter at most L/2, each center

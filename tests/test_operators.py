@@ -293,6 +293,27 @@ def test_hermitian_fill_is_the_fft_of_a_real_array(log_points, scale, seed):
     assert np.array_equal(_spectrum(z.copy()), np.fft.fft(z))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((1, 2)), hermitian=st.booleans(), shifted=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_windowed_image_reads_only_the_window_rows(n, hermitian, shifted, seed):
+    # u given on its window: the first forward pass skips the zero rows, and the image
+    # equals, bit for bit, that of u given on the whole grid in the same dtype
+    g = make_grid(n, 8.0, 32)
+    rng = np.random.default_rng(seed)
+    a = gaussian_symbol(g, None if hermitian else rng.uniform(-1.0, 1.0, n), 2.0)
+    node = tuple(rng.integers(0, g.points, n)) if shifted else (0,) * n
+    lo = rng.integers(0, g.points - 4, n)
+    window = tuple(slice(l, l + w) for l, w in zip(lo, rng.integers(1, 5, n)))
+    vals = rng.standard_normal(tuple(s.stop - s.start for s in window))
+    image = _multiplier_image(a, vals, node, window)
+    real = n == 1 or (hermitian and not shifted)
+    assert image.dtype == (float if hermitian and not shifted else complex)
+    u = np.zeros(g.shape, float if real else complex)
+    u[window] = vals
+    assert np.array_equal(image, _multiplier_image(a, u, node))
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_symbol_owns_its_values(dtype):
     g = make_grid(1, 8.0, 16)
