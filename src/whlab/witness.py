@@ -185,12 +185,8 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
     array is held while h is formed.  A separate witness array would be
     written only on its window; numpy advises huge pages for arrays of 4 MiB
     and more, so its resident size would depend on where it was mapped, and
-    so would a run's peak memory.  That array is float on 1-D grids, where
-    ``rfft`` and a Hermitian fill give the spectrum and the array is freed
-    before the inverse, and at eta = 0 under a Hermitian symbol, such as
-    every shipped demo symbol, where h is real too and is formed by rfftn
-    and irfft; on 2-D grids at eta != 0 it is complex and transformed in
-    place (the measurements are in :mod:`whlab.operators`).
+    so would a run's peak memory.  Which transforms form h, and what they
+    cost, is in :mod:`whlab.operators`.
     """
     grid = params.domain.grid
     if a.grid != grid:
