@@ -288,9 +288,16 @@ def argmax_freq_node(a: Symbol):
     frequency in ascending lexicographic order.  At such a node the symbol
     is sampled at a continuity point of the config families used here."""
     mag = np.abs(a.values)
-    nodes = np.unravel_index(np.flatnonzero(mag >= mag.max() * (1.0 - 1e-12)), a.grid.shape)
-    dist2 = sum(a.grid.xi_axis[i] ** 2 for i in nodes)  # read at the maximizers only
-    nodes = tuple(i[dist2 == dist2.min()] for i in nodes)  # those closest to zero
+    tie = mag >= mag.max() * (1.0 - 1e-12)
+    del mag
+    if 8 * np.count_nonzero(tie) <= tie.size:  # few maximizers: distances at them only
+        nodes = np.unravel_index(np.flatnonzero(tie), a.grid.shape)
+        dist2 = sum(a.grid.xi_axis[i] ** 2 for i in nodes)
+        nodes = tuple(i[dist2 == dist2.min()] for i in nodes)  # those closest to zero
+    else:  # a plateau: one grid of distances, so memory and time stay bounded
+        dist2 = sum(m ** 2 for m in a.grid.freq_coords())
+        np.copyto(dist2, np.inf, where=~tie)
+        nodes = np.unravel_index(np.flatnonzero(dist2 == dist2.min()), a.grid.shape)
     # np.lexsort sorts by its last key first, so the first axis goes last
     first = np.lexsort([a.grid.xi_axis[i] for i in reversed(nodes)])[0]
     best = tuple(i[first] for i in nodes)

@@ -56,16 +56,11 @@ def _fmt_down(x) -> str:
         mant -= 1
         if 0 < mant < 10 ** 11:  # 10^11 - 1: the decade below keeps 12 digits
             mant, e = 10 * mant + 9, e - 1
-    d = str(abs(mant))
-    lead = e + len(d) - 1  # the exponent of the leading digit, as "g" reads it
-    d = d.rstrip("0")
-    if not -4 <= lead < 12:
-        body = d[0] + ("." + d[1:] if len(d) > 1 else "") + f"e{lead:+03d}"
-    elif lead >= 0:
-        body = d[:lead + 1].ljust(lead + 1, "0") + ("." + d[lead + 1:] if len(d) > lead + 1 else "")
-    else:
-        body = "0." + "0" * (-lead - 1) + d
-    return ("-" if mant < 0 else "") + body
+    lead = e + len(str(abs(mant))) - 1  # the exponent of the leading digit, as "g" reads it
+    if -4 <= lead < 12:  # written without an exponent; a normal float keeps 12 digits
+        return fmt(float(f"{mant}e{e}"))
+    # written with one; mant * 10^e may be subnormal or overflow, its leading digits do not
+    return fmt(mant / 10 ** (lead - e)) + f"e{lead:+03d}"
 
 
 def _point_columns(point):

@@ -100,9 +100,10 @@ def _margin_violation(y, s: float, L: float) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class WitnessParams:
-    """Concentration scale delta, modulation frequency eta, center y.  A
-    plan's eta is its probing frequency node, the node at which
-    :func:`mollification_residual` demodulates the witness's image.
+    """Concentration scale delta, center y and support ratio rho of the real
+    profile phi of a witness.  Its modulation frequency eta is the probing
+    node of the plan (:attr:`WitnessPlan.node`), handed to
+    :func:`mollification_residual` with it.
 
     Construction validates the support ball B(y, rho/delta): it must obey
     the periodic-box margin rule (support diameter at most L/2, each center
@@ -112,7 +113,6 @@ class WitnessParams:
     """
 
     delta: float
-    eta: tuple
     y: tuple
     rho: float
     domain: DomainMask
@@ -122,9 +122,7 @@ class WitnessParams:
             raise ValidationError("delta must be finite and positive")
         _check_rho(self.rho)
         grid = self.domain.grid
-        eta = tuple(as_point(self.eta, grid.n).tolist())
         y = tuple(as_point(self.y, grid.n).tolist())
-        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "y", y)
         s = self.support_radius
         why = _margin_violation(y, s, grid.half_width)
@@ -145,8 +143,9 @@ class WitnessParams:
 
 def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
     """``(window, values)``: the real profile phi(delta |x - y|) of the witness
-    f = e^{i eta.x} phi(delta (x - y)) on the nodes of the ``Grid.window`` of
-    the support ball B(y, rho/delta), and 0 off it.
+    f = e^{i eta.x} phi(delta (x - y)), eta the probing frequency of its plan,
+    on the nodes of the ``Grid.window`` of the support ball B(y, rho/delta),
+    and 0 off it.
 
     |f| = phi, so phi = 1 on every node of B(y, 1/delta) and phi vanishes on
     every node outside B(y, rho/delta).  The factor e^{i eta.x} is never
@@ -165,8 +164,9 @@ def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
 def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
                            node: tuple) -> tuple[np.ndarray, float]:
     """``(h, eps)`` for the witness ``f = make_witness(params)`` modulated at
-    the frequency node with index tuple ``node`` (a plan's
-    :attr:`WitnessPlan.node`): the demodulated image h = e^{-i eta.x} W f,
+    the frequency eta of the node with index tuple ``node`` (a plan's
+    :attr:`WitnessPlan.node`; ``params`` hold no frequency, so ``node`` is
+    the one source of eta): the demodulated image h = e^{-i eta.x} W f,
     kept only on Omega as its values there in row-major order, and the
     measured sup-node residual eps = max |h - a(eta) phi| over the whole grid.
 
@@ -191,6 +191,8 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
     grid = params.domain.grid
     if a.grid != grid:
         raise ValidationError("symbol and witness live on different grids")
+    if len(node) != grid.n or not all(0 <= k < grid.points for k in node):
+        raise ValidationError(f"{node} is not the index tuple of a frequency node")
     window, values = f
     h = _multiplier_image(a, values, node, window)
     # formed first, so its temporaries are freed before the grid-sized err is
@@ -376,8 +378,7 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
     for delta in deltas:
         try:
             y = place_witness_center(space.domain, delta, rho, ray)
-            plan.append((delta, WitnessParams(delta, tuple(eta_vec), tuple(y),
-                                              rho, space.domain)))
+            plan.append((delta, WitnessParams(delta, tuple(y), rho, space.domain)))
         except ValidationError as exc:
             plan.append((delta, str(exc)))
     if all(isinstance(params, str) for _, params in plan):
@@ -414,8 +415,7 @@ def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
                 f"ball needs y0 >= {4.0 * omega.grid.h / theta:g}")
     family = separated_sequence(omega, rho, theta, lam, m, y0)
     node, eta_vec = _resolve_eta(a, space, eta)
-    params = tuple(WitnessParams(1.0 / radius, tuple(eta_vec), y, rho, omega)
-                   for y, radius in family)
+    params = tuple(WitnessParams(1.0 / radius, y, rho, omega) for y, radius in family)
     return WitnessPlan(a, space, node, tuple(eta_vec), params)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from whlab import (Ball, SpaceSpec, axiom_check,
+from whlab import (Ball, GridFunction, SpaceSpec, axiom_check,
                    berezhnoi_ratio, constant_exponent,
                    constant_symbol, constant_weight, doubling_ratio,
                    full_space, gaussian_symbol, half_line,
@@ -82,7 +82,8 @@ def test_criterion_3_plancherel_chain(norm_probe, witness_on_grid):
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
         rep = norm_lowerbound_experiment(plan_norm_lowerbound(a, S, 2.0, [0.25, 0.125]))
         witness_probes = [
-            witness_on_grid(WitnessParams(w.delta, rep.eta, w.y, 2.0, om))
+            GridFunction(g, np.exp(1j * rep.eta[0] * g.x_axis)
+                         * witness_on_grid(WitnessParams(w.delta, w.y, 2.0, om)).values)
             for w in rep.witnesses if w.error is None
         ]
         rng = np.random.default_rng(12)

@@ -254,8 +254,9 @@ def test_real_image_matches_the_complex_pair(n, log_points, real, scale, seed):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("broken", ["node", "nyquist"])
 def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
-    # the complex inverse keeps its bits: the in-place kernel equals the reference
-    # inverse of the complex spectrum, which on 2-D grids is the reference pair's
+    # the complex inverse keeps its bits: the in-place kernel equals np.fft's inverse
+    # of the complex spectrum, on 1-D grids rfft and the fill spec[N - k] = conj spec[k],
+    # on 2-D grids the reference pair's
     g = make_grid(n, 8.0, 32)
     s = gaussian_symbol(g, None, 2.0).values.copy()
     if broken == "node":
@@ -267,10 +268,12 @@ def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
     assert not a.hermitian
     u = np.exp(-sum(x ** 2 for x in g.coords()))
     image = _multiplier_image(a, u.copy())
-    reference = np.fft.ifftn(a.values * _spectrum(u.copy()))
+    if n == 1:
+        half = np.fft.rfft(u)
+        reference = np.fft.ifft(a.values * np.concatenate([half, np.conj(half[-2:0:-1])]))
+    else:
+        reference = _complex_pair(a, u.astype(complex))
     assert np.array_equal(image.view(float), reference.view(float))
-    if n == 2:
-        assert np.array_equal(image.view(float), _complex_pair(a, u.astype(complex)).view(float))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -416,6 +419,25 @@ def test_argmax_freq_node_breaks_a_tie_at_the_lowest_frequency(n):
     idx, eta = argmax_freq_node(a)
     assert eta.tolist() == [-3 * (np.pi / 8)] + [0.0] * (n - 1)
     assert [g.xi_axis[i] for i in idx] == eta.tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from((1, 2)), log_points=st.integers(3, 7),
+       share=st.sampled_from((0.0, 0.05, 0.125, 0.13, 0.5, 1.0)), seed=st.integers(0, 2 ** 32 - 1))
+def test_argmax_freq_node_keeps_the_whole_grid_rule(n, log_points, share, seed):
+    # few maximizers (distances read at them) and plateaus (a grid of distances)
+    # pick the node the whole-grid rule picks
+    g = make_grid(n, 8.0, 2 ** log_points)
+    rng = np.random.default_rng(seed)
+    s = np.where(rng.random(g.shape) < share, 2.0, rng.random(g.shape))
+    a = symbol_from_values(g, s)
+    mag = np.abs(a.values)
+    dist2 = np.where(mag >= mag.max() * (1.0 - 1e-12),
+                     sum(m ** 2 for m in g.freq_coords()), np.inf)
+    nodes = np.argwhere(dist2 == dist2.min())
+    expected = min(nodes.tolist(), key=lambda idx: [g.xi_axis[i] for i in idx])
+    idx, eta = argmax_freq_node(a)
+    assert list(idx) == expected and eta.tolist() == [g.xi_axis[i] for i in expected]
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -22,7 +23,6 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    separated_sequence, space_part, step_exponent, symbol_from_function,
                    symbol_from_values,
                    wiener_hopf_apply)
-from whlab.operators import _multiplier_image
 from whlab.profiles import bump_profile, glue, smoothstep
 
 
@@ -31,21 +31,32 @@ def l2(grid, domain=None):
                      domain if domain is not None else full_space(grid))
 
 
-def probing_node(params):
-    """The index tuple of the frequency node at params.eta."""
-    return nearest_freq_node(params.domain.grid, params.eta)[0]
-
-
-def whole_grid_image(a, params):
-    """The demodulated image of make_witness(params) on the whole grid, formed as
-    mollification_residual forms it."""
+def whole_grid_image(a, params, node):
+    """The demodulated image ifft_n(a[k + node] . fft_n(phi)[k]) of
+    phi = make_witness(params) on the whole grid, formed from np.fft in the steps
+    mollification_residual takes: rfftn, the half-spectrum multiply and irfftn at
+    node 0 under a Hermitian symbol; otherwise the symbol rolled by the node times
+    the spectrum of phi, which on 1-D grids is rfft and the explicit fill
+    spec[N - k] = conj spec[k], and on 2-D grids fftn of phi as a complex array."""
+    grid = params.domain.grid
     window, values = make_witness(params)
-    return _multiplier_image(a, values, probing_node(params), window)
+    phi = np.zeros(grid.shape)
+    phi[window] = values
+    if a.hermitian and not any(node):
+        half = a.values[..., :grid.points // 2 + 1]
+        return np.fft.irfftn(half * np.fft.rfftn(phi), grid.shape, axes=tuple(range(grid.n)))
+    if grid.n == 1:
+        half = np.fft.rfft(phi)
+        spec = np.concatenate([half, np.conj(half[-2:0:-1])])
+    else:
+        spec = np.fft.fftn(phi.astype(complex))
+    shifted = np.roll(a.values, tuple(-k for k in node), axis=tuple(range(grid.n)))
+    return np.fft.ifftn(shifted * spec)
 
 
-def modulation(params):
+def modulation(grid, eta):
     """e^{i eta.x} on the whole grid."""
-    return np.exp(1j * sum(e * m for e, m in zip(params.eta, params.domain.grid.coords())))
+    return np.exp(1j * sum(e * m for e, m in zip(eta, grid.coords())))
 
 
 # -- bump -------------------------------------------------------------------
@@ -119,7 +130,7 @@ def test_bump_even_and_rejects_bad_rho():
     r = np.linspace(-2, 2, 401)
     assert np.array_equal(bump_profile(r, 1.5), bump_profile(-r, 1.5))
     with pytest.raises(ValidationError):
-        WitnessParams(0.25, (0.0,), (0.0,), 1.0, full_space(make_grid(1, 64, 1024)))
+        WitnessParams(0.25, (0.0,), 1.0, full_space(make_grid(1, 64, 1024)))
 
 
 # -- witness ----------------------------------------------------------------
@@ -127,8 +138,8 @@ def test_bump_even_and_rejects_bad_rho():
 def test_witness_modulus_and_plateau(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    P = WitnessParams(0.25, (g.xi_axis[600],), (24.0,), 2.0, om)
-    f = witness_on_grid(P)
+    P = WitnessParams(0.25, (24.0,), 2.0, om)
+    f = GridFunction(g, modulation(g, (g.xi_axis[600],)) * witness_on_grid(P).values)
     amp = bump_profile(0.25 * np.abs(g.x_axis - 24.0), 2.0)
     assert np.max(np.abs(np.abs(f.values) - amp)) <= 1e-14
     plateau = ball_indicator(Ball((24.0,), 4.0), g).values.real == 1
@@ -141,7 +152,7 @@ def test_witness_modulus_and_plateau(witness_on_grid):
 def test_witness_real_bump_when_eta_zero(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    P = WitnessParams(0.25, (0.0,), (0.0,), 2.0, om)
+    P = WitnessParams(0.25, (0.0,), 2.0, om)
     f = witness_on_grid(P)
     assert np.max(np.abs(f.values.imag)) == 0.0
     assert np.min(f.values.real) >= 0.0
@@ -157,8 +168,8 @@ def test_witness_sandwich_norms(witness_on_grid):
     g = make_grid(1, 64, 2048)
     om = full_space(g)
     S = SpaceSpec(g, step_exponent(g, 2.0, 2.5), power_weight(g, 0.1), om)
-    P = WitnessParams(0.25, (1.5,), (24.0,), 2.0, om)
-    f = witness_on_grid(P)
+    P = WitnessParams(0.25, (24.0,), 2.0, om)
+    f = GridFunction(g, modulation(g, (1.5,)) * witness_on_grid(P).values)
     ns = luxemburg_norm(ball_indicator(Ball((24.0,), 4.0), g), S)
     nb = luxemburg_norm(ball_indicator(Ball((24.0,), 8.0), g), S)
     nf = luxemburg_norm(f, S)
@@ -170,9 +181,11 @@ def test_witness_phase_invariance(witness_on_grid):
     g = make_grid(1, 64, 1024)
     om = full_space(g)
     S = l2(g)
-    f1 = witness_on_grid(WitnessParams(0.25, (1.5,), (24.0,), 2.0, om))
-    f2 = witness_on_grid(WitnessParams(0.25, (-1.5,), (24.0,), 2.0, om))
+    phi = witness_on_grid(WitnessParams(0.25, (24.0,), 2.0, om))
+    f1, f2 = (GridFunction(g, modulation(g, (e,)) * phi.values) for e in (1.5, -1.5))
     assert luxemburg_norm(f1, S) == pytest.approx(luxemburg_norm(f2, S), rel=1e-12)
+    # the real profile stands for either modulated witness
+    assert luxemburg_norm(f1, S) == pytest.approx(luxemburg_norm(phi, S), rel=1e-12)
 
 
 def test_witness_params_validation():
@@ -180,13 +193,29 @@ def test_witness_params_validation():
     om = half_line(g)
     # support leaves the half-line
     with pytest.raises(ValidationError):
-        WitnessParams(0.25, (0.0,), (4.0,), 2.0, om)
+        WitnessParams(0.25, (4.0,), 2.0, om)
     # margin rule: support radius above L/4
     with pytest.raises(ValidationError):
-        WitnessParams(0.1, (0.0,), (30.0,), 2.0, om)
+        WitnessParams(0.1, (30.0,), 2.0, om)
     # too close to the box edge
     with pytest.raises(ValidationError):
-        WitnessParams(0.25, (0.0,), (45.0,), 2.0, om)
+        WitnessParams(0.25, (45.0,), 2.0, om)
+
+
+def test_the_probing_frequency_has_one_source():
+    # a witness's params name no frequency: mollification_residual reads eta only
+    # from the node it is handed, so params and node cannot disagree
+    g = make_grid(1, 64, 1024)
+    assert "eta" not in {f.name for f in dataclasses.fields(WitnessParams)}
+    with pytest.raises(TypeError):
+        WitnessParams(0.25, (1.5,), (24.0,), 2.0, full_space(g))
+    P = WitnessParams(0.25, (24.0,), 2.0, full_space(g))
+    a = gaussian_symbol(g, 0.0, 2.0)
+    for node in ((g.points,), (-1,), (0, 0), ()):
+        with pytest.raises(ValidationError, match="is not the index tuple of a frequency node"):
+            mollification_residual(a, P, make_witness(P), node)
+    plan = plan_norm_lowerbound(a, l2(g), 2.0, [0.25], eta=(1.5,))
+    assert plan.eta == (g.xi_axis[plan.node[0]],) and plan.node == nearest_freq_node(g, (1.5,))[0]
 
 
 def test_place_witness_center_halfline_largest_admissible():
@@ -264,19 +293,19 @@ def test_placed_center_is_admissible(omega, delta, rho):
     except ValidationError:
         return
     try:
-        WitnessParams(delta, (0.0,) * omega.grid.n, tuple(y), rho, omega)
+        WitnessParams(delta, tuple(y), rho, omega)
     except ValidationError as exc:  # plateau smaller than a cell
         assert str(exc).startswith("plateau ball") and "contains no grid node" in str(exc)
 
 
-def whole_grid_witness(params):
+def whole_grid_witness(params, eta):
     """The former make_witness: profile and phase over the whole grid."""
     grid = params.domain.grid
     mesh = grid.coords()
     offsets = [m - c for m, c in zip(mesh, params.y)]
     dist = np.abs(offsets[0]) if grid.n == 1 else np.hypot(*offsets)
     amp = bump_profile(params.delta * dist, params.rho)
-    return np.exp(1j * sum(e * m for e, m in zip(params.eta, mesh))) * amp
+    return np.exp(1j * sum(e * m for e, m in zip(eta, mesh))) * amp
 
 
 WITNESS_CASES = [
@@ -294,10 +323,11 @@ def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho,
                                                  witness_on_grid):
     if y is None:
         y = tuple(place_witness_center(omega, delta, rho))
-    params = WitnessParams(delta, eta, y, rho, omega)
+    params = WitnessParams(delta, y, rho, omega)
     f = witness_on_grid(params).values
     assert not np.any(f.imag)  # the real profile stands for the modulated witness
-    assert np.array_equal(modulation(params) * f, whole_grid_witness(params))
+    eta = np.atleast_1d(eta)
+    assert np.array_equal(modulation(omega.grid, eta) * f, whole_grid_witness(params, eta))
     window, _ = omega.grid.window(params.y, params.support_radius)
     outside = np.ones(omega.grid.shape, dtype=bool)
     outside[window] = False
@@ -307,13 +337,15 @@ def test_witness_matches_the_whole_grid_formula(omega, delta, eta, y, rho,
 # -- residual ---------------------------------------------------------------
 
 def residual(a, params):
-    return mollification_residual(a, params, make_witness(params), probing_node(params))[1]
+    """The residual of the witness of ``params`` probed at frequency zero."""
+    node = (0,) * params.domain.grid.n
+    return mollification_residual(a, params, make_witness(params), node)[1]
 
 
 def test_residual_constant_symbol_vanishes():
     g = make_grid(1, 64, 1024)
     om = full_space(g)
-    P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, om)
+    P = WitnessParams(0.25, (24.0,), 2.0, om)
     res = residual(constant_symbol(g, 0.7 + 0.2j), P)
     assert res <= 1e-8
 
@@ -322,7 +354,7 @@ def test_residual_gaussian_monotone_in_delta():
     g = make_grid(1, 64, 4096)
     om = full_space(g)
     a = gaussian_symbol(g, 0.0, 2.0, 1.0)
-    res = [residual(a, WitnessParams(d, (0.0,), (24.0,), 2.0, om))
+    res = [residual(a, WitnessParams(d, (24.0,), 2.0, om))
            for d in (0.5, 0.25, 0.125)]
     assert res[0] > res[1] > res[2]
 
@@ -334,19 +366,21 @@ def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
     if n == 1:
         g = make_grid(1, 64, 1024)
         om = half_line(g)
-        P = WitnessParams(0.25, (1.5,), (24.0,), 2.0, om)
+        P = WitnessParams(0.25, (24.0,), 2.0, om)
         a = gaussian_symbol(g, 0.0, 2.0, 1.0)
+        node, eta = nearest_freq_node(g, (1.5,))
     else:
         g = make_grid(2, 32, 256)
         om = sector(g, 0.0, np.pi / 2)
-        P = WitnessParams(0.5, (1.0, -0.5), (12.0, 12.0), 2.0, om)
+        P = WitnessParams(0.5, (12.0, 12.0), 2.0, om)
         a = gaussian_symbol(g, [0.5, 0.0], 2.0, 1.0)
-    f = GridFunction(g, modulation(P) * witness_on_grid(P).values)
-    h, _ = mollification_residual(a, P, make_witness(P), probing_node(P))
+        node, eta = nearest_freq_node(g, (1.0, -0.5))
+    f = GridFunction(g, modulation(g, eta) * witness_on_grid(P).values)
+    h, _ = mollification_residual(a, P, make_witness(P), node)
     image = apply_multiplier(a, f)
     reference = wiener_hopf_apply(a, om, f).values
     assert np.array_equal(restrict(image, om).values, reference)
-    whole = whole_grid_image(a, P)
+    whole = whole_grid_image(a, P, node)
     assert np.array_equal(h, whole[om.inside])
     assert np.any(whole[~om.inside] != 0)  # the restriction matters
 
@@ -366,12 +400,11 @@ def test_demodulated_image_is_the_image(n, k0):
     a = gaussian_symbol(g, np.array(eta) + 0.37 * spacing, 4.0 * spacing)
     assert not a.hermitian
     om = full_space(g)
-    P = WitnessParams(0.5, eta, (1.0,) * n, 2.0, om)
-    assert probing_node(P) == node
+    P = WitnessParams(0.5, (1.0,) * n, 2.0, om)
     window, phi = make_witness(P)
     f = np.zeros(g.shape, complex)
     f[window] = phi
-    f *= modulation(P)
+    f *= modulation(g, eta)
     image = wiener_hopf_apply(a, om, GridFunction(g, f)).values
     h, res = mollification_residual(a, P, (window, phi), node)
     # each side takes a forward and an inverse FFT (Higham, thm. 24.2: log2(N^n) eta,
@@ -381,7 +414,7 @@ def test_demodulated_image_is_the_image(n, k0):
     phase_err = 2.0 * eps * (2.0 + sum(abs(e) for e in eta) * g.half_width)
     bound = (4.0 * math.log2(g.node_count) * 3.0 * eps + 2.0 * phase_err) * \
         a.sup_norm * np.linalg.norm(phi)
-    assert np.linalg.norm(modulation(P).ravel() * h - image.ravel()) <= bound
+    assert np.linalg.norm(modulation(g, eta).ravel() * h - image.ravel()) <= bound
     # the residual max |h - a(eta) phi| is max |W f - a(eta) f|
     assert abs(res - np.max(np.abs(image - a.at(node) * f))) <= bound
     assert res > 1e3 * bound  # a symbol that varies near eta leaves a residual
@@ -399,25 +432,21 @@ def test_residual_matches_the_whole_grid_formula(omega, center, rho, theta, lam,
     plan = plan_kuratowski(a, l2(omega.grid, omega), rho, theta, lam, m, y0=y0)
     for params in plan.witnesses:
         f = witness_on_grid(params)
-        idx = probing_node(params)
-        _, res = mollification_residual(a, params, make_witness(params), idx)
-        g = whole_grid_image(a, params)
-        assert res == float(np.max(np.abs(g - a.at(idx) * f.values)))
+        _, res = mollification_residual(a, params, make_witness(params), plan.node)
+        g = whole_grid_image(a, params, plan.node)
+        assert res == float(np.max(np.abs(g - a.at(plan.node) * f.values)))
 
 
-def test_residual_reads_the_image_off_the_witness_window(witness_on_grid):
-    # a shift by 40 with a(eta) = 0: the image 2 f(x - 40) and so the
+def test_residual_reads_the_image_off_the_witness_window():
+    # a shift by 40 with a(eta) = 0 at eta = 0: the image 2 f(x - 40) and so the
     # residual's max lie off the witness's window
     g = make_grid(1, 64.0, 1024)
-    P = WitnessParams(0.5, (0.0,), (-20.0,), 2.0, full_space(g))
-    idx, _ = nearest_freq_node(g, P.eta)
+    P = WitnessParams(0.5, (-20.0,), 2.0, full_space(g))
     vals = 2.0 * np.exp(-40j * g.xi_axis)
-    vals[idx] = 0.0
+    vals[0] = 0.0
     a = symbol_from_values(g, vals)
-    _, res = mollification_residual(a, P, make_witness(P), idx)
-    assert res == float(np.max(np.abs(whole_grid_image(a, P))))
-    image = apply_multiplier(a, witness_on_grid(P))
-    assert res == pytest.approx(float(np.max(np.abs(image.values))), rel=1e-13)
+    _, res = mollification_residual(a, P, make_witness(P), (0,))
+    assert res == float(np.max(np.abs(whole_grid_image(a, P, (0,)))))
     assert res == pytest.approx(2.0, rel=0.1)
 
 
@@ -428,7 +457,7 @@ def test_residual_lipschitz_symbol_scales_linearly():
     a = symbol_from_function(g, lambda xi: 0.5 + 0.02 * xi)
     prev = None
     for d in (0.5, 0.25, 0.125):
-        r = residual(a, WitnessParams(d, (0.0,), (48.0,), 2.0, om))
+        r = residual(a, WitnessParams(d, (48.0,), 2.0, om))
         if prev is not None:
             assert 0.375 <= r / prev <= 0.625
         prev = r
@@ -504,7 +533,7 @@ def test_norm_experiment_rejects_increasing_schedule():
 def test_infinite_or_nonpositive_delta_is_rejected(delta):
     g = make_grid(1, 64, 1024)
     with pytest.raises(ValidationError, match="delta must be finite and positive"):
-        WitnessParams(delta, (0.0,), (0.0,), 2.0, full_space(g))
+        WitnessParams(delta, (0.0,), 2.0, full_space(g))
     with pytest.raises(ValidationError, match="delta schedule must be finite and positive"):
         plan_norm_lowerbound(constant_symbol(g, 1.0), l2(g), 2.0, [delta, 0.25])
 
@@ -698,7 +727,7 @@ def test_plans_reject_a_symbol_on_another_grid(plan, symbol_grid):
 
 @pytest.mark.parametrize("symbol_grid", OTHER_GRIDS, ids=["half-width", "points"])
 def test_residual_rejects_a_symbol_on_another_grid(symbol_grid):
-    P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
+    P = WitnessParams(0.25, (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
     with pytest.raises(ValidationError, match="symbol and witness live on different grids"):
         mollification_residual(gaussian_symbol(symbol_grid, 0.0, 2.0), P, make_witness(P), (0,))
 
@@ -741,7 +770,7 @@ def test_float_witness_is_freed_before_the_inverse(monkeypatch):
     # a 1-D witness at eta != 0 is transformed by rfft from a float grid array;
     # when the inverse starts, only the complex spectrum is held
     g = make_grid(1, 4096.0, 2 ** 16)
-    P = WitnessParams(1.0 / 64.0, (g.xi_axis[5],), (0.0,), 2.0, full_space(g))
+    P = WitnessParams(1.0 / 64.0, (0.0,), 2.0, full_space(g))
     a, f = gaussian_symbol(g, 0.0, 2.0), make_witness(P)
     held = []
     inverse = np.fft.ifftn
@@ -814,7 +843,7 @@ def test_non_finite_witness_image_is_a_numeric_failure(monkeypatch, bad):
         return image
 
     monkeypatch.setattr(witness, "_multiplier_image", image_with)
-    P = WitnessParams(0.25, (0.0,), (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
+    P = WitnessParams(0.25, (24.0,), 2.0, full_space(make_grid(1, 256, 8192)))
     with pytest.raises(NumericFailure, match="^the witness image is not finite"):
         mollification_residual(constant_symbol(P.domain.grid, 1.0), P, make_witness(P), (0,))
 
@@ -829,7 +858,8 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
     for params, rec in zip(plan.witnesses, rep.witnesses):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
-        images.append(whole_grid_image(a, params) * complex(1.0 / luxemburg_norm(f, S)))
+        images.append(whole_grid_image(a, params, plan.node)
+                      * complex(1.0 / luxemburg_norm(f, S)))
     assert [p.distance for p in rep.pairs] == [
         part_norm(space_part(S, ()), images[p.j] - images[p.k])[0] for p in rep.pairs]
     norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5, 0.25])
@@ -838,5 +868,5 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
     for (_, params), rec in zip(norm_plan.witnesses, norm_rep.witnesses):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
-        image = whole_grid_image(a, params)
+        image = whole_grid_image(a, params, norm_plan.node)
         assert rec.ratio == part_norm(space_part(S, ()), image)[0] / rec.norm_witness
