@@ -10,8 +10,16 @@ the theoretical target of sup|a| / 2.
 Run: python3 demos/demo_kappa.py
 """
 
+from decimal import ROUND_FLOOR, Decimal
+
 from whlab import (SpaceSpec, gaussian_symbol, half_line, kuratowski_experiment,
                    make_grid, plan_kuratowski, power_weight, step_exponent)
+
+
+def down(x: float) -> Decimal:
+    """x at 6 decimals rounded toward -inf, so a printed lower bound is one too."""
+    return Decimal(x).quantize(Decimal("1e-6"), ROUND_FLOOR)
+
 
 grid = make_grid(1, 32768, 2 ** 18)
 omega = half_line(grid)
@@ -35,7 +43,7 @@ for p in report.pairs:
           f"(certified floor {p.bound:.4f})  "
           f"{'PASS' if p.passed else 'FAIL'}")
 
-print(f"\nkappa lower bound   = {report.kappa_lower_bound:.6f}")
-print(f"reported half-bound = {report.kappa_half:.6f}  "
+print(f"\nkappa lower bound   = {down(report.kappa_lower_bound)}")
+print(f"reported half-bound = {down(report.kappa_half)}  "
       f"(theory target: sup|a|/2 = {report.sup_norm / 2:g}, "
       f"family size {report.family_size})")

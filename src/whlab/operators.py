@@ -16,32 +16,27 @@ it.  The box is periodic, so every experiment keeps supports away from the bound
 the margin rule (support diameter at most L/2; each center coordinate plus the support
 radius at most 3L/4); aliasing then stays below the stated tolerances.
 
-A real u under a Hermitian symbol, a(-xi) = conj a(xi) on the DFT lattice, has a real
-image.  :func:`_multiplier_image` forms such an image by rfftn, a multiply by the symbol's
-half-spectrum and irfft, and every other image by a complex spectrum and an in-place
-ifftn.  A :class:`GridFunction` is complex, so :func:`apply_multiplier` takes the complex
-path, and the real path serves the real witnesses of
-:func:`whlab.witness.mollification_residual`.  A real-data FFT does about half the work of
-a complex one (Sorensen, Jones, Heideman and Burrus, IEEE Trans. ASSP 35, 1987): a
-2^18-node image took 10.4 ms against 15.4 ms, and a 512^2 one 3.5 ms against 7.3 ms
-(best of 7, 2-core VM).
-
-A modulated witness f = e^{i eta.x} phi, with phi real and eta = (pi / L) k0 a frequency
-node, is never formed.  On the nodes x_m = -L + m h, e^{i eta.x_m} = (-1)^{k0_1 + ... +
-k0_n} e^{2 pi i k0.m / N}, so fft_n(f)[k] = (-1)^{k0_1 + ... + k0_n} fft_n(phi)[k - k0] and
+A :class:`GridFunction` is complex, so :func:`apply_multiplier` transforms a complex copy
+of u in place.  The images of :func:`whlab.witness.mollification_residual` are of a real
+witness: a modulated witness f = e^{i eta.x} phi, with phi real and eta = (pi / L) k0 a
+frequency node, is never formed.  On the nodes x_m = -L + m h, e^{i eta.x_m} =
+(-1)^{k0_1 + ... + k0_n} e^{2 pi i k0.m / N}, so fft_n(f)[k] = (-1)^{k0_1 + ... + k0_n}
+fft_n(phi)[k - k0] and
 
     h = e^{-i eta.x} F^{-1}(a . F f) = ifft_n(a[k + k0] . fft_n(phi)[k]),
 
 indices mod N: the demodulated image h multiplies the spectrum of the real phi by the
-symbol read at the probing node, and |h| = |W f| node by node.  The symbol is read
-through two block views per shifted axis, never as a rolled copy (2 MiB at 2^18 nodes).
-On 1-D grids the spectrum of phi is rfft and the Hermitian fill spec[N - k] =
-conj spec[k]; on 2-D grids phi is written into a complex array that fftn's passes
-transform in place, the first pass, along the last axis, over the rows of phi's window
-only.  The perfbench kappa-1d run_s at seed 1, an off-centre Gaussian probed at
-eta != 0, fell from 0.153 to 0.125 s against forming f and the complex pair (medians of 10
-alternated pairs, 2-core VM), and at seed 7 from 0.150 to 0.123 s; sector-2d run_s fell
-from 0.112 to 0.103 s at seed 1 and from 0.068 to 0.061 s at seed 0.
+symbol read at the probing node, and |h| = |W f| node by node.  :func:`_multiplier_image`
+forms it with one forward transform, rfft of the rows of phi's window and the passes
+along the leading axes on that half-spectrum.  Under a Hermitian symbol, a(-xi) =
+conj a(xi) on the DFT lattice, at eta = 0 the image is real, and irfft inverts the
+half-spectrum times the symbol's half; otherwise the other half is filled by
+spec[k] = conj spec[(-k) mod N], the symbol is read at k + k0 through two block views per
+shifted axis, never as a rolled copy (2 MiB at 2^18 nodes), and ifftn inverts in place.
+A real-data FFT does about half the work of a complex one (Sorensen, Jones, Heideman and
+Burrus, IEEE Trans. ASSP 35, 1987): a 512^2 image at eta != 0 with an 80^2 window took
+5.64 ms against 6.66 ms through a complex forward transform, at the same peak memory
+(medians of 41 alternated calls, 2-core VM).
 """
 
 from __future__ import annotations
@@ -97,17 +92,26 @@ class Symbol:
 
 
 def _is_hermitian(vals: np.ndarray) -> bool:
-    """Whether ``vals[(-k) mod N] == conj(vals[k])`` along every axis.  In
-    FFT order node k sits at index k mod N, so the node at index i has its
-    mirror at index (N - i) mod N: index 0, the zero node, is its own mirror,
-    and ``[1:]`` mirrors onto itself reversed.  Each of the 2^n blocks is
-    compared as a view."""
-    parts = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    for block in itertools.product(parts, repeat=vals.ndim):
-        here, there = (vals[tuple(axis)] for axis in zip(*block))
-        if not np.array_equal(here, there.conj() if np.iscomplexobj(there) else there):
+    """Whether ``vals[(-k) mod N] == conj(vals[k])`` along every axis, each
+    block of :func:`_mirror_blocks` compared as a view."""
+    for here, there in _mirror_blocks(vals.ndim):
+        if not np.array_equal(vals[here], vals[there].conj() if np.iscomplexobj(vals)
+                              else vals[there]):
             return False
     return True
+
+
+def _mirror_blocks(ndim: int, kept: int | None = None):
+    """``(here, there)`` index pairs that pair every index k with its mirror
+    (-k) mod N along every axis.  In FFT order node k sits at index k mod N,
+    so index i has its mirror at (N - i) mod N: index 0, the zero node, is its
+    own mirror, and ``[1:]`` mirrors onto itself reversed; the 2^n blocks are
+    views.  With ``kept`` = N/2 + 1, the last axis pairs only the indices
+    N/2 + 1 .. N - 1, which an rfft leaves out, with their mirrors N/2 - 1 .. 1."""
+    parts = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    last = parts if kept is None else ((slice(kept, None), slice(kept - 2, 0, -1)),)
+    for block in itertools.product(*[parts] * (ndim - 1), last):
+        yield tuple(here for here, _ in block), tuple(there for _, there in block)
 
 
 def symbol_from_values(grid: Grid, values) -> Symbol:
@@ -172,83 +176,68 @@ def inverse_fourier(v: GridFunction) -> GridFunction:
 
 
 def apply_multiplier(a: Symbol, u: GridFunction) -> GridFunction:
-    """F^{-1}(a . F u), one pass over the spectrum (module docstring), formed
-    by :func:`_multiplier_image` in a complex copy of u's values."""
+    """F^{-1}(a . F u), one pass over the spectrum (module docstring): fftn,
+    the multiply and ifftn, each in place in one complex copy of u's values."""
     if a.grid != u.grid:
         raise ValidationError("symbol and function live on different grids")
-    return GridFunction(u.grid, _handed_over(_multiplier_image(a, u.values.copy())))
-
-
-def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple = (),
-                      window: tuple | None = None) -> np.ndarray:
-    """e^{-i eta.x} F^{-1}(a . F(e^{i eta.x} u)) of the u with ``values`` on
-    the grid of ``a``, with eta the frequency node at the index tuple ``node``
-    (zero when omitted): ifft_n(a[k + node] . fft_n(u)[k]) by the demodulation
-    identity of the module docstring.  Complex ``values`` are transformed in
-    place and returned.  With ``window``, a tuple of slices, ``values`` hold
-    u on that window only, u is 0 off it, and u is written into a zeroed grid
-    array: real u into a float one when a real transform follows, so on 1-D
-    grids and at eta = 0 under a Hermitian symbol.  The forward transform's
-    first pass, along the last axis, then reads only the window's rows: the
-    transform of a zero row is zero.
-
-    Real u under a Hermitian symbol at eta = 0 has a real image: the passes
-    of ``rfftn``, a multiply by the view ``a.values[..., :N/2 + 1]`` (index
-    N/2 is the Nyquist node), the inverse in place on the half-spectrum and
-    ``irfft`` into ``values``; ``irfftn`` would allocate a second
-    half-spectrum for the leading axes (a 512^2 image peaked at 4.0 MiB of
-    arrays with it, 2.4 MiB without).  Every other image takes the complex
-    spectrum of :func:`_spectrum`, the multiply by ``a`` read at k + node
-    through two block views per shifted axis (:func:`_shifted_blocks`; no
-    rolled copy of the symbol), and ``ifftn`` in place.  A float grid array
-    formed here is freed before the inverse.
-    """
-    shift = tuple(node) or (0,) * a.grid.n
-    real = np.isrealobj(values) and a.hermitian and not any(shift)
-    rows = (slice(None),) * (a.grid.n - 1)  # the rows u may be nonzero on
-    if window is not None:
-        u = np.zeros(a.grid.shape, values.dtype if real or a.grid.n == 1 else complex)
-        u[window] = values
-        values, rows = u, window[:-1]
-        del u  # so the float u is freed with the name values below
+    spec = u.values.copy()
     try:
         with np.errstate(over="raise"):
+            np.fft.fftn(spec, out=spec)
+            np.multiply(a.values, spec, out=spec)
+            np.fft.ifftn(spec, out=spec)
+    except FloatingPointError as exc:
+        raise NumericFailure(f"the multiplier image overflows: {exc}") from None
+    return GridFunction(u.grid, _handed_over(spec))
+
+
+def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
+                      window: tuple) -> np.ndarray:
+    """e^{-i eta.x} F^{-1}(a . F(e^{i eta.x} u)) = ifft_n(a[k + node] . fft_n(u)[k])
+    (module docstring), eta the frequency node at the index tuple ``node``, of
+    the real u that holds ``values`` on ``window``, a tuple of slices, and 0 off it.
+
+    ``rfft`` reads the window's rows only (the transform of a zero row is
+    zero), from a float block zero-padded to N, into the first N/2 + 1 columns
+    of one complex spectrum, and the leading axes' passes run on that half.
+    At eta = 0 under a Hermitian symbol the spectrum is that half only: a
+    multiply by the view ``a.values[..., :N/2 + 1]`` (index N/2 is the Nyquist
+    node), the leading inverse passes in place and ``irfft`` (``irfftn`` would
+    allocate a second half-spectrum).  Otherwise the other half is filled by
+    spec[k] = conj spec[(-k) mod N], the symbol is read at k + node through
+    :func:`_shifted_blocks` (no rolled copy), and ``ifftn`` inverts in place.
+    The float block is freed before the inverse.
+    """
+    points = a.grid.points
+    kept = points // 2 + 1  # k = 0 .. N/2 of the last axis
+    real = a.hermitian and not any(node)
+    # the block first: freed below the spectrum, its memory is reused without new page
+    # faults (four 2^18-node images took 6% longer with the spectrum allocated first)
+    block = np.zeros(values.shape[:-1] + (points,))
+    block[..., window[-1]] = values
+    spec = np.empty(a.grid.shape[:-1] + (kept if real else points,), complex)
+    half = spec[..., :kept]
+    for rows in window[:-1]:  # rfft writes only the window's rows (one leading axis)
+        half[:rows.start] = 0
+        half[rows.stop:] = 0
+    try:
+        with np.errstate(over="raise"):
+            np.fft.rfft(block, axis=-1, out=half[window[:-1]])
+            del block
+            for axis in range(a.grid.n - 1):
+                np.fft.fft(half, axis=axis, out=half)
             if real:
-                kept = a.grid.points // 2 + 1  # k = 0 .. N/2 of the last axis
-                spec = np.zeros(values.shape[:-1] + (kept,), complex)
-                np.fft.rfft(values[rows], axis=-1, out=spec[rows])  # rfftn's passes
+                np.multiply(half, a.values[..., :kept], out=half)
                 for axis in range(a.grid.n - 1):
-                    np.fft.fft(spec, axis=axis, out=spec)
-                np.multiply(spec, a.values[..., :kept], out=spec)
-                for axis in range(a.grid.n - 1):
-                    np.fft.ifft(spec, axis=axis, out=spec)
-                return np.fft.irfft(spec, a.grid.points, axis=-1, out=values)
-            spec = _spectrum(values, rows)
-            del values
-            for here, there in _shifted_blocks(a.grid.points, shift):
+                    np.fft.ifft(half, axis=axis, out=half)
+                return np.fft.irfft(half, points, axis=-1)
+            for here, there in _mirror_blocks(a.grid.n, kept):
+                np.conjugate(spec[there], out=spec[here])
+            for here, there in _shifted_blocks(points, node):
                 np.multiply(a.values[there], spec[here], out=spec[here])
             return np.fft.ifftn(spec, out=spec)
     except FloatingPointError as exc:
         raise NumericFailure(f"the multiplier image overflows: {exc}") from None
-
-
-def _spectrum(values: np.ndarray, rows: tuple = ()) -> np.ndarray:
-    """fft_n of ``values`` as a complex array: real 1-D ``values`` by ``rfft``
-    into the first N/2 + 1 entries and the Hermitian fill
-    spec[N - k] = conj spec[k] of the rest; others in place, complex ones in
-    themselves and real ones in a complex copy, by fftn's passes, the last
-    axis first and there only over ``rows``, which hold every nonzero row."""
-    if np.isrealobj(values) and values.ndim == 1:
-        half = values.size // 2
-        spec = np.empty(values.shape, complex)
-        np.fft.rfft(values, out=spec[:half + 1])
-        np.conjugate(spec[half - 1:0:-1], out=spec[half + 1:])
-        return spec
-    values = values.astype(complex, copy=False)  # a copy only of real values
-    np.fft.fft(values[rows], axis=-1, out=values[rows])
-    for axis in range(values.ndim - 1):
-        np.fft.fft(values, axis=axis, out=values)
-    return values
 
 
 def _shifted_blocks(points: int, shift: tuple):

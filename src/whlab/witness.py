@@ -180,13 +180,12 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
     The residual reads every node of h, so a non-finite h raises
     :class:`NumericFailure`.
 
-    phi is written into one zeroed grid array that is transformed into h
-    (:func:`whlab.operators._multiplier_image`), so no second grid-sized
-    array is held while h is formed.  A separate witness array would be
-    written only on its window; numpy advises huge pages for arrays of 4 MiB
-    and more, so its resident size would depend on where it was mapped, and
-    so would a run's peak memory.  Which transforms form h, and what they
-    cost, is in :mod:`whlab.operators`.
+    phi is handed to :func:`whlab.operators._multiplier_image` on its window
+    only; h is formed in place in the one complex spectrum array that the
+    forward transform writes, and the float block that transform reads (the
+    window's rows, so a grid array only on 1-D grids) is freed before the
+    inverse.  Which transforms form h, and what they cost, is in
+    :mod:`whlab.operators`.
     """
     grid = params.domain.grid
     if a.grid != grid:

@@ -14,7 +14,7 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec, Symbol, Valida
                    half_line, inverse_fourier, make_grid, nearest_freq_node, restrict,
                    sample, smoothed_step_symbol, symbol_from_function,
                    symbol_from_values, wiener_hopf_apply)
-from whlab.operators import _multiplier_image, _spectrum
+from whlab.operators import _multiplier_image
 
 
 def rand_fn(grid, seed=0):
@@ -203,19 +203,20 @@ def test_norm_probe_rejects_vanishing_probes(norm_probe):
                          ids=["constant", "gaussian", "smoothed-step"])
 def test_multiplier_image_overflow_is_a_numeric_failure(symbol):
     # a.F(chi) overflows: a numeric failure, with no numpy warning on the way.  The
-    # real chi takes the real path under the Hermitian constant and Gaussian, and
-    # the complex pair under the smoothed step; i chi takes the complex pair.
+    # real chi takes the real inverse under the Hermitian constant and Gaussian, and
+    # the Hermitian fill and ifft under the smoothed step; i chi takes the complex pair.
     g = make_grid(1, 64.0, 256)
     chi = ball_indicator(Ball((0.0,), 8.0), g).values
-    for image in (lambda a: _multiplier_image(a, chi.real.copy()),
+    for image in (lambda a: _multiplier_image(a, chi.real.copy(), (0,), (slice(None),)),
                   lambda a: apply_multiplier(a, GridFunction(g, 1j * chi))):
         with pytest.raises(NumericFailure, match="multiplier image overflows"):
             image(symbol(g))
 
 
-def _mirror(s):
-    """s at (-k) mod N along every axis: index i -> (N - i) mod N."""
-    return np.roll(np.flip(s), 1, axis=tuple(range(s.ndim)))
+def _mirror(s, axis=None):
+    """s at (-k) mod N along ``axis``, every axis when omitted: index i -> (N - i) mod N."""
+    axes = tuple(range(s.ndim)) if axis is None else axis
+    return np.roll(np.flip(s, axis), 1, axis=axes)
 
 
 def _complex_pair(a, u):
@@ -240,7 +241,7 @@ def test_real_image_matches_the_complex_pair(n, log_points, real, scale, seed):
     a = symbol_from_values(g, s)
     assert a.hermitian and a.values.dtype == (float if real else complex)
     u = scale * rng.standard_normal(g.shape)
-    image = _multiplier_image(a, u.copy())
+    image = _multiplier_image(a, u.copy(), (0,) * n, (slice(None),) * n)
     assert image.dtype == float
     # Each of the two paths is within 2 log2(N^n) eta sup|a| ||u||_2 of the exact image:
     # a forward and an inverse FFT, each with normwise relative error at most log2(N^n) eta,
@@ -251,12 +252,20 @@ def test_real_image_matches_the_complex_pair(n, log_points, real, scale, seed):
     assert np.linalg.norm(image - reference) <= bound * a.sup_norm * np.linalg.norm(u)
 
 
+def _filled(half):
+    """The spectrum from its rfftn half: the rest of the last axis by the explicit
+    fill spec[k] = conj spec[(-k) mod N], mirrored along every axis."""
+    rest = np.conj(half[..., -2:0:-1])  # last-axis index N - k for k = N/2 + 1 .. N - 1
+    for axis in range(half.ndim - 1):
+        rest = _mirror(rest, axis)
+    return np.concatenate([half, rest], axis=-1)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("broken", ["node", "nyquist"])
 def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
     # the complex inverse keeps its bits: the in-place kernel equals np.fft's inverse
-    # of the complex spectrum, on 1-D grids rfft and the fill spec[N - k] = conj spec[k],
-    # on 2-D grids the reference pair's
+    # of the spectrum formed by rfftn and the explicit Hermitian fill
     g = make_grid(n, 8.0, 32)
     s = gaussian_symbol(g, None, 2.0).values.copy()
     if broken == "node":
@@ -267,33 +276,40 @@ def test_a_symbol_hermitian_but_at_one_node_takes_the_complex_pair(n, broken):
     a = symbol_from_values(g, s)
     assert not a.hermitian
     u = np.exp(-sum(x ** 2 for x in g.coords()))
-    image = _multiplier_image(a, u.copy())
-    if n == 1:
-        half = np.fft.rfft(u)
-        reference = np.fft.ifft(a.values * np.concatenate([half, np.conj(half[-2:0:-1])]))
-    else:
-        reference = _complex_pair(a, u.astype(complex))
+    image = _multiplier_image(a, u.copy(), (0,) * n, (slice(None),) * n)
+    reference = np.fft.ifftn(a.values * _filled(np.fft.rfftn(u)))
     assert np.array_equal(image.view(float), reference.view(float))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(log_points=st.integers(1, 12), scale=st.sampled_from((1e-100, 1.0, 1e100)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_hermitian_fill_is_the_fft_of_a_real_array(log_points, scale, seed):
-    # rfft and the fill spec[N - k] = conj spec[k] give the spectrum np.fft.fft gives,
-    # within the two transforms' normwise error (Higham, thm. 24.2, as above);
-    # the filled half mirrors the rfft half exactly, and a complex array keeps its bits
-    N = 2 ** log_points
+@given(n=st.sampled_from((1, 2)), log_points=st.integers(3, 12),
+       scale=st.sampled_from((1e-100, 1.0, 1e100)), seed=st.integers(0, 2 ** 32 - 1))
+def test_hermitian_fill_is_the_fft_of_a_real_array(n, log_points, scale, seed):
+    # the forward transform of the kernel, read as ifftn's input under the symbol 1
+    # probed off zero: within the normwise error of np.fft.fftn of the real array
+    # (Higham, thm. 24.2, as above), rfftn's passes bit for bit on the kept half, and
+    # the filled half mirrors it exactly
+    log_points = min(log_points, 12 // n)  # at most 2^12 nodes; a grid has N >= 8
+    g = make_grid(n, 8.0, 2 ** log_points)
     rng = np.random.default_rng(seed)
-    u = scale * rng.standard_normal(N)
-    spec = _spectrum(u.copy())
-    reference = np.fft.fft(u)
-    bound = 2.0 * max(log_points, 1) * 3.0 * np.finfo(float).eps
-    assert np.linalg.norm(spec - reference) <= bound * math.sqrt(N) * np.linalg.norm(u)
-    assert np.array_equal(spec[:N // 2 + 1], np.fft.rfft(u))
-    assert np.array_equal(spec[N // 2 + 1:], np.conj(spec[1:N // 2][::-1]))
-    z = u + 1j * rng.standard_normal(N)
-    assert np.array_equal(_spectrum(z.copy()), np.fft.fft(z))
+    u = scale * rng.standard_normal(g.shape)
+    spectra = []
+    inverse = np.fft.ifftn
+
+    def traced(x, *args, **kwargs):
+        spectra.append(x.copy())
+        return inverse(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "ifftn", traced)
+        _multiplier_image(constant_symbol(g, 1.0), u.copy(), (1,) * n, (slice(None),) * n)
+    spec, = spectra
+    bound = 2.0 * n * log_points * 3.0 * np.finfo(float).eps
+    reference = np.fft.fftn(u)
+    assert np.linalg.norm(spec - reference) <= bound * math.sqrt(g.node_count) * np.linalg.norm(u)
+    kept = g.points // 2 + 1
+    assert np.array_equal(spec[..., :kept], np.fft.rfftn(u))
+    assert np.array_equal(spec, _filled(spec[..., :kept]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -301,7 +317,7 @@ def test_hermitian_fill_is_the_fft_of_a_real_array(log_points, scale, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_windowed_image_reads_only_the_window_rows(n, hermitian, shifted, seed):
     # u given on its window: the first forward pass skips the zero rows, and the image
-    # equals, bit for bit, that of u given on the whole grid in the same dtype
+    # equals, bit for bit, that of u given on the whole grid
     g = make_grid(n, 8.0, 32)
     rng = np.random.default_rng(seed)
     a = gaussian_symbol(g, None if hermitian else rng.uniform(-1.0, 1.0, n), 2.0)
@@ -310,11 +326,10 @@ def test_windowed_image_reads_only_the_window_rows(n, hermitian, shifted, seed):
     window = tuple(slice(l, l + w) for l, w in zip(lo, rng.integers(1, 5, n)))
     vals = rng.standard_normal(tuple(s.stop - s.start for s in window))
     image = _multiplier_image(a, vals, node, window)
-    real = n == 1 or (hermitian and not shifted)
     assert image.dtype == (float if hermitian and not shifted else complex)
-    u = np.zeros(g.shape, float if real else complex)
+    u = np.zeros(g.shape)
     u[window] = vals
-    assert np.array_equal(image, _multiplier_image(a, u, node))
+    assert np.array_equal(image, _multiplier_image(a, u, node, (slice(None),) * n))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
