@@ -24,7 +24,6 @@ from . import grid as gridmod
 from . import spaces
 from . import witness as wit
 from .errors import NumericFailure, ValidationError
-from .exprs import evaluate_expression
 
 __all__ = ["RunConfig", "load_config", "run", "emit", "main"]
 
@@ -183,8 +182,8 @@ def _build(block: str, spec: dict, grid: gridmod.Grid):
     """Build config block ``block`` with the builder of its kind's row."""
     builder, needs, optional, coords = _BUILDERS[block, spec["kind"]]
     args = [spec[key] for key in needs.split()]
-    if coords is not None:
-        args = [evaluate_expression(spec["expr"], **coords(grid))]
+    if coords is not None:  # exprs is imported by the configs that use it only
+        args = [_library("exprs.evaluate_expression")(spec["expr"], **coords(grid))]
     return _library(builder)(grid, *args, **_given(spec, *optional.split()))
 
 

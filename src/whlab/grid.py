@@ -16,6 +16,7 @@ unambiguous rule.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -221,6 +222,18 @@ class DomainMask:
         if not ins.any():
             raise ValidationError("domain mask selects no node")
         object.__setattr__(self, "inside", ins)
+
+    @functools.cached_property
+    def window(self) -> tuple:
+        """The bounding window of Omega's nodes, one slice per axis: every node
+        of Omega lies in it, so a function that vanishes off Omega is known
+        from its values there (:func:`whlab.spaces.part_norm`)."""
+        ins = self.inside
+        out = []
+        for axis in range(ins.ndim):
+            hit = np.flatnonzero(ins.any(axis=tuple(a for a in range(ins.ndim) if a != axis)))
+            out.append(slice(int(hit[0]), int(hit[-1]) + 1))
+        return tuple(out)
 
     def clearance(self, y) -> float:
         """Continuum distance from y to the complement of Omega, nonpositive

@@ -37,6 +37,11 @@ A real-data FFT does about half the work of a complex one (Sorensen, Jones, Heid
 Burrus, IEEE Trans. ASSP 35, 1987): a 512^2 image at eta != 0 with an 80^2 window took
 5.64 ms against 6.66 ms through a complex forward transform, at the same peak memory
 (medians of 41 alternated calls, 2-core VM).
+
+Most witness images are formed on a transform box of a few window widths instead of
+the whole grid (:mod:`whlab.kernel`): :func:`_multiplier_image` then multiplies by the
+box's spectrum of the modulated kernel, read at node 0, and the same steps give the
+whole grid's image on the box.
 """
 
 from __future__ import annotations
@@ -138,10 +143,14 @@ def gaussian_symbol(grid: Grid, center=None, sigma: float = 1.0,
                               f"normal float (got sigma = {sigma:g})")
     c = np.zeros(grid.n) if center is None else as_point(center, grid.n)
     # a far center or small sigma underflows it to 0, where an infinite peak
-    # gives nan; Symbol rejects that
+    # gives nan; Symbol rejects that.  Formed in place in the array of r2, so the
+    # build holds one grid array: (-r2)/var2 = r2/(-var2) bit for bit
     with np.errstate(over="ignore", invalid="ignore"):
-        r2 = sum((m - ci) ** 2 for m, ci in zip(grid.freq_coords(), c))
-        return Symbol(grid, _handed_over(peak * np.exp(-r2 / var2)))
+        vals = sum((m - ci) ** 2 for m, ci in zip(grid.freq_coords(), c))
+        np.divide(vals, -var2, out=vals)
+        np.exp(vals, out=vals)
+        np.multiply(vals, peak, out=vals)
+        return Symbol(grid, _handed_over(vals))
 
 
 def smoothed_step_symbol(grid: Grid, edge: float = 0.0, width: float | None = None,
@@ -195,7 +204,9 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
                       window: tuple) -> np.ndarray:
     """e^{-i eta.x} F^{-1}(a . F(e^{i eta.x} u)) = ifft_n(a[k + node] . fft_n(u)[k])
     (module docstring), eta the frequency node at the index tuple ``node``, of
-    the real u that holds ``values`` on ``window``, a tuple of slices, and 0 off it.
+    the real u that holds ``values`` on ``window``, a tuple of slices, and 0 off it;
+    ``a`` is a :class:`Symbol` or a witness's transform box
+    (:class:`whlab.witness._Box`), whose values give the transform's shape.
 
     ``rfft`` reads the window's rows only (the transform of a zero row is
     zero), from a float block zero-padded to N, into the first N/2 + 1 columns
@@ -208,14 +219,15 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
     :func:`_shifted_blocks` (no rolled copy), and ``ifftn`` inverts in place.
     The float block is freed before the inverse.
     """
-    points = a.grid.points
+    shape = a.values.shape
+    points = shape[-1]
     kept = points // 2 + 1  # k = 0 .. N/2 of the last axis
     real = a.hermitian and not any(node)
     # the block first: freed below the spectrum, its memory is reused without new page
     # faults (four 2^18-node images took 6% longer with the spectrum allocated first)
     block = np.zeros(values.shape[:-1] + (points,))
     block[..., window[-1]] = values
-    spec = np.empty(a.grid.shape[:-1] + (kept if real else points,), complex)
+    spec = np.empty(shape[:-1] + (kept if real else points,), complex)
     half = spec[..., :kept]
     for rows in window[:-1]:  # rfft writes only the window's rows (one leading axis)
         half[:rows.start] = 0
@@ -224,14 +236,14 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
         with np.errstate(over="raise"):
             np.fft.rfft(block, axis=-1, out=half[window[:-1]])
             del block
-            for axis in range(a.grid.n - 1):
+            for axis in range(len(shape) - 1):
                 np.fft.fft(half, axis=axis, out=half)
             if real:
                 np.multiply(half, a.values[..., :kept], out=half)
-                for axis in range(a.grid.n - 1):
+                for axis in range(len(shape) - 1):
                     np.fft.ifft(half, axis=axis, out=half)
                 return np.fft.irfft(half, points, axis=-1)
-            for here, there in _mirror_blocks(a.grid.n, kept):
+            for here, there in _mirror_blocks(len(shape), kept):
                 np.conjugate(spec[there], out=spec[here])
             for here, there in _shifted_blocks(points, node):
                 np.multiply(a.values[there], spec[here], out=spec[here])

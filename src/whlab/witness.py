@@ -20,7 +20,13 @@ chains that turn that residual into certified lower bounds:
 
 Every number measured from a witness reads |W f| only, so the real phi
 stands for f and its image is taken demodulated at eta
-(:func:`mollification_residual`).
+(:func:`mollification_residual`).  The plan gives each witness a transform box
+B, its window widened by a margin, where the image is an exact linear
+convolution with the symbol's kernel (:mod:`whlab.kernel`); off B the image is
+at most the far field max phi . T(m + 1), and a ``far-field`` ledger line checks
+that this is at most the residual, so the residual bounds |W f - a(eta) f| at
+every node.  A witness whose kernel tail admits no box within the grid, or
+whose far field exceeds its residual, is transformed on the whole grid.
 
 A finite family exhibits pairwise separation but cannot, strictly,
 lower-bound the noncompactness measure; reports therefore state the
@@ -31,10 +37,14 @@ each certified number reads the end that keeps it conservative: lo for
 ||W f||, d_jk and the plateau norm ||chi_{B(y,1/delta)}||; hi for ||f||
 (so for the 1/||f|| scaling of the kappa images) and for
 ||chi_{B(y,rho/delta)}||.  Each image is normed as
-:func:`mollification_residual` hands it on, with w and p gathered on Omega
-once per experiment; each witness norm reads only the witness's window.
-The norm reads only Omega ∩ supp f in row-major order, so these brackets
-equal the whole-grid ones bit for bit.
+:func:`mollification_residual` hands it on, ``(window, values)``, with w and p
+read as views on its window, and each witness norm reads only the witness's
+window; d_jk reads the two images on the union of their windows, each 0 off its
+own.  The norm reads only Omega ∩ supp f in row-major order, so on a whole-grid
+image, whose window is Omega's bounding window, these brackets equal the
+whole-grid ones bit for bit.  A boxed image is 0 off B: by the lattice property
+its norm is a lower bound of the whole-grid one, and the margin keeps the two
+within a modular of NORM_RTOL (:func:`_plan_boxes`).
 
 The witnesses are measured one after another.  On two threads, two
 2^18-node FFTs take about half the time, but each needs the input, the
@@ -57,7 +67,7 @@ from .grid import Ball, DomainMask, _ball_nodes, as_point
 from .operators import (Symbol, _multiplier_image, argmax_freq_node,
                         nearest_freq_node)
 from .profiles import bump_profile
-from .spaces import SpaceSpec, indicator_norm, part_norm, space_part
+from .spaces import NORM_RTOL, SpaceSpec, indicator_norm, part_norm, space_part
 
 __all__ = [
     "WitnessParams",
@@ -152,40 +162,51 @@ def make_witness(params: WitnessParams) -> tuple[tuple, np.ndarray]:
     formed: every number measured from f reads |W f|, which
     :func:`mollification_residual` gets from the real phi by demodulation.
     """
-    grid = params.domain.grid
-    # delta * radius >= rho after rounding, so the bump is 0 off the window
-    radius = params.support_radius
-    while params.delta * radius < params.rho:
-        radius = math.nextafter(radius, math.inf)
-    window, dist = grid.window(params.y, radius)
+    window, dist = _witness_window(params)
     return window, bump_profile(params.delta * dist, params.rho)
 
 
+def _witness_window(params: WitnessParams) -> tuple:
+    """``Grid.window`` of the support ball of the witness, with the radius
+    stepped up until delta * radius >= rho after rounding, so that the bump is
+    0 off the window."""
+    radius = params.support_radius
+    while params.delta * radius < params.rho:
+        radius = math.nextafter(radius, math.inf)
+    return params.domain.grid.window(params.y, radius)
+
+
 def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
-                           node: tuple) -> tuple[np.ndarray, float]:
-    """``(h, eps)`` for the witness ``f = make_witness(params)`` modulated at
-    the frequency eta of the node with index tuple ``node`` (a plan's
-    :attr:`WitnessPlan.node`; ``params`` hold no frequency, so ``node`` is
-    the one source of eta): the demodulated image h = e^{-i eta.x} W f,
-    kept only on Omega as its values there in row-major order, and the
-    measured sup-node residual eps = max |h - a(eta) phi| over the whole grid.
+                           node: tuple, box: _Box | None = None) -> tuple[tuple, float]:
+    """``((window, h), eps)`` for the witness ``f = make_witness(params)``
+    modulated at the frequency eta of the node with index tuple ``node`` (a
+    plan's :attr:`WitnessPlan.node`; ``params`` hold no frequency, so ``node``
+    is the one source of eta): the demodulated image h = e^{-i eta.x} W f on
+    ``window``, a window of the grid, and the measured residual
+    eps = max |h - a(eta) phi| over the nodes where h was formed.
 
     With eta a frequency node, h = ifft(a[k + node] . fft(phi)[k]) over the
     whole grid (:mod:`whlab.operators`), so |h| = |W f| node by node and eps
-    is max |W f - a(eta) f|; every norm and distance of the experiments reads
-    only |h|, and all witnesses of a plan share eta, so W f_j - W f_k has the
-    modulus of h_j - h_k.  The residual is the observed epsilon of the
+    is max |W f - a(eta) f| there; every norm and distance of the experiments
+    reads only |h|, and all witnesses of a plan share eta, so W f_j - W f_k
+    has the modulus of h_j - h_k.  The residual is the observed epsilon of the
     lower-bound chains and shrinks as delta does whenever the symbol is
     continuous at eta.  The witness is supported in Omega, so e_Omega f = f.
-    The residual reads every node of h, so a non-finite h raises
-    :class:`NumericFailure`.
+    The residual reads every node of h it is taken over, so a non-finite h
+    raises :class:`NumericFailure`.
+
+    With ``box = None`` h is formed on the whole grid and kept on Omega's
+    bounding window (:attr:`whlab.grid.DomainMask.window`), and eps is its
+    maximum over the whole grid.  With a plan's :class:`_Box` h is formed on
+    the box B, the window of phi widened by the box's margin m, as a linear
+    convolution with the symbol's kernel (:mod:`whlab.kernel`):
+    on B it is the whole grid's h up to FFT round-off, and off B |h| is at
+    most the box's far field max phi . T(m + 1).  Then eps is the maximum over
+    B; whether it also bounds the far field is the caller's ledger line.
 
     phi is handed to :func:`whlab.operators._multiplier_image` on its window
-    only; h is formed in place in the one complex spectrum array that the
-    forward transform writes, and the float block that transform reads (the
-    window's rows, so a grid array only on 1-D grids) is freed before the
-    inverse.  Which transforms form h, and what they cost, is in
-    :mod:`whlab.operators`.
+    only, and h is formed in place in the one complex spectrum array that the
+    forward transform writes.
     """
     grid = params.domain.grid
     if a.grid != grid:
@@ -193,16 +214,22 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
     if len(node) != grid.n or not all(0 <= k < grid.points for k in node):
         raise ValidationError(f"{node} is not the index tuple of a frequency node")
     window, values = f
-    h = _multiplier_image(a, values, node, window)
-    # formed first, so its temporaries are freed before the grid-sized err is
+    if box is None:
+        h = _multiplier_image(a, values, node, window)
+        kept = on_kept = params.domain.window
+    else:
+        h = _multiplier_image(box, values, (0,) * grid.n, box.inner)
+        h = h[tuple(slice(0, b.stop - b.start) for b in box.window)]  # B in the box
+        window, kept, on_kept = box.inner, box.window, ()
+    # formed first, so its temporaries are freed before err, the size of h, is
     near = np.abs(h[window] - a.at(node) * values)
     err = np.abs(h)  # phi is 0 off its window, where h - a(eta) phi = h exactly
     err[window] = near
     residual = float(np.max(err))
-    del err  # freed before the gather on Omega
+    del err
     if not math.isfinite(residual):
         raise NumericFailure(f"the witness image is not finite: residual {residual}")
-    return h[params.domain.inside], residual
+    return (kept, h[on_kept].copy()), residual
 
 
 def place_witness_center(omega: DomainMask, delta: float, rho: float,
@@ -311,16 +338,40 @@ class ExperimentReport:
 
 
 @dataclass(frozen=True, eq=False)
+class _Box:
+    """The transform box of one witness: B = ``window``, the witness's window
+    widened by ``margin`` nodes on each side; ``inner``, that window within B;
+    ``values``, the kernel spectrum of the box transform
+    (:func:`whlab.kernel.box_spectrum`), which
+    :func:`whlab.operators._multiplier_image` reads as it reads a symbol's, never
+    Hermitian; and ``far_field``, max phi . T(margin + 1) with max phi = 1, which
+    bounds |h| off B."""
+
+    window: tuple
+    inner: tuple
+    values: np.ndarray
+    margin: int
+    far_field: float
+    hermitian = False
+
+
+@dataclass(frozen=True, eq=False)
 class WitnessPlan:
     """A witness run checked by :func:`plan_norm_lowerbound` or
     :func:`plan_kuratowski`: the symbol, the space, the probing frequency
-    node at frequency ``eta``, and the witnesses; the experiments run it."""
+    node at frequency ``eta``, and the witnesses; the experiments run it.
+    Per witness, in the order of ``witnesses``, ``plateaus`` holds the lower
+    end of its plateau norm ||chi_{B(y,1/delta)}|| and ``boxes`` its
+    :class:`_Box`, or None where the image is formed on the whole grid
+    (:func:`_plan_boxes`); a skipped delta has nan and None."""
 
     symbol: Symbol
     space: SpaceSpec
     node: tuple
     eta: tuple
     witnesses: tuple
+    plateaus: tuple
+    boxes: tuple
 
 
 def _resolve_eta(a: Symbol, space: SpaceSpec, eta):
@@ -330,27 +381,99 @@ def _resolve_eta(a: Symbol, space: SpaceSpec, eta):
     return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
-def _measure_witness(plan: WitnessPlan, params: WitnessParams, tag: str, ledger: list):
-    """Norms, image and residual of the witness f = make_witness(params) of
-    ``plan``, modulated at the plan's probing node.
+def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses) -> tuple:
+    """``(plateaus, boxes)`` of :class:`WitnessPlan` for ``witnesses``, a
+    list of :class:`WitnessParams` with None for a skipped delta.
+
+    The symbol's kernel K and its shell tails T are taken once
+    (:func:`whlab.kernel.kernel_tails`).  A witness gets the box B = W + m, W its
+    window, m the smallest margin whose far field e = max phi . T(m + 1), put at
+    every node of Omega off B, adds at most NORM_RTOL to the modular of any norm
+    taken of its image.  With lam = |a(eta)| ||chi_{B(y,1/delta)}||, about the
+    least such norm (the plateau's image, before and after the 1/||f||
+    scaling), and e <= lam, that modular is at most (e / lam)^p_min m(chi_Omega),
+    and m(chi_Omega) <= #Omega h^n max(w_max^p_min, w_max^p_max).  The box
+    transform has N_c >= 2 (extent + m) nodes per axis, extent the window's
+    largest, the least even 2^a 3^b 5^c (:func:`whlab.kernel.fast_size`); B must
+    fit in the grid and the box hold at most an eighth of its nodes, else the
+    witness keeps the whole grid: a larger box costs nearly a whole-grid
+    transform, and its spectrum, which the plan holds, nearly a grid array.
+    Boxes of one N_c share one kernel spectrum.
+    """
+    # imported by witness plans only: runs without them never compile it
+    from .kernel import box_spectrum, fast_size, kernel_tails, near_kernel
+
+    source, tails = kernel_tails(a)
+    N, n = space.grid.points, space.grid.n
+    log_w = math.log(float(np.max(space.weight.values)))
+    p_min, p_max = space.exponent.p_min, space.exponent.p_max
+    log_omega = (math.log(np.count_nonzero(space.domain.inside) * space.grid.cell_volume)
+                 + max(p_min * log_w, p_max * log_w))
+    share = math.exp(min(0.0, (math.log(NORM_RTOL) - log_omega) / p_min))  # e / lam
+    a_abs = abs(a.at(node))
+    plateaus, sizes = [], []
+    for params in witnesses:
+        ns = math.nan if params is None else indicator_norm(
+            Ball(params.y, 1.0 / params.delta), space)[0]
+        fits = np.flatnonzero(tails[1:] <= a_abs * ns * share)  # none for a nan plateau
+        size = None
+        if fits.size:
+            m, window = int(fits[0]), _witness_window(params)[0]
+            points = fast_size(2 * (max(s.stop - s.start for s in window) + m))
+            outer = tuple(slice(s.start - m, s.stop + m) for s in window)
+            if 8 * points ** n <= N ** n and all(0 <= b.start and b.stop <= N for b in outer):
+                inner = tuple(slice(m, m + s.stop - s.start) for s in window)
+                size = (outer, inner, m, points, float(tails[m + 1]))
+        plateaus.append(ns)
+        sizes.append(size)
+    del tails
+    # the whole-grid source is freed before the box spectra, which the plan keeps
+    largest = max([size[3] for size in sizes if size is not None], default=0)
+    near = near_kernel(a, source, largest) if largest else None
+    del source
+    spectra, boxes = {}, []
+    for size in sizes:
+        if size is not None:
+            outer, inner, m, points, far = size
+            if points not in spectra:
+                spectra[points] = box_spectrum(near, node, N, points)
+            size = _Box(outer, inner, spectra[points], m, far)
+        boxes.append(size)
+    return tuple(plateaus), tuple(boxes)
+
+
+def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
+                     ledger: list):
+    """Norms, image and residual of the witness f = make_witness(params),
+    witness ``j`` of ``plan``, modulated at the plan's probing node.
 
     Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
-    to ``ledger`` (a failed one raises) and returns ``(h, record)`` with the
-    demodulated image h as :func:`mollification_residual` hands it on and a
+    to ``ledger`` (a failed one raises) and returns ``(image, record)`` with
+    the demodulated image as :func:`mollification_residual` hands it on and a
     record whose ratio is left nan for the caller.  ||f|| reads only the
-    witness's window, where f lives.
+    witness's window, where f lives.  A boxed image adds the line
+    far-field <= residual, so that the residual bounds |W f - a(eta) f| at
+    every node; a box whose far field exceeds its residual is dropped, and the
+    image is formed on the whole grid.
     """
     space = plan.space
     window, values = make_witness(params)
     norm_f = part_norm(space_part(space, window), values)[1]
-    ns = indicator_norm(Ball(params.y, 1.0 / params.delta), space)[0]
+    ns = plan.plateaus[j]
     nb = indicator_norm(Ball(params.y, params.support_radius), space)[1]
     for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
                  _line(f"sandwich-upper[{tag}]", norm_f, nb, SANDWICH_SLACK * nb)):
         if not line.passed:
             raise NumericFailure(f"sandwich inequality violated beyond slack: {line}")
         ledger.append(line)
-    image, residual = mollification_residual(plan.symbol, params, (window, values), plan.node)
+    box = plan.boxes[j]
+    image, residual = mollification_residual(plan.symbol, params, (window, values),
+                                             plan.node, box)
+    if box is not None and box.far_field <= residual:
+        ledger.append(_line(f"far-field[{tag}]", box.far_field, residual, 0.0))
+    elif box is not None:
+        image, residual = mollification_residual(plan.symbol, params, (window, values),
+                                                 plan.node)
     return image, WitnessRecord(
         params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
@@ -384,7 +507,9 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
         raise ValidationError(
             "no delta in the schedule admits a witness placement on this grid: "
             + " ".join(f"(delta={delta:g}: {why})" for delta, why in plan))
-    return WitnessPlan(a, space, node, tuple(eta_vec), tuple(plan))
+    placed = [None if isinstance(params, str) else params for _, params in plan]
+    return WitnessPlan(a, space, node, tuple(eta_vec), tuple(plan),
+                       *_plan_boxes(a, space, node, placed))
 
 
 def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
@@ -415,7 +540,8 @@ def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
     family = separated_sequence(omega, rho, theta, lam, m, y0)
     node, eta_vec = _resolve_eta(a, space, eta)
     params = tuple(WitnessParams(1.0 / radius, y, rho, omega) for y, radius in family)
-    return WitnessPlan(a, space, node, tuple(eta_vec), params)
+    return WitnessPlan(a, space, node, tuple(eta_vec), params,
+                       *_plan_boxes(a, space, node, params))
 
 
 def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
@@ -432,19 +558,18 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
     """
     a, space = plan.symbol, plan.space
     a_abs = abs(a.at(plan.node))
-    omega = space_part(space, space.domain.inside)
 
     records = []
     ledger = []
-    for delta, params in plan.witnesses:
+    for j, (delta, params) in enumerate(plan.witnesses):
         if isinstance(params, str):
             records.append(WitnessRecord(delta, (), math.nan, math.nan,
                                          math.nan, math.nan, math.nan,
                                          math.nan, error=params))
             continue
         tag = f"delta={delta:g}"
-        g, rec = _measure_witness(plan, params, tag, ledger)
-        wnorm = part_norm(omega, g)[0]
+        (window, g), rec = _measure_witness(plan, j, params, tag, ledger)
+        wnorm = part_norm(space_part(space, window), g)[0]
         ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
                             wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
         records.append(replace(rec, ratio=wnorm / rec.norm_witness))
@@ -459,6 +584,20 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
         doubling_estimate=min(r.quotient for r in measured),
         achieved_lower_bound=max(r.ratio for r in measured),
     )
+
+
+def _difference(space: SpaceSpec, first: tuple, second: tuple) -> tuple:
+    """``(space_part(space, window), values)`` of the difference of two images
+    ``(window, values)``, on the union window of the pair: each image is 0 off
+    its own window."""
+    (wa, va), (wb, vb) = first, second
+    if wa == wb:
+        return space_part(space, wa), va - vb
+    union = tuple(slice(min(s.start, t.start), max(s.stop, t.stop)) for s, t in zip(wa, wb))
+    diff = np.zeros(tuple(u.stop - u.start for u in union), np.result_type(va, vb))
+    diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wa, union))] = va
+    diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wb, union))] -= vb
+    return space_part(space, union), diff
 
 
 def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
@@ -478,19 +617,18 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
 
     records = []
     ledger = []
-    images = []  # the normalized demodulated images h / ||f||, on Omega
+    images = []  # the normalized demodulated images h / ||f||, each on its window
     for j, params in enumerate(plan.witnesses):
-        g, rec = _measure_witness(plan, params, f"j={j}", ledger)
+        (window, g), rec = _measure_witness(plan, j, params, f"j={j}", ledger)
         g *= 1.0 / rec.norm_witness
-        images.append(g)
+        images.append((window, g))
         records.append(rec)
-    omega = space_part(space, space.domain.inside)  # not held while images are formed
 
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
     for j, k in itertools.combinations(range(len(records)), 2):
-        d = part_norm(omega, images[j] - images[k])[0]
+        d = part_norm(*_difference(space, images[j], images[k]))[0]
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

@@ -2,13 +2,14 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from whlab import witness
+from whlab import cli, witness
 from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ValidationError, WitnessParams, apply_multiplier, ball_indicator,
                    constant_exponent, constant_symbol, constant_weight,
@@ -161,7 +162,7 @@ def test_witness_real_bump_when_eta_zero(witness_on_grid):
     # the image is real under a Hermitian symbol, complex under any other
     for center, dtype in ((0.0, float), (0.5, complex)):
         a = gaussian_symbol(g, center, 2.0)
-        assert mollification_residual(a, P, make_witness(P), (0,))[0].dtype == dtype
+        assert mollification_residual(a, P, make_witness(P), (0,))[0][1].dtype == dtype
 
 
 def test_witness_sandwich_norms(witness_on_grid):
@@ -361,8 +362,9 @@ def test_residual_gaussian_monotone_in_delta():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
-    # The residual hands on h = e^{-i eta.x} W f as r_Omega of its whole-grid image;
-    # that needs e_Omega f = f, so it must hold bit for bit.
+    # The residual hands on h = e^{-i eta.x} W f on Omega's window, where r_Omega
+    # of it is r_Omega of the whole-grid image; that needs e_Omega f = f, so it must
+    # hold bit for bit.
     if n == 1:
         g = make_grid(1, 64, 1024)
         om = half_line(g)
@@ -376,12 +378,13 @@ def test_witness_image_restricts_to_wiener_hopf(n, witness_on_grid):
         a = gaussian_symbol(g, [0.5, 0.0], 2.0, 1.0)
         node, eta = nearest_freq_node(g, (1.0, -0.5))
     f = GridFunction(g, modulation(g, eta) * witness_on_grid(P).values)
-    h, _ = mollification_residual(a, P, make_witness(P), node)
+    (window, h), _ = mollification_residual(a, P, make_witness(P), node)
     image = apply_multiplier(a, f)
     reference = wiener_hopf_apply(a, om, f).values
     assert np.array_equal(restrict(image, om).values, reference)
     whole = whole_grid_image(a, P, node)
-    assert np.array_equal(h, whole[om.inside])
+    assert window == om.window and np.array_equal(h, whole[window])
+    assert np.array_equal(h[om.inside[window]], whole[om.inside])
     assert np.any(whole[~om.inside] != 0)  # the restriction matters
 
 
@@ -406,7 +409,7 @@ def test_demodulated_image_is_the_image(n, k0):
     f[window] = phi
     f *= modulation(g, eta)
     image = wiener_hopf_apply(a, om, GridFunction(g, f)).values
-    h, res = mollification_residual(a, P, (window, phi), node)
+    (_, h), res = mollification_residual(a, P, (window, phi), node)
     # each side takes a forward and an inverse FFT (Higham, thm. 24.2: log2(N^n) eta,
     # eta ~ 3 eps) and one multiply; e^{i eta.x} is formed with an absolute error of a
     # few eps |eta.x| per node, once on each side
@@ -414,7 +417,7 @@ def test_demodulated_image_is_the_image(n, k0):
     phase_err = 2.0 * eps * (2.0 + sum(abs(e) for e in eta) * g.half_width)
     bound = (4.0 * math.log2(g.node_count) * 3.0 * eps + 2.0 * phase_err) * \
         a.sup_norm * np.linalg.norm(phi)
-    assert np.linalg.norm(modulation(g, eta).ravel() * h - image.ravel()) <= bound
+    assert np.linalg.norm((modulation(g, eta) * h - image).ravel()) <= bound
     # the residual max |h - a(eta) phi| is max |W f - a(eta) f|
     assert abs(res - np.max(np.abs(image - a.at(node) * f))) <= bound
     assert res > 1e3 * bound  # a symbol that varies near eta leaves a residual
@@ -755,7 +758,7 @@ def test_witness_is_formed_in_the_grid_array_of_its_image():
     # that array and the image on Omega (half the grid) stay below two grid
     # arrays; a grid-sized witness held beside them would not
     plan = _kappa_halfline_plan()
-    args = plan, plan.witnesses[-1], "j=3"
+    args = plan, 3, plan.witnesses[-1], "j=3"
     witness._measure_witness(*args, [])  # numpy caches its FFT plans on the first call
     tracemalloc.start()
     try:
@@ -819,26 +822,24 @@ def test_witness_path_builds_no_grid_function(monkeypatch):
     assert built == []
 
 
-def test_each_experiment_gathers_omega_once(monkeypatch):
-    # w and p on Omega are gathered by one space_part call per experiment,
-    # not once per norm of an image
+def test_experiments_read_image_windows_not_omega(monkeypatch):
+    # every norm of an image reads w and p as views on the image's window, its box or
+    # Omega's bounding window: no experiment gathers them on the Omega mask
     S = _step_power_halfline(2 ** 12)
     a = gaussian_symbol(S.grid, 0.0, 2.0)
     kappa_plan = plan_kuratowski(a, S, 2.0, 0.25, 4.0, 3, y0=2.0)
     norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5])
-    gathers = []
+    nodes_read = []
     real = witness.space_part
 
     def counted(space, nodes):
-        if isinstance(nodes, np.ndarray) and nodes.dtype == bool:
-            gathers.append(nodes)
+        nodes_read.append(nodes)
         return real(space, nodes)
 
     monkeypatch.setattr(witness, "space_part", counted)
     kuratowski_experiment(kappa_plan)
-    assert len(gathers) == 1
     norm_lowerbound_experiment(norm_plan)
-    assert len(gathers) == 2
+    assert nodes_read and all(isinstance(nodes, tuple) for nodes in nodes_read)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -858,22 +859,104 @@ def test_non_finite_witness_image_is_a_numeric_failure(monkeypatch, bad):
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
                          ids=["halfline", "sector"])
 def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_grid):
+    # a whole-grid image gives the whole grid's norms bit for bit; a boxed one the
+    # norms of the whole grid's image read on its box, up to FFT round-off, and the
+    # whole grid's norms within the modular budget NORM_RTOL that sized its box
     plan = plan_of()
     a, S = plan.symbol, plan.space
     rep = kuratowski_experiment(plan)
-    images = []
-    for params, rec in zip(plan.witnesses, rep.witnesses):
+    kept = {line.name for line in rep.ledger if line.name.startswith("far-field")}
+    images, boxed = [], []
+    for j, (params, box, rec) in enumerate(zip(plan.witnesses, plan.boxes, rep.witnesses)):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
         images.append(whole_grid_image(a, params, plan.node)
                       * complex(1.0 / luxemburg_norm(f, S)))
-    assert [p.distance for p in rep.pairs] == [
-        part_norm(space_part(S, ()), images[p.j] - images[p.k])[0] for p in rep.pairs]
+        boxed.append(box if f"far-field[j={j}]" in kept else None)
+    assert any(box is not None for box in boxed)
+    for p in rep.pairs:
+        whole = images[p.j] - images[p.k]
+        if boxed[p.j] is None and boxed[p.k] is None:
+            assert p.distance == part_norm(space_part(S, ()), whole)[0]
+            continue
+        on_boxes = np.zeros(S.grid.shape, complex)
+        for i, sign in ((p.j, 1.0), (p.k, -1.0)):
+            window = S.domain.window if boxed[i] is None else boxed[i].window
+            on_boxes[window] += sign * images[i][window]
+        assert p.distance == pytest.approx(part_norm(space_part(S, ()), on_boxes)[0],
+                                           rel=1e-13)
+        assert p.distance == pytest.approx(part_norm(space_part(S, ()), whole)[0],
+                                           rel=1e-9)
     norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5, 0.25])
     norm_rep = norm_lowerbound_experiment(norm_plan)
     assert all(rec.error is None for rec in norm_rep.witnesses)
-    for (_, params), rec in zip(norm_plan.witnesses, norm_rep.witnesses):
+    kept = {line.name for line in norm_rep.ledger if line.name.startswith("far-field")}
+    for (delta, params), box, rec in zip(norm_plan.witnesses, norm_plan.boxes,
+                                         norm_rep.witnesses):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
         image = whole_grid_image(a, params, norm_plan.node)
-        assert rec.ratio == part_norm(space_part(S, ()), image)[0] / rec.norm_witness
+        whole = part_norm(space_part(S, ()), image)[0] / rec.norm_witness
+        if f"far-field[delta={delta:g}]" not in kept:
+            assert rec.ratio == whole
+            continue
+        on_box = part_norm(space_part(S, box.window), image[box.window])[0]
+        assert rec.ratio == pytest.approx(on_box / rec.norm_witness, rel=1e-13)
+        assert rec.ratio == pytest.approx(whole, rel=1e-9)
+
+
+# -- transform boxes that fall back to the whole grid -------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _config_plan(raw):
+    """The plan and the report text of one config run."""
+    plans = []
+    real = witness.WitnessPlan
+
+    def recorded(*args):
+        plans.append(real(*args))
+        return plans[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "WitnessPlan", recorded)
+        cfg = cli.preflight(raw)
+    return plans[0], cli.run(cfg)[0]["report.txt"]
+
+
+def test_a_constant_or_step_symbol_keeps_every_witness_on_the_whole_grid():
+    # a constant symbol's kernel is the origin, so its boxes are the windows, but
+    # the a-priori round-off of its tail exceeds each residual, which is round-off:
+    # every box is dropped and the report is the golden one byte for byte
+    plan, report = _config_plan(cli.load_config(ROOT / "demos/configs/sector_norm_lb.yaml"))
+    assert plan.boxes[0] is not None and plan.boxes[0].margin == 0
+    assert "far-field" not in report
+    assert report == (ROOT / "tests/golden/sector_norm_lb/report.txt").read_text()
+    # a step's jump at the end of the frequency range leaves a tail that decays
+    # like 1/|z|: no margin meets the budget
+    raw = cli.load_config(ROOT / "demos/configs/norm_lb.yaml")
+    raw["symbol"] = {"kind": "smoothed-step"}
+    plan, report = _config_plan(raw)
+    assert plan.boxes == (None, None, None) and "far-field" not in report
+
+
+def test_whole_grid_witnesses_keep_the_images_of_the_whole_grid(monkeypatch):
+    # kappa-1d's symbol variant 2: its Gaussian stops above 1e-7 at the end of the
+    # frequency range, and the tail that jump leaves puts all four witnesses on
+    # the whole grid; their images and residuals are those of the whole-grid formula
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import symbol_variant
+
+    raw = cli.load_config(ROOT / "perfbench/configs/kappa_lb.yaml")
+    raw["symbol"] = symbol_variant(2, 1)
+    plan, report = _config_plan(raw)
+    assert plan.boxes == (None,) * 4 and "far-field" not in report
+    a, omega = plan.symbol, plan.space.domain
+    for params in plan.witnesses:
+        (window, h), res = mollification_residual(a, params, make_witness(params), plan.node)
+        whole = whole_grid_image(a, params, plan.node)
+        assert window == omega.window and np.array_equal(h, whole[window])
+        f = np.zeros(a.grid.shape)
+        f[make_witness(params)[0]] = make_witness(params)[1]
+        assert res == float(np.max(np.abs(whole - a.at(plan.node) * f)))
