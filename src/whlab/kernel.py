@@ -6,14 +6,14 @@ kernel K = ifft_n(a): demodulated at the probing node k0 (:mod:`whlab.operators`
     h(x) = sum_z K(z) e^{-2 pi i k0.z/N} phi(x - z).
 
 If phi lives on a window W, h on the box B = W widened by m nodes per axis reads K
-only at |z|_inf < extent + m, so a transform of N_c >= 2 (extent + m) nodes per
-axis of K restricted to |z|_inf < N_c/2 gives h on B as a linear convolution: no
-index of B wraps around the box (Oppenheim and Schafer, Discrete-Time Signal
-Processing, sec. 8.7).  Off B every offset has |z|_inf >= m + 1, so
-|h| <= max phi . T(m + 1) with the shell tail T(m) = sum over |z|_inf >= m of
-|K(z)|, which does not depend on k0.  :func:`whlab.witness._plan_boxes` sizes the
-boxes from T; the witness layer imports this module when a plan is made, so runs
-without witnesses never compile it.
+only at |z_i| < extent_i + m, extent_i the length of W along axis i, so a transform
+of N_c >= 2 (extent_i + m) nodes along each axis of K restricted to |z_i| < N_c/2
+gives h on B as a linear convolution: no index of B wraps around the box
+(Oppenheim and Schafer, Discrete-Time Signal Processing, sec. 8.7).  Off B every
+offset has |z|_inf >= m + 1, so |h| <= max phi . T(m + 1) with the shell tail
+T(m) = sum over |z|_inf >= m of |K(z)|, which does not depend on k0.
+:func:`whlab.witness._plan_boxes` sizes the boxes from T; the witness layer imports
+this module only for a plan that may hold a box, so other runs never compile it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +32,59 @@ from .operators import Symbol
 _ROW_BLOCK = 2 ** 13
 
 
+@dataclass(frozen=True, eq=False)
+class Box:
+    """The transform box of one witness: B = ``window``, the witness's window
+    (a kappa plan's: the bounding window of its family's windows) widened by
+    ``margin`` nodes on each side; ``inner``, the witness's window within B;
+    ``values``, the kernel spectrum of the box transform
+    (:func:`box_spectrum`), which :func:`whlab.operators._spectral_image`
+    multiplies by; and ``tails``, the shell tails T of the symbol's kernel
+    (:func:`kernel_tails`), shared by a plan's boxes
+    (:func:`whlab.witness._plan_boxes`)."""
+
+    window: tuple
+    inner: tuple
+    values: np.ndarray
+    margin: int
+    tails: np.ndarray
+
+    @property
+    def far_field(self) -> float:
+        """max phi . T(margin + 1) with max phi = 1: a bound of |h| off B."""
+        return float(self.tails[self.margin + 1])
+
+    def far_field_on(self, nodes: tuple, points: int) -> np.ndarray:
+        """A bound of |h| at the nodes of the window ``nodes`` of a grid of
+        ``points`` nodes per axis: 0 on B, where h is formed, and
+        max phi . T(r) off it, r the max-norm distance of the node from the
+        witness's window on the periodic grid (at least margin + 1 off B),
+        capped at the last index of T."""
+        top = self.tails.size - 1
+        reach = []
+        for at, box, inner in zip(nodes, self.window, self.inner):
+            x = np.arange(at.start, at.stop)
+            start, stop = box.start + inner.start, box.start + inner.stop
+            r = np.minimum((start - x) % points, (x - stop + 1) % points)
+            r[(start <= x) & (x < stop)] = 0
+            r[(box.start <= x) & (x < box.stop)] = -1  # on B along this axis
+            reach.append(np.minimum(r, top))
+        r = functools.reduce(np.maximum, np.ix_(*reach))
+        far = self.tails[np.maximum(r, 0)]
+        far[r < 0] = 0.0  # on B along every axis
+        return far
+
+
 def kernel_tails(a: Symbol) -> tuple[np.ndarray, np.ndarray]:
     """``(source, tails)``: the grid kernel as :func:`near_kernel` reads it, and
-    T[m] for m = 0 .. N/4 (a box spans at most N/2 nodes per axis, so no margin
-    reads a tail past N/4).
+    T[m] for m = 0 .. N/4: a plan takes margins below N/4 only, and
+    :meth:`Box.far_field_on` reads T[N/4] at every farther node.
 
     Complex samples take ifftn in place, source = K.  Real samples take the
     two-for-one transform (Press et al., Numerical Recipes, 3rd ed., sec. 12.3),
     source = fft_n(a[0::2] + i a[1::2]), in place in an array as large as a real
-    grid array; on 1-D grids it is :func:`_four_step_fft`.  A real transform of
-    the whole grid holds N/2 + 1 columns instead, and on 1-D grids a scratch
-    array and a plan of N nodes: in the benchmark process that sets up
-    ``kappa-1d`` it left the peak resident memory 2 MiB higher.  Every T[m]
+    grid array (a real transform of the whole grid holds N/2 + 1 columns
+    instead).  Every T[m]
     carries the a-priori bound 3 eps log2(N^n) ||a||_2 of ||K~ - K||_1 (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., thm. 24.2, with
     ||K||_2 = ||a||_2 / N^{n/2}), so a kernel exact off the origin, such as a
@@ -53,18 +95,14 @@ def kernel_tails(a: Symbol) -> tuple[np.ndarray, np.ndarray]:
     N = g.points
     real = not np.iscomplexobj(a.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        if real and g.n == 1:  # a[0::2] + i a[1::2] is a's memory read as complex
-            source = _four_step_fft(a.values.view(complex).copy())
-            tails = _shells_1d(source, N)
+        if real:
+            source = np.empty((N // 2,) + g.shape[1:], complex)
+            source.real, source.imag = a.values[0::2], a.values[1::2]
         else:
-            if real:
-                source = np.empty((N // 2,) + g.shape[1:], complex)
-                source.real, source.imag = a.values[0::2], a.values[1::2]
-            else:
-                source = np.array(a.values, complex)
-            for axis in range(g.n):
-                (np.fft.fft if real else np.fft.ifft)(source, axis=axis, out=source)
-            tails = _shells(a, source)
+            source = np.array(a.values, complex)
+        for axis in range(g.n):
+            (np.fft.fft if real else np.fft.ifft)(source, axis=axis, out=source)
+        tails = _shells(a, source)
         # sums of nonnegative shells from the outside in: no cancellation
         np.cumsum(tails[::-1], out=tails[::-1])
         flat = a.values.ravel()  # ||a||_2 with no BLAS call and no grid-sized square
@@ -120,8 +158,8 @@ def _folded(rows: np.ndarray, kept: int) -> np.ndarray:
 
 def _kernel_rows(a: Symbol, source: np.ndarray, rows: np.ndarray, pair: bool = False):
     """K[rows], whole along the other axes, for indices ``rows`` of the first
-    axis, with ``source`` from :func:`kernel_tails` of a complex symbol or on a
-    2-D grid; with ``pair`` (a real symbol, rows below N/2) also K[rows + N/2].
+    axis, with ``source`` from :func:`kernel_tails`; with ``pair`` (a real
+    symbol, rows below N/2) also K[rows + N/2].
     For a real symbol, with C = source read at k_1 mod N/2 and
     -k = ((-k_1) mod N/2, (-k') mod N),
     fft_n(a)[k] = (C[k] + conj C[-k]) / 2 + e^{-2 pi i k_1/N} (C[k] - conj C[-k]) / 2i,
@@ -144,69 +182,6 @@ def _kernel_rows(a: Symbol, source: np.ndarray, rows: np.ndarray, pair: bool = F
     return out if pair else out[0]
 
 
-def _four_step_fft(x: np.ndarray) -> np.ndarray:
-    """fft(x) of a 1-D complex x of M = 2^j values, in x's memory, as an
-    (n1, M / n1) array y with fft(x)[k] at y[k mod n1, k // n1]: the four-step
-    transform (Bailey, J. Supercomputing 4, 1990) of x as an (n1, M / n1) array,
-    n1 about sqrt(M), by transforms along its columns, twiddles and transforms
-    along its rows.  numpy transforms a long 1-D array through a scratch array as
-    large, a 2-D one a column or row at a time; here it also took half the time
-    of one 2^17-node transform."""
-    M = x.size
-    n1 = 1 << (M.bit_length() - 1) // 2
-    n2 = M // n1
-    y = x.reshape(n1, n2)  # y[j1, j2] = x[n2 j1 + j2]
-    np.fft.fft(y, axis=0, out=y)
-    # the twiddles e^{-2 pi i k1 j2 / M}, with j2 = S q + r, as a product of
-    # e^{-2 pi i k1 S q / M} and e^{-2 pi i k1 r / M}: n1 (n2 / S + S) exponentials
-    S = 1 << (n2.bit_length() - 1) // 2
-    k1 = (-2j * np.pi / M) * np.arange(n1)[:, None]
-    parts = y.reshape(n1, n2 // S, S)
-    parts *= np.exp(k1 * (S * np.arange(n2 // S)))[:, :, None]
-    parts *= np.exp(k1 * np.arange(S))[:, None, :]
-    np.fft.fft(y, axis=1, out=y)  # y[k1, k2] = fft(x)[k1 + n1 k2]
-    return y
-
-
-def _unpacked_1d(y: np.ndarray, N: int, start: int, stop: int, cols: int) -> tuple:
-    """``(2 fft(a)[k], 2 fft(a)[k + N/2])`` of a real a on N nodes for the k at
-    y[start:stop, :cols], y = :func:`_four_step_fft` of its packed samples: C[-k]
-    lies at y[n1 - k mod n1, n2 - 1 - k // n1] (row 0: y[0, -k // n1 mod n2]), so
-    for cols <= n2/2 a block of rows reads slices of y (:func:`_kernel_rows`)."""
-    n1, n2 = y.shape
-    there = y[n1 - stop + 1:n1 - start + 1, n2 - cols:][::-1, ::-1]
-    if start == 0:
-        there = np.concatenate((y[:1, -np.arange(cols) % n2], there))
-    there = np.conjugate(there)
-    even = y[start:stop, :cols] + there  # 2 Ev
-    odd = y[start:stop, :cols] - there  # 2i Od
-    odd *= (-1j * np.exp((-2j * np.pi / N) * np.arange(start, stop)))[:, None]
-    odd *= np.exp((-2j * np.pi / N) * n1 * np.arange(cols))  # with it, e^{-2 pi i k / N}
-    return even + odd, even - odd
-
-
-def _shells_1d(y: np.ndarray, N: int) -> np.ndarray:
-    """:func:`_shells` of a real symbol on N nodes, from y as in
-    :func:`_unpacked_1d`: the k < N/4 are its columns below n2/2, fft(a)[k] and
-    fft(a)[k + N/2] hold the shells k and N/2 - k, and K(N - k) mirrors K(k)."""
-    n1, n2 = y.shape
-    half = n2 // 2
-    shells = np.zeros((half, n1))  # shells[k2, k1]: the shell k1 + n1 k2
-    outer = 0.0
-    step = max(1, _ROW_BLOCK // half)
-    for start in range(0, n1, step):
-        stop = min(start + step, n1)
-        low, high = _unpacked_1d(y, N, start, stop, half)
-        shells[:, start:stop] = np.abs(low).T
-        high = np.abs(high)  # the shells N/2 - k, past N/4
-        outer += 2.0 * float(high.sum()) - (float(high[0, 0]) if start == 0 else 0.0)
-    shells = shells.ravel()
-    shells[1:] *= 2.0  # K(N - k)
-    # k = N/4: C[N/4] at y[0, n2/2] is its own C[-k], so 2 fft(a)[N/4] = 2 conj C[N/4];
-    # the shell N/4 holds it and its mirror 3N/4
-    return np.append(shells, outer + 4.0 * abs(y[0, half])) * (0.5 / N)
-
-
 def fast_size(least: int) -> int:
     """The smallest even 2^a 3^b 5^c, a >= 1, at least ``least``: numpy
     transforms it in radix-2, 3 and 5 passes."""
@@ -222,49 +197,41 @@ def fast_size(least: int) -> int:
     return best
 
 
-def near_kernel(a: Symbol, source: np.ndarray, points: int) -> np.ndarray:
-    """K(z) for |z|_inf < points/2 at index z mod points of a box of ``points``
-    nodes per axis, and 0 at points/2, with ``source`` from :func:`kernel_tails`:
-    the kernel that every box of at most ``points`` nodes restricts."""
-    g = a.grid
-    N, reach = g.points, points // 2 - 1
-    near = np.zeros((points,) * g.n, complex)
-    if g.n == 1 and not np.iscomplexobj(a.values):  # K(-z) = conj K(z)
-        n1 = source.shape[0]
-        low = _unpacked_1d(source, N, 0, n1, -(-(reach + 1) // n1))[0]
-        near[:reach + 1] = low.T.ravel()[:reach + 1]
-        np.conjugate(near[:reach + 1], out=near[:reach + 1])
-        near *= 0.5 / N
-        near[points - reach:] = np.conjugate(near[reach:0:-1])
-        return near
-    z = np.r_[0:reach + 1, -reach:0]
-    cols = (slice(None),) + np.ix_(*[z % N] * (g.n - 1))
-    step = max(1, _ROW_BLOCK // N ** (g.n - 1))
-    for start in range(0, z.size, step):
-        rows = z[start:start + step]
-        near[np.ix_(rows % points, *[z % points] * (g.n - 1))] = _kernel_rows(
-            a, source, rows % N)[cols]
+def near_kernel(a: Symbol, source: np.ndarray, shape: tuple) -> np.ndarray:
+    """K(z) for |z_i| < shape_i/2 on every axis i, at index z mod shape of a box
+    of that shape, and 0 where z_i = shape_i/2, with ``source`` from
+    :func:`kernel_tails`: the kernel that every box of at most ``shape``
+    restricts."""
+    N = a.grid.points
+    near = np.zeros(shape, complex)
+    z = [np.r_[0:p // 2, 1 - p // 2:0] for p in shape]
+    cols = (slice(None),) + np.ix_(*[zi % N for zi in z[1:]])
+    at = [zi % p for zi, p in zip(z[1:], shape[1:])]
+    step = max(1, _ROW_BLOCK // N ** (a.grid.n - 1))
+    for start in range(0, z[0].size, step):
+        rows = z[0][start:start + step]
+        near[np.ix_(rows % shape[0], *at)] = _kernel_rows(a, source, rows % N)[cols]
     return near
 
 
-def box_spectrum(near: np.ndarray, node: tuple, N: int, points: int) -> np.ndarray:
-    """The spectrum, on a box of ``points`` nodes per axis, of
-    K(z) e^{-2 pi i node.z/N} restricted to |z|_inf < points/2 at index z mod
-    points, with ``near`` from :func:`near_kernel` on a box at least as large and N
-    the grid's nodes per axis."""
-    n, size, reach = near.ndim, near.shape[0], points // 2 - 1
-    parts = ((slice(0, reach + 1), slice(0, reach + 1)),
-             (slice(points - reach, points), slice(size - reach, size)))
-    spec = np.zeros((points,) * n, complex)
-    for block in itertools.product(parts, repeat=n):
+def box_spectrum(near: np.ndarray, node: tuple, N: int, shape: tuple) -> np.ndarray:
+    """The spectrum, on a box of ``shape``, of K(z) e^{-2 pi i node.z/N}
+    restricted to |z_i| < shape_i/2 at index z mod shape, with ``near`` from
+    :func:`near_kernel` on a box at least as large on every axis and N the grid's
+    nodes per axis."""
+    n = near.ndim
+    parts = [((slice(0, p // 2), slice(0, p // 2)),
+              (slice(p - p // 2 + 1, p), slice(size - p // 2 + 1, size)))
+             for p, size in zip(shape, near.shape)]
+    spec = np.zeros(shape, complex)
+    for block in itertools.product(*parts):
         spec[tuple(here for here, _ in block)] = near[tuple(there for _, there in block)]
-    z = np.r_[0:reach + 1, -reach:0]
-    for axis, k in enumerate(node):  # k z mod N is exact in integers
-        if k:
-            phase = np.exp((-2j * np.pi / N) * (k * z % N)).reshape(
-                (-1,) + (1,) * (n - 1 - axis))
-            spec[(slice(None),) * axis + (parts[0][0],)] *= phase[:reach + 1]
-            spec[(slice(None),) * axis + (parts[1][0],)] *= phase[reach + 1:]
+    for axis, (k, p) in enumerate(zip(node, shape)):
+        if k:  # k z mod N is exact in integers; index p/2 holds 0
+            z = np.arange(p)
+            z[p // 2:] -= p
+            phase = np.exp((-2j * np.pi / N) * (k * z % N))
+            spec *= phase.reshape((-1,) + (1,) * (n - 1 - axis))
     for axis in range(n):
         np.fft.fft(spec, axis=axis, out=spec)
     return spec

@@ -39,7 +39,7 @@ Burrus, IEEE Trans. ASSP 35, 1987): a 512^2 image at eta != 0 with an 80^2 windo
 (medians of 41 alternated calls, 2-core VM).
 
 Most witness images are formed on a transform box of a few window widths instead of
-the whole grid (:mod:`whlab.kernel`): :func:`_multiplier_image` then multiplies by the
+the whole grid (:mod:`whlab.kernel`): :func:`_spectral_image` then multiplies by the
 box's spectrum of the modulated kernel, read at node 0, and the same steps give the
 whole grid's image on the box.
 """
@@ -204,25 +204,32 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
                       window: tuple) -> np.ndarray:
     """e^{-i eta.x} F^{-1}(a . F(e^{i eta.x} u)) = ifft_n(a[k + node] . fft_n(u)[k])
     (module docstring), eta the frequency node at the index tuple ``node``, of
-    the real u that holds ``values`` on ``window``, a tuple of slices, and 0 off it;
-    ``a`` is a :class:`Symbol` or a witness's transform box
-    (:class:`whlab.witness._Box`), whose values give the transform's shape.
+    the real u that holds ``values`` on ``window``, a tuple of slices, and 0 off it:
+    :func:`_spectral_image` with the symbol's values."""
+    return _spectral_image(a.values, values, node, window, a.hermitian and not any(node))
+
+
+def _spectral_image(multiplier: np.ndarray, values: np.ndarray, node: tuple,
+                    window: tuple, real: bool) -> np.ndarray:
+    """ifft_n(multiplier[k + node] . fft_n(u)[k]) on the shape of ``multiplier``,
+    with u as in :func:`_multiplier_image`; ``real`` for a Hermitian multiplier at
+    ``node`` 0, whose image is real.  A witness's transform box passes its kernel
+    spectrum (:mod:`whlab.kernel`) at node 0.
 
     ``rfft`` reads the window's rows only (the transform of a zero row is
     zero), from a float block zero-padded to N, into the first N/2 + 1 columns
     of one complex spectrum, and the leading axes' passes run on that half.
-    At eta = 0 under a Hermitian symbol the spectrum is that half only: a
-    multiply by the view ``a.values[..., :N/2 + 1]`` (index N/2 is the Nyquist
-    node), the leading inverse passes in place and ``irfft`` (``irfftn`` would
-    allocate a second half-spectrum).  Otherwise the other half is filled by
-    spec[k] = conj spec[(-k) mod N], the symbol is read at k + node through
+    With ``real`` the spectrum is that half only: a multiply by the view
+    ``multiplier[..., :N/2 + 1]`` (index N/2 is the Nyquist node), the leading
+    inverse passes in place and ``irfft`` (``irfftn`` would allocate a second
+    half-spectrum).  Otherwise the other half is filled by
+    spec[k] = conj spec[(-k) mod N], the multiplier is read at k + node through
     :func:`_shifted_blocks` (no rolled copy), and ``ifftn`` inverts in place.
     The float block is freed before the inverse.
     """
-    shape = a.values.shape
+    shape = multiplier.shape
     points = shape[-1]
     kept = points // 2 + 1  # k = 0 .. N/2 of the last axis
-    real = a.hermitian and not any(node)
     # the block first: freed below the spectrum, its memory is reused without new page
     # faults (four 2^18-node images took 6% longer with the spectrum allocated first)
     block = np.zeros(values.shape[:-1] + (points,))
@@ -239,14 +246,14 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
             for axis in range(len(shape) - 1):
                 np.fft.fft(half, axis=axis, out=half)
             if real:
-                np.multiply(half, a.values[..., :kept], out=half)
+                np.multiply(half, multiplier[..., :kept], out=half)
                 for axis in range(len(shape) - 1):
                     np.fft.ifft(half, axis=axis, out=half)
                 return np.fft.irfft(half, points, axis=-1)
             for here, there in _mirror_blocks(len(shape), kept):
                 np.conjugate(spec[there], out=spec[here])
             for here, there in _shifted_blocks(points, node):
-                np.multiply(a.values[there], spec[here], out=spec[here])
+                np.multiply(multiplier[there], spec[here], out=spec[here])
             return np.fft.ifftn(spec, out=spec)
     except FloatingPointError as exc:
         raise NumericFailure(f"the multiplier image overflows: {exc}") from None
@@ -255,10 +262,10 @@ def _multiplier_image(a: Symbol, values: np.ndarray, node: tuple,
 def _shifted_blocks(points: int, shift: tuple):
     """``(here, there)`` index pairs that pair every spectrum index k with the
     symbol index (k + shift) mod N: an axis shifted by s splits into k < N - s,
-    read from s on, and k >= N - s, read from 0 on; an unshifted axis is one
-    block."""
-    axes = [[(slice(0, points - s), slice(s, None))]
-            + ([(slice(points - s, None), slice(0, s))] if s else []) for s in shift]
+    read from s on, and k >= N - s, read from 0 on; an unshifted axis, of any
+    length, is one block."""
+    axes = [[(slice(0, points - s), slice(s, None)), (slice(points - s, None), slice(0, s))]
+            if s else [(slice(None), slice(None))] for s in shift]
     for block in itertools.product(*axes):
         yield tuple(here for here, _ in block), tuple(there for _, there in block)
 

@@ -30,15 +30,11 @@ def glue(t):
 def smoothstep(t):
     """Normalized C-infinity ramp: 0 for t <= 0, 1 for t >= 1, g(t) between."""
     t = np.asarray(t, dtype=float)
-    # t <= 0 gives G(t) = 0 < G(1 - t), t >= 1 gives G(1 - t) = 0 < G(t): the
-    # quotient G(t) / (G(t) + G(1 - t)) is exactly 0 or 1 there, so only the other
-    # nodes take exponentials.  A nan t gives 0/0.
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    mid = ~((t <= 0.0) | (t >= 1.0))
-    a = glue(t[mid])
+    a = glue(t)
+    # t <= 0 gives a = 0 < G(1 - t), t >= 1 gives G(1 - t) = 0 < a: the
+    # quotient is exactly 0 or 1 there.  A nan t gives 0/0.
     with np.errstate(invalid="ignore"):
-        out[mid] = a / (a + glue(1.0 - t[mid]))
-    return out[()]
+        return a / (a + glue(1.0 - t))
 
 
 def ramp(x, edge: float, width: float, low: float, high: float):

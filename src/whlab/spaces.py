@@ -191,11 +191,9 @@ def space_part(space: SpaceSpec, nodes) -> SpacePart:
     ``()`` is the whole grid), whose parts are views, or a bool mask such as
     ``space.domain.inside``, whose parts are gathered in row-major order.
 
-    A witness experiment gathers Omega once and reuses it for every norm of
-    an image.  Gathering w and p inside each norm call instead made
-    ``perfbench`` ``run_s`` slower: kappa-1d 0.1647 -> 0.1697 s (5 of 6
-    alternated pairs) and sector-2d 0.1207 -> 0.1250 s (6 of 6), on a
-    2-core VM at ``--seconds 5``."""
+    The witness experiments read each image on its window
+    (:mod:`whlab.witness`), so their parts are views: none is gathered on a
+    mask."""
     return SpacePart(space.domain.inside[nodes], space.weight.values[nodes],
                      space.exponent.values[nodes], space.grid.cell_volume)
 

@@ -44,7 +44,10 @@ own.  The norm reads only Omega ∩ supp f in row-major order, so on a whole-gri
 image, whose window is Omega's bounding window, these brackets equal the
 whole-grid ones bit for bit.  A boxed image is 0 off B: by the lattice property
 its norm is a lower bound of the whole-grid one, and the margin keeps the two
-within a modular of NORM_RTOL (:func:`_plan_boxes`).
+within a modular of NORM_RTOL (:func:`_plan_boxes`).  The witnesses of a kappa
+plan share one box, so d_jk of two boxed images is the norm of the whole grid's
+difference on that box, again a lower bound; a pair with one image on the whole
+grid subtracts the other's far field node by node (:func:`_distance`).
 
 The witnesses are measured one after another.  On two threads, two
 2^18-node FFTs take about half the time, but each needs the input, the
@@ -64,8 +67,8 @@ import numpy as np
 from .doubling import _check_family, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import Ball, DomainMask, _ball_nodes, as_point
-from .operators import (Symbol, _multiplier_image, argmax_freq_node,
-                        nearest_freq_node)
+from .operators import (Symbol, _multiplier_image, _spectral_image,
+                        argmax_freq_node, nearest_freq_node)
 from .profiles import bump_profile
 from .spaces import NORM_RTOL, SpaceSpec, indicator_norm, part_norm, space_part
 
@@ -177,7 +180,7 @@ def _witness_window(params: WitnessParams) -> tuple:
 
 
 def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
-                           node: tuple, box: _Box | None = None) -> tuple[tuple, float]:
+                           node: tuple, box=None) -> tuple[tuple, float]:
     """``((window, h), eps)`` for the witness ``f = make_witness(params)``
     modulated at the frequency eta of the node with index tuple ``node`` (a
     plan's :attr:`WitnessPlan.node`; ``params`` hold no frequency, so ``node``
@@ -197,9 +200,9 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
 
     With ``box = None`` h is formed on the whole grid and kept on Omega's
     bounding window (:attr:`whlab.grid.DomainMask.window`), and eps is its
-    maximum over the whole grid.  With a plan's :class:`_Box` h is formed on
-    the box B, the window of phi widened by the box's margin m, as a linear
-    convolution with the symbol's kernel (:mod:`whlab.kernel`):
+    maximum over the whole grid.  With a plan's :class:`whlab.kernel.Box` h is
+    formed on the box B, a window around phi's widened by the box's margin m, as
+    a linear convolution with the symbol's kernel (:mod:`whlab.kernel`):
     on B it is the whole grid's h up to FFT round-off, and off B |h| is at
     most the box's far field max phi . T(m + 1).  Then eps is the maximum over
     B; whether it also bounds the far field is the caller's ledger line.
@@ -218,7 +221,7 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
         h = _multiplier_image(a, values, node, window)
         kept = on_kept = params.domain.window
     else:
-        h = _multiplier_image(box, values, (0,) * grid.n, box.inner)
+        h = _spectral_image(box.values, values, (0,) * grid.n, box.inner, False)
         h = h[tuple(slice(0, b.stop - b.start) for b in box.window)]  # B in the box
         window, kept, on_kept = box.inner, box.window, ()
     # formed first, so its temporaries are freed before err, the size of h, is
@@ -338,32 +341,14 @@ class ExperimentReport:
 
 
 @dataclass(frozen=True, eq=False)
-class _Box:
-    """The transform box of one witness: B = ``window``, the witness's window
-    widened by ``margin`` nodes on each side; ``inner``, that window within B;
-    ``values``, the kernel spectrum of the box transform
-    (:func:`whlab.kernel.box_spectrum`), which
-    :func:`whlab.operators._multiplier_image` reads as it reads a symbol's, never
-    Hermitian; and ``far_field``, max phi . T(margin + 1) with max phi = 1, which
-    bounds |h| off B."""
-
-    window: tuple
-    inner: tuple
-    values: np.ndarray
-    margin: int
-    far_field: float
-    hermitian = False
-
-
-@dataclass(frozen=True, eq=False)
 class WitnessPlan:
     """A witness run checked by :func:`plan_norm_lowerbound` or
     :func:`plan_kuratowski`: the symbol, the space, the probing frequency
     node at frequency ``eta``, and the witnesses; the experiments run it.
     Per witness, in the order of ``witnesses``, ``plateaus`` holds the lower
     end of its plateau norm ||chi_{B(y,1/delta)}|| and ``boxes`` its
-    :class:`_Box`, or None where the image is formed on the whole grid
-    (:func:`_plan_boxes`); a skipped delta has nan and None."""
+    :class:`whlab.kernel.Box`, or None where the image is formed on the whole
+    grid (:func:`_plan_boxes`); a skipped delta has nan and None."""
 
     symbol: Symbol
     space: SpaceSpec
@@ -381,65 +366,90 @@ def _resolve_eta(a: Symbol, space: SpaceSpec, eta):
     return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
 
 
-def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses) -> tuple:
+def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
+                shared: bool = False) -> tuple:
     """``(plateaus, boxes)`` of :class:`WitnessPlan` for ``witnesses``, a
     list of :class:`WitnessParams` with None for a skipped delta.
 
-    The symbol's kernel K and its shell tails T are taken once
-    (:func:`whlab.kernel.kernel_tails`).  A witness gets the box B = W + m, W its
-    window, m the smallest margin whose far field e = max phi . T(m + 1), put at
-    every node of Omega off B, adds at most NORM_RTOL to the modular of any norm
-    taken of its image.  With lam = |a(eta)| ||chi_{B(y,1/delta)}||, about the
-    least such norm (the plateau's image, before and after the 1/||f||
-    scaling), and e <= lam, that modular is at most (e / lam)^p_min m(chi_Omega),
-    and m(chi_Omega) <= #Omega h^n max(w_max^p_min, w_max^p_max).  The box
-    transform has N_c >= 2 (extent + m) nodes per axis, extent the window's
-    largest, the least even 2^a 3^b 5^c (:func:`whlab.kernel.fast_size`); B must
-    fit in the grid and the box hold at most an eighth of its nodes, else the
-    witness keeps the whole grid: a larger box costs nearly a whole-grid
-    transform, and its spectrum, which the plan holds, nearly a grid array.
-    Boxes of one N_c share one kernel spectrum.
+    A witness gets the box B = W + m, W its window, m the smallest margin whose
+    far field e = max phi . T(m + 1), put at every node of Omega off B, adds at
+    most NORM_RTOL to the modular of any norm taken of its image; T are the
+    shell tails of the symbol's kernel K (:func:`whlab.kernel.kernel_tails`).
+    With lam = |a(eta)| ||chi_{B(y,1/delta)}||, about the least such norm (the
+    plateau's image, before and after the 1/||f|| scaling), and e <= lam, that
+    modular is at most (e / lam)^p_min m(chi_Omega), and
+    m(chi_Omega) <= #Omega h^n max(w_max^p_min, w_max^p_max).  With ``shared``
+    W is the bounding window of every witness's window and m the largest of
+    their margins, so every image is known on one box, where it equals the
+    whole grid's (:func:`kuratowski_experiment`); a witness whose margin does
+    not fit puts all of them on the whole grid.
+
+    The box transform has N_c >= 2 (extent + m) nodes on each axis, extent W's
+    there, the least even 2^a 3^b 5^c (:func:`whlab.kernel.fast_size`).  B must
+    fit in the grid and the box hold at most a third of its nodes, else the
+    witness keeps the whole grid: a 270^2 box took 1.5 ms against 3.2 ms for a
+    512^2 real image (1 thread, 2-core VM), and its complex spectrum, which the
+    plan holds, is at most two thirds of a real grid array.  Where no witness
+    fits at margin 1 the kernel is never taken.  Nor does a margin of
+    0 plan a box: the kernel then has at most e off the origin, so
+    h = a(eta) phi within 2 e and the residual seldom exceeds e (a constant
+    symbol's is round-off, below the a-priori round-off term of its tail), so
+    :func:`_measure_witness` would drop the box.  Boxes of one shape share one
+    kernel spectrum.
     """
-    # imported by witness plans only: runs without them never compile it
-    from .kernel import box_spectrum, fast_size, kernel_tails, near_kernel
+    N, n = space.grid.points, space.grid.n
+    plateaus = tuple(math.nan if params is None else indicator_norm(
+        Ball(params.y, 1.0 / params.delta), space)[0] for params in witnesses)
+    windows = [None if params is None else _witness_window(params)[0]
+               for params in witnesses]
+    if shared:
+        union = tuple(slice(min(w[i].start for w in windows),
+                            max(w[i].stop for w in windows)) for i in range(n))
+        reach = [union] * len(windows)
+    else:
+        reach = windows
+
+    def shape(window: tuple, m: int, rounded):  # the box transform of W + m, or None
+        size = tuple(rounded(2 * (s.stop - s.start + m)) for s in window)
+        fits = all(m <= s.start and s.stop + m <= N for s in window)
+        return size if fits and 3 * math.prod(size) <= N ** n else None
+
+    # fast_size(k) >= k: a window too large unrounded at margin 1 never fits
+    if not any(w is not None and shape(w, 1, int) for w in reach):
+        return plateaus, (None,) * len(witnesses)
+    # imported by plans with a box in reach only: other runs never compile it
+    from .kernel import Box, box_spectrum, fast_size, kernel_tails, near_kernel
 
     source, tails = kernel_tails(a)
-    N, n = space.grid.points, space.grid.n
     log_w = math.log(float(np.max(space.weight.values)))
     p_min, p_max = space.exponent.p_min, space.exponent.p_max
     log_omega = (math.log(np.count_nonzero(space.domain.inside) * space.grid.cell_volume)
                  + max(p_min * log_w, p_max * log_w))
     share = math.exp(min(0.0, (math.log(NORM_RTOL) - log_omega) / p_min))  # e / lam
     a_abs = abs(a.at(node))
-    plateaus, sizes = [], []
-    for params in witnesses:
-        ns = math.nan if params is None else indicator_norm(
-            Ball(params.y, 1.0 / params.delta), space)[0]
+    margins = []
+    for ns in plateaus:
         fits = np.flatnonzero(tails[1:] <= a_abs * ns * share)  # none for a nan plateau
-        size = None
-        if fits.size:
-            m, window = int(fits[0]), _witness_window(params)[0]
-            points = fast_size(2 * (max(s.stop - s.start for s in window) + m))
-            outer = tuple(slice(s.start - m, s.stop + m) for s in window)
-            if 8 * points ** n <= N ** n and all(0 <= b.start and b.stop <= N for b in outer):
-                inner = tuple(slice(m, m + s.stop - s.start) for s in window)
-                size = (outer, inner, m, points, float(tails[m + 1]))
-        plateaus.append(ns)
-        sizes.append(size)
-    del tails
+        margins.append(int(fits[0]) if fits.size and fits[0] > 0 else None)
+    if shared:
+        margins = [None if None in margins else max(margins)] * len(margins)
+    sizes = [None if m is None else shape(w, m, fast_size) for w, m in zip(reach, margins)]
+    boxed = [size for size in sizes if size is not None]
     # the whole-grid source is freed before the box spectra, which the plan keeps
-    largest = max([size[3] for size in sizes if size is not None], default=0)
-    near = near_kernel(a, source, largest) if largest else None
+    near = near_kernel(a, source, tuple(map(max, zip(*boxed)))) if boxed else None
     del source
     spectra, boxes = {}, []
-    for size in sizes:
+    for window, outer, m, size in zip(windows, reach, margins, sizes):
+        box = None
         if size is not None:
-            outer, inner, m, points, far = size
-            if points not in spectra:
-                spectra[points] = box_spectrum(near, node, N, points)
-            size = _Box(outer, inner, spectra[points], m, far)
-        boxes.append(size)
-    return tuple(plateaus), tuple(boxes)
+            if size not in spectra:
+                spectra[size] = box_spectrum(near, node, N, size)
+            start = [s.start - m for s in outer]
+            box = Box(tuple(slice(b, s.stop + m) for b, s in zip(start, outer)),
+                      tuple(slice(s.start - b, s.stop - b) for b, s in zip(start, window)),
+                      spectra[size], m, tails)
+        boxes.append(box)
+    return plateaus, tuple(boxes)
 
 
 def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
@@ -448,9 +458,10 @@ def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
     witness ``j`` of ``plan``, modulated at the plan's probing node.
 
     Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
-    to ``ledger`` (a failed one raises) and returns ``(image, record)`` with
-    the demodulated image as :func:`mollification_residual` hands it on and a
-    record whose ratio is left nan for the caller.  ||f|| reads only the
+    to ``ledger`` (a failed one raises) and returns ``(image, box, record)``
+    with the demodulated image as :func:`mollification_residual` hands it on,
+    the :class:`whlab.kernel.Box` it was formed on (None for the whole grid)
+    and a record whose ratio is left nan for the caller.  ||f|| reads only the
     witness's window, where f lives.  A boxed image adds the line
     far-field <= residual, so that the residual bounds |W f - a(eta) f| at
     every node; a box whose far field exceeds its residual is dropped, and the
@@ -472,9 +483,10 @@ def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
     if box is not None and box.far_field <= residual:
         ledger.append(_line(f"far-field[{tag}]", box.far_field, residual, 0.0))
     elif box is not None:
+        box = None
         image, residual = mollification_residual(plan.symbol, params, (window, values),
                                                  plan.node)
-    return image, WitnessRecord(
+    return image, box, WitnessRecord(
         params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
 
@@ -541,7 +553,7 @@ def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
     node, eta_vec = _resolve_eta(a, space, eta)
     params = tuple(WitnessParams(1.0 / radius, y, rho, omega) for y, radius in family)
     return WitnessPlan(a, space, node, tuple(eta_vec), params,
-                       *_plan_boxes(a, space, node, params))
+                       *_plan_boxes(a, space, node, params, shared=True))
 
 
 def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
@@ -568,7 +580,7 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
                                          math.nan, error=params))
             continue
         tag = f"delta={delta:g}"
-        (window, g), rec = _measure_witness(plan, j, params, tag, ledger)
+        (window, g), _, rec = _measure_witness(plan, j, params, tag, ledger)
         wnorm = part_norm(space_part(space, window), g)[0]
         ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
                             wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
@@ -586,18 +598,44 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
     )
 
 
-def _difference(space: SpaceSpec, first: tuple, second: tuple) -> tuple:
-    """``(space_part(space, window), values)`` of the difference of two images
-    ``(window, values)``, on the union window of the pair: each image is 0 off
-    its own window."""
-    (wa, va), (wb, vb) = first, second
+def _distance(space: SpaceSpec, first: tuple, second: tuple) -> tuple:
+    """``(d, d_box)`` for two normalized images ``(window, values, box, scale)``:
+    ``values`` on ``window`` as :func:`mollification_residual` hands them on,
+    ``box`` the :class:`whlab.kernel.Box` they were formed on or None, and
+    ``scale`` = 1/||f||.
+
+    d_box is the lower end of the norm of the difference A of the two images,
+    each 0 off its window, read on the union window U of the pair.  The whole
+    grid's difference is A + E, with E the boxed images' parts off their boxes
+    and |E| <= e at each node, e the sum of their far fields
+    (:meth:`whlab.kernel.Box.far_field_on`) times their scales.  So (|A| - e)_+
+    on U, and 0 off U, is at most the whole grid's difference node by node: by
+    the lattice property its norm is a lower bound of the whole grid's distance,
+    and so is d, the lesser of it and d_box.  Where e = 0 on U, as for two
+    images on one shared box (:func:`_plan_boxes`) or on the whole grid,
+    d = d_box and ``(d, None)`` is returned.
+    """
+    (wa, va, box_a, scale_a), (wb, vb, box_b, scale_b) = first, second
     if wa == wb:
-        return space_part(space, wa), va - vb
-    union = tuple(slice(min(s.start, t.start), max(s.stop, t.stop)) for s, t in zip(wa, wb))
-    diff = np.zeros(tuple(u.stop - u.start for u in union), np.result_type(va, vb))
-    diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wa, union))] = va
-    diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wb, union))] -= vb
-    return space_part(space, union), diff
+        union, diff = wa, va - vb
+    else:
+        union = tuple(slice(min(s.start, t.start), max(s.stop, t.stop))
+                      for s, t in zip(wa, wb))
+        diff = np.zeros(tuple(u.stop - u.start for u in union), np.result_type(va, vb))
+        diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wa, union))] = va
+        diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wb, union))] -= vb
+    part = space_part(space, union)
+    d_box = part_norm(part, diff)[0]
+    far = [scale * box.far_field_on(union, space.grid.points)
+           for box, scale in ((box_a, scale_a), (box_b, scale_b)) if box is not None]
+    if not any(e.any() for e in far):
+        return d_box, None
+    lower = np.abs(diff)
+    for e in far:
+        lower -= e
+    np.maximum(lower, 0.0, out=lower)
+    # a far field below the norm's round-off may leave the norm a bit above d_box
+    return min(part_norm(part, lower)[0], d_box), d_box
 
 
 def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
@@ -610,25 +648,29 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     d_jk = ||W(phi_j - phi_k)|| is the reported separation; half of it is
     the noncompactness lower bound, checked per pair against
     |a(eta)| / (S_est + slack) minus the normalized residual terms (the
-    raw-residual variant is recorded alongside).
+    raw-residual variant is recorded alongside).  Each d_jk is the d of
+    :func:`_distance`; where it subtracted a far field, the line
+    far-field[j,k] records it against the distance d_box before.
     """
     a, space = plan.symbol, plan.space
     a_abs = abs(a.at(plan.node))
 
     records = []
     ledger = []
-    images = []  # the normalized demodulated images h / ||f||, each on its window
+    images = []  # the normalized demodulated images h / ||f||, as _distance reads them
     for j, params in enumerate(plan.witnesses):
-        (window, g), rec = _measure_witness(plan, j, params, f"j={j}", ledger)
+        (window, g), box, rec = _measure_witness(plan, j, params, f"j={j}", ledger)
         g *= 1.0 / rec.norm_witness
-        images.append((window, g))
+        images.append((window, g, box, 1.0 / rec.norm_witness))
         records.append(rec)
 
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
     for j, k in itertools.combinations(range(len(records)), 2):
-        d = part_norm(*_difference(space, images[j], images[k]))[0]
+        d, d_box = _distance(space, images[j], images[k])
+        if d_box is not None:
+            ledger.append(_line(f"far-field[{j},{k}]", d, d_box, 0.0))
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

@@ -2,7 +2,6 @@
 (:mod:`whlab.kernel`)."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from whlab import (constant_symbol, gaussian_symbol, make_grid, smoothed_step_symbol,
                    symbol_from_values)
 from whlab.kernel import box_spectrum, fast_size, kernel_tails, near_kernel
-from whlab.operators import _multiplier_image
+from whlab.operators import _multiplier_image, _spectral_image
 
 
 def _box_symbol(g, kind, param, shift):
@@ -59,12 +58,12 @@ def test_box_image_is_the_whole_grid_image_on_its_box(n, kind, param, shift, log
         values[...] = 0.0
         values[(-1,) * n] = 1.0
     source, tails = kernel_tails(a)
-    size = fast_size(2 * (max(extent) + margin))
-    assert 2 * size <= points
-    box = SimpleNamespace(values=box_spectrum(near_kernel(a, source, size), node, points, size),
-                          hermitian=False)
+    shape = tuple(fast_size(2 * (e + margin)) for e in extent)  # a box per axis
+    assert 2 * max(shape) <= points
+    near = near_kernel(a, source, (max(shape),) * n)  # a larger box restricts to it
+    spectrum = box_spectrum(near, node, points, shape)
     inner = tuple(slice(margin, margin + e) for e in extent)
-    image = _multiplier_image(box, values, (0,) * n, inner)
+    image = _spectral_image(spectrum, values, (0,) * n, inner, False)
     image = image[tuple(slice(0, e + 2 * margin) for e in extent)]
     whole = _multiplier_image(a, values, node, window)
     outer = tuple(slice(s.start - margin, s.stop + margin) for s in window)

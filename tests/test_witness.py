@@ -856,53 +856,106 @@ def test_non_finite_witness_image_is_a_numeric_failure(monkeypatch, bad):
         mollification_residual(constant_symbol(P.domain.grid, 1.0), P, make_witness(P), (0,))
 
 
+def _whole_grid_distances(plan, rep, witness_on_grid):
+    """Per pair of ``rep``, the lower end of ||W(f_j/||f_j|| - f_k/||f_k||)|| from
+    whole-grid images, and the difference of those images."""
+    a, S = plan.symbol, plan.space
+    images = []
+    for params, rec in zip(plan.witnesses, rep.witnesses):
+        assert rec.norm_witness == luxemburg_norm(witness_on_grid(params), S)
+        images.append(whole_grid_image(a, params, plan.node) * complex(1.0 / rec.norm_witness))
+    diffs = [images[p.j] - images[p.k] for p in rep.pairs]
+    return [part_norm(space_part(S, ()), diff)[0] for diff in diffs], diffs
+
+
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
                          ids=["halfline", "sector"])
 def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_grid):
-    # a whole-grid image gives the whole grid's norms bit for bit; a boxed one the
-    # norms of the whole grid's image read on its box, up to FFT round-off, and the
-    # whole grid's norms within the modular budget NORM_RTOL that sized its box
+    # a kappa family shares one box: each d_jk is the norm of the whole grid's
+    # difference on it, up to FFT round-off, so at most the whole grid's distance
+    # and within the modular budget NORM_RTOL that sized the box; a boxed norm-lb
+    # ratio likewise reads the whole grid's image on its own box
     plan = plan_of()
-    a, S = plan.symbol, plan.space
+    S = plan.space
     rep = kuratowski_experiment(plan)
-    kept = {line.name for line in rep.ledger if line.name.startswith("far-field")}
-    images, boxed = [], []
-    for j, (params, box, rec) in enumerate(zip(plan.witnesses, plan.boxes, rep.witnesses)):
-        f = witness_on_grid(params)
-        assert rec.norm_witness == luxemburg_norm(f, S)
-        images.append(whole_grid_image(a, params, plan.node)
-                      * complex(1.0 / luxemburg_norm(f, S)))
-        boxed.append(box if f"far-field[j={j}]" in kept else None)
-    assert any(box is not None for box in boxed)
-    for p in rep.pairs:
-        whole = images[p.j] - images[p.k]
-        if boxed[p.j] is None and boxed[p.k] is None:
-            assert p.distance == part_norm(space_part(S, ()), whole)[0]
-            continue
-        on_boxes = np.zeros(S.grid.shape, complex)
-        for i, sign in ((p.j, 1.0), (p.k, -1.0)):
-            window = S.domain.window if boxed[i] is None else boxed[i].window
-            on_boxes[window] += sign * images[i][window]
-        assert p.distance == pytest.approx(part_norm(space_part(S, ()), on_boxes)[0],
-                                           rel=1e-13)
-        assert p.distance == pytest.approx(part_norm(space_part(S, ()), whole)[0],
-                                           rel=1e-9)
-    norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5, 0.25])
+    box = plan.boxes[0]
+    assert box is not None and all(b.window == box.window for b in plan.boxes)
+    assert sum(line.name.startswith("far-field[j=") for line in rep.ledger) == len(plan.boxes)
+    assert not any(line.name.startswith("far-field[") and "," in line.name
+                   for line in rep.ledger)
+    whole, diffs = _whole_grid_distances(plan, rep, witness_on_grid)
+    for p, d, diff in zip(rep.pairs, whole, diffs):
+        assert p.distance <= d * (1.0 + 1e-13)  # FFT round-off
+        assert p.distance == pytest.approx(d, rel=1e-9)
+        on_box = part_norm(space_part(S, box.window), diff[box.window])[0]
+        assert p.distance == pytest.approx(on_box, rel=1e-13)
+    norm_plan = plan_norm_lowerbound(plan.symbol, S, 2.0, [1.0, 0.5, 0.25])
     norm_rep = norm_lowerbound_experiment(norm_plan)
     assert all(rec.error is None for rec in norm_rep.witnesses)
     kept = {line.name for line in norm_rep.ledger if line.name.startswith("far-field")}
+    assert kept
     for (delta, params), box, rec in zip(norm_plan.witnesses, norm_plan.boxes,
                                          norm_rep.witnesses):
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
-        image = whole_grid_image(a, params, norm_plan.node)
+        image = whole_grid_image(plan.symbol, params, norm_plan.node)
         whole = part_norm(space_part(S, ()), image)[0] / rec.norm_witness
         if f"far-field[delta={delta:g}]" not in kept:
             assert rec.ratio == whole
             continue
+        assert rec.ratio <= whole * (1.0 + 1e-13)
+        assert rec.ratio == pytest.approx(whole, rel=1e-9)
         on_box = part_norm(space_part(S, box.window), image[box.window])[0]
         assert rec.ratio == pytest.approx(on_box / rec.norm_witness, rel=1e-13)
-        assert rec.ratio == pytest.approx(whole, rel=1e-9)
+
+
+def test_a_pair_with_one_whole_grid_image_subtracts_the_far_field(witness_on_grid):
+    # witness 0 on the whole grid, the others on the shared box: off the box the
+    # boxed images are only bounded, so their far fields are taken off |A| node by
+    # node, and each distance stays at most the whole grid's
+    plan = _kappa_sector_plan()
+    plan = dataclasses.replace(plan, boxes=(None,) + plan.boxes[1:])
+    rep = kuratowski_experiment(plan)
+    lines = {line.name: line for line in rep.ledger}
+    whole, _ = _whole_grid_distances(plan, rep, witness_on_grid)
+    for p, d in zip(rep.pairs, whole):
+        assert p.distance <= d * (1.0 + 1e-13)  # FFT round-off
+        assert p.distance == pytest.approx(d, rel=1e-9)
+        line = lines.get(f"far-field[{p.j},{p.k}]")
+        assert (line is not None) == (p.j == 0)
+        if line is not None:
+            assert line.lhs == p.distance and p.distance <= line.rhs and line.passed
+
+
+def test_pairs_on_their_own_boxes_subtract_the_far_fields(witness_on_grid):
+    # each witness on its own box of margin 8 under a wide kernel: the images of
+    # the pair (0, 1) read on their boxes alone overstate the whole grid's
+    # distance, and the far fields taken off node by node bring it below
+    from whlab.kernel import Box, box_spectrum, fast_size, kernel_tails, near_kernel
+
+    S, family_args = _sector_space()
+    a = gaussian_symbol(S.grid, None, 1.0, 1.0)
+    plan = plan_kuratowski(a, S, *family_args)
+    margin, N = 8, S.grid.points
+    source, tails = kernel_tails(a)
+    windows = [witness._witness_window(params)[0] for params in plan.witnesses]
+    sizes = [tuple(fast_size(2 * (s.stop - s.start + margin)) for s in w) for w in windows]
+    near = near_kernel(a, source, tuple(map(max, zip(*sizes))))
+    boxes = tuple(Box(tuple(slice(s.start - margin, s.stop + margin) for s in w),
+                      tuple(slice(margin, margin + s.stop - s.start) for s in w),
+                      box_spectrum(near, plan.node, N, size), margin, tails)
+                  for w, size in zip(windows, sizes))
+    rep = kuratowski_experiment(dataclasses.replace(plan, boxes=boxes))
+    lines = {line.name: line for line in rep.ledger}
+    assert all(f"far-field[j={j}]" in lines for j in range(len(boxes)))
+    whole, _ = _whole_grid_distances(plan, rep, witness_on_grid)
+    overstated = 0
+    for p, d in zip(rep.pairs, whole):
+        line = lines[f"far-field[{p.j},{p.k}]"]
+        assert line.passed and line.lhs == p.distance
+        assert p.distance <= d * (1.0 + 1e-13)
+        overstated += line.rhs > d * (1.0 + 1e-9)
+    assert overstated
 
 
 # -- transform boxes that fall back to the whole grid -------------------------
@@ -926,11 +979,11 @@ def _config_plan(raw):
 
 
 def test_a_constant_or_step_symbol_keeps_every_witness_on_the_whole_grid():
-    # a constant symbol's kernel is the origin, so its boxes are the windows, but
-    # the a-priori round-off of its tail exceeds each residual, which is round-off:
-    # every box is dropped and the report is the golden one byte for byte
+    # a constant symbol's kernel is the origin, margin 0, where the far field is
+    # the a-priori round-off of its tail and exceeds each residual, which is
+    # round-off: no box is planned, and the report is the golden one byte for byte
     plan, report = _config_plan(cli.load_config(ROOT / "demos/configs/sector_norm_lb.yaml"))
-    assert plan.boxes[0] is not None and plan.boxes[0].margin == 0
+    assert set(plan.boxes) == {None}
     assert "far-field" not in report
     assert report == (ROOT / "tests/golden/sector_norm_lb/report.txt").read_text()
     # a step's jump at the end of the frequency range leaves a tail that decays
@@ -942,14 +995,20 @@ def test_a_constant_or_step_symbol_keeps_every_witness_on_the_whole_grid():
 
 
 def test_whole_grid_witnesses_keep_the_images_of_the_whole_grid(monkeypatch):
-    # kappa-1d's symbol variant 2: its Gaussian stops above 1e-7 at the end of the
-    # frequency range, and the tail that jump leaves puts all four witnesses on
-    # the whole grid; their images and residuals are those of the whole-grid formula
+    # kappa-1d at seed 1: the family spans 98239 of 2^18 nodes, too wide for a
+    # shared box of at most a third of the grid, so the kernel is never taken and
+    # all four witnesses keep the images and residuals of the whole-grid formula
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from workloads import symbol_variant
 
+    from whlab import kernel
+
+    def untaken(a):
+        raise AssertionError("the kernel was taken")
+
+    monkeypatch.setattr(kernel, "kernel_tails", untaken)
     raw = cli.load_config(ROOT / "perfbench/configs/kappa_lb.yaml")
-    raw["symbol"] = symbol_variant(2, 1)
+    raw["symbol"] = symbol_variant(1, 1)
     plan, report = _config_plan(raw)
     assert plan.boxes == (None,) * 4 and "far-field" not in report
     a, omega = plan.symbol, plan.space.domain
