@@ -27,6 +27,8 @@ import numpy as np
 
 from .operators import Symbol
 
+__all__ = ["Box", "kernel_tails", "near_kernel", "box_spectrum", "fast_size"]
+
 #: Values per block of rows that the kernel is unpacked in (128 KiB of complex
 #: values at a time).
 _ROW_BLOCK = 2 ** 13
@@ -35,50 +37,23 @@ _ROW_BLOCK = 2 ** 13
 @dataclass(frozen=True, eq=False)
 class Box:
     """The transform box of one witness: B = ``window``, the witness's window
-    (a kappa plan's: the bounding window of its family's windows) widened by
-    ``margin`` nodes on each side; ``inner``, the witness's window within B;
-    ``values``, the kernel spectrum of the box transform
-    (:func:`box_spectrum`), which :func:`whlab.operators._spectral_image`
-    multiplies by; and ``tails``, the shell tails T of the symbol's kernel
-    (:func:`kernel_tails`), shared by a plan's boxes
+    (a kappa plan's: the bounding window of its family's windows) widened by a
+    margin of m nodes on each side; ``inner``, the witness's window within B;
+    ``values``, the kernel spectrum of the box transform (:func:`box_spectrum`),
+    which :func:`whlab.operators._spectral_image` multiplies by; and
+    ``far_field``, max phi . T(m + 1) with max phi = 1 and T the shell tails of
+    the symbol's kernel (:func:`kernel_tails`): a bound of |h| off B
     (:func:`whlab.witness._plan_boxes`)."""
 
     window: tuple
     inner: tuple
     values: np.ndarray
-    margin: int
-    tails: np.ndarray
-
-    @property
-    def far_field(self) -> float:
-        """max phi . T(margin + 1) with max phi = 1: a bound of |h| off B."""
-        return float(self.tails[self.margin + 1])
-
-    def far_field_on(self, nodes: tuple, points: int) -> np.ndarray:
-        """A bound of |h| at the nodes of the window ``nodes`` of a grid of
-        ``points`` nodes per axis: 0 on B, where h is formed, and
-        max phi . T(r) off it, r the max-norm distance of the node from the
-        witness's window on the periodic grid (at least margin + 1 off B),
-        capped at the last index of T."""
-        top = self.tails.size - 1
-        reach = []
-        for at, box, inner in zip(nodes, self.window, self.inner):
-            x = np.arange(at.start, at.stop)
-            start, stop = box.start + inner.start, box.start + inner.stop
-            r = np.minimum((start - x) % points, (x - stop + 1) % points)
-            r[(start <= x) & (x < stop)] = 0
-            r[(box.start <= x) & (x < box.stop)] = -1  # on B along this axis
-            reach.append(np.minimum(r, top))
-        r = functools.reduce(np.maximum, np.ix_(*reach))
-        far = self.tails[np.maximum(r, 0)]
-        far[r < 0] = 0.0  # on B along every axis
-        return far
+    far_field: float
 
 
 def kernel_tails(a: Symbol) -> tuple[np.ndarray, np.ndarray]:
     """``(source, tails)``: the grid kernel as :func:`near_kernel` reads it, and
-    T[m] for m = 0 .. N/4: a plan takes margins below N/4 only, and
-    :meth:`Box.far_field_on` reads T[N/4] at every farther node.
+    T[m] for m = 0 .. N/4: a plan takes margins below N/4 only.
 
     Complex samples take ifftn in place, source = K.  Real samples take the
     two-for-one transform (Press et al., Numerical Recipes, 3rd ed., sec. 12.3),

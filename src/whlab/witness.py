@@ -23,10 +23,11 @@ stands for f and its image is taken demodulated at eta
 (:func:`mollification_residual`).  The plan gives each witness a transform box
 B, its window widened by a margin, where the image is an exact linear
 convolution with the symbol's kernel (:mod:`whlab.kernel`); off B the image is
-at most the far field max phi . T(m + 1), and a ``far-field`` ledger line checks
-that this is at most the residual, so the residual bounds |W f - a(eta) f| at
-every node.  A witness whose kernel tail admits no box within the grid, or
-whose far field exceeds its residual, is transformed on the whole grid.
+at most the far field max phi . T(m + 1), so the residual reported is the
+larger of the in-box residual and the far field, a bound of |W f - a(eta) f|
+at every node, and a ``far-field`` ledger line records the two.  A witness
+whose kernel tail admits no box within the grid is transformed on the whole
+grid.
 
 A finite family exhibits pairwise separation but cannot, strictly,
 lower-bound the noncompactness measure; reports therefore state the
@@ -39,15 +40,14 @@ each certified number reads the end that keeps it conservative: lo for
 ||chi_{B(y,rho/delta)}||.  Each image is normed as
 :func:`mollification_residual` hands it on, ``(window, values)``, with w and p
 read as views on its window, and each witness norm reads only the witness's
-window; d_jk reads the two images on the union of their windows, each 0 off its
-own.  The norm reads only Omega ∩ supp f in row-major order, so on a whole-grid
-image, whose window is Omega's bounding window, these brackets equal the
-whole-grid ones bit for bit.  A boxed image is 0 off B: by the lattice property
-its norm is a lower bound of the whole-grid one, and the margin keeps the two
-within a modular of NORM_RTOL (:func:`_plan_boxes`).  The witnesses of a kappa
-plan share one box, so d_jk of two boxed images is the norm of the whole grid's
-difference on that box, again a lower bound; a pair with one image on the whole
-grid subtracts the other's far field node by node (:func:`_distance`).
+window.  The norm reads only Omega ∩ supp f in row-major order, so on a
+whole-grid image, whose window is Omega's bounding window, these brackets equal
+the whole-grid ones bit for bit.  A boxed image is 0 off B: by the lattice
+property its norm is a lower bound of the whole-grid one, and the margin keeps
+the two within a modular of NORM_RTOL (:func:`_plan_boxes`).  The witnesses of
+a kappa plan share one box or all keep the whole grid, so its images lie on one
+window, and d_jk is the norm of the whole grid's difference there, again a
+lower bound.
 
 The witnesses are measured one after another.  On two threads, two
 2^18-node FFTs take about half the time, but each needs the input, the
@@ -205,7 +205,7 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
     a linear convolution with the symbol's kernel (:mod:`whlab.kernel`):
     on B it is the whole grid's h up to FFT round-off, and off B |h| is at
     most the box's far field max phi . T(m + 1).  Then eps is the maximum over
-    B; whether it also bounds the far field is the caller's ledger line.
+    B, and :func:`_measure_witness` raises it to the far field.
 
     phi is handed to :func:`whlab.operators._multiplier_image` on its window
     only, and h is formed in place in the one complex spectrum array that the
@@ -348,7 +348,8 @@ class WitnessPlan:
     Per witness, in the order of ``witnesses``, ``plateaus`` holds the lower
     end of its plateau norm ||chi_{B(y,1/delta)}|| and ``boxes`` its
     :class:`whlab.kernel.Box`, or None where the image is formed on the whole
-    grid (:func:`_plan_boxes`); a skipped delta has nan and None."""
+    grid (:func:`_plan_boxes`); a skipped delta has nan and None.  The boxes of
+    a :func:`plan_kuratowski` plan are all one box or all None."""
 
     symbol: Symbol
     space: SpaceSpec
@@ -394,8 +395,8 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
     0 plan a box: the kernel then has at most e off the origin, so
     h = a(eta) phi within 2 e and the residual seldom exceeds e (a constant
     symbol's is round-off, below the a-priori round-off term of its tail), so
-    :func:`_measure_witness` would drop the box.  Boxes of one shape share one
-    kernel spectrum.
+    :func:`_measure_witness` would report e as the residual instead of the
+    measured one.  Boxes of one shape share one kernel spectrum.
     """
     N, n = space.grid.points, space.grid.n
     plateaus = tuple(math.nan if params is None else indicator_norm(
@@ -447,7 +448,7 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
             start = [s.start - m for s in outer]
             box = Box(tuple(slice(b, s.stop + m) for b, s in zip(start, outer)),
                       tuple(slice(s.start - b, s.stop - b) for b, s in zip(start, window)),
-                      spectra[size], m, tails)
+                      spectra[size], float(tails[m + 1]))
         boxes.append(box)
     return plateaus, tuple(boxes)
 
@@ -458,14 +459,13 @@ def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
     witness ``j`` of ``plan``, modulated at the plan's probing node.
 
     Appends the two sandwich lines ||chi_small|| <= ||f|| <= ||chi_big||
-    to ``ledger`` (a failed one raises) and returns ``(image, box, record)``
-    with the demodulated image as :func:`mollification_residual` hands it on,
-    the :class:`whlab.kernel.Box` it was formed on (None for the whole grid)
-    and a record whose ratio is left nan for the caller.  ||f|| reads only the
-    witness's window, where f lives.  A boxed image adds the line
-    far-field <= residual, so that the residual bounds |W f - a(eta) f| at
-    every node; a box whose far field exceeds its residual is dropped, and the
-    image is formed on the whole grid.
+    to ``ledger`` (a failed one raises) and returns ``(image, record)`` with
+    the demodulated image as :func:`mollification_residual` hands it on and a
+    record whose ratio is left nan for the caller.  ||f|| reads only the
+    witness's window, where f lives.  On a box the record's residual is the
+    larger of the in-box residual and the box's far field, so that it bounds
+    |W f - a(eta) f| at every node (phi is 0 off B), and the line
+    far-field <= residual records the far field.
     """
     space = plan.space
     window, values = make_witness(params)
@@ -480,13 +480,10 @@ def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
     box = plan.boxes[j]
     image, residual = mollification_residual(plan.symbol, params, (window, values),
                                              plan.node, box)
-    if box is not None and box.far_field <= residual:
+    if box is not None:
+        residual = max(residual, box.far_field)
         ledger.append(_line(f"far-field[{tag}]", box.far_field, residual, 0.0))
-    elif box is not None:
-        box = None
-        image, residual = mollification_residual(plan.symbol, params, (window, values),
-                                                 plan.node)
-    return image, box, WitnessRecord(
+    return image, WitnessRecord(
         params.delta, params.y, math.nan, ns, norm_f, nb, nb / ns, residual)
 
 
@@ -580,7 +577,7 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
                                          math.nan, error=params))
             continue
         tag = f"delta={delta:g}"
-        (window, g), _, rec = _measure_witness(plan, j, params, tag, ledger)
+        (window, g), rec = _measure_witness(plan, j, params, tag, ledger)
         wnorm = part_norm(space_part(space, window), g)[0]
         ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
                             wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
@@ -598,46 +595,6 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
     )
 
 
-def _distance(space: SpaceSpec, first: tuple, second: tuple) -> tuple:
-    """``(d, d_box)`` for two normalized images ``(window, values, box, scale)``:
-    ``values`` on ``window`` as :func:`mollification_residual` hands them on,
-    ``box`` the :class:`whlab.kernel.Box` they were formed on or None, and
-    ``scale`` = 1/||f||.
-
-    d_box is the lower end of the norm of the difference A of the two images,
-    each 0 off its window, read on the union window U of the pair.  The whole
-    grid's difference is A + E, with E the boxed images' parts off their boxes
-    and |E| <= e at each node, e the sum of their far fields
-    (:meth:`whlab.kernel.Box.far_field_on`) times their scales.  So (|A| - e)_+
-    on U, and 0 off U, is at most the whole grid's difference node by node: by
-    the lattice property its norm is a lower bound of the whole grid's distance,
-    and so is d, the lesser of it and d_box.  Where e = 0 on U, as for two
-    images on one shared box (:func:`_plan_boxes`) or on the whole grid,
-    d = d_box and ``(d, None)`` is returned.
-    """
-    (wa, va, box_a, scale_a), (wb, vb, box_b, scale_b) = first, second
-    if wa == wb:
-        union, diff = wa, va - vb
-    else:
-        union = tuple(slice(min(s.start, t.start), max(s.stop, t.stop))
-                      for s, t in zip(wa, wb))
-        diff = np.zeros(tuple(u.stop - u.start for u in union), np.result_type(va, vb))
-        diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wa, union))] = va
-        diff[tuple(slice(s.start - u.start, s.stop - u.start) for s, u in zip(wb, union))] -= vb
-    part = space_part(space, union)
-    d_box = part_norm(part, diff)[0]
-    far = [scale * box.far_field_on(union, space.grid.points)
-           for box, scale in ((box_a, scale_a), (box_b, scale_b)) if box is not None]
-    if not any(e.any() for e in far):
-        return d_box, None
-    lower = np.abs(diff)
-    for e in far:
-        lower -= e
-    np.maximum(lower, 0.0, out=lower)
-    # a far field below the norm's round-off may leave the norm a bit above d_box
-    return min(part_norm(part, lower)[0], d_box), d_box
-
-
 def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     """Pairwise image distances of normalized witnesses over the separated
     family of a :func:`plan_kuratowski` plan.
@@ -648,29 +605,33 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     d_jk = ||W(phi_j - phi_k)|| is the reported separation; half of it is
     the noncompactness lower bound, checked per pair against
     |a(eta)| / (S_est + slack) minus the normalized residual terms (the
-    raw-residual variant is recorded alongside).  Each d_jk is the d of
-    :func:`_distance`; where it subtracted a far field, the line
-    far-field[j,k] records it against the distance d_box before.
+    raw-residual variant is recorded alongside).  Every image lies on one
+    window, the plan's shared box or Omega's bounding window, and d_jk is the
+    lower end of the norm of h_j/||f_j|| - h_k/||f_k|| there; a plan whose
+    images lie on different windows raises :class:`ValidationError`.
     """
     a, space = plan.symbol, plan.space
     a_abs = abs(a.at(plan.node))
 
     records = []
     ledger = []
-    images = []  # the normalized demodulated images h / ||f||, as _distance reads them
+    images = []  # the normalized demodulated images h / ||f||
     for j, params in enumerate(plan.witnesses):
-        (window, g), box, rec = _measure_witness(plan, j, params, f"j={j}", ledger)
+        (window, g), rec = _measure_witness(plan, j, params, f"j={j}", ledger)
         g *= 1.0 / rec.norm_witness
-        images.append((window, g, box, 1.0 / rec.norm_witness))
+        images.append((window, g))
         records.append(rec)
+    window = images[0][0]
+    if any(other != window for other, _ in images):
+        raise ValidationError("the witness images of a kappa-lb plan lie on different "
+                              "windows: its boxes must be one shared box or all None")
+    part = space_part(space, window)
 
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
     for j, k in itertools.combinations(range(len(records)), 2):
-        d, d_box = _distance(space, images[j], images[k])
-        if d_box is not None:
-            ledger.append(_line(f"far-field[{j},{k}]", d, d_box, 0.0))
+        d = part_norm(part, images[j][1] - images[k][1])[0]
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

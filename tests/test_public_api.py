@@ -66,7 +66,7 @@ def _references():
 def test_every_public_name_has_a_user():
     public = [(path.stem, name) for path in MODULES for name in _public_names(path)]
     assert {module for module, _ in public} >= {"grid", "spaces", "operators",
-                                                 "witness", "doubling", "cli"}
+                                                 "witness", "doubling", "cli", "kernel"}
     used = _references()
     assert [f"whlab.{module}.{name}" for module, name in public if name not in used] == []
 

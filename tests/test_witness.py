@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from whlab import cli, witness
+from whlab import cli, operators, witness
 from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    ValidationError, WitnessParams, apply_multiplier, ball_indicator,
                    constant_exponent, constant_symbol, constant_weight,
@@ -881,8 +881,6 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
     box = plan.boxes[0]
     assert box is not None and all(b.window == box.window for b in plan.boxes)
     assert sum(line.name.startswith("far-field[j=") for line in rep.ledger) == len(plan.boxes)
-    assert not any(line.name.startswith("far-field[") and "," in line.name
-                   for line in rep.ledger)
     whole, diffs = _whole_grid_distances(plan, rep, witness_on_grid)
     for p, d, diff in zip(rep.pairs, whole, diffs):
         assert p.distance <= d * (1.0 + 1e-13)  # FFT round-off
@@ -909,56 +907,63 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
         assert rec.ratio == pytest.approx(on_box / rec.norm_witness, rel=1e-13)
 
 
-def test_a_pair_with_one_whole_grid_image_subtracts_the_far_field(witness_on_grid):
-    # witness 0 on the whole grid, the others on the shared box: off the box the
-    # boxed images are only bounded, so their far fields are taken off |A| node by
-    # node, and each distance stays at most the whole grid's
-    plan = _kappa_sector_plan()
-    plan = dataclasses.replace(plan, boxes=(None,) + plan.boxes[1:])
-    rep = kuratowski_experiment(plan)
-    lines = {line.name: line for line in rep.ledger}
+def test_a_far_field_above_the_residual_becomes_the_residual(monkeypatch, witness_on_grid):
+    # a box whose far field exceeds the in-box residual is kept: the far field is
+    # the residual reported, each witness is transformed once, on its box, and
+    # each d_jk stays at most the whole grid's distance
+    kappa_plan = _kappa_sector_plan()
+    norm_plan = plan_norm_lowerbound(kappa_plan.symbol, kappa_plan.space, 2.0,
+                                     [1.0, 0.5, 0.25])
+    transforms = []
+    real = operators._spectral_image
+
+    def counted(*args):
+        transforms.append(args)
+        return real(*args)
+
+    reports = []
+    for plan, experiment in ((kappa_plan, kuratowski_experiment),
+                             (norm_plan, norm_lowerbound_experiment)):
+        above = 2.0 * experiment(plan).eps_obs
+        assert any(box is not None for box in plan.boxes)
+        plan = dataclasses.replace(plan, boxes=tuple(
+            None if box is None else dataclasses.replace(box, far_field=above)
+            for box in plan.boxes))
+        transforms.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "_spectral_image", counted)
+            mp.setattr(witness, "_spectral_image", counted)
+            rep = experiment(plan)
+        assert len(transforms) == sum(rec.error is None for rec in rep.witnesses)
+        far = [line for line in rep.ledger if line.name.startswith("far-field")]
+        assert len(far) == sum(box is not None for box in plan.boxes)
+        assert all(line.passed for line in far)
+        for box, rec in zip(plan.boxes, rep.witnesses):
+            assert box is None or rec.residual == box.far_field == above
+        reports.append((plan, rep))
+    plan, rep = reports[0]
     whole, _ = _whole_grid_distances(plan, rep, witness_on_grid)
     for p, d in zip(rep.pairs, whole):
         assert p.distance <= d * (1.0 + 1e-13)  # FFT round-off
-        assert p.distance == pytest.approx(d, rel=1e-9)
-        line = lines.get(f"far-field[{p.j},{p.k}]")
-        assert (line is not None) == (p.j == 0)
-        if line is not None:
-            assert line.lhs == p.distance and p.distance <= line.rhs and line.passed
 
 
-def test_pairs_on_their_own_boxes_subtract_the_far_fields(witness_on_grid):
-    # each witness on its own box of margin 8 under a wide kernel: the images of
-    # the pair (0, 1) read on their boxes alone overstate the whole grid's
-    # distance, and the far fields taken off node by node bring it below
-    from whlab.kernel import Box, box_spectrum, fast_size, kernel_tails, near_kernel
-
-    S, family_args = _sector_space()
-    a = gaussian_symbol(S.grid, None, 1.0, 1.0)
-    plan = plan_kuratowski(a, S, *family_args)
-    margin, N = 8, S.grid.points
-    source, tails = kernel_tails(a)
-    windows = [witness._witness_window(params)[0] for params in plan.witnesses]
-    sizes = [tuple(fast_size(2 * (s.stop - s.start + margin)) for s in w) for w in windows]
-    near = near_kernel(a, source, tuple(map(max, zip(*sizes))))
-    boxes = tuple(Box(tuple(slice(s.start - margin, s.stop + margin) for s in w),
-                      tuple(slice(margin, margin + s.stop - s.start) for s in w),
-                      box_spectrum(near, plan.node, N, size), margin, tails)
-                  for w, size in zip(windows, sizes))
-    rep = kuratowski_experiment(dataclasses.replace(plan, boxes=boxes))
-    lines = {line.name: line for line in rep.ledger}
-    assert all(f"far-field[j={j}]" in lines for j in range(len(boxes)))
-    whole, _ = _whole_grid_distances(plan, rep, witness_on_grid)
-    overstated = 0
-    for p, d in zip(rep.pairs, whole):
-        line = lines[f"far-field[{p.j},{p.k}]"]
-        assert line.passed and line.lhs == p.distance
-        assert p.distance <= d * (1.0 + 1e-13)
-        overstated += line.rhs > d * (1.0 + 1e-9)
-    assert overstated
+@pytest.mark.parametrize("moved", ["whole-grid", "shifted"])
+def test_a_kappa_plan_with_images_on_different_windows_is_rejected(moved):
+    # d_jk reads the images on one window: a hand-built plan with witness 0 on the
+    # whole grid, or on a box of the same shape one node over, is rejected
+    plan = _kappa_sector_plan()
+    box = plan.boxes[0]
+    if moved == "shifted":
+        box = dataclasses.replace(box, window=tuple(slice(s.start + 1, s.stop + 1)
+                                                    for s in box.window))
+    else:
+        box = None
+    plan = dataclasses.replace(plan, boxes=(box,) + plan.boxes[1:])
+    with pytest.raises(ValidationError, match="lie on different windows"):
+        kuratowski_experiment(plan)
 
 
-# -- transform boxes that fall back to the whole grid -------------------------
+# -- witnesses that keep the whole grid --------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
 
