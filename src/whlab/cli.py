@@ -5,6 +5,13 @@ byte-identical outputs.  Subcommands mirror the experiment kinds plus
 ``validate`` (parse and pre-flight only).  Exit codes: 0 success, 2
 validation error, unwritable outputs or arrays too large for memory, 3
 numeric failure, 4 completed run whose report status is not OK.
+
+A run imports only the layers its kind runs: each kind's handler reaches the
+``witness`` and ``doubling`` layers through :func:`_library`, and the
+renderers of ``reports`` the same way.  space-check runs ``grid``,
+``profiles`` and ``spaces``; norm-lb adds ``operators`` and ``witness``,
+kappa-lb also ``doubling``, and doubling-scan and tau-scan add
+``doubling``; a config's symbol block adds ``operators`` to any kind.
 """
 
 from __future__ import annotations
@@ -19,10 +26,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import doubling as dbl
 from . import grid as gridmod
 from . import spaces
-from . import witness as wit
 from .errors import NumericFailure, ValidationError
 
 __all__ = ["RunConfig", "load_config", "run", "emit", "main"]
@@ -173,7 +178,8 @@ _BUILDERS = {
 
 
 def _library(key: str):
-    """Library function ``"module.name"``, looked up now: wrappers installed later see it."""
+    """Library function ``"module.name"``, looked up now: wrappers installed later see it,
+    and a module is imported by the first run that calls into it."""
     module, name = key.split(".")
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
@@ -207,22 +213,24 @@ def _rendered(experiment, text: str, tables: dict, status=lambda report: "OK"):
     return execute
 
 
-def _chain_status(report: wit.ExperimentReport) -> str:
+def _chain_status(report) -> str:
     return "OK" if report.chains_passed else "CHAIN FAILURE"
 
 
 def _norm_lb(params: dict, space: spaces.SpaceSpec, symbol):
-    plan = wit.plan_norm_lowerbound(symbol, space, float(params["rho"]),
-                                    params["delta_schedule"], params.get("eta"),
-                                    params.get("ray"))
-    return _rendered(lambda: wit.norm_lowerbound_experiment(plan), "reports.experiment_text",
+    plan = _library("witness.plan_norm_lowerbound")(symbol, space, float(params["rho"]),
+                                                    params["delta_schedule"],
+                                                    params.get("eta"), params.get("ray"))
+    return _rendered(lambda: _library("witness.norm_lowerbound_experiment")(plan),
+                     "reports.experiment_text",
                      {"witnesses.csv": "reports.witness_csv"}, _chain_status)
 
 
 def _kappa_lb(params: dict, space: spaces.SpaceSpec, symbol):
-    plan = wit.plan_kuratowski(symbol, space, float(params["rho"]), *_family_args(params),
-                               params.get("eta"))
-    return _rendered(lambda: wit.kuratowski_experiment(plan), "reports.experiment_text",
+    plan = _library("witness.plan_kuratowski")(symbol, space, float(params["rho"]),
+                                               *_family_args(params), params.get("eta"))
+    return _rendered(lambda: _library("witness.kuratowski_experiment")(plan),
+                     "reports.experiment_text",
                      {"pairwise.csv": "reports.pairwise_csv",
                       "witnesses.csv": "reports.witness_csv"}, _chain_status)
 
@@ -233,16 +241,18 @@ def _doubling_scan(params: dict, space: spaces.SpaceSpec, symbol):
     if any(k in params for k in ("theta", "lambda", "m", "y0")):
         if missing := [key for key in ("theta", "lambda", "m") if key not in params]:
             raise ValidationError(f"doubling-scan family needs '{missing[0]}'")
-        schedule.extend(dbl.separated_sequence(space.domain, tau, *_family_args(params)))
-    plan = dbl.plan_weak_doubling(space.domain, tau, schedule)
-    return _rendered(lambda: dbl.tau_scan(space, *plan)[0],
+        schedule.extend(_library("doubling.separated_sequence")(space.domain, tau,
+                                                                *_family_args(params)))
+    plan = _library("doubling.plan_weak_doubling")(space.domain, tau, schedule)
+    return _rendered(lambda: _library("doubling.tau_scan")(space, *plan)[0],
                      "reports.doubling_text", {"doubling.csv": "reports.doubling_csv"})
 
 
 def _tau_scan(params: dict, space: spaces.SpaceSpec, symbol):
-    plan = dbl.plan_tau_scan(space.domain, params["tau_list"], *_family_args(params))
-    return _rendered(lambda: dbl.tau_scan(space, *plan), "reports.tau_scan_text",
-                     {"tau_scan.csv": "reports.tau_scan_csv"})
+    plan = _library("doubling.plan_tau_scan")(space.domain, params["tau_list"],
+                                              *_family_args(params))
+    return _rendered(lambda: _library("doubling.tau_scan")(space, *plan),
+                     "reports.tau_scan_text", {"tau_scan.csv": "reports.tau_scan_csv"})
 
 
 def _space_check(params: dict, space: spaces.SpaceSpec, symbol):

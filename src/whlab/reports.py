@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from typing import TYPE_CHECKING
 
-from .doubling import DoublingReport
-from .spaces import AxiomResult
-from .witness import ExperimentReport
+if TYPE_CHECKING:  # annotations only: rendering a kind imports no layer it does not run
+    from .doubling import DoublingReport
+    from .spaces import AxiomResult
+    from .witness import ExperimentReport
 
 __all__ = [
     "fmt",

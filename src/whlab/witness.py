@@ -64,7 +64,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .doubling import _check_family, separated_sequence
 from .errors import DegenerateBallError, NumericFailure, ValidationError
 from .grid import Ball, DomainMask, _ball_nodes, as_point
 from .operators import (Symbol, _multiplier_image, _spectral_image,
@@ -528,6 +527,9 @@ def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
     the witness supports are the family's rho-inflations.  ``y0 = None``
     picks the largest value, stepped past rounding, whose outermost support
     B(y_m, rho R_m) keeps the margin rule of :class:`WitnessParams`."""
+    # imported here only: a norm-lb run never compiles the doubling layer
+    from .doubling import _check_family, separated_sequence
+
     _check_rho(rho)
     omega = space.domain
     if y0 is None:

@@ -8,7 +8,7 @@ import time
 import pytest
 import yaml
 
-from whlab import cli
+from whlab import cli, doubling, witness
 
 
 def write_config(tmp_path, text, name="run.yaml"):
@@ -168,11 +168,10 @@ experiment: EXPERIMENT
 """
 
 
-#: The plan steps and the family and placement builders they use, by the
-#: module binding ``cli`` and the library call them through.
-PLANNING = {"wit": ("plan_norm_lowerbound", "plan_kuratowski", "place_witness_center",
-                    "separated_sequence"),
-            "dbl": ("plan_weak_doubling", "plan_tau_scan", "separated_sequence")}
+#: The plan steps and the family and placement builders they use, by the layer
+#: that ``cli`` and the library call them through.
+PLANNING = {witness: ("plan_norm_lowerbound", "plan_kuratowski", "place_witness_center"),
+            doubling: ("plan_weak_doubling", "plan_tau_scan", "separated_sequence")}
 
 
 @pytest.mark.parametrize("experiment,plan", [
@@ -195,8 +194,7 @@ def test_runs_reuse_the_preflighted_family(tmp_path, monkeypatch, experiment, pl
 
     for module, names in PLANNING.items():
         for name in names:
-            real = getattr(getattr(cli, module), name)
-            monkeypatch.setattr(getattr(cli, module), name, counted(name, real))
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cfg = cli.preflight(cli.load_config(write_config(
         tmp_path, FAMILY.replace("EXPERIMENT", experiment))))
     assert calls[plan] == 1
@@ -648,20 +646,18 @@ def test_expression_whitelist_rejections(tmp_path, capsys, expr, message):
 
 
 def test_chain_failure_exit_code(tmp_path, capsys, monkeypatch):
-    from whlab import witness as wit
-
     cfgtext = NORM_LB.replace("OUT", str(tmp_path / "out"))
     cfg = write_config(tmp_path, cfgtext)
 
-    real = wit.norm_lowerbound_experiment
+    real = witness.norm_lowerbound_experiment
 
     def sabotaged(*args, **kwargs):
         rep = real(*args, **kwargs)
-        bad = wit.LedgerLine("plateau-chain[forced]", 2.0, 1.0, 0.0, False)
+        bad = witness.LedgerLine("plateau-chain[forced]", 2.0, 1.0, 0.0, False)
         object.__setattr__(rep, "ledger", rep.ledger + (bad,))
         return rep
 
-    monkeypatch.setattr(cli.wit, "norm_lowerbound_experiment", sabotaged)
+    monkeypatch.setattr(witness, "norm_lowerbound_experiment", sabotaged)
     assert cli.main(["norm-lb", "--config", cfg]) == 4
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "FAIL" in report
@@ -699,7 +695,7 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     def explode(*args, **kwargs):
         raise NumericFailure("forced overflow")
 
-    monkeypatch.setattr(cli.wit, "norm_lowerbound_experiment", explode)
+    monkeypatch.setattr(witness, "norm_lowerbound_experiment", explode)
     assert cli.main(["norm-lb", "--config", cfg]) == 3
 
 
@@ -754,7 +750,7 @@ def test_overflowing_inputs_exit_without_a_warning(tmp_path, capsys, weight,
 
 
 def test_sandwich_failure_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli.wit, "SANDWICH_SLACK", -1.0)
+    monkeypatch.setattr(witness, "SANDWICH_SLACK", -1.0)
     cfg = write_config(tmp_path, NORM_LB.replace("OUT", str(tmp_path / "out")))
     assert cli.main(["norm-lb", "--config", cfg]) == 3
     assert "sandwich inequality violated beyond slack" in capsys.readouterr().err

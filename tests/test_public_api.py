@@ -72,12 +72,19 @@ def test_every_public_name_has_a_user():
 
 
 def test_package_exports_exactly_the_layers_public_names():
+    import importlib
     import types
 
     import whlab
 
     layers = ("errors", "grid", "spaces", "doubling", "operators", "witness")
-    exported = {name for name, value in vars(whlab).items()
-                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert exported == {name for layer in layers
-                        for name in _public_names(PACKAGE / f"{layer}.py")}
+    public = {name: layer for layer in layers
+              for name in _public_names(PACKAGE / f"{layer}.py")}
+    assert sorted(whlab.__all__) == sorted(public)
+    assert {name for name in dir(whlab) if not name.startswith("_")
+            and not isinstance(getattr(whlab, name), types.ModuleType)} == set(public)
+    for name, layer in public.items():
+        assert getattr(whlab, name) is getattr(importlib.import_module(f"whlab.{layer}"), name)
+    star = {}
+    exec("from whlab import *", star)
+    assert star.keys() - {"__builtins__"} == set(public)
