@@ -14,12 +14,15 @@ offset has |z|_inf >= m + 1, so |h| <= max phi . T(m + 1) with the shell tail
 T(m) = sum over |z|_inf >= m of |K(z)|, which does not depend on k0.
 :func:`whlab.witness._plan_boxes` sizes the boxes from T; the witness layer imports
 this module only for a plan that may hold a box, so other runs never compile it.
+
+K has one layout (:func:`kernel_tails`): a real symbol's K on columns 0 .. N/2 of
+the last axis, the rest being conj K(-z); a complex symbol's whole.  The shell
+sums read it as it is and every box spectrum gathers from it (:func:`_kernel_at`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +30,10 @@ import numpy as np
 
 from .operators import Symbol
 
-__all__ = ["Box", "kernel_tails", "near_kernel", "box_spectrum", "fast_size"]
+__all__ = ["Box", "kernel_tails", "box_spectrum", "fast_size"]
 
-#: Values per block of rows that the kernel is unpacked in (128 KiB of complex
-#: values at a time).
+#: Values per block of rows in which the shell sums and the box gather read the
+#: kernel (128 KiB of complex values at a time).
 _ROW_BLOCK = 2 ** 13
 
 
@@ -52,32 +55,29 @@ class Box:
 
 
 def kernel_tails(a: Symbol) -> tuple[np.ndarray, np.ndarray]:
-    """``(source, tails)``: the grid kernel as :func:`near_kernel` reads it, and
-    T[m] for m = 0 .. N/4: a plan takes margins below N/4 only.
+    """``(source, tails)``: the grid kernel K as :func:`box_spectrum` reads it,
+    and T[m] for m = 0 .. N/4: a plan takes margins below N/4 only.
 
-    Complex samples take ifftn in place, source = K.  Real samples take the
-    two-for-one transform (Press et al., Numerical Recipes, 3rd ed., sec. 12.3),
-    source = fft_n(a[0::2] + i a[1::2]), in place in an array as large as a real
-    grid array (a real transform of the whole grid holds N/2 + 1 columns
-    instead).  Every T[m]
-    carries the a-priori bound 3 eps log2(N^n) ||a||_2 of ||K~ - K||_1 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., thm. 24.2, with
+    Real samples take ihfft along the last axis, then ifft in place along each
+    leading one: source holds K on columns 0 .. N/2 of the last axis, and the
+    rest is conj K(-z) (K(-z) = conj K(z) for a real a).  Complex samples take
+    ifftn in place, source = K on every column.  Every T[m] carries the a-priori
+    bound 3 eps log2(N^n) ||a||_2 of ||K~ - K||_1 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., thm. 24.2, with
     ||K||_2 = ||a||_2 / N^{n/2}), so a kernel exact off the origin, such as a
     constant symbol's, still has a positive tail.  A symbol near the float range
     gives inf or nan tails.
     """
     g = a.grid
-    N = g.points
     real = not np.iscomplexobj(a.values)
     with np.errstate(over="ignore", invalid="ignore"):
         if real:
-            source = np.empty((N // 2,) + g.shape[1:], complex)
-            source.real, source.imag = a.values[0::2], a.values[1::2]
+            source = np.fft.ihfft(a.values, axis=-1)
         else:
             source = np.array(a.values, complex)
-        for axis in range(g.n):
-            (np.fft.fft if real else np.fft.ifft)(source, axis=axis, out=source)
-        tails = _shells(a, source)
+        for axis in range(g.n - 1 if real else g.n):
+            np.fft.ifft(source, axis=axis, out=source)
+        tails = _shells(source, g.points)
         # sums of nonnegative shells from the outside in: no cancellation
         np.cumsum(tails[::-1], out=tails[::-1])
         flat = a.values.ravel()  # ||a||_2 with no BLAS call and no grid-sized square
@@ -86,75 +86,40 @@ def kernel_tails(a: Symbol) -> tuple[np.ndarray, np.ndarray]:
     return source, tails
 
 
-def _shells(a: Symbol, source: np.ndarray) -> np.ndarray:
+def _shells(source: np.ndarray, N: int) -> np.ndarray:
     """The shell sums S[r] of |K| over |z|_inf = r for r < N/4, and at S[N/4] the
-    sum over |z|_inf >= N/4, in blocks of rows of K: a real symbol's rows r and
-    N/2 - r for r <= N/4, whose mirrors N - r and N/2 + r have equal moduli; a
-    complex symbol's rows r and N - r."""
-    N = a.grid.points
-    kept, top = N // 2 + 1, N // 4
-    real = not np.iscomplexobj(a.values)
-    folded = np.zeros((top + 1,) + (kept,) * (a.grid.n - 1))  # |K| on r_i = min(k_i, N - k_i)
-    last = top if real else kept - 1
-    step = max(1, _ROW_BLOCK // N ** (a.grid.n - 1))
-    for start in range(0, last + 1, step):
-        rows = np.arange(start, min(start + step, last + 1))
-        if real:
-            low, high = _kernel_rows(a, source, rows, pair=True)
-            part = _folded(np.abs(low), kept)
-            part[rows > 0] *= 2.0
-            mirror = _folded(np.abs(high), kept)[rows < top]  # r = N/4 once
-            mirror[rows[rows < top] > 0] *= 2.0
-            folded[top] += mirror.sum(axis=0)
-        else:
-            part = _folded(np.abs(_kernel_rows(a, source, rows)), kept)
-            inner = (0 < rows) & (rows < kept - 1)
-            if inner.any():
-                part[inner] += _folded(np.abs(_kernel_rows(a, source, N - rows[inner])), kept)
-        below = rows < top  # rows past N/4 join row N/4: their shells share one tail
-        folded[rows[below]] = part[below]
-        folded[top] += part[~below].sum(axis=0)
-    if a.grid.n == 1:
-        return folded
-    shell = functools.reduce(np.maximum, np.ix_(*[np.arange(n) for n in folded.shape]))
-    return np.bincount(np.broadcast_to(np.minimum(shell, top), folded.shape).ravel(),
-                       folded.ravel(), top + 1)
+    sum over |z|_inf >= N/4, in blocks of rows of ``source`` (from
+    :func:`kernel_tails`); a held column 1 .. N/2 - 1 of a real symbol counts
+    twice, for its mirror N - c, whose shell is the same."""
+    top = N // 4
+    r = [np.minimum(k, N - k) for k in map(np.arange, source.shape)]
+    weight = np.ones(source.shape[-1])
+    if source.shape[-1] < N:
+        weight[1:N // 2] = 2.0
+    weight = np.broadcast_to(weight, source.shape)
+    shells = np.zeros(top + 1)
+    step = max(1, _ROW_BLOCK // math.prod(source.shape[1:]))
+    for start in range(0, source.shape[0], step):
+        rows = slice(start, start + step)
+        part = np.abs(source[rows])
+        part *= weight[rows]
+        shell = functools.reduce(np.maximum, np.ix_(r[0][rows], *r[1:]))
+        shell = np.broadcast_to(np.minimum(shell, top), part.shape)
+        shells += np.bincount(shell.ravel(), part.ravel(), top + 1)
+    return shells
 
 
-def _folded(rows: np.ndarray, kept: int) -> np.ndarray:
-    """``rows`` with every axis but the first folded onto r = min(k, N - k)."""
-    for axis in range(1, rows.ndim):
-        part = np.moveaxis(rows, axis, 0)
-        folded = part[:kept].copy()
-        folded[1:kept - 1] += part[:kept - 1:-1]
-        rows = np.moveaxis(folded, 0, axis)
-    return rows
-
-
-def _kernel_rows(a: Symbol, source: np.ndarray, rows: np.ndarray, pair: bool = False):
-    """K[rows], whole along the other axes, for indices ``rows`` of the first
-    axis, with ``source`` from :func:`kernel_tails`; with ``pair`` (a real
-    symbol, rows below N/2) also K[rows + N/2].
-    For a real symbol, with C = source read at k_1 mod N/2 and
-    -k = ((-k_1) mod N/2, (-k') mod N),
-    fft_n(a)[k] = (C[k] + conj C[-k]) / 2 + e^{-2 pi i k_1/N} (C[k] - conj C[-k]) / 2i,
-    the second term changes sign at k_1 + N/2, and K = conj fft_n(a) / N^n."""
-    if np.iscomplexobj(a.values):
-        return source[rows]
-    N = a.grid.points
-    here = source[rows % (N // 2)]
-    there = source[-rows % (N // 2)]
-    for axis in range(1, here.ndim):
-        there = np.take(there, -np.arange(N) % N, axis=axis)
-    np.conjugate(there, out=there)
-    twice = here + there  # 2 Ev
-    here -= there  # 2i Od
-    here *= (-1j * np.exp((-2j * np.pi / N) * rows)).reshape((-1,) + (1,) * (here.ndim - 1))
-    out = [twice + here, twice - here] if pair else [np.add(twice, here, out=twice)]
-    for half in out:  # 2 fft_n(a) -> K
-        np.conjugate(half, out=half)
-        half *= 0.5 / a.grid.node_count  # a power of two: exact
-    return out if pair else out[0]
+def _kernel_at(source: np.ndarray, N: int, z: list) -> np.ndarray:
+    """K on the mesh z[0] x ... x z[n-1] of integer offsets, with ``source``
+    from :func:`kernel_tails`; a column it does not hold is read as conj K(-z)."""
+    z = [zi % N for zi in z]
+    if source.shape[-1] == N:
+        return source[np.ix_(*z)]
+    held = z[-1] <= N // 2
+    out = np.empty([zi.size for zi in z], complex)
+    out[..., held] = source[np.ix_(*z[:-1], z[-1][held])]
+    out[..., ~held] = np.conj(source[np.ix_(*[-zi % N for zi in z[:-1]], N - z[-1][~held])])
+    return out
 
 
 def fast_size(least: int) -> int:
@@ -172,35 +137,19 @@ def fast_size(least: int) -> int:
     return best
 
 
-def near_kernel(a: Symbol, source: np.ndarray, shape: tuple) -> np.ndarray:
-    """K(z) for |z_i| < shape_i/2 on every axis i, at index z mod shape of a box
-    of that shape, and 0 where z_i = shape_i/2, with ``source`` from
-    :func:`kernel_tails`: the kernel that every box of at most ``shape``
-    restricts."""
-    N = a.grid.points
-    near = np.zeros(shape, complex)
+def box_spectrum(source: np.ndarray, node: tuple, N: int, shape: tuple) -> np.ndarray:
+    """The spectrum, on a box of ``shape``, of K(z) e^{-2 pi i node.z/N}
+    restricted to |z_i| < shape_i/2 at index z mod shape, and 0 where
+    z_i = shape_i/2, with ``source`` from :func:`kernel_tails` and N the grid's
+    nodes per axis."""
+    n = len(shape)
     z = [np.r_[0:p // 2, 1 - p // 2:0] for p in shape]
-    cols = (slice(None),) + np.ix_(*[zi % N for zi in z[1:]])
     at = [zi % p for zi, p in zip(z[1:], shape[1:])]
-    step = max(1, _ROW_BLOCK // N ** (a.grid.n - 1))
+    spec = np.zeros(shape, complex)
+    step = max(1, _ROW_BLOCK // math.prod(shape[1:]))
     for start in range(0, z[0].size, step):
         rows = z[0][start:start + step]
-        near[np.ix_(rows % shape[0], *at)] = _kernel_rows(a, source, rows % N)[cols]
-    return near
-
-
-def box_spectrum(near: np.ndarray, node: tuple, N: int, shape: tuple) -> np.ndarray:
-    """The spectrum, on a box of ``shape``, of K(z) e^{-2 pi i node.z/N}
-    restricted to |z_i| < shape_i/2 at index z mod shape, with ``near`` from
-    :func:`near_kernel` on a box at least as large on every axis and N the grid's
-    nodes per axis."""
-    n = near.ndim
-    parts = [((slice(0, p // 2), slice(0, p // 2)),
-              (slice(p - p // 2 + 1, p), slice(size - p // 2 + 1, size)))
-             for p, size in zip(shape, near.shape)]
-    spec = np.zeros(shape, complex)
-    for block in itertools.product(*parts):
-        spec[tuple(here for here, _ in block)] = near[tuple(there for _, there in block)]
+        spec[np.ix_(rows % shape[0], *at)] = _kernel_at(source, N, [rows] + z[1:])
     for axis, (k, p) in enumerate(zip(node, shape)):
         if k:  # k z mod N is exact in integers; index p/2 holds 0
             z = np.arange(p)

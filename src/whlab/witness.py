@@ -395,7 +395,8 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
     h = a(eta) phi within 2 e and the residual seldom exceeds e (a constant
     symbol's is round-off, below the a-priori round-off term of its tail), so
     :func:`_measure_witness` would report e as the residual instead of the
-    measured one.  Boxes of one shape share one kernel spectrum.
+    measured one.  Boxes of one shape share one kernel spectrum, which
+    :func:`whlab.kernel.box_spectrum` gathers from the kernel's one layout.
     """
     N, n = space.grid.points, space.grid.n
     plateaus = tuple(math.nan if params is None else indicator_norm(
@@ -418,7 +419,7 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
     if not any(w is not None and shape(w, 1, int) for w in reach):
         return plateaus, (None,) * len(witnesses)
     # imported by plans with a box in reach only: other runs never compile it
-    from .kernel import Box, box_spectrum, fast_size, kernel_tails, near_kernel
+    from .kernel import Box, box_spectrum, fast_size, kernel_tails
 
     source, tails = kernel_tails(a)
     log_w = math.log(float(np.max(space.weight.values)))
@@ -434,16 +435,12 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
     if shared:
         margins = [None if None in margins else max(margins)] * len(margins)
     sizes = [None if m is None else shape(w, m, fast_size) for w, m in zip(reach, margins)]
-    boxed = [size for size in sizes if size is not None]
-    # the whole-grid source is freed before the box spectra, which the plan keeps
-    near = near_kernel(a, source, tuple(map(max, zip(*boxed)))) if boxed else None
-    del source
     spectra, boxes = {}, []
     for window, outer, m, size in zip(windows, reach, margins, sizes):
         box = None
         if size is not None:
             if size not in spectra:
-                spectra[size] = box_spectrum(near, node, N, size)
+                spectra[size] = box_spectrum(source, node, N, size)
             start = [s.start - m for s in outer]
             box = Box(tuple(slice(b, s.stop + m) for b, s in zip(start, outer)),
                       tuple(slice(s.start - b, s.stop - b) for b, s in zip(start, window)),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from whlab import (constant_symbol, gaussian_symbol, make_grid, smoothed_step_symbol,
                    symbol_from_values)
-from whlab.kernel import box_spectrum, fast_size, kernel_tails, near_kernel
+from whlab.kernel import _ROW_BLOCK, _kernel_at, box_spectrum, fast_size, kernel_tails
 from whlab.operators import _multiplier_image, _spectral_image
 
 
@@ -60,8 +60,7 @@ def test_box_image_is_the_whole_grid_image_on_its_box(n, kind, param, shift, log
     source, tails = kernel_tails(a)
     shape = tuple(fast_size(2 * (e + margin)) for e in extent)  # a box per axis
     assert 2 * max(shape) <= points
-    near = near_kernel(a, source, (max(shape),) * n)  # a larger box restricts to it
-    spectrum = box_spectrum(near, node, points, shape)
+    spectrum = box_spectrum(source, node, points, shape)
     inner = tuple(slice(margin, margin + e) for e in extent)
     image = _spectral_image(spectrum, values, (0,) * n, inner, False)
     image = image[tuple(slice(0, e + 2 * margin) for e in extent)]
@@ -73,7 +72,9 @@ def test_box_image_is_the_whole_grid_image_on_its_box(n, kind, param, shift, log
     assert np.max(off) <= np.max(values) * tails[margin + 1]
 
 
-@pytest.mark.parametrize("n,points", [(1, 64), (1, 512), (2, 32), (2, 64)])
+# 2^15 and 256^2 read the kernel in more than one block of _ROW_BLOCK values
+@pytest.mark.parametrize("n,points", [(1, 64), (1, 512), (1, 2 ** 15), (2, 32), (2, 64),
+                                      (2, 256)])
 @pytest.mark.parametrize("kind,shift", [("gaussian", 0), ("gaussian", 3), ("step", 0),
                                         ("constant", 0), ("constant", 2)])
 def test_tails_are_the_shell_sums_of_the_kernel(n, points, kind, shift):
@@ -90,6 +91,57 @@ def test_tails_are_the_shell_sums_of_the_kernel(n, points, kind, shift):
                 * np.linalg.norm(a.values))
     assert tails.shape == (points // 4 + 1,)
     assert np.max(np.abs(tails - roundoff - shells)) <= 1e-14 * modulus.sum()
+
+
+def _layout_symbol(g, kind):
+    """A real symbol whose kernel is real and even, a real one whose kernel is
+    not (an off-centre Gaussian: the columns that a real symbol's kernel source
+    does not hold are read mirrored), or a complex one."""
+    if kind == "even":
+        return gaussian_symbol(g, [0.0] * g.n, 1.0)
+    if kind == "off-centre":
+        return gaussian_symbol(g, [0.7, -0.4][:g.n], 1.5)
+    return _box_symbol(g, "gaussian", 0.5, 3)
+
+
+@pytest.mark.parametrize("kind", ["even", "off-centre", "complex"])
+@pytest.mark.parametrize("n,points,shape", [(1, 2 ** 14, (10000,)), (2, 256, (120, 90))])
+def test_box_kernel_is_the_grid_kernel_near_the_origin(n, points, shape, kind):
+    # at node 0 the box spectrum transforms back to K(z) at every offset
+    # |z_i| < p_i/2 and to 0 at p_i/2, across more than one block of the gather
+    assert math.prod(shape) > _ROW_BLOCK
+    g = make_grid(n, points / 8.0, points)
+    a = _layout_symbol(g, kind)
+    source = kernel_tails(a)[0]
+    box = np.fft.ifftn(box_spectrum(source, (0,) * n, points, shape))
+    z = [np.r_[0:p // 2, 1 - p // 2:0] for p in shape]
+    kernel = np.fft.ifftn(a.values)
+    want = np.zeros(shape, complex)
+    want[np.ix_(*[zi % p for zi, p in zip(z, shape)])] = kernel[np.ix_(*[zi % points for zi in z])]
+    assert np.max(np.abs(box - want)) <= 1e-13 * np.max(np.abs(kernel))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("kind", ["even", "off-centre", "complex"])
+@pytest.mark.parametrize("n,points", [(1, 2 ** 12), (2, 64)])
+def test_certified_tails_bound_the_exact_shell_sums(n, points, kind):
+    # against a long double kernel: the float kernel's l1 error over the whole grid
+    # is at most the a-priori round-off term, so every tail is at least the
+    # reference tail; a tail without the term fails where the float sums fall short
+    g = make_grid(n, points / 8.0, points)
+    a = _layout_symbol(g, kind)
+    source, tails = kernel_tails(a)
+    reference = np.fft.ifftn(a.values.astype(np.clongdouble))
+    computed = _kernel_at(source, points, [np.arange(points)] * n)
+    roundoff = (3.0 * np.finfo(float).eps * math.log2(g.node_count)
+                * np.linalg.norm(a.values))
+    assert np.sum(np.abs(computed - reference)) <= roundoff
+    modulus = np.abs(reference)
+    r = np.minimum(np.arange(points), points - np.arange(points))
+    shell = r if n == 1 else np.maximum.outer(r, r)
+    for m in range(points // 4 + 1):
+        assert tails[m] >= modulus[shell >= m].sum()
 
 
 def _even_five_smooth(k):
