@@ -41,15 +41,13 @@ _ROW_BLOCK = 2 ** 13
 class Box:
     """The transform box of one witness: B = ``window``, the witness's window
     (a kappa plan's: the bounding window of its family's windows) widened by a
-    margin of m nodes on each side; ``inner``, the witness's window within B;
-    ``values``, the kernel spectrum of the box transform (:func:`box_spectrum`),
-    which :func:`whlab.operators._spectral_image` multiplies by; and
-    ``far_field``, max phi . T(m + 1) with max phi = 1 and T the shell tails of
-    the symbol's kernel (:func:`kernel_tails`): a bound of |h| off B
-    (:func:`whlab.witness._plan_boxes`)."""
+    margin of m nodes on each side; ``values``, the kernel spectrum of the box
+    transform (:func:`box_spectrum`), which :func:`whlab.operators._spectral_image`
+    multiplies by; and ``far_field``, max phi . T(m + 1) with max phi = 1 and T
+    the shell tails of the symbol's kernel (:func:`kernel_tails`): a bound of
+    |h| off B (:func:`whlab.witness._plan_boxes`)."""
 
     window: tuple
-    inner: tuple
     values: np.ndarray
     far_field: float
 

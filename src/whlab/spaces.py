@@ -11,10 +11,10 @@ root (1 -+ 1e-12) from an iteration on log m, or, where the two sums do
 not confirm that, a power-of-two bisection to relative width NORM_RTOL.
 Both run on |f| w and p gathered once over Omega ∩ supp f.
 :func:`part_norm` is the one entry into this kernel: it takes f on some
-nodes only (the whole grid, a window or Omega) and the space's part on
-them, taken once by :func:`space_part`.  :func:`luxemburg_norm` calls it
-on the whole grid and returns the upper end, and :func:`indicator_norm`
-on a ball's window (:meth:`whlab.grid.Grid.window`), bit for bit.  Each
+nodes only (the whole grid, a window or Omega) and reads Omega, w and p
+of the space on those nodes itself.  :func:`luxemburg_norm` calls it on
+the whole grid and returns the upper end, and :func:`indicator_norm` on
+a ball's window (:meth:`whlab.grid.Grid.window`), bit for bit.  Each
 certified number reads the end that keeps it conservative
 (:mod:`whlab.witness`).
 
@@ -48,8 +48,6 @@ __all__ = [
     "weight_from_values",
     "luxemburg_norm",
     "indicator_norm",
-    "SpacePart",
-    "space_part",
     "part_norm",
     "associate_space",
     "berezhnoi_ratio",
@@ -174,39 +172,6 @@ def weight_from_values(grid: Grid, values) -> Weight:
     return Weight(grid, np.broadcast_to(values, grid.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class SpacePart:
-    """What the norm of a function known on some nodes of the grid reads:
-    the Omega membership, w and p on those nodes, and the cell volume h^n."""
-
-    inside: np.ndarray
-    w: np.ndarray
-    p: np.ndarray
-    cell_volume: float
-
-
-def space_part(space: SpaceSpec, nodes) -> SpacePart:
-    """The :class:`SpacePart` of ``space`` on ``nodes``.  ``nodes`` indexes
-    the grid's arrays: a window of slices (:meth:`whlab.grid.Grid.window`;
-    ``()`` is the whole grid), whose parts are views, or a bool mask such as
-    ``space.domain.inside``, whose parts are gathered in row-major order.
-
-    The witness experiments read each image on its window
-    (:mod:`whlab.witness`), so their parts are views: none is gathered on a
-    mask."""
-    return SpacePart(space.domain.inside[nodes], space.weight.values[nodes],
-                     space.exponent.values[nodes], space.grid.cell_volume)
-
-
-def _support(part: SpacePart, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(|f| w, p)`` over ``Omega ∩ supp f`` on the nodes of ``part``, the
-    only nodes the modular sees; ``values`` is f on them, or a bool
-    membership for an indicator, whose |f| w is w exactly."""
-    absf = np.abs(values)
-    keep = part.inside & (absf != 0.0)
-    return absf[keep] * part.w[keep], part.p[keep]
-
-
 def _log_modular(logz: np.ndarray, p: np.ndarray, log_cell: float,
                  s: float) -> tuple[float, float]:
     """g(s) = log m(f/e^s) in log-sum-exp form, and its slope's negative.
@@ -253,43 +218,47 @@ def _newton_root(z: np.ndarray, p: np.ndarray, cell_volume: float, tol: float) -
 
 def luxemburg_norm(f: GridFunction, space: SpaceSpec) -> float:
     """inf{lam > 0 : modular(f/lam) <= 1} as the upper end ``hi`` of the
-    :func:`part_norm` bracket: modular(f/hi) <= 1, and hi lies within
-    ``NORM_RTOL`` above the discrete root.  0 exactly when f vanishes on
-    Omega; raises as :func:`part_norm` does.  Deterministic and total."""
+    whole grid's :func:`part_norm` bracket: modular(f/hi) <= 1, and hi lies
+    within ``NORM_RTOL`` above the discrete root.  0 exactly when f vanishes
+    on Omega; raises as :func:`part_norm` does.  Deterministic and total."""
     if f.grid != space.grid:
         raise ValidationError("grid mismatch between function and space")
-    return part_norm(space_part(space, ()), f.values)[1]
+    return part_norm(space, (), f.values)[1]
 
 
 def indicator_norm(ball: Ball, space: SpaceSpec) -> tuple[float, float]:
     """The :func:`part_norm` bracket of ``ball_indicator(ball, space.grid)``,
-    bit for bit, from the ball's window alone: a sub-box of the grid, whose
-    row-major gather visits the ball's nodes in the whole grid's order."""
-    window, member = _ball_nodes(ball, space.grid)
-    return part_norm(space_part(space, window), member)
+    bit for bit, from the ball's window and membership alone: a sub-box of the
+    grid, whose row-major gather visits the ball's nodes in the whole grid's order."""
+    return part_norm(space, *_ball_nodes(ball, space.grid))
 
 
-def part_norm(part: SpacePart, values: np.ndarray) -> tuple[float, float]:
+def part_norm(space: SpaceSpec, nodes, values: np.ndarray) -> tuple[float, float]:
     """The norm kernel: a bracket ``(lo, hi)``, modular(f/hi) <= 1 <
-    modular(f/lo) by modular sums, of the Luxemburg norm of the f equal to
-    ``values`` on the nodes of ``part = space_part(space, nodes)`` and 0 off
-    them; ``(0, 0)`` when f vanishes on Omega.  It reads only
-    ``Omega ∩ supp f``, in row-major order, so any ``nodes`` that hold
-    ``supp f`` give the same bits.  The bracket is Newton's
+    modular(f/lo) by modular sums, of the norm in ``space`` of the f equal to
+    ``values`` on ``nodes`` and 0 off them; ``(0, 0)`` when f vanishes on
+    Omega.  ``nodes`` indexes the grid's arrays, Omega, w and p read on it:
+    a window of slices (:meth:`whlab.grid.Grid.window`; ``()`` is the whole
+    grid), as views, or a bool mask such as ``space.domain.inside``, gathered
+    in row-major order.  A bool ``values`` is an indicator: its |f| w is w.
+    It reads only ``Omega ∩ supp f``, in row-major order, so any ``nodes``
+    that hold ``supp f`` give the same bits.  The bracket is Newton's
     ``root (1 -+ 1e-12)`` where the two sums at its ends confirm it, else a
     bisection from 1, doubling or halving to a power-of-two bracket, to
     relative width ``NORM_RTOL``.  Raises ``NumericFailure`` for a norm
     outside the normal float range; no rescaling is asked of the caller."""
-    if np.shape(values) != np.shape(part.w):
-        raise ValidationError(f"{np.shape(values)} values on a space part of "
-                              f"shape {np.shape(part.w)}")
+    w = space.weight.values[nodes]
+    if np.shape(values) != w.shape:
+        raise ValidationError(f"{np.shape(values)} values on nodes of shape {w.shape}")
     # Overflow, log(0) and inf - inf in the gather and the kernel give the
     # documented non-finite results; one scope per norm keeps numpy quiet.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z, p = _support(part, values)
+        absf = np.abs(values)
+        keep = space.domain.inside[nodes] & (absf != 0.0)
+        z, p = absf[keep] * w[keep], space.exponent.values[nodes][keep]
         if z.size == 0:
             return 0.0, 0.0
-        cell_volume = part.cell_volume
+        cell_volume = space.grid.cell_volume
 
         def leq_one(lam: float) -> bool:  # m(f/lam) <= 1; an overflow counts as > 1
             val = float(((z / lam) ** p).sum() * cell_volume)

@@ -69,7 +69,7 @@ from .grid import Ball, DomainMask, _ball_nodes, as_point
 from .operators import (Symbol, _multiplier_image, _spectral_image,
                         argmax_freq_node, nearest_freq_node)
 from .profiles import bump_profile
-from .spaces import NORM_RTOL, SpaceSpec, indicator_norm, part_norm, space_part
+from .spaces import NORM_RTOL, SpaceSpec, indicator_norm, part_norm
 
 __all__ = [
     "WitnessParams",
@@ -220,9 +220,11 @@ def mollification_residual(a: Symbol, params: WitnessParams, f: tuple,
         h = _multiplier_image(a, values, node, window)
         kept = on_kept = params.domain.window
     else:
-        h = _spectral_image(box.values, values, (0,) * grid.n, box.inner, False)
+        window = tuple(slice(w.start - b.start, w.stop - b.start)  # phi's within B
+                       for w, b in zip(window, box.window))
+        h = _spectral_image(box.values, values, (0,) * grid.n, window, False)
         h = h[tuple(slice(0, b.stop - b.start) for b in box.window)]  # B in the box
-        window, kept, on_kept = box.inner, box.window, ()
+        kept, on_kept = box.window, ()
     # formed first, so its temporaries are freed before err, the size of h, is
     near = np.abs(h[window] - a.at(node) * values)
     err = np.abs(h)  # phi is 0 off its window, where h - a(eta) phi = h exactly
@@ -353,17 +355,20 @@ class WitnessPlan:
     symbol: Symbol
     space: SpaceSpec
     node: tuple
-    eta: tuple
     witnesses: tuple
     plateaus: tuple
     boxes: tuple
+
+    @property
+    def eta(self) -> tuple:  # read from the node, its one source
+        return tuple(self.space.grid.xi_axis[k] for k in self.node)
 
 
 def _resolve_eta(a: Symbol, space: SpaceSpec, eta):
     """The probing frequency node of a plan, for a symbol on the grid of ``space``."""
     if a.grid != space.grid:
         raise ValidationError("symbol and space live on different grids")
-    return argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta)
+    return (argmax_freq_node(a) if eta is None else nearest_freq_node(a.grid, eta))[0]
 
 
 def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
@@ -397,6 +402,8 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
     :func:`_measure_witness` would report e as the residual instead of the
     measured one.  Boxes of one shape share one kernel spectrum, which
     :func:`whlab.kernel.box_spectrum` gathers from the kernel's one layout.
+    A :class:`whlab.kernel.Box` holds B, that spectrum and e alone: the
+    witness's own window W fixes where it lies in B.
     """
     N, n = space.grid.points, space.grid.n
     plateaus = tuple(math.nan if params is None else indicator_norm(
@@ -436,14 +443,12 @@ def _plan_boxes(a: Symbol, space: SpaceSpec, node: tuple, witnesses,
         margins = [None if None in margins else max(margins)] * len(margins)
     sizes = [None if m is None else shape(w, m, fast_size) for w, m in zip(reach, margins)]
     spectra, boxes = {}, []
-    for window, outer, m, size in zip(windows, reach, margins, sizes):
+    for outer, m, size in zip(reach, margins, sizes):
         box = None
         if size is not None:
             if size not in spectra:
                 spectra[size] = box_spectrum(source, node, N, size)
-            start = [s.start - m for s in outer]
-            box = Box(tuple(slice(b, s.stop + m) for b, s in zip(start, outer)),
-                      tuple(slice(s.start - b, s.stop - b) for b, s in zip(start, window)),
+            box = Box(tuple(slice(s.start - m, s.stop + m) for s in outer),
                       spectra[size], float(tails[m + 1]))
         boxes.append(box)
     return plateaus, tuple(boxes)
@@ -465,7 +470,7 @@ def _measure_witness(plan: WitnessPlan, j: int, params: WitnessParams, tag: str,
     """
     space = plan.space
     window, values = make_witness(params)
-    norm_f = part_norm(space_part(space, window), values)[1]
+    norm_f = part_norm(space, window, values)[1]
     ns = plan.plateaus[j]
     nb = indicator_norm(Ball(params.y, params.support_radius), space)[1]
     for line in (_line(f"sandwich-lower[{tag}]", ns, norm_f, SANDWICH_SLACK * norm_f),
@@ -500,7 +505,7 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
         raise ValidationError("delta schedule must be finite and positive")
     if not all(b < a_ for a_, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta schedule must be strictly decreasing")
-    node, eta_vec = _resolve_eta(a, space, eta)
+    node = _resolve_eta(a, space, eta)
     plan = []
     for delta in deltas:
         try:
@@ -513,7 +518,7 @@ def plan_norm_lowerbound(a: Symbol, space: SpaceSpec, rho: float,
             "no delta in the schedule admits a witness placement on this grid: "
             + " ".join(f"(delta={delta:g}: {why})" for delta, why in plan))
     placed = [None if isinstance(params, str) else params for _, params in plan]
-    return WitnessPlan(a, space, node, tuple(eta_vec), tuple(plan),
+    return WitnessPlan(a, space, node, tuple(plan),
                        *_plan_boxes(a, space, node, placed))
 
 
@@ -546,9 +551,9 @@ def plan_kuratowski(a: Symbol, space: SpaceSpec, rho: float, theta: float,
                 f"margin rule needs y0 <= {y0:g}, resolving the innermost "
                 f"ball needs y0 >= {4.0 * omega.grid.h / theta:g}")
     family = separated_sequence(omega, rho, theta, lam, m, y0)
-    node, eta_vec = _resolve_eta(a, space, eta)
+    node = _resolve_eta(a, space, eta)
     params = tuple(WitnessParams(1.0 / radius, y, rho, omega) for y, radius in family)
-    return WitnessPlan(a, space, node, tuple(eta_vec), params,
+    return WitnessPlan(a, space, node, params,
                        *_plan_boxes(a, space, node, params, shared=True))
 
 
@@ -577,7 +582,7 @@ def norm_lowerbound_experiment(plan: WitnessPlan) -> ExperimentReport:
             continue
         tag = f"delta={delta:g}"
         (window, g), rec = _measure_witness(plan, j, params, tag, ledger)
-        wnorm = part_norm(space_part(space, window), g)[0]
+        wnorm = part_norm(space, window, g)[0]
         ledger.append(_line(f"plateau-chain[{tag}]", a_abs * rec.norm_small,
                             wnorm + rec.residual * rec.norm_small, CHAIN_SLACK))
         records.append(replace(rec, ratio=wnorm / rec.norm_witness))
@@ -624,13 +629,12 @@ def kuratowski_experiment(plan: WitnessPlan) -> ExperimentReport:
     if any(other != window for other, _ in images):
         raise ValidationError("the witness images of a kappa-lb plan lie on different "
                               "windows: its boxes must be one shared box or all None")
-    part = space_part(space, window)
 
     s_est = max(r.quotient for r in records)
     eps_obs = max(r.residual for r in records)
     pairs = []
     for j, k in itertools.combinations(range(len(records)), 2):
-        d = part_norm(part, images[j][1] - images[k][1])[0]
+        d = part_norm(space, window, images[j][1] - images[k][1])[0]
         ns_min = min(records[j].norm_small, records[k].norm_small)
         eps_norm = eps_obs / ns_min
         bound = a_abs / (s_est + S_EST_SLACK) - 2.0 * eps_norm

@@ -74,7 +74,7 @@ def test_upper_end_ratios_break_the_constant_symbol_oracle(monkeypatch):
     # same function scaled by c lands above |c| on some of these runs.
     part_norm = witness.part_norm
     monkeypatch.setattr(witness, "part_norm",
-                        lambda part, values: (part_norm(part, values)[1],) * 2)
+                        lambda space, nodes, values: (part_norm(space, nodes, values)[1],) * 2)
     rng = np.random.default_rng(0)
     g = make_grid(1, 64.0, 4096)
     above = 0

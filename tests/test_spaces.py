@@ -13,7 +13,7 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    constant_weight, explicit_mask, exponent_from_values,
                    full_space, half_line, indicator_norm, luxemburg_norm,
                    make_grid, part_norm, power_weight, restrict, sample, sector,
-                   space_part, step_exponent, weight_from_values)
+                   step_exponent, weight_from_values)
 from whlab import spaces
 from whlab.spaces import NORM_RTOL
 
@@ -170,10 +170,38 @@ def test_bracket_holds_the_root_and_the_norm_is_the_bisection_to_rtol():
             with np.errstate(over="ignore"):
                 return float(((z / lam) ** p).sum() * f.grid.cell_volume)
 
-        lo, hi = part_norm(space_part(S, ()), f.values)
+        lo, hi = part_norm(S, (), f.values)
         assert modular(hi) <= 1.0 < modular(lo), case
         exact = bisection_norm(f, S)
         assert abs(luxemburg_norm(f, S) - exact) <= NORM_RTOL * exact, case
+
+
+@st.composite
+def window_cases(draw):
+    """A space with a step exponent, a power weight and a half-line, sector or
+    full domain on a 1-D or 2-D grid, and a random f on a window that crosses
+    the boundary of Omega (it holds the origin, Omega's apex)."""
+    n = draw(st.sampled_from([1, 2]))
+    g = make_grid(n, 16.0, draw(st.sampled_from([256, 1024] if n == 1 else [64, 128])))
+    if draw(st.booleans()):
+        omega = full_space(g)
+    elif n == 1:
+        omega = half_line(g)
+    else:
+        alpha1 = draw(st.floats(0.0, 2 * np.pi))
+        omega = sector(g, alpha1, alpha1 + draw(st.floats(np.pi / 4, 3 * np.pi / 2)))
+    S = SpaceSpec(g, step_exponent(g, draw(st.floats(1.1, 4.0)), draw(st.floats(1.1, 4.0)),
+                                   edge=draw(st.floats(-4.0, 4.0))),
+                  power_weight(g, draw(st.floats(-0.3, 0.6))), omega)
+    radius = draw(st.floats(2.0, 6.0))
+    center = [draw(st.floats(-radius / 2, radius / 2)) for _ in range(n)]
+    window, _ = g.window(center, radius)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = np.zeros(g.shape, complex)
+    shape = vals[window].shape
+    vals[window] = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                    * (rng.uniform(size=shape) < draw(st.floats(0.05, 1.0))))
+    return S, window, vals
 
 
 @pytest.mark.parametrize("omega,center", [
@@ -188,10 +216,27 @@ def test_part_norm_on_a_window_and_on_omega_is_the_whole_grid_norm(omega, center
     vals = np.zeros(g.shape, complex)
     vals[window] = rng.standard_normal(vals[window].shape) + 1j
     expected = luxemburg_norm(GridFunction(g, vals), S)
-    assert part_norm(space_part(S, window), vals[window])[1] == expected
-    assert part_norm(space_part(S, omega.inside), vals[omega.inside])[1] == expected
-    with pytest.raises(ValidationError, match="values on a space part of shape"):
-        part_norm(space_part(S, window), vals)
+    assert part_norm(S, window, vals[window])[1] == expected
+    assert part_norm(S, omega.inside, vals[omega.inside])[1] == expected
+    with pytest.raises(ValidationError, match="values on nodes of shape"):
+        part_norm(S, window, vals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=window_cases())
+def test_part_norm_on_a_drawn_window_and_on_omega_is_the_whole_grid_norm(case):
+    # the norm reads Omega ∩ supp f in row-major order only, so a window that
+    # holds supp f, the whole grid and the Omega mask give the same bracket
+    S, window, vals = case
+    inside = S.domain.inside
+    if not inside.all():
+        assert inside[window].any() and not inside[window].all()
+    whole = part_norm(S, (), vals)
+    assert part_norm(S, window, vals[window]) == whole
+    assert part_norm(S, inside, vals[inside]) == whole
+    for nodes, wrong in ((window, vals), ((), vals[window]), (inside, vals[window])):
+        with pytest.raises(ValidationError, match="values on nodes of shape"):
+            part_norm(S, nodes, wrong)
 
 
 @pytest.mark.parametrize("bad_root", [lambda root: math.nan,

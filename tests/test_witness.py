@@ -21,7 +21,7 @@ from whlab import (Ball, GridFunction, NumericFailure, SpaceSpec,
                    place_witness_center, plan_kuratowski, plan_norm_lowerbound,
                    power_weight,
                    restrict, sector,
-                   separated_sequence, space_part, step_exponent, symbol_from_function,
+                   separated_sequence, step_exponent, symbol_from_function,
                    symbol_from_values,
                    wiener_hopf_apply)
 from whlab.profiles import bump_profile, glue, smoothstep
@@ -217,6 +217,24 @@ def test_the_probing_frequency_has_one_source():
             mollification_residual(a, P, make_witness(P), node)
     plan = plan_norm_lowerbound(a, l2(g), 2.0, [0.25], eta=(1.5,))
     assert plan.eta == (g.xi_axis[plan.node[0]],) and plan.node == nearest_freq_node(g, (1.5,))[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_plan_given_another_node_reports_that_nodes_frequency(n):
+    # eta is read from the plan's node, so a plan rebuilt with another node, as
+    # dataclasses.replace rebuilds plans with other boxes, reports the frequency
+    # its images are formed at
+    g = make_grid(n, 32.0, 256 if n == 1 else 64)
+    space = SpaceSpec(g, constant_exponent(g, 2.0), constant_weight(g), full_space(g))
+    a = gaussian_symbol(g, None, 2.0)
+    plan = plan_norm_lowerbound(a, space, 2.0, [1.0])
+    assert plan.eta == (0.0,) * n
+    node = (3,) + (g.points - 2,) * (n - 1)
+    moved = dataclasses.replace(plan, node=node)
+    assert moved.eta == tuple(g.xi_axis[k] for k in node)
+    assert norm_lowerbound_experiment(moved).eta == moved.eta
+    spacing = np.pi / g.half_width
+    assert moved.eta == (3 * spacing,) + (-2 * spacing,) * (n - 1)
 
 
 def test_place_witness_center_halfline_largest_admissible():
@@ -830,13 +848,13 @@ def test_experiments_read_image_windows_not_omega(monkeypatch):
     kappa_plan = plan_kuratowski(a, S, 2.0, 0.25, 4.0, 3, y0=2.0)
     norm_plan = plan_norm_lowerbound(a, S, 2.0, [1.0, 0.5])
     nodes_read = []
-    real = witness.space_part
+    real = witness.part_norm
 
-    def counted(space, nodes):
+    def counted(space, nodes, values):
         nodes_read.append(nodes)
-        return real(space, nodes)
+        return real(space, nodes, values)
 
-    monkeypatch.setattr(witness, "space_part", counted)
+    monkeypatch.setattr(witness, "part_norm", counted)
     kuratowski_experiment(kappa_plan)
     norm_lowerbound_experiment(norm_plan)
     assert nodes_read and all(isinstance(nodes, tuple) for nodes in nodes_read)
@@ -865,7 +883,7 @@ def _whole_grid_distances(plan, rep, witness_on_grid):
         assert rec.norm_witness == luxemburg_norm(witness_on_grid(params), S)
         images.append(whole_grid_image(a, params, plan.node) * complex(1.0 / rec.norm_witness))
     diffs = [images[p.j] - images[p.k] for p in rep.pairs]
-    return [part_norm(space_part(S, ()), diff)[0] for diff in diffs], diffs
+    return [part_norm(S, (), diff)[0] for diff in diffs], diffs
 
 
 @pytest.mark.parametrize("plan_of", [_kappa_halfline_plan, _kappa_sector_plan],
@@ -885,7 +903,7 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
     for p, d, diff in zip(rep.pairs, whole, diffs):
         assert p.distance <= d * (1.0 + 1e-13)  # FFT round-off
         assert p.distance == pytest.approx(d, rel=1e-9)
-        on_box = part_norm(space_part(S, box.window), diff[box.window])[0]
+        on_box = part_norm(S, box.window, diff[box.window])[0]
         assert p.distance == pytest.approx(on_box, rel=1e-13)
     norm_plan = plan_norm_lowerbound(plan.symbol, S, 2.0, [1.0, 0.5, 0.25])
     norm_rep = norm_lowerbound_experiment(norm_plan)
@@ -897,13 +915,13 @@ def test_omega_and_window_norms_match_the_whole_grid_norms(plan_of, witness_on_g
         f = witness_on_grid(params)
         assert rec.norm_witness == luxemburg_norm(f, S)
         image = whole_grid_image(plan.symbol, params, norm_plan.node)
-        whole = part_norm(space_part(S, ()), image)[0] / rec.norm_witness
+        whole = part_norm(S, (), image)[0] / rec.norm_witness
         if f"far-field[delta={delta:g}]" not in kept:
             assert rec.ratio == whole
             continue
         assert rec.ratio <= whole * (1.0 + 1e-13)
         assert rec.ratio == pytest.approx(whole, rel=1e-9)
-        on_box = part_norm(space_part(S, box.window), image[box.window])[0]
+        on_box = part_norm(S, box.window, image[box.window])[0]
         assert rec.ratio == pytest.approx(on_box / rec.norm_witness, rel=1e-13)
 
 
